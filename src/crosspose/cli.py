@@ -24,11 +24,13 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import math
 import os
 import sys
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,7 +46,7 @@ from .losses import (
     positive_loss,
     total_loss,
 )
-from .matcher import downsample_mask, lift_matches, match_features
+from .matcher import downsample_mask, lift_matches, match_features, pixels_to_cells
 from .matchgen import accept_pair, generate_gt_matches
 from .metrics import aggregate_reports, pair_report
 from .registration import register_spatial_consistency
@@ -63,43 +65,78 @@ def _pair_seed(base_seed: int, pair_id: str) -> int:
     return int(mixed.generate_state(1, np.uint64)[0])
 
 
-def _run_pairs(pairs, fn, workers: int):
-    """Apply ``fn`` to each pair, collecting per-pair errors.
+def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path | None = None) -> int:
+    """Run ``work`` on every pair of the manifest and report the batch.
 
-    Returns ``(results, failures)`` where results is a list of
-    ``(pair_id, value)`` in manifest order and failures a list of
-    ``(pair_id, message)``.
+    The manifest loads before ``out_dir`` is created, so a configuration
+    error leaves no directory behind. Any exception raised by ``work``
+    fails only its pair, as ``ClassName: message`` printed to stderr.
+    ``summarize(results, errors)`` receives the ``(pair_id, value)`` rows
+    and the ``pair_id -> message`` map, both sorted by pair id, and
+    returns ``(report path or None, payload, stdout lines)``. The exit
+    code is 1 when any pair failed, else 0.
     """
+    pairs = load_pairs(cfg.pairs_file)
+    if out_dir is not None:
+        out_dir.mkdir(parents=True, exist_ok=True)
+
     def guarded(entry: PairEntry):
         try:
-            return entry.pair_id, fn(entry), None
-        except (CrossposeError, OSError, ValueError) as exc:
+            return entry.pair_id, work(entry), None
+        except Exception as exc:
             return entry.pair_id, None, f"{type(exc).__name__}: {exc}"
 
-    if workers <= 1:
+    if cfg.workers <= 1:
         rows = [guarded(p) for p in pairs]
     else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
             rows = list(pool.map(guarded, pairs))
+    rows.sort(key=lambda row: row[0])
     results = [(pid, value) for pid, value, err in rows if err is None]
-    failures = [(pid, err) for pid, _, err in rows if err is not None]
-    return results, failures
-
-
-def _load_view(view):
-    depth = io.read_depth(view.depth)
-    mask = io.read_mask(view.mask)
-    camera = io.read_intrinsics(view.camera)
-    pose = io.read_pose(view.pose)
-    return depth, mask, camera, pose
-
-
-def _print_failures(failures):
-    for pair_id, message in failures:
+    errors = {pid: err for pid, _, err in rows if err is not None}
+    for pair_id, message in errors.items():
         print(f"error: {pair_id}: {message}", file=sys.stderr)
+    path, payload, lines = summarize(results, errors)
+    if path is not None:
+        io.write_json(path, payload)
+    for line in lines:
+        print(line)
+    return 1 if errors else 0
+
+
+class _View(NamedTuple):
+    """One view's arrays, as read from the files a manifest entry names."""
+
+    depth: np.ndarray
+    mask: np.ndarray
+    camera: CameraIntrinsics
+    pose: Pose
+    features: np.ndarray | None
+
+
+def _load_view(view, features: bool = False) -> _View:
+    """Read one view's files, and its feature grid when ``features``."""
+    if features and view.features is None:
+        raise ConfigError("pair has no feature files")
+    return _View(
+        io.read_depth(view.depth),
+        io.read_mask(view.mask),
+        io.read_intrinsics(view.camera),
+        io.read_pose(view.pose),
+        io.read_features(view.features) if features else None,
+    )
+
+
+def _pred_mask(entry: PairEntry, default):
+    """The pair's predicted query mask, or ``default`` when it names none."""
+    path = entry.pred_mask_query
+    return default if path is None else io.read_mask(path)
 
 
 # ---------------------------------------------------------------- synth --
+
+# Bounds of a view's translation: a small lateral offset, 0.5-0.6 m away.
+_VIEW_BOUNDS = ((-0.01, -0.01, 0.5), (0.01, 0.01, 0.6))
 
 
 def cmd_synth(args) -> int:
@@ -133,23 +170,14 @@ def cmd_synth(args) -> int:
         pair_dir = out / "pairs" / pair_id
         pair_dir.mkdir(parents=True, exist_ok=True)
 
-        def view_translation():
-            return np.array(
-                [
-                    rng.uniform(-0.01, 0.01),
-                    rng.uniform(-0.01, 0.01),
-                    rng.uniform(0.5, 0.6),
-                ]
-            )
-
         # The query view re-orients the object by a bounded angle so the
         # two views share a substantial visible surface.
         rot_a = random_rotation(rng)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         angle = rng.uniform(np.radians(10.0), np.radians(args.max_view_angle))
-        pose_a = Pose(rot_a, view_translation())
-        pose_q = Pose(rotation_about_axis(axis, angle) @ rot_a, view_translation())
+        pose_a = Pose(rot_a, rng.uniform(*_VIEW_BOUNDS))
+        pose_q = Pose(rotation_about_axis(axis, angle) @ rot_a, rng.uniform(*_VIEW_BOUNDS))
         scene_a, scene_q, oracle = make_pair(
             model, pose_a, pose_q, camera,
             background_a=args.background_depth,
@@ -165,58 +193,31 @@ def cmd_synth(args) -> int:
             seed=feat_seed,
         )
 
-        io.write_depth(pair_dir / "depth_anchor.pgm", scene_a.depth)
-        io.write_depth(pair_dir / "depth_query.pgm", scene_q.depth)
-        io.write_mask(pair_dir / "mask_anchor.pgm", scene_a.mask)
-        io.write_mask(pair_dir / "mask_query.pgm", scene_q.mask)
-        io.write_pose(pair_dir / "pose_anchor.json", pose_a)
-        io.write_pose(pair_dir / "pose_query.json", pose_q)
-        io.write_pose(pair_dir / "rel_pose.json", oracle.relative)
-        io.write_features(pair_dir / "features_anchor.feat", feat_a)
-        io.write_features(pair_dir / "features_query.feat", feat_q)
-        io.write_matches(pair_dir / "gt_matches.json", oracle)
-
         rel = f"pairs/{pair_id}"
-        entries.append(
-            {
-                "id": pair_id,
-                "model": "models/model.xyz",
-                "anchor": {
-                    "depth": f"{rel}/depth_anchor.pgm",
-                    "mask": f"{rel}/mask_anchor.pgm",
-                    "camera": "camera.json",
-                    "pose": f"{rel}/pose_anchor.json",
-                    "features": f"{rel}/features_anchor.feat",
-                },
-                "query": {
-                    "depth": f"{rel}/depth_query.pgm",
-                    "mask": f"{rel}/mask_query.pgm",
-                    "camera": "camera.json",
-                    "pose": f"{rel}/pose_query.json",
-                    "features": f"{rel}/features_query.feat",
-                },
+        entry = {"id": pair_id, "model": "models/model.xyz"}
+        views = (("anchor", scene_a, pose_a, feat_a), ("query", scene_q, pose_q, feat_q))
+        for side, scene, pose, feat in views:
+            io.write_depth(pair_dir / f"depth_{side}.pgm", scene.depth)
+            io.write_mask(pair_dir / f"mask_{side}.pgm", scene.mask)
+            io.write_pose(pair_dir / f"pose_{side}.json", pose)
+            io.write_features(pair_dir / f"features_{side}.feat", feat)
+            entry[side] = {
+                "depth": f"{rel}/depth_{side}.pgm",
+                "mask": f"{rel}/mask_{side}.pgm",
+                "camera": "camera.json",
+                "pose": f"{rel}/pose_{side}.json",
+                "features": f"{rel}/features_{side}.feat",
             }
-        )
+        io.write_pose(pair_dir / "rel_pose.json", oracle.relative)
+        io.write_matches(pair_dir / "gt_matches.json", oracle)
+        entries.append(entry)
 
     io.write_json(out / "pairs.json", {"pairs": entries})
-    io.write_json(
-        out / "synth_config.json",
-        {
-            "pairs": args.pairs,
-            "seed": args.seed,
-            "image_size": size,
-            "focal": args.focal,
-            "model_kind": args.model_kind,
-            "model_points": args.model_points,
-            "model_size": args.model_size,
-            "cyclic_order": args.cyclic_order,
-            "feature_dim": args.feature_dim,
-            "noise": args.noise,
-            "outlier_fraction": args.outlier_fraction,
-            "background_depth": args.background_depth,
-            "max_view_angle": args.max_view_angle,
-        },
-    )
+    settings = {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "func", "out")
+    }
+    io.write_json(out / "synth_config.json", settings)
     print(f"wrote {args.pairs} pairs to {out}")
     return 0
 
@@ -226,15 +227,12 @@ def cmd_synth(args) -> int:
 
 def cmd_gen_matches(args) -> int:
     cfg = _config_from_args(args)
-    pairs = load_pairs(cfg.pairs_file)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     def work(entry: PairEntry):
-        depth_a, mask_a, cam_a, pose_a = _load_view(entry.anchor)
-        depth_q, mask_q, cam_q, pose_q = _load_view(entry.query)
+        a, q = _load_view(entry.anchor), _load_view(entry.query)
         pair = generate_gt_matches(
-            depth_a, depth_q, mask_a, mask_q, cam_a, cam_q, pose_a, pose_q,
+            a.depth, q.depth, a.mask, q.mask, a.camera, q.camera, a.pose, q.pose,
             nn_radius=cfg.nn_radius,
         )
         accepted = accept_pair(pair, cfg.min_matches)
@@ -242,24 +240,21 @@ def cmd_gen_matches(args) -> int:
             io.write_matches(out / f"{entry.pair_id}.json", pair)
         return {"count": len(pair), "accepted": accepted}
 
-    results, failures = _run_pairs(pairs, work, cfg.workers)
-    summary = {
-        "accepted": sorted(pid for pid, r in results if r["accepted"]),
-        "rejected": {
-            pid: r["count"] for pid, r in sorted(results) if not r["accepted"]
-        },
-        "errors": dict(sorted(failures)),
-        "min_matches": cfg.min_matches,
-        "nn_radius": cfg.nn_radius,
-    }
-    io.write_json(out / "summary.json", summary)
-    _print_failures(failures)
-    n_rej = len(summary["rejected"])
-    print(
-        f"matched {len(summary['accepted'])} pair(s), rejected {n_rej}, "
-        f"failed {len(failures)}"
-    )
-    return 1 if failures else 0
+    def summarize(results, errors):
+        summary = {
+            "accepted": [pid for pid, r in results if r["accepted"]],
+            "rejected": {pid: r["count"] for pid, r in results if not r["accepted"]},
+            "errors": errors,
+            "min_matches": cfg.min_matches,
+            "nn_radius": cfg.nn_radius,
+        }
+        line = (
+            f"matched {len(summary['accepted'])} pair(s), "
+            f"rejected {len(summary['rejected'])}, failed {len(errors)}"
+        )
+        return out / "summary.json", summary, [line]
+
+    return _run_stage(cfg, work, summarize, out)
 
 
 # -------------------------------------------------------------- register --
@@ -267,56 +262,45 @@ def cmd_gen_matches(args) -> int:
 
 def cmd_register(args) -> int:
     cfg = _config_from_args(args)
-    pairs = load_pairs(cfg.pairs_file)
     out = Path(cfg.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
     reg_seed = derive_seed(cfg.seed, "registration")
 
     def work(entry: PairEntry):
-        if entry.anchor.features is None or entry.query.features is None:
-            raise ConfigError("pair has no feature files")
-        depth_a, mask_a, cam_a, _ = _load_view(entry.anchor)
-        depth_q, mask_q, cam_q, _ = _load_view(entry.query)
-        feat_a = io.read_features(entry.anchor.features)
-        feat_q = io.read_features(entry.query.features)
-
-        grid_a = feat_a.shape[:2]
-        grid_q = feat_q.shape[:2]
+        a = _load_view(entry.anchor, features=True)
+        q = _load_view(entry.query, features=True)
+        grid_a = a.features.shape[:2]
+        grid_q = q.features.shape[:2]
         matches = match_features(
-            feat_a,
-            feat_q,
-            downsample_mask(mask_a, grid_a),
-            downsample_mask(mask_q, grid_q),
+            a.features,
+            q.features,
+            downsample_mask(a.mask, grid_a),
+            downsample_mask(q.mask, grid_q),
             cfg.match,
         )
         lifted = lift_matches(
-            matches, depth_a, depth_q, cam_a, cam_q, grid_a, grid_q
+            matches, a.depth, q.depth, a.camera, q.camera, grid_a, grid_q
         )
         params = dataclasses.replace(
             cfg.registration, seed=_pair_seed(reg_seed, entry.pair_id)
         )
         result = register_spatial_consistency(lifted, params)
-        payload = {
-            "pose": io.pose_to_dict(result.pose),
-            "num_matches": len(matches),
-            "num_lifted": len(lifted),
-            "num_inliers": int(len(result.inliers)),
-            "mean_residual": result.mean_residual,
-        }
-        io.write_json(out / f"{entry.pair_id}.json", payload)
-        return payload
+        io.write_json(
+            out / f"{entry.pair_id}.json",
+            {
+                "pose": io.pose_to_dict(result.pose),
+                "num_matches": len(matches),
+                "num_lifted": len(lifted),
+                "num_inliers": int(len(result.inliers)),
+                "mean_residual": result.mean_residual,
+            },
+        )
 
-    results, failures = _run_pairs(pairs, work, cfg.workers)
-    io.write_json(
-        out / "summary.json",
-        {
-            "registered": sorted(pid for pid, _ in results),
-            "errors": dict(sorted(failures)),
-        },
-    )
-    _print_failures(failures)
-    print(f"registered {len(results)} pair(s), failed {len(failures)}")
-    return 1 if failures else 0
+    def summarize(results, errors):
+        summary = {"registered": [pid for pid, _ in results], "errors": errors}
+        line = f"registered {len(results)} pair(s), failed {len(errors)}"
+        return out / "summary.json", summary, [line]
+
+    return _run_stage(cfg, work, summarize, out)
 
 
 # ---------------------------------------------------------------- eval --
@@ -324,7 +308,6 @@ def cmd_register(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    pairs = load_pairs(cfg.pairs_file)
     pred_dir = Path(args.predictions)
     if not pred_dir.exists():
         raise ConfigError(f"predictions directory does not exist: {pred_dir}")
@@ -334,113 +317,71 @@ def cmd_eval(args) -> int:
         if not pred_path.exists():
             raise ConfigError(f"no prediction for pair: {pred_path.name}")
         payload = io.read_json(pred_path)
-        pred_rel = io.pose_from_dict(
-            payload["pose"] if "pose" in payload else payload
-        )
-        _, _, _, pose_a = _load_view(entry.anchor)
-        depth_q, mask_q, cam_q, pose_q = _load_view(entry.query)
+        pred_rel = io.pose_from_dict(payload.get("pose", payload))
+        a, q = _load_view(entry.anchor), _load_view(entry.query)
         model = io.read_model(entry.model)
-
-        pred_mask = (
-            io.read_mask(entry.pred_mask_query)
-            if entry.pred_mask_query is not None
-            else None
-        )
-        report = pair_report(
+        return pair_report(
             model,
-            pose_true=pose_q,
-            pose_est=compose(pred_rel, pose_a),
-            scene_depth=depth_q,
-            intrinsics=cam_q,
+            pose_true=q.pose,
+            pose_est=compose(pred_rel, a.pose),
+            scene_depth=q.depth,
+            intrinsics=q.camera,
             params=cfg.metrics,
-            pred_mask=pred_mask,
-            gt_mask=mask_q,
+            pred_mask=_pred_mask(entry, None),
+            gt_mask=q.mask,
         )
-        return report
 
-    results, failures = _run_pairs(pairs, work, cfg.workers)
-    if not results:
-        _print_failures(failures)
-        print("error: no pair could be evaluated", file=sys.stderr)
-        return 1
+    def summarize(results, errors):
+        if not results:
+            print("error: no pair could be evaluated", file=sys.stderr)
+            return None, None, []
+        pairs = {pid: r.to_dict() for pid, r in results}
+        aggregate = aggregate_reports([r for _, r in results])
+        payload = {"pairs": pairs, "aggregate": aggregate, "errors": errors}
+        columns = ("ar", "vsd", "mssd", "mspd", "add", "miou")
+        lines = [f"{'pair':<14}" + "".join(f"{name:>8}" for name in columns)]
+        for label, scores in [*pairs.items(), ("mean", aggregate)]:
+            lines.append(
+                f"{label:<14}" + "".join(f"{scores[name]:>8.3f}" for name in columns)
+            )
+        return Path(args.out), payload, lines
 
-    results.sort(key=lambda row: row[0])
-    aggregate = aggregate_reports([r for _, r in results])
-    payload = {
-        "pairs": {pid: r.to_dict() for pid, r in results},
-        "aggregate": aggregate,
-        "errors": dict(sorted(failures)),
-    }
-    io.write_json(args.out, payload)
-
-    header = f"{'pair':<14}{'ar':>8}{'vsd':>8}{'mssd':>8}{'mspd':>8}{'add':>8}{'miou':>8}"
-    print(header)
-    for pid, r in results:
-        print(
-            f"{pid:<14}{r.ar:>8.3f}{r.vsd:>8.3f}{r.mssd:>8.3f}"
-            f"{r.mspd:>8.3f}{r.add:>8.3f}{r.miou:>8.3f}"
-        )
-    print(
-        f"{'mean':<14}{aggregate['ar']:>8.3f}{aggregate['vsd']:>8.3f}"
-        f"{aggregate['mssd']:>8.3f}{aggregate['mspd']:>8.3f}"
-        f"{aggregate['add']:>8.3f}{aggregate['miou']:>8.3f}"
-    )
-    _print_failures(failures)
-    return 1 if failures else 0
+    return _run_stage(cfg, work, summarize)
 
 
 # --------------------------------------------------------------- losses --
 
 
-def _pixels_to_cells(pixels: np.ndarray, grid_shape, camera: CameraIntrinsics):
-    gh, gw = grid_shape
-    u = np.clip(pixels[:, 0] * gw // camera.width, 0, gw - 1)
-    v = np.clip(pixels[:, 1] * gh // camera.height, 0, gh - 1)
-    return u.astype(np.int64), v.astype(np.int64)
-
-
 def cmd_losses(args) -> int:
     cfg = _config_from_args(args)
-    pairs = load_pairs(cfg.pairs_file)
     matches_dir = Path(args.matches) if args.matches else None
-    max_samples = args.max_samples
 
     def work(entry: PairEntry):
-        if entry.anchor.features is None or entry.query.features is None:
-            raise ConfigError("pair has no feature files")
-        depth_a, mask_a, cam_a, pose_a = _load_view(entry.anchor)
-        depth_q, mask_q, cam_q, pose_q = _load_view(entry.query)
-        feat_a = io.read_features(entry.anchor.features)
-        feat_q = io.read_features(entry.query.features)
-
+        a = _load_view(entry.anchor, features=True)
+        q = _load_view(entry.query, features=True)
         if matches_dir is not None:
             gt = io.read_matches(matches_dir / f"{entry.pair_id}.json")
         else:
             gt = generate_gt_matches(
-                depth_a, depth_q, mask_a, mask_q, cam_a, cam_q, pose_a, pose_q,
+                a.depth, q.depth, a.mask, q.mask, a.camera, q.camera, a.pose, q.pose,
                 nn_radius=cfg.nn_radius,
             )
-        if len(gt) > max_samples:
+        if len(gt) > args.max_samples:
             # Deterministic thinning: evenly spaced over the scan order.
-            idx = np.linspace(0, len(gt) - 1, max_samples).astype(np.int64)
+            idx = np.linspace(0, len(gt) - 1, args.max_samples).astype(np.int64)
             anchor_px, query_px = gt.anchor[idx], gt.query[idx]
         else:
             anchor_px, query_px = gt.anchor, gt.query
-
-        ua, va = _pixels_to_cells(anchor_px, feat_a.shape[:2], cam_a)
-        uq, vq = _pixels_to_cells(query_px, feat_q.shape[:2], cam_q)
-        set_a = FeatureSet(feat_a[va, ua], anchor_px.astype(np.float64))
-        set_q = FeatureSet(feat_q[vq, uq], query_px.astype(np.float64))
+        ua, va = pixels_to_cells(anchor_px, a.features.shape[:2], a.camera)
+        uq, vq = pixels_to_cells(query_px, q.features.shape[:2], q.camera)
+        set_a = FeatureSet(a.features[va, ua], anchor_px.astype(np.float64))
+        set_q = FeatureSet(q.features[vq, uq], query_px.astype(np.float64))
 
         pos = positive_loss(set_a, set_q, cfg.loss)
         neg = hardest_negative_loss(set_a, set_q, cfg.loss)
         feat = feature_loss(pos, neg, cfg.loss)
-        pred_mask = (
-            io.read_mask(entry.pred_mask_query)
-            if entry.pred_mask_query is not None
-            else mask_q
-        )
-        mask_term = dice_loss(pred_mask.astype(np.float64), mask_q)
+        pred_mask = _pred_mask(entry, q.mask)
+        mask_term = dice_loss(pred_mask.astype(np.float64), q.mask)
         return {
             "num_samples": int(len(set_a)),
             "positive": pos,
@@ -450,27 +391,23 @@ def cmd_losses(args) -> int:
             "total": total_loss(mask_term, feat, cfg.loss),
         }
 
-    results, failures = _run_pairs(pairs, work, cfg.workers)
-    results.sort(key=lambda row: row[0])
-    payload = {"pairs": dict(results), "errors": dict(sorted(failures))}
-    if results:
-        import math
-
-        n = len(results)
-        payload["aggregate"] = {
-            key: math.fsum(r[key] for _, r in results) / n
-            for key in ("positive", "hardest_negative", "feature", "mask", "total")
-        }
-    io.write_json(args.out, payload)
-    for pid, r in results:
-        print(
+    def summarize(results, errors):
+        payload = {"pairs": dict(results), "errors": errors}
+        if results:
+            payload["aggregate"] = {
+                key: math.fsum(r[key] for _, r in results) / len(results)
+                for key in ("positive", "hardest_negative", "feature", "mask", "total")
+            }
+        lines = [
             f"{pid}: positive {r['positive']:.6f}  "
             f"hardest-negative {r['hardest_negative']:.6f}  "
             f"feature {r['feature']:.6f}  mask {r['mask']:.6f}  "
             f"total {r['total']:.6f}"
-        )
-    _print_failures(failures)
-    return 1 if failures else 0
+            for pid, r in results
+        ]
+        return Path(args.out), payload, lines
+
+    return _run_stage(cfg, work, summarize)
 
 
 # ---------------------------------------------------------------- main --
@@ -485,33 +422,26 @@ def _config_from_args(args) -> EvalConfig:
         except ValueError as exc:
             raise ConfigError(f"CROSSPOSE_WORKERS must be an integer: {exc}") from exc
 
+    # A flag's destination is its config key; flags a command lacks are None.
+    flags = vars(args)
+
+    def pick(*names):
+        return {name: flags.get(name) for name in names}
+
     cfg = load_config(
-        getattr(args, "config", None),
+        flags.get("config"),
         defaults=defaults or None,
-        pairs_file=getattr(args, "pairs", None),
-        output_dir=getattr(args, "out_dir", None),
-        workers=getattr(args, "workers", None),
-        seed=getattr(args, "seed", None),
-        nn_radius=getattr(args, "nn_radius", None),
-        min_matches=getattr(args, "min_matches", None),
-        match={
-            "max_distance": getattr(args, "max_distance", None),
-            "max_matches": getattr(args, "max_matches", None),
-        },
-        registration={
-            "inlier_threshold": getattr(args, "inlier_threshold", None),
-            "compatibility_tolerance": getattr(args, "compatibility_tolerance", None),
-            "iterations": getattr(args, "iterations", None),
-        },
-        metrics={
-            "occlusion_tolerance": getattr(args, "occlusion_tolerance", None),
-        },
+        pairs_file=flags.get("pairs"),
+        output_dir=flags.get("out_dir"),
+        **pick("workers", "seed", "nn_radius", "min_matches"),
+        match=pick("max_distance", "max_matches"),
+        registration=pick("inlier_threshold", "compatibility_tolerance", "iterations"),
+        metrics=pick("occlusion_tolerance"),
     )
     if cfg.pairs_file is None:
         raise ConfigError("a pairs manifest is required (--pairs or config file)")
     # eval/losses write one report file (args.out); the others need a directory.
-    needs_out_dir = not hasattr(args, "out")
-    if needs_out_dir and cfg.output_dir is None:
+    if not hasattr(args, "out") and cfg.output_dir is None:
         raise ConfigError("an output directory is required (--out-dir or config file)")
     return cfg
 

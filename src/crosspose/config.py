@@ -90,6 +90,8 @@ def load_pairs(manifest_path) -> list[PairEntry]:
         payload = read_json(manifest_path)
     except ValueError as exc:
         raise ConfigError(f"pairs manifest is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise ConfigError("pairs manifest must hold a JSON object")
     entries = payload.get("pairs")
     if not isinstance(entries, list) or len(entries) == 0:
         raise ConfigError("pairs manifest must contain a non-empty 'pairs' list")
@@ -97,6 +99,8 @@ def load_pairs(manifest_path) -> list[PairEntry]:
     base = manifest_path.parent
     pairs = []
     for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"pairs entry {i} must be an object")
         pair_id = str(entry.get("id", f"pair_{i:04d}"))
         pairs.append(
             PairEntry(

@@ -194,6 +194,21 @@ class PointCloud:
         return len(self.points)
 
 
+def back_project(u, v, z, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """3D points at depths ``z`` on the rays through pixels ``(u, v)``.
+
+    Returns an ``(N, 3)`` array; the pinhole model is inverted as
+    ``x = z * (u - cx) / fx`` and ``y = z * (v - cy) / fy``.
+    """
+    return np.column_stack(
+        [
+            z * (u - intrinsics.cx) / intrinsics.fx,
+            z * (v - intrinsics.cy) / intrinsics.fy,
+            z,
+        ]
+    )
+
+
 def unproject(
     depth, intrinsics: CameraIntrinsics, mask=None
 ) -> PointCloud:
@@ -208,12 +223,8 @@ def unproject(
     if mask is not None:
         valid &= as_mask(mask, arr.shape)
     rows, cols = np.nonzero(valid)
-    z = arr[rows, cols]
-    x = z * (cols - intrinsics.cx) / intrinsics.fx
-    y = z * (rows - intrinsics.cy) / intrinsics.fy
-    points = np.column_stack([x, y, z])
-    pixels = np.column_stack([cols, rows])
-    return PointCloud(points=points, pixels=pixels)
+    points = back_project(cols, rows, arr[rows, cols], intrinsics)
+    return PointCloud(points=points, pixels=np.column_stack([cols, rows]))
 
 
 @dataclass(frozen=True)

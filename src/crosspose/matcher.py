@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, ZeroVector
-from .geometry import CameraIntrinsics, as_depth, as_mask
+from .geometry import CameraIntrinsics, as_depth, as_mask, back_project
 
 # Cosine distance is undefined below this norm.
 ZERO_NORM_TOL = 1e-12
@@ -79,17 +79,15 @@ class MatchSet:
         object.__setattr__(self, "anchor_cells", a)
         object.__setattr__(self, "query_cells", q)
         object.__setattr__(self, "distances", d)
-        for name in ("anchor_pixels", "query_pixels"):
+        for name, dtype, width in (
+            ("anchor_pixels", np.int64, 2),
+            ("query_pixels", np.int64, 2),
+            ("anchor_points", np.float64, 3),
+            ("query_points", np.float64, 3),
+        ):
             val = getattr(self, name)
             if val is not None:
-                val = np.asarray(val, dtype=np.int64).reshape(-1, 2)
-                if len(val) != len(a):
-                    raise ValueError(f"{name} must align with the match count")
-                object.__setattr__(self, name, val)
-        for name in ("anchor_points", "query_points"):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray(val, dtype=np.float64).reshape(-1, 3)
+                val = np.asarray(val, dtype=dtype).reshape(-1, width)
                 if len(val) != len(a):
                     raise ValueError(f"{name} must align with the match count")
                 object.__setattr__(self, name, val)
@@ -232,7 +230,7 @@ def match_features(
     )
 
 
-def _cells_to_pixels(cells: np.ndarray, grid_shape, intrinsics: CameraIntrinsics) -> np.ndarray:
+def cells_to_pixels(cells: np.ndarray, grid_shape, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Map grid cells to image pixels under the center-of-cell convention."""
     gh, gw = grid_shape
     u = np.floor((cells[:, 0] + 0.5) * intrinsics.width / gw).astype(np.int64)
@@ -240,6 +238,18 @@ def _cells_to_pixels(cells: np.ndarray, grid_shape, intrinsics: CameraIntrinsics
     u = np.clip(u, 0, intrinsics.width - 1)
     v = np.clip(v, 0, intrinsics.height - 1)
     return np.column_stack([u, v])
+
+
+def pixels_to_cells(pixels: np.ndarray, grid_shape, intrinsics: CameraIntrinsics):
+    """Map image pixels to the grid cells that contain them.
+
+    Returns the ``(u, v)`` cell columns and rows as two integer arrays,
+    ready to index a ``(H, W, D)`` feature grid as ``grid[v, u]``.
+    """
+    gh, gw = grid_shape
+    u = np.clip(pixels[:, 0] * gw // intrinsics.width, 0, gw - 1)
+    v = np.clip(pixels[:, 1] * gh // intrinsics.height, 0, gh - 1)
+    return u.astype(np.int64), v.astype(np.int64)
 
 
 def lift_matches(
@@ -263,34 +273,19 @@ def lift_matches(
     ga = grid_shape_a if grid_shape_a is not None else (cam_a.height, cam_a.width)
     gq = grid_shape_q if grid_shape_q is not None else (cam_q.height, cam_q.width)
 
-    pix_a = _cells_to_pixels(matches.anchor_cells, ga, cam_a)
-    pix_q = _cells_to_pixels(matches.query_cells, gq, cam_q)
+    pix_a = cells_to_pixels(matches.anchor_cells, ga, cam_a)
+    pix_q = cells_to_pixels(matches.query_cells, gq, cam_q)
     za = da[pix_a[:, 1], pix_a[:, 0]]
     zq = dq[pix_q[:, 1], pix_q[:, 0]]
     keep = (za > 0) & (zq > 0)
 
     pix_a, pix_q = pix_a[keep], pix_q[keep]
-    za, zq = za[keep], zq[keep]
-    pts_a = np.column_stack(
-        [
-            za * (pix_a[:, 0] - cam_a.cx) / cam_a.fx,
-            za * (pix_a[:, 1] - cam_a.cy) / cam_a.fy,
-            za,
-        ]
-    )
-    pts_q = np.column_stack(
-        [
-            zq * (pix_q[:, 0] - cam_q.cx) / cam_q.fx,
-            zq * (pix_q[:, 1] - cam_q.cy) / cam_q.fy,
-            zq,
-        ]
-    )
     return MatchSet(
         anchor_cells=matches.anchor_cells[keep],
         query_cells=matches.query_cells[keep],
         distances=matches.distances[keep],
         anchor_pixels=pix_a,
         query_pixels=pix_q,
-        anchor_points=pts_a,
-        query_points=pts_q,
+        anchor_points=back_project(pix_a[:, 0], pix_a[:, 1], za[keep], cam_a),
+        query_points=back_project(pix_q[:, 0], pix_q[:, 1], zq[keep], cam_q),
     )

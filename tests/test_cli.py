@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+import shutil
 
 import numpy as np
 import pytest
@@ -277,6 +278,24 @@ class TestRegister:
         assert (out / "pair_0001.json").exists()
         assert not (out / "pair_0000.json").exists()
 
+    def test_truncated_feature_file_fails_pair_but_continues(
+        self, dataset_small, tmp_path
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        # Magic plus 6 bytes: too short for the H W D header (struct.error).
+        (data / "pairs" / "pair_0000" / "features_query.feat").write_bytes(
+            b"ORYT" + bytes(6)
+        )
+        out = tmp_path / "poses"
+        rc = main(["register", "--pairs", str(data / "pairs.json"), "--out-dir", str(out)])
+        assert rc == 1
+        summary = io.read_json(out / "summary.json")
+        assert summary["registered"] == ["pair_0001"]
+        assert list(summary["errors"]) == ["pair_0000"]
+        assert summary["errors"]["pair_0000"].startswith("error: ")
+        assert (out / "pair_0001.json").exists()
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -370,6 +389,23 @@ class TestEval:
         assert set(report["pairs"]) == {"pair_0000", "pair_0002"}
         assert "pair_0001" in report["errors"]
         assert report["aggregate"]["count"] == 2
+
+    def test_malformed_prediction_fails_pair_but_continues(
+        self, dataset_small, tmp_path
+    ):
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset_small, preds)
+        io.write_json(preds / "pair_0001.json", {})
+        report_path = tmp_path / "report.json"
+        rc = main([
+            "eval", "--pairs", str(dataset_small / "pairs.json"),
+            "--predictions", str(preds), "--out", str(report_path),
+        ])
+        assert rc == 1
+        report = io.read_json(report_path)
+        assert set(report["pairs"]) == {"pair_0000"}
+        assert report["errors"] == {"pair_0001": "KeyError: 'R'"}
+        assert report["aggregate"]["count"] == 1
 
 
 # ---------------------------------------------------------------------------
@@ -494,24 +530,41 @@ class TestConfigLayer:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("stage", ["gen-matches", "register", "eval", "losses"])
     def test_worker_count_does_not_change_results(
-        self, dataset_small, tmp_path, monkeypatch
+        self, stage, dataset_small, tmp_path, monkeypatch
     ):
-        serial = tmp_path / "serial"
-        parallel = tmp_path / "parallel"
-        argv = ["gen-matches", "--pairs", str(dataset_small / "pairs.json")]
-        assert main(argv + ["--out-dir", str(serial)]) == 0
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset_small, preds)
+
+        def run(name):
+            out = tmp_path / name
+            argv = [stage, "--pairs", str(dataset_small / "pairs.json")]
+            if stage in ("gen-matches", "register"):
+                argv += ["--out-dir", str(out)]
+            else:
+                out.mkdir()
+                argv += ["--out", str(out / "report.json")]
+            if stage == "eval":
+                argv += ["--predictions", str(preds)]
+            assert main(argv) == 0
+            return _tree_digest(out)
+
+        serial = run("serial")
         monkeypatch.setenv("CROSSPOSE_WORKERS", "4")
-        assert main(argv + ["--out-dir", str(parallel)]) == 0
-        assert _tree_digest(serial) == _tree_digest(parallel)
+        assert run("parallel") == serial
 
     def test_load_pairs_validations(self, tmp_path):
         manifest = tmp_path / "pairs.json"
         with pytest.raises(ConfigError):
             load_pairs(manifest)
-        io.write_json(manifest, {"pairs": [{"id": "x"}]})
-        with pytest.raises(ConfigError):
-            load_pairs(manifest)
+        for payload in ({"pairs": [{"id": "x"}]}, [1], {"pairs": [1]}):
+            manifest.write_text(json.dumps(payload))
+            with pytest.raises(ConfigError):
+                load_pairs(manifest)
+        out = tmp_path / "out"
+        assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
+        assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
