@@ -318,12 +318,12 @@ def cmd_eval(args) -> int:
             raise ConfigError(f"no prediction for pair: {pred_path.name}")
         payload = io.read_json(pred_path)
         pred_rel = io.pose_from_dict(payload.get("pose", payload))
-        a, q = _load_view(entry.anchor), _load_view(entry.query)
+        q = _load_view(entry.query)
         model = io.read_model(entry.model)
         return pair_report(
             model,
             pose_true=q.pose,
-            pose_est=compose(pred_rel, a.pose),
+            pose_est=compose(pred_rel, io.read_pose(entry.anchor.pose)),
             scene_depth=q.depth,
             intrinsics=q.camera,
             params=cfg.metrics,
@@ -346,7 +346,7 @@ def cmd_eval(args) -> int:
             )
         return Path(args.out), payload, lines
 
-    return _run_stage(cfg, work, summarize)
+    return _run_stage(cfg, work, summarize, Path(args.out).parent)
 
 
 # --------------------------------------------------------------- losses --
@@ -407,7 +407,7 @@ def cmd_losses(args) -> int:
         ]
         return Path(args.out), payload, lines
 
-    return _run_stage(cfg, work, summarize)
+    return _run_stage(cfg, work, summarize, Path(args.out).parent)
 
 
 # ---------------------------------------------------------------- main --

@@ -54,7 +54,6 @@ class PairEntry:
     model: Path
     anchor: ViewPaths
     query: ViewPaths
-    pred_mask_anchor: Path | None = None
     pred_mask_query: Path | None = None
 
 
@@ -63,6 +62,8 @@ def _resolve(base: Path, value, required: bool, what: str) -> Path | None:
         if required:
             raise ConfigError(f"manifest entry is missing {what}")
         return None
+    if not isinstance(value, str):
+        raise ConfigError(f"{what} must be a path string, got {value!r}")
     path = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
     if not path.exists():
         raise ConfigError(f"{what} does not exist: {path}")
@@ -108,9 +109,6 @@ def load_pairs(manifest_path) -> list[PairEntry]:
                 model=_resolve(base, entry.get("model"), True, f"{pair_id} model"),
                 anchor=_load_view(base, entry.get("anchor"), pair_id, "anchor"),
                 query=_load_view(base, entry.get("query"), pair_id, "query"),
-                pred_mask_anchor=_resolve(
-                    base, entry.get("pred_mask_anchor"), False, f"{pair_id} pred anchor mask"
-                ),
                 pred_mask_query=_resolve(
                     base, entry.get("pred_mask_query"), False, f"{pair_id} pred query mask"
                 ),
@@ -219,6 +217,11 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
         section_data.update(
             {k: v for k, v in section_overrides.items() if v is not None}
         )
+        if name == "registration" and "seed" in section_data:
+            # Every pair's registration seed derives from the master seed.
+            raise ConfigError(
+                "config key registration.seed has no effect; set the master 'seed'"
+            )
         kwargs[name] = _build_params(cls, section_data, name)
 
     for name in ("nn_radius", "min_matches", "workers", "seed"):

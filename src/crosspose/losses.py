@@ -23,8 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMatchSet, ZeroVector
-from .matcher import ZERO_NORM_TOL
+from .errors import DimensionMismatch, EmptyMatchSet
+from .matcher import cosine_distance, unit_rows
 
 logger = logging.getLogger(__name__)
 
@@ -82,17 +82,6 @@ class FeatureSet:
         return len(self.features)
 
 
-def _normalized(features: np.ndarray, what: str) -> np.ndarray:
-    norms = np.linalg.norm(features, axis=1)
-    if np.any(norms < ZERO_NORM_TOL):
-        raise ZeroVector(f"{what} contains (near-)zero feature vectors")
-    return features / norms[:, None]
-
-
-def _pairwise_cosine_distance(unit: np.ndarray) -> np.ndarray:
-    return np.clip((1.0 - unit @ unit.T) / 2.0, 0.0, 1.0)
-
-
 def _require_aligned(anchor: FeatureSet, query: FeatureSet):
     if len(anchor) == 0 or len(query) == 0:
         raise EmptyMatchSet("loss requested over zero matches")
@@ -109,9 +98,9 @@ def positive_loss(
 ) -> float:
     """Mean hinge on matched-pair distance above the positive margin."""
     _require_aligned(anchor, query)
-    ua = _normalized(anchor.features, "anchor set")
-    uq = _normalized(query.features, "query set")
-    dist = np.clip((1.0 - np.einsum("ij,ij->i", ua, uq)) / 2.0, 0.0, 1.0)
+    ua = unit_rows(anchor.features, "anchor features")
+    uq = unit_rows(query.features, "query features")
+    dist = cosine_distance(np.einsum("ij,ij->i", ua, uq))
     return float(np.mean(np.maximum(dist - params.positive_margin, 0.0)))
 
 
@@ -127,8 +116,8 @@ def hardest_negative_indices(
     """
     if len(fset) == 0:
         raise EmptyMatchSet("no features to search negatives in")
-    unit = _normalized(fset.features, "feature set")
-    dist = _pairwise_cosine_distance(unit)
+    unit = unit_rows(fset.features, "sampled features")
+    dist = cosine_distance(unit @ unit.T)
     sep = np.linalg.norm(
         fset.coords[:, None, :] - fset.coords[None, :, :], axis=-1
     )

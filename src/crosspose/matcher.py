@@ -4,13 +4,16 @@ Features live on an ``(H, W, D)`` grid per view. Matching considers only
 cells selected by a mask at grid resolution, pairs each anchor cell with
 its nearest query cell in cosine distance, drops pairs above a distance
 threshold, and keeps at most ``max_matches`` pairs globally (the lowest
-distances win). Matched cells are later lifted to image pixels through
-the center-of-cell convention and back-projected to 3D with the depth
-maps; cells that land on depth holes are dropped at that stage.
+distances win); the result is a :class:`MatchSet` of grid cells.
+:func:`lift_matches` maps the matched cells to image pixels through the
+center-of-cell convention and back-projects them to 3D with the depth
+maps, dropping cells that land on depth holes; the result is the
+:class:`Correspondences` that registration consumes.
 
 The cosine distance used everywhere is ``(1 - cos) / 2``, which maps
 aligned vectors to 0 and opposed vectors to 1 and is invariant to
-positive rescaling of either argument.
+positive rescaling of either argument. :func:`unit_rows` and
+:func:`cosine_distance` implement it for this module and ``losses``.
 """
 
 from __future__ import annotations
@@ -28,9 +31,6 @@ ZERO_NORM_TOL = 1e-12
 # Anchor cells are matched in blocks of this many rows to bound the
 # similarity-matrix footprint on full 192x192 grids.
 _CHUNK = 1024
-
-DEFAULT_GRID_SIZE = 192
-DEFAULT_FEATURE_DIM = 32
 
 
 @dataclass(frozen=True)
@@ -54,21 +54,16 @@ class MatchParams:
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Index-aligned matches between an anchor and a query view.
+    """Index-aligned matches between the feature grids of two views.
 
     ``anchor_cells``/``query_cells`` are (M, 2) integer ``(u, v)``
-    coordinates on the feature grid. After :func:`lift_matches` the
-    image-resolution pixels and back-projected 3D points are populated;
-    all arrays stay aligned index-wise.
+    coordinates on the feature grid; ``distances`` holds each pair's
+    cosine distance.
     """
 
     anchor_cells: np.ndarray
     query_cells: np.ndarray
     distances: np.ndarray
-    anchor_pixels: np.ndarray | None = None
-    query_pixels: np.ndarray | None = None
-    anchor_points: np.ndarray | None = None
-    query_points: np.ndarray | None = None
 
     def __post_init__(self):
         a = np.asarray(self.anchor_cells, dtype=np.int64).reshape(-1, 2)
@@ -79,42 +74,50 @@ class MatchSet:
         object.__setattr__(self, "anchor_cells", a)
         object.__setattr__(self, "query_cells", q)
         object.__setattr__(self, "distances", d)
-        for name, dtype, width in (
-            ("anchor_pixels", np.int64, 2),
-            ("query_pixels", np.int64, 2),
-            ("anchor_points", np.float64, 3),
-            ("query_points", np.float64, 3),
-        ):
-            val = getattr(self, name)
-            if val is not None:
-                val = np.asarray(val, dtype=dtype).reshape(-1, width)
-                if len(val) != len(a):
-                    raise ValueError(f"{name} must align with the match count")
-                object.__setattr__(self, name, val)
 
     def __len__(self) -> int:
         return len(self.anchor_cells)
 
-    @property
-    def has_points(self) -> bool:
-        return self.anchor_points is not None and self.query_points is not None
 
-    @classmethod
-    def from_points(cls, anchor_points, query_points, distances=None) -> "MatchSet":
-        """Wrap bare 3D correspondences (e.g. synthetic ones) as a MatchSet."""
-        pa = np.asarray(anchor_points, dtype=np.float64).reshape(-1, 3)
-        pq = np.asarray(query_points, dtype=np.float64).reshape(-1, 3)
+@dataclass(frozen=True)
+class Correspondences:
+    """Index-aligned 3D point pairs between an anchor and a query view.
+
+    Row i of ``anchor_points`` (anchor camera frame) and row i of
+    ``query_points`` (query camera frame) are one correspondence; both
+    are (M, 3) arrays.
+    """
+
+    anchor_points: np.ndarray
+    query_points: np.ndarray
+
+    def __post_init__(self):
+        pa = np.asarray(self.anchor_points, dtype=np.float64).reshape(-1, 3)
+        pq = np.asarray(self.query_points, dtype=np.float64).reshape(-1, 3)
         if len(pa) != len(pq):
             raise ValueError("anchor/query point counts differ")
-        d = np.zeros(len(pa)) if distances is None else distances
-        zeros = np.zeros((len(pa), 2), dtype=np.int64)
-        return cls(
-            anchor_cells=zeros,
-            query_cells=zeros.copy(),
-            distances=d,
-            anchor_points=pa,
-            query_points=pq,
-        )
+        object.__setattr__(self, "anchor_points", pa)
+        object.__setattr__(self, "query_points", pq)
+
+    def __len__(self) -> int:
+        return len(self.anchor_points)
+
+
+def unit_rows(vectors: np.ndarray, what: str) -> np.ndarray:
+    """Scale each row of a (N, D) array to unit length.
+
+    Raises ZeroVector, naming ``what``, when any row's norm is below
+    ``ZERO_NORM_TOL``, where the cosine distance is undefined.
+    """
+    norms = np.linalg.norm(vectors, axis=1)
+    if np.any(norms < ZERO_NORM_TOL):
+        raise ZeroVector(f"{what} contain (near-)zero feature vectors")
+    return vectors / norms[:, None]
+
+
+def cosine_distance(cos):
+    """Cosine distance ``(1 - cos) / 2`` from cosine similarities, in [0, 1]."""
+    return np.clip((1.0 - cos) / 2.0, 0.0, 1.0)
 
 
 def feature_distance(f1, f2) -> float:
@@ -123,12 +126,8 @@ def feature_distance(f1, f2) -> float:
     b = np.asarray(f2, dtype=np.float64).reshape(-1)
     if a.shape != b.shape:
         raise ValueError(f"feature dimensions differ: {a.shape} vs {b.shape}")
-    na = np.linalg.norm(a)
-    nb = np.linalg.norm(b)
-    if na < ZERO_NORM_TOL or nb < ZERO_NORM_TOL:
-        raise ZeroVector("cosine distance is undefined for (near-)zero vectors")
-    cos = np.dot(a / na, b / nb)
-    return float(min(1.0, max(0.0, (1.0 - cos) / 2.0)))
+    ua, ub = unit_rows(np.stack([a, b]), "the arguments")
+    return float(cosine_distance(np.dot(ua, ub)))
 
 
 def downsample_mask(mask, grid_shape: tuple[int, int]) -> np.ndarray:
@@ -190,14 +189,8 @@ def match_features(
     if len(lin_q) == 0:
         raise EmptyMask("query mask selects no feature cells")
 
-    va = fa.reshape(-1, fa.shape[2])[lin_a]
-    vq = fq.reshape(-1, fq.shape[2])[lin_q]
-    norm_a = np.linalg.norm(va, axis=1)
-    norm_q = np.linalg.norm(vq, axis=1)
-    if np.any(norm_a < ZERO_NORM_TOL) or np.any(norm_q < ZERO_NORM_TOL):
-        raise ZeroVector("masked cells contain (near-)zero feature vectors")
-    va = va / norm_a[:, None]
-    vq = vq / norm_q[:, None]
+    va = unit_rows(fa.reshape(-1, fa.shape[2])[lin_a], "masked anchor cells")
+    vq = unit_rows(fq.reshape(-1, fq.shape[2])[lin_q], "masked query cells")
 
     best_idx = np.empty(len(va), dtype=np.int64)
     best_sim = np.empty(len(va))
@@ -208,7 +201,7 @@ def match_features(
         best_idx[start : start + _CHUNK] = best
         best_sim[start : start + _CHUNK] = sims[np.arange(len(best)), best]
 
-    dist = np.clip((1.0 - best_sim) / 2.0, 0.0, 1.0)
+    dist = cosine_distance(best_sim)
     keep = dist <= params.max_distance
     kept_a = lin_a[keep]
     kept_q = lin_q[best_idx[keep]]
@@ -260,13 +253,13 @@ def lift_matches(
     cam_q: CameraIntrinsics,
     grid_shape_a: tuple[int, int] | None = None,
     grid_shape_q: tuple[int, int] | None = None,
-) -> MatchSet:
+) -> Correspondences:
     """Back-project matched cells to 3D through the two depth maps.
 
-    Grid shapes default to the largest cell coordinate plus one only when
-    the matches already live at image resolution; pass them explicitly
-    for coarser grids. Pairs whose pixel has no valid depth on either
-    side are dropped; the returned set keeps 2D and 3D arrays aligned.
+    Grid shapes default to the image shape, for matches that already
+    live at image resolution; pass them explicitly for coarser grids.
+    Pairs whose pixel has no valid depth on either side are dropped; the
+    rest keep their order.
     """
     da = as_depth(depth_a, cam_a)
     dq = as_depth(depth_q, cam_q)
@@ -280,12 +273,7 @@ def lift_matches(
     keep = (za > 0) & (zq > 0)
 
     pix_a, pix_q = pix_a[keep], pix_q[keep]
-    return MatchSet(
-        anchor_cells=matches.anchor_cells[keep],
-        query_cells=matches.query_cells[keep],
-        distances=matches.distances[keep],
-        anchor_pixels=pix_a,
-        query_pixels=pix_q,
+    return Correspondences(
         anchor_points=back_project(pix_a[:, 0], pix_a[:, 1], za[keep], cam_a),
         query_points=back_project(pix_q[:, 0], pix_q[:, 1], zq[keep], cam_q),
     )

@@ -1,4 +1,4 @@
-"""Robust rigid registration of matched 3D point pairs.
+"""Robust rigid registration of 3D correspondences.
 
 Two estimators share one hypothesize-and-verify engine:
 
@@ -28,7 +28,7 @@ import numpy as np
 
 from .errors import DegenerateConfiguration, NoConsensus, TooFewMatches
 from .geometry import Pose
-from .matcher import MatchSet
+from .matcher import Correspondences
 
 # Point sets whose second singular value (after centering) falls below
 # this are collinear or coincident; a rigid fit is not unique.
@@ -62,7 +62,7 @@ class RegistrationParams:
 @dataclass(frozen=True)
 class RegistrationResult:
     pose: Pose
-    inliers: np.ndarray  # (K,) indices into the match set
+    inliers: np.ndarray  # (K,) indices into the correspondences
     mean_residual: float
 
     def __post_init__(self):
@@ -234,26 +234,17 @@ def _register(
     )
 
 
-def _match_points(matches: MatchSet) -> tuple[np.ndarray, np.ndarray]:
-    if not matches.has_points:
-        raise ValueError("matches must carry 3D points; lift them first")
-    return matches.anchor_points, matches.query_points
-
-
 def register_spatial_consistency(
-    matches: MatchSet, params: RegistrationParams = RegistrationParams()
+    matches: Correspondences, params: RegistrationParams = RegistrationParams()
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with consistency-weighted seeds."""
-    src, dst = _match_points(matches)
-    if len(src) < 3:
-        raise TooFewMatches(f"registration needs at least 3 matches, got {len(src)}")
+    src, dst = matches.anchor_points, matches.query_points
     scores = compatibility_scores(src, dst, params.compatibility_tolerance)
     return _register(src, dst, params, scores)
 
 
 def register_ransac(
-    matches: MatchSet, params: RegistrationParams = RegistrationParams()
+    matches: Correspondences, params: RegistrationParams = RegistrationParams()
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with uniform seed sampling."""
-    src, dst = _match_points(matches)
-    return _register(src, dst, params, None)
+    return _register(matches.anchor_points, matches.query_points, params, None)

@@ -36,7 +36,7 @@ from .geometry import (
     relative_pose,
     unproject,
 )
-from .matcher import MatchSet
+from .matcher import Correspondences
 from .matchgen import GtPair
 from .render import splat_depth
 
@@ -379,14 +379,14 @@ def make_correspondences(
     seed: int = 0,
     extent: float = 0.1,
     pose: Pose | None = None,
-) -> tuple[MatchSet, Pose]:
+) -> tuple[Correspondences, Pose]:
     """Synthetic 3D correspondences for registration Monte-Carlo runs.
 
     Source points are uniform in a cube of side ``extent``; targets are
     the posed sources plus isotropic Gaussian noise. A fixed share of
     targets, chosen deterministically, is replaced by uniform points in
     a tripled box around the target cloud (gross outliers). Returns the
-    matches and the true pose.
+    correspondences and the true pose.
     """
     if n_matches < 3:
         raise ValueError("n_matches must be at least 3")
@@ -407,4 +407,4 @@ def make_correspondences(
         dst[which] = center + rng.uniform(
             -1.5 * extent, 1.5 * extent, size=(n_out, 3)
         )
-    return MatchSet.from_points(src, dst), true_pose
+    return Correspondences(src, dst), true_pose

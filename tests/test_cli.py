@@ -407,6 +407,16 @@ class TestEval:
         assert report["errors"] == {"pair_0001": "KeyError: 'R'"}
         assert report["aggregate"]["count"] == 1
 
+    def test_report_directory_is_created(self, dataset_small, tmp_path):
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset_small, preds)
+        report_path = tmp_path / "new" / "report.json"
+        assert main([
+            "eval", "--pairs", str(dataset_small / "pairs.json"),
+            "--predictions", str(preds), "--out", str(report_path),
+        ]) == 0
+        assert io.read_json(report_path)["aggregate"]["count"] == 2
+
 
 # ---------------------------------------------------------------------------
 # losses
@@ -461,6 +471,14 @@ class TestLosses:
         b = io.read_json(recomputed)
         assert a["pairs"] == b["pairs"]
 
+    def test_report_directory_is_created(self, dataset_small, tmp_path):
+        report_path = tmp_path / "new" / "losses.json"
+        assert main([
+            "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--max-samples", "50", "--out", str(report_path),
+        ]) == 0
+        assert set(io.read_json(report_path)["pairs"]) == {"pair_0000", "pair_0001"}
+
 
 # ---------------------------------------------------------------------------
 # Configuration layer
@@ -498,6 +516,19 @@ class TestConfigLayer:
         io.write_json(cfg_path, {"match": {"bogus": 1}})
         with pytest.raises(ConfigError):
             load_config(cfg_path)
+
+    def test_registration_seed_rejected(self, dataset_small, tmp_path):
+        # register derives every pair's seed from the master seed.
+        cfg_path = tmp_path / "config.json"
+        io.write_json(cfg_path, {"registration": {"seed": 123}})
+        with pytest.raises(ConfigError, match="master 'seed'"):
+            load_config(cfg_path)
+        out = tmp_path / "out"
+        assert main([
+            "register", "--pairs", str(dataset_small / "pairs.json"),
+            "--config", str(cfg_path), "--out-dir", str(out),
+        ]) == 2
+        assert not out.exists()
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ConfigError):
@@ -558,7 +589,14 @@ class TestConfigLayer:
         manifest = tmp_path / "pairs.json"
         with pytest.raises(ConfigError):
             load_pairs(manifest)
-        for payload in ({"pairs": [{"id": "x"}]}, [1], {"pairs": [1]}):
+        payloads = (
+            {"pairs": [{"id": "x"}]},
+            [1],
+            {"pairs": [1]},
+            {"pairs": [{"id": "x", "model": "pairs.json", "anchor": {"depth": ["d"]}}]},
+            {"pairs": [{"id": "x", "model": 5}]},
+        )
+        for payload in payloads:
             manifest.write_text(json.dumps(payload))
             with pytest.raises(ConfigError):
                 load_pairs(manifest)

@@ -267,6 +267,14 @@ class TestMatchFeatures:
 # ---------------------------------------------------------------------------
 
 
+def _pinhole(pixels, z, cam):
+    """Longhand back-projection of ``(u, v)`` pixels at one depth ``z``."""
+    px = np.asarray(pixels, dtype=np.float64)
+    x = z * (px[:, 0] - cam.cx) / cam.fx
+    y = z * (px[:, 1] - cam.cy) / cam.fy
+    return np.column_stack([x, y, np.full(len(px), z)])
+
+
 class TestLiftMatches:
     @pytest.fixture
     def simple_match(self):
@@ -283,14 +291,15 @@ class TestLiftMatches:
         depth = np.full((8, 8), 2.0)
         out = lift_matches(simple_match, depth, depth, cam8, cam8)
         assert len(out) == 2
-        assert out.has_points
         assert out.anchor_points.shape == (2, 3)
+        assert out.query_points.shape == (2, 3)
 
     def test_all_zero_depth_gives_empty_set(self, simple_match, cam8):
         depth = np.zeros((8, 8))
         out = lift_matches(simple_match, depth, depth, cam8, cam8)
         assert len(out) == 0
-        assert out.has_points
+        assert out.anchor_points.shape == (0, 3)
+        assert out.query_points.shape == (0, 3)
 
     def test_partial_holes_drop_only_affected_pairs(self, simple_match, cam8):
         depth_a = np.full((8, 8), 2.0)
@@ -298,12 +307,14 @@ class TestLiftMatches:
         depth_q[3, 2] = 0.0  # hole under the second match's query pixel
         out = lift_matches(simple_match, depth_a, depth_q, cam8, cam8)
         assert len(out) == 1
-        np.testing.assert_array_equal(out.anchor_cells[0], [1, 1])
+        np.testing.assert_allclose(out.anchor_points, _pinhole([[1, 1]], 2.0, cam8))
 
     def test_image_resolution_cells_map_to_same_pixel(self, simple_match, cam8):
         depth = np.full((8, 8), 2.0)
         out = lift_matches(simple_match, depth, depth, cam8, cam8)
-        np.testing.assert_array_equal(out.anchor_pixels, out.anchor_cells)
+        np.testing.assert_allclose(
+            out.anchor_points, _pinhole(simple_match.anchor_cells, 2.0, cam8)
+        )
 
     def test_coarse_grid_uses_cell_centers(self, cam8):
         # One cell on a 2x2 grid over 8x8 pixels: cell (0,0) center is
@@ -312,7 +323,9 @@ class TestLiftMatches:
         m = MatchSet(anchor_cells=cells, query_cells=cells, distances=np.zeros(2))
         depth = np.full((8, 8), 1.0)
         out = lift_matches(m, depth, depth, cam8, cam8, (2, 2), (2, 2))
-        np.testing.assert_array_equal(out.anchor_pixels, [[2, 2], [6, 6]])
+        np.testing.assert_allclose(
+            out.anchor_points, _pinhole([[2, 2], [6, 6]], 1.0, cam8)
+        )
 
     def test_back_projection_formula(self, cam8):
         cells = np.array([[6, 2]], dtype=np.int64)

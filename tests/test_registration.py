@@ -5,8 +5,8 @@ import pytest
 from scipy.spatial.transform import Rotation
 
 from crosspose import (
+    Correspondences,
     DegenerateConfiguration,
-    MatchSet,
     NoConsensus,
     Pose,
     RegistrationParams,
@@ -176,7 +176,7 @@ class TestRegisterSpatialConsistency:
     def test_perfect_correspondences_recover_pose_exactly(self, rng):
         true = random_se3(rng)
         src = rng.normal(size=(50, 3))
-        matches = MatchSet.from_points(src, true.apply(src))
+        matches = Correspondences(src, true.apply(src))
         result = register_spatial_consistency(matches)
         rot_err, trans_err = _pose_errors(result.pose, true)
         assert rot_err < 1e-9
@@ -204,7 +204,7 @@ class TestRegisterSpatialConsistency:
     def test_random_matches_fail_loudly_or_with_tiny_consensus(self, rng):
         src = rng.uniform(-0.1, 0.1, size=(60, 3))
         dst = rng.uniform(-0.1, 0.1, size=(60, 3))
-        matches = MatchSet.from_points(src, dst)
+        matches = Correspondences(src, dst)
         try:
             result = register_spatial_consistency(matches)
         except NoConsensus:
@@ -212,18 +212,11 @@ class TestRegisterSpatialConsistency:
         assert len(result.inliers) < 0.2 * 60
 
     def test_fewer_than_three_matches_raise(self, rng):
-        src = rng.normal(size=(2, 3))
-        matches = MatchSet.from_points(src, src)
-        with pytest.raises(TooFewMatches):
-            register_spatial_consistency(matches)
-
-    def test_unlifted_matches_rejected(self):
-        matches = MatchSet(
-            anchor_cells=np.zeros((5, 2)), query_cells=np.zeros((5, 2)),
-            distances=np.zeros(5),
-        )
-        with pytest.raises(ValueError):
-            register_spatial_consistency(matches)
+        for n in (0, 2):
+            src = rng.normal(size=(n, 3))
+            matches = Correspondences(src, src)
+            with pytest.raises(TooFewMatches, match=f"at least 3 matches, got {n}"):
+                register_spatial_consistency(matches)
 
     def test_every_inlier_residual_within_threshold(self):
         matches, _ = make_correspondences(seed=3)
@@ -249,7 +242,7 @@ class TestRegisterSpatialConsistency:
     def test_equivariance_under_rigid_premotion(self, rng):
         matches, _ = make_correspondences(seed=8)
         g = random_se3(rng)
-        moved = MatchSet.from_points(
+        moved = Correspondences(
             g.apply(matches.anchor_points), matches.query_points
         )
         params = RegistrationParams(seed=17)
@@ -267,7 +260,7 @@ class TestRegisterRansac:
     def test_outlier_free_agrees_with_spatial_consistency(self, rng):
         true = random_se3(rng)
         src = rng.normal(size=(40, 3))
-        matches = MatchSet.from_points(src, true.apply(src))
+        matches = Correspondences(src, true.apply(src))
         a = register_spatial_consistency(matches)
         b = register_ransac(matches)
         np.testing.assert_allclose(a.pose.rotation, b.pose.rotation, atol=1e-9)
@@ -275,7 +268,7 @@ class TestRegisterRansac:
 
     def test_two_matches_raise(self, rng):
         src = rng.normal(size=(2, 3))
-        matches = MatchSet.from_points(src, src)
+        matches = Correspondences(src, src)
         with pytest.raises(TooFewMatches):
             register_ransac(matches)
 
