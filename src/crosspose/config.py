@@ -8,7 +8,9 @@ reproduces its exact results regardless of what else ran.
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
 (optionally feature) files. Paths are resolved relative to the manifest
-file, and every referenced file must exist at load time.
+file, and every referenced file must exist at load time. Unknown keys in
+an entry or a view are rejected, so a misspelt optional key fails
+loudly instead of being ignored.
 """
 
 from __future__ import annotations
@@ -57,6 +59,16 @@ class PairEntry:
     pred_mask_query: Path | None = None
 
 
+_ENTRY_KEYS = {"id", "model", "anchor", "query", "pred_mask_query"}
+_VIEW_KEYS = {f.name for f in fields(ViewPaths)}
+
+
+def _check_keys(data: dict, allowed: set, what: str) -> None:
+    unknown = set(data) - allowed
+    if unknown:
+        raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
+
+
 def _resolve(base: Path, value, required: bool, what: str) -> Path | None:
     if value is None:
         if required:
@@ -73,6 +85,7 @@ def _resolve(base: Path, value, required: bool, what: str) -> Path | None:
 def _load_view(base: Path, data: dict, pair_id: str, side: str) -> ViewPaths:
     if not isinstance(data, dict):
         raise ConfigError(f"pair {pair_id}: {side} view must be an object")
+    _check_keys(data, _VIEW_KEYS, f"pair {pair_id}: {side} view")
     return ViewPaths(
         depth=_resolve(base, data.get("depth"), True, f"{pair_id}/{side} depth"),
         mask=_resolve(base, data.get("mask"), True, f"{pair_id}/{side} mask"),
@@ -103,6 +116,7 @@ def load_pairs(manifest_path) -> list[PairEntry]:
         if not isinstance(entry, dict):
             raise ConfigError(f"pairs entry {i} must be an object")
         pair_id = str(entry.get("id", f"pair_{i:04d}"))
+        _check_keys(entry, _ENTRY_KEYS, f"pair {pair_id}")
         pairs.append(
             PairEntry(
                 pair_id=pair_id,
@@ -162,14 +176,7 @@ class EvalConfig:
 
 
 def _build_params(cls, data: dict, section: str):
-    if not isinstance(data, dict):
-        raise ConfigError(f"config section {section!r} must be an object")
-    known = {f.name for f in fields(cls)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(
-            f"config section {section!r} has unknown keys: {sorted(unknown)}"
-        )
+    _check_keys(data, {f.name for f in fields(cls)}, f"config section {section!r}")
     try:
         return cls(**data)
     except (TypeError, ValueError) as exc:
@@ -200,9 +207,7 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
         base = path.parent
 
     known = {f.name for f in fields(EvalConfig)}
-    unknown = set(data) - known
-    if unknown:
-        raise ConfigError(f"config has unknown keys: {sorted(unknown)}")
+    _check_keys(data, known, "config")
 
     sections = {
         "match": MatchParams,
@@ -212,7 +217,10 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
     }
     kwargs: dict = {}
     for name, cls in sections.items():
-        section_data = dict(data.get(name, {}))
+        section_data = data.get(name, {})
+        if not isinstance(section_data, dict):
+            raise ConfigError(f"config section {name!r} must be an object")
+        section_data = dict(section_data)
         section_overrides = overrides.pop(name, None) or {}
         section_data.update(
             {k: v for k, v in section_overrides.items() if v is not None}

@@ -20,15 +20,21 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import DegenerateConfiguration
 
 # A rotation must be orthonormal with det +1 to within this bound.
 ORTHONORMALITY_TOL = 1e-9
 
-# diameter() switches from all-pairs brute force to hull vertices above this.
-_DIAMETER_BRUTE_FORCE_LIMIT = 10_000
+# diameter() searches only convex-hull vertices above this many points.
+_DIAMETER_HULL_ABOVE = 10_000
+# _max_pairwise_sq: farthest-point sweeps for the lower bound, kd-tree leaf
+# size, relative margin on every bound, and pair entries scored at once.
+_DIAMETER_SWEEPS = 4
+_DIAMETER_LEAF_SIZE = 32
+_DIAMETER_MARGIN = 1e-12
+_DIAMETER_PAIR_ENTRIES = 2_000_000
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -266,35 +272,105 @@ def project(points, intrinsics: CameraIntrinsics) -> Projection:
     return Projection(uv=uv, in_front=in_front, in_image=in_image)
 
 
+def _pair_sq(block: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Squared distances of every ``block`` point to every ``others`` point."""
+    diff = block[:, None, :] - others[None, :, :]
+    return np.sum(diff * diff, axis=-1)
+
+
+def _far_corner_sq(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Squared distance of each point to the farthest corner of a box.
+
+    No point of the box ``[lo, hi]`` is farther from ``points[i]``.
+    """
+    return np.sum(np.maximum((points - lo) ** 2, (points - hi) ** 2), axis=-1)
+
+
 def _max_pairwise_sq(points: np.ndarray) -> float:
-    """Largest squared pairwise distance, chunked to bound memory."""
-    best = 0.0
+    """Largest squared pairwise distance, by an exact pruned search.
+
+    Returns the same float as scoring all pairs with ``_pair_sq``:
+
+    1. Farthest-point sweeps from the first point score real pairs and
+       give a lower bound ``best``.
+    2. kd-tree leaves (at most ``_DIAMETER_LEAF_SIZE`` points, or copies
+       of one point) split the cloud into spatially coherent blocks with
+       bounding boxes.
+    3. For each leaf, only the leaf itself and the leaves after it whose
+       box can reach ``best`` (farthest box-to-box corners) are searched.
+       Their points are kept if their farthest-corner distance to the
+       leaf's box can reach ``best``, and the leaf's points if theirs to
+       the kept points' box can. Bounds and ``best`` carry a 1e-12
+       relative margin on either side, far above the rounding of either
+       formula, so every pair that can score the maximum survives.
+    4. Surviving pairs are scored with ``_pair_sq``, at most 2M pair
+       entries at a time, so memory stays bounded on any cloud.
+    """
     n = len(points)
-    chunk = max(1, min(n, 2_000_000 // max(n, 1) + 1))
-    for start in range(0, n, chunk):
-        block = points[start : start + chunk]
-        diff = block[:, None, :] - points[None, :, :]
-        sq = np.sum(diff * diff, axis=-1)
-        best = max(best, float(sq.max()))
+    best, far = 0.0, 0
+    for _ in range(_DIAMETER_SWEEPS):
+        sq = _pair_sq(points[far : far + 1], points)[0]
+        far = int(np.argmax(sq))
+        best = max(best, float(sq[far]))
+
+    tree = cKDTree(points, leafsize=_DIAMETER_LEAF_SIZE)
+    order = points[tree.indices]
+    starts, stack = [], [tree.tree]
+    while stack:
+        node = stack.pop()
+        if node.split_dim == -1:  # a leaf
+            starts.append(node.start_idx)
+        else:
+            stack += [node.lesser, node.greater]
+    starts = np.unique(starts)
+    ends = np.append(starts[1:], n)
+    lo = np.minimum.reduceat(order, starts, axis=0)
+    hi = np.maximum.reduceat(order, starts, axis=0)
+    leaf_of = np.repeat(np.arange(len(starts)), ends - starts)
+
+    def reaches(bound):
+        return bound * (1.0 + _DIAMETER_MARGIN) >= best * (1.0 - _DIAMETER_MARGIN)
+
+    for a in range(len(starts)):
+        span = np.maximum(np.abs(hi[a] - lo[a:]), np.abs(hi[a:] - lo[a]))
+        leaves = np.zeros(len(starts), dtype=bool)
+        leaves[a:] = reaches(np.sum(span * span, axis=-1))
+        if not leaves.any():
+            continue
+        cand = order[leaves[leaf_of]]
+        cand = cand[reaches(_far_corner_sq(cand, lo[a], hi[a]))]
+        if len(cand) == 0:
+            continue
+        block = order[starts[a] : ends[a]]
+        if np.array_equal(lo[a], hi[a]):
+            block = block[:1]  # only copies of one point outgrow a leaf
+        block = block[reaches(_far_corner_sq(block, cand.min(axis=0), cand.max(axis=0)))]
+        if len(block) == 0:
+            continue
+        step = max(1, _DIAMETER_PAIR_ENTRIES // len(block))
+        for start in range(0, len(cand), step):
+            best = max(best, float(_pair_sq(block, cand[start : start + step]).max()))
     return best
 
 
 def diameter(points) -> float:
     """Exact largest pairwise distance of a point set.
 
-    Brute force up to 10^4 points; beyond that only convex-hull vertices
-    are compared, which is still exact (the farthest pair lies on the
-    hull). Degenerate clouds fall back to brute force.
+    Up to 10^4 points the pruned search of ``_max_pairwise_sq`` runs on
+    the whole cloud; beyond that only convex-hull vertices enter it,
+    which is still exact (the farthest pair lies on the hull). Degenerate
+    clouds skip the hull. The result is the float that scoring every pair
+    by brute force gives.
     """
     pts = _as_points(points)
     if len(pts) < 2:
         raise ValueError("diameter requires at least 2 points")
-    if len(pts) > _DIAMETER_BRUTE_FORCE_LIMIT:
+    if len(pts) > _DIAMETER_HULL_ABOVE:
         try:
             hull = ConvexHull(pts)
             pts = pts[hull.vertices]
         except QhullError:
-            pass  # flat or collinear cloud: compare all pairs
+            pass  # flat or collinear cloud: search all points
     return float(np.sqrt(_max_pairwise_sq(pts)))
 
 
@@ -304,7 +380,8 @@ class ObjectModel:
 
     ``symmetries`` lists rigid transforms mapping the object onto itself;
     the identity is always a member. ``diameter_m`` must equal the exact
-    largest pairwise point distance (checked at construction).
+    largest pairwise point distance (checked at construction). ``points``
+    is a read-only copy, so the checked diameter stays true.
     """
 
     points: np.ndarray  # (N, 3)
@@ -312,7 +389,8 @@ class ObjectModel:
     symmetries: tuple[Pose, ...] = field(default_factory=lambda: (Pose.identity(),))
 
     def __post_init__(self):
-        pts = _as_points(self.points, "model points")
+        pts = _as_points(self.points, "model points").copy()
+        pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
         if len(self.symmetries) == 0:

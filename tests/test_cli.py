@@ -517,6 +517,21 @@ class TestConfigLayer:
         with pytest.raises(ConfigError):
             load_config(cfg_path)
 
+    @pytest.mark.parametrize(
+        "section", [[1], "ab", [[1, 2]]], ids=["list", "string", "pair-list"]
+    )
+    def test_non_object_section_rejected(self, section, dataset_small, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        io.write_json(cfg_path, {"registration": section})
+        with pytest.raises(ConfigError, match="'registration' must be an object"):
+            load_config(cfg_path)
+        out = tmp_path / "out"
+        assert main([
+            "register", "--pairs", str(dataset_small / "pairs.json"),
+            "--config", str(cfg_path), "--out-dir", str(out),
+        ]) == 2
+        assert not out.exists()
+
     def test_registration_seed_rejected(self, dataset_small, tmp_path):
         # register derives every pair's seed from the master seed.
         cfg_path = tmp_path / "config.json"
@@ -600,6 +615,24 @@ class TestConfigLayer:
             manifest.write_text(json.dumps(payload))
             with pytest.raises(ConfigError):
                 load_pairs(manifest)
+        out = tmp_path / "out"
+        assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("where", ["entry", "view"])
+    def test_load_pairs_rejects_unknown_keys(self, where, dataset_small, tmp_path):
+        # A misspelt optional key must not silently fall back to its default.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        manifest = data / "pairs.json"
+        payload = io.read_json(manifest)
+        target = payload["pairs"][1]
+        if where == "view":
+            target = target["query"]
+        target["pred_mask_qurey"] = payload["pairs"][1]["query"]["mask"]
+        io.write_json(manifest, payload)
+        with pytest.raises(ConfigError, match=r"pair_0001.*unknown keys: \['pred_mask_qurey'\]"):
+            load_pairs(manifest)
         out = tmp_path / "out"
         assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
         assert not out.exists()

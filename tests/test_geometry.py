@@ -1,6 +1,7 @@
 """Tests for poses, pinhole projection, and object models."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,10 +13,12 @@ from crosspose import (
     compose,
     diameter,
     inverse,
+    make_model,
     project,
     relative_pose,
     unproject,
 )
+from crosspose.geometry import _max_pairwise_sq
 from conftest import random_rotation_matrix, random_se3
 
 # ---------------------------------------------------------------------------
@@ -32,6 +35,19 @@ def _diameter_oracle(points):
             d = math.dist(points[i], points[j])
             if d > best:
                 best = d
+    return best
+
+
+def _max_pairwise_sq_oracle(points):
+    """All-pairs squared maximum, chunked, with the per-pair formula of diameter()."""
+    best = 0.0
+    n = len(points)
+    chunk = max(1, min(n, 2_000_000 // max(n, 1) + 1))
+    for start in range(0, n, chunk):
+        block = points[start : start + chunk]
+        diff = block[:, None, :] - points[None, :, :]
+        sq = np.sum(diff * diff, axis=-1)
+        best = max(best, float(sq.max()))
     return best
 
 
@@ -285,6 +301,76 @@ class TestDiameter:
             diameter([[0.0, 0.0, 0.0]])
 
 
+def _sphere_shell(rng, n):
+    pts = rng.normal(size=(n, 3))
+    return pts / np.linalg.norm(pts, axis=1, keepdims=True)
+
+
+def _two_clusters(rng, n):
+    """Two dense far-apart clusters of coarse-grid points: many ties and copies."""
+    pts = rng.integers(0, 10, size=(n, 3)) * 1e-3
+    pts[n // 2 :] += [1.0, 0.5, 0.25]
+    return pts
+
+
+_KERNEL_CLOUDS = {
+    "two points": lambda rng: np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]]),
+    "duplicates": lambda rng: np.repeat(rng.normal(size=(7, 3)), 40, axis=0),
+    "all one point": lambda rng: np.tile([0.25, -1.0, 3.0], (50, 1)),
+    "rounded with ties": lambda rng: np.round(rng.normal(size=(800, 3)), 1),
+    "collinear": lambda rng: np.outer(rng.uniform(-1.0, 1.0, 300), [1.0, 2.0, -1.0]),
+    "flat": lambda rng: np.column_stack([rng.normal(size=(600, 2)), np.zeros(600)]),
+    "sphere shell": lambda rng: _sphere_shell(rng, 1500),
+    "cluster plus outlier": lambda rng: np.vstack(
+        [rng.normal(size=(900, 3)) * 1e-3, [[5.0, -3.0, 2.0]]]
+    ),
+    "far from origin": lambda rng: rng.normal(size=(700, 3)) * 1e-3 + 1e3,
+    "two dense clusters": lambda rng: _two_clusters(rng, 2000),
+}
+
+
+class TestMaxPairwiseSq:
+    """The pruned search returns exactly the float of the all-pairs search."""
+
+    @pytest.mark.parametrize("name", sorted(_KERNEL_CLOUDS))
+    def test_equals_all_pairs_on_special_clouds(self, name, rng):
+        pts = np.asarray(_KERNEL_CLOUDS[name](rng), dtype=np.float64)
+        expected = _max_pairwise_sq_oracle(pts)
+        assert _max_pairwise_sq(pts) == expected
+        assert diameter(pts) == math.sqrt(expected)
+
+    @pytest.mark.parametrize(
+        "kind, cyclic_order",
+        [("sphere", 1), ("box", 1), ("cylinder", 1), ("cylinder", 4), ("blob", 1)],
+    )
+    def test_equals_all_pairs_on_synthetic_models(self, kind, cyclic_order):
+        model = make_model(kind, n_points=1500, cyclic_order=cyclic_order, seed=3)
+        expected = _max_pairwise_sq_oracle(model.points)
+        assert _max_pairwise_sq(model.points) == expected
+        assert model.diameter_m == math.sqrt(expected)
+
+    def test_equals_all_pairs_on_random_clouds(self, rng):
+        for _ in range(40):
+            n = int(rng.integers(2, 400))
+            pts = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3)
+            assert _max_pairwise_sq(pts) == _max_pairwise_sq_oracle(pts)
+
+    def test_memory_stays_bounded_on_two_dense_clusters(self, rng):
+        # All-pairs scoring in 2M-entry chunks peaks near 128 MB here; the
+        # pruned search scores at most one kd-tree leaf against the
+        # candidates at a time.
+        pts = _two_clusters(rng, 8000)
+        tracemalloc.start()
+        try:
+            value = _max_pairwise_sq(pts)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
+        # Copies of a point do not change the maximum; the oracle skips them.
+        assert value == _max_pairwise_sq_oracle(np.unique(pts, axis=0))
+
+
 class TestObjectModel:
     def test_from_points_computes_diameter(self, rng):
         pts = rng.normal(size=(100, 3))
@@ -292,6 +378,15 @@ class TestObjectModel:
         assert model.diameter_m == pytest.approx(_diameter_oracle(pts), abs=1e-12)
         assert len(model.symmetries) == 1
         assert not model.is_symmetric
+
+    def test_points_are_a_read_only_copy(self, rng):
+        pts = rng.normal(size=(20, 3))
+        model = ObjectModel(points=pts, diameter_m=diameter(pts))
+        with pytest.raises(ValueError):
+            model.points[0, 0] = 100.0
+        pts[0, 0] = 100.0  # the caller's array stays writeable and separate
+        assert model.points[0, 0] != 100.0
+        assert ObjectModel.from_points(pts).points.flags.writeable is False
 
     def test_wrong_diameter_rejected(self, rng):
         pts = rng.normal(size=(10, 3))
