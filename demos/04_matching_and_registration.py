@@ -65,7 +65,7 @@ def main():
     # The distance cap has already discarded most corrupted descriptors,
     # so registering the survivors is easy even at a tiny budget.
     best = register_spatial_consistency(
-        lifted, RegistrationParams(iterations=1000, seed=0))
+        lifted, RegistrationParams(iterations=1000), seed=0)
     print(f"registered: rotation off by "
           f"{_angle(best.pose.rotation @ truth.rotation.T):.3f} deg, "
           f"translation off by "
@@ -85,9 +85,8 @@ def main():
                 n_matches=200, outlier_fraction=0.3, noise=0.002,
                 seed=seed, extent=0.15,
             )
-            params = RegistrationParams(iterations=4, seed=seed)
             try:
-                result = solver(cloud, params)
+                result = solver(cloud, RegistrationParams(iterations=4), seed=seed)
             except NoConsensus:
                 continue
             rot = _angle(result.pose.rotation @ pose.rotation.T)

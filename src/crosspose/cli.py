@@ -23,7 +23,6 @@ from ``CROSSPOSE_WORKERS``).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import math
 import os
 import sys
@@ -280,10 +279,9 @@ def cmd_register(args) -> int:
         lifted = lift_matches(
             matches, a.depth, q.depth, a.camera, q.camera, grid_a, grid_q
         )
-        params = dataclasses.replace(
-            cfg.registration, seed=_pair_seed(reg_seed, entry.pair_id)
+        result = register_spatial_consistency(
+            lifted, cfg.registration, seed=_pair_seed(reg_seed, entry.pair_id)
         )
-        result = register_spatial_consistency(lifted, params)
         io.write_json(
             out / f"{entry.pair_id}.json",
             {
@@ -326,7 +324,6 @@ def cmd_eval(args) -> int:
             pose_est=compose(pred_rel, io.read_pose(entry.anchor.pose)),
             scene_depth=q.depth,
             intrinsics=q.camera,
-            params=cfg.metrics,
             pred_mask=_pred_mask(entry, None),
             gt_mask=q.mask,
         )
@@ -377,9 +374,9 @@ def cmd_losses(args) -> int:
         set_a = FeatureSet(a.features[va, ua], anchor_px.astype(np.float64))
         set_q = FeatureSet(q.features[vq, uq], query_px.astype(np.float64))
 
-        pos = positive_loss(set_a, set_q, cfg.loss)
-        neg = hardest_negative_loss(set_a, set_q, cfg.loss)
-        feat = feature_loss(pos, neg, cfg.loss)
+        pos = positive_loss(set_a, set_q)
+        neg = hardest_negative_loss(set_a, set_q)
+        feat = feature_loss(pos, neg)
         pred_mask = _pred_mask(entry, q.mask)
         mask_term = dice_loss(pred_mask.astype(np.float64), q.mask)
         return {
@@ -388,7 +385,7 @@ def cmd_losses(args) -> int:
             "hardest_negative": neg,
             "feature": feat,
             "mask": mask_term,
-            "total": total_loss(mask_term, feat, cfg.loss),
+            "total": total_loss(mask_term, feat),
         }
 
     def summarize(results, errors):
@@ -436,7 +433,6 @@ def _config_from_args(args) -> EvalConfig:
         **pick("workers", "seed", "nn_radius", "min_matches"),
         match=pick("max_distance", "max_matches"),
         registration=pick("inlier_threshold", "compatibility_tolerance", "iterations"),
-        metrics=pick("occlusion_tolerance"),
     )
     if cfg.pairs_file is None:
         raise ConfigError("a pairs manifest is required (--pairs or config file)")
@@ -503,7 +499,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, with_out_dir=False)
     p.add_argument("--predictions", required=True, help="register output directory")
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--occlusion-tolerance", type=float)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("losses", help="forward loss diagnostics")

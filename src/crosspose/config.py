@@ -1,16 +1,24 @@
 """Pipeline configuration, dataset manifests, and seed derivation.
 
 One master seed drives every random choice in a run. Each consumer
-draws from a named sub-stream (``matchgen``, ``registration``,
-``synth``) derived from the master seed, so re-running any single stage
-reproduces its exact results regardless of what else ran.
+draws from a named sub-stream (``registration``, ``synth``) derived from
+the master seed, so re-running any single stage reproduces its exact
+results regardless of what else ran. Only ``synth`` and ``register``
+draw from ``--seed``; the other stages are deterministic without one,
+and accept it and ignore it.
+
+A config file mirrors the flags: its keys are the destinations of the
+manifest subcommands' flags (``pairs_file`` for ``--pairs``,
+``output_dir`` for ``--out-dir``), with the matching and registration
+flags grouped in the ``match`` and ``registration`` sections.
 
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
 (optionally feature) files. Paths are resolved relative to the manifest
 file, and every referenced file must exist at load time. Unknown keys in
 an entry or a view are rejected, so a misspelt optional key fails
-loudly instead of being ignored.
+loudly instead of being ignored. A pair id names the pair's output
+files, so it must be a plain file name.
 """
 
 from __future__ import annotations
@@ -22,13 +30,12 @@ import numpy as np
 
 from .errors import ConfigError
 from .io import read_json
-from .losses import LossParams
 from .matcher import MatchParams
 from .matchgen import DEFAULT_MIN_MATCHES, DEFAULT_NN_RADIUS
-from .metrics import MetricParams
 from .registration import RegistrationParams
 
-_SEED_STREAMS = {"matchgen": 1, "registration": 2, "synth": 3}
+# The stream numbers enter every derived seed; never renumber them.
+_SEED_STREAMS = {"registration": 2, "synth": 3}
 
 
 def derive_seed(seed: int, stream: str) -> int:
@@ -115,7 +122,11 @@ def load_pairs(manifest_path) -> list[PairEntry]:
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
             raise ConfigError(f"pairs entry {i} must be an object")
-        pair_id = str(entry.get("id", f"pair_{i:04d}"))
+        pair_id = entry.get("id", f"pair_{i:04d}")
+        if not isinstance(pair_id, str) or pair_id in ("", ".", "..") or any(
+            c in pair_id for c in "/\\\0"
+        ):
+            raise ConfigError(f"pairs entry {i}: id {pair_id!r} is not a plain file name")
         _check_keys(entry, _ENTRY_KEYS, f"pair {pair_id}")
         pairs.append(
             PairEntry(
@@ -142,8 +153,6 @@ class EvalConfig:
     output_dir: Path | None = None
     match: MatchParams = field(default_factory=MatchParams)
     registration: RegistrationParams = field(default_factory=RegistrationParams)
-    loss: LossParams = field(default_factory=LossParams)
-    metrics: MetricParams = field(default_factory=MetricParams)
     nn_radius: float = DEFAULT_NN_RADIUS
     min_matches: int = DEFAULT_MIN_MATCHES
     workers: int = 1
@@ -156,23 +165,6 @@ class EvalConfig:
             raise ConfigError("min_matches must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
-
-    def to_dict(self) -> dict:
-        def params_dict(obj):
-            return {f.name: getattr(obj, f.name) for f in fields(obj)}
-
-        return {
-            "pairs_file": None if self.pairs_file is None else str(self.pairs_file),
-            "output_dir": None if self.output_dir is None else str(self.output_dir),
-            "match": params_dict(self.match),
-            "registration": params_dict(self.registration),
-            "loss": params_dict(self.loss),
-            "metrics": params_dict(self.metrics),
-            "nn_radius": self.nn_radius,
-            "min_matches": self.min_matches,
-            "workers": self.workers,
-            "seed": self.seed,
-        }
 
 
 def _build_params(cls, data: dict, section: str):
@@ -209,14 +201,8 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
     known = {f.name for f in fields(EvalConfig)}
     _check_keys(data, known, "config")
 
-    sections = {
-        "match": MatchParams,
-        "registration": RegistrationParams,
-        "loss": LossParams,
-        "metrics": MetricParams,
-    }
     kwargs: dict = {}
-    for name, cls in sections.items():
+    for name, cls in (("match", MatchParams), ("registration", RegistrationParams)):
         section_data = data.get(name, {})
         if not isinstance(section_data, dict):
             raise ConfigError(f"config section {name!r} must be an object")
@@ -225,11 +211,6 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
         section_data.update(
             {k: v for k, v in section_overrides.items() if v is not None}
         )
-        if name == "registration" and "seed" in section_data:
-            # Every pair's registration seed derives from the master seed.
-            raise ConfigError(
-                "config key registration.seed has no effect; set the master 'seed'"
-            )
         kwargs[name] = _build_params(cls, section_data, name)
 
     for name in ("nn_radius", "min_matches", "workers", "seed"):

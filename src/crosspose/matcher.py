@@ -130,11 +130,17 @@ def feature_distance(f1, f2) -> float:
     return float(cosine_distance(np.dot(ua, ub)))
 
 
+def _cell_center_pixels(index, cells: int, pixels: int) -> np.ndarray:
+    """Pixel under the center of each cell, along one axis of ``cells`` cells."""
+    centers = np.floor((index + 0.5) * pixels / cells).astype(np.int64)
+    return np.clip(centers, 0, pixels - 1)
+
+
 def downsample_mask(mask, grid_shape: tuple[int, int]) -> np.ndarray:
     """Resample a mask to the feature-grid resolution by nearest neighbor.
 
-    Each grid cell samples the image pixel under its center, mirroring
-    the center-of-cell pixel mapping used when lifting matches.
+    Each grid cell samples the image pixel under its center, the map
+    :func:`cells_to_pixels` applies when lifting matches.
     """
     m = as_mask(mask)
     gh, gw = grid_shape
@@ -143,10 +149,8 @@ def downsample_mask(mask, grid_shape: tuple[int, int]) -> np.ndarray:
     if m.shape == (gh, gw):
         return m.copy()
     h, w = m.shape
-    rows = np.floor((np.arange(gh) + 0.5) * h / gh).astype(np.int64)
-    cols = np.floor((np.arange(gw) + 0.5) * w / gw).astype(np.int64)
-    rows = np.clip(rows, 0, h - 1)
-    cols = np.clip(cols, 0, w - 1)
+    rows = _cell_center_pixels(np.arange(gh), gh, h)
+    cols = _cell_center_pixels(np.arange(gw), gw, w)
     return m[np.ix_(rows, cols)]
 
 
@@ -226,10 +230,8 @@ def match_features(
 def cells_to_pixels(cells: np.ndarray, grid_shape, intrinsics: CameraIntrinsics) -> np.ndarray:
     """Map grid cells to image pixels under the center-of-cell convention."""
     gh, gw = grid_shape
-    u = np.floor((cells[:, 0] + 0.5) * intrinsics.width / gw).astype(np.int64)
-    v = np.floor((cells[:, 1] + 0.5) * intrinsics.height / gh).astype(np.int64)
-    u = np.clip(u, 0, intrinsics.width - 1)
-    v = np.clip(v, 0, intrinsics.height - 1)
+    u = _cell_center_pixels(cells[:, 0], gw, intrinsics.width)
+    v = _cell_center_pixels(cells[:, 1], gh, intrinsics.height)
     return np.column_stack([u, v])
 
 

@@ -26,6 +26,14 @@ Errors:
 Per-pair recalls average strict ``error < threshold`` indicators over a
 threshold sweep; the headline score is the mean of the visible-surface,
 surface, and projection recalls.
+
+:func:`pair_report` scores the fixed protocol of the BOP Challenge 2020
+(Hodaň et al.), held in module constants: ``VSD_TOLERANCE_FRACTIONS``,
+the misalignment tolerance tau at 0.05 to 0.5 of the diameter;
+``VSD_THRESHOLDS``, theta at 0.05 to 0.5; ``MSSD_FRACTIONS``, 0.05 to
+0.5 of the diameter; ``MSPD_MULTIPLIERS``, 5r to 50r pixels with
+r = width / ``MSPD_BASE_WIDTH``; and ``DEFAULT_OCCLUSION_TOLERANCE``,
+delta = 15 mm. ADD(-S) counts at one tenth of the diameter.
 """
 
 from __future__ import annotations
@@ -41,40 +49,14 @@ from .errors import BehindCamera, DimensionMismatch, EmptyRender
 from .geometry import CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, project
 from .render import splat_depth
 
-DEFAULT_OCCLUSION_TOLERANCE = 0.015  # meters
-
 # 0.05, 0.10, ..., 0.50: the standard threshold sweep.
 _TENTH_STEPS = tuple((i + 1) * 0.05 for i in range(10))
-
-
-@dataclass(frozen=True)
-class MetricParams:
-    """Threshold sweeps and tolerances for the metric suite.
-
-    Fractions are of the object diameter. Projection thresholds are
-    ``multiplier * width / projection_base_width`` pixels, so they scale
-    with image resolution.
-    """
-
-    error_thresholds: tuple = _TENTH_STEPS  # visible-surface recall sweep
-    tolerance_fractions: tuple = _TENTH_STEPS  # visible-surface misalignment
-    surface_fractions: tuple = _TENTH_STEPS  # surface-error recall sweep
-    projection_multipliers: tuple = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
-    projection_base_width: float = 640.0
-    occlusion_tolerance: float = DEFAULT_OCCLUSION_TOLERANCE
-    add_threshold_fraction: float = 0.1
-
-    def __post_init__(self):
-        for name in ("error_thresholds", "tolerance_fractions", "surface_fractions",
-                     "projection_multipliers"):
-            vals = tuple(float(v) for v in getattr(self, name))
-            if len(vals) == 0 or any(v <= 0 for v in vals):
-                raise ValueError(f"{name} must be non-empty and positive")
-            object.__setattr__(self, name, vals)
-        if self.occlusion_tolerance <= 0:
-            raise ValueError("occlusion_tolerance must be positive")
-        if self.add_threshold_fraction <= 0:
-            raise ValueError("add_threshold_fraction must be positive")
+VSD_TOLERANCE_FRACTIONS = _TENTH_STEPS
+VSD_THRESHOLDS = _TENTH_STEPS
+MSSD_FRACTIONS = _TENTH_STEPS
+MSPD_MULTIPLIERS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
+MSPD_BASE_WIDTH = 640.0
+DEFAULT_OCCLUSION_TOLERANCE = 0.015  # meters
 
 
 def mssd_error(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> float:
@@ -332,25 +314,23 @@ def pair_report(
     pose_est: Pose,
     scene_depth,
     intrinsics: CameraIntrinsics,
-    params: MetricParams = MetricParams(),
     pred_mask=None,
     gt_mask=None,
 ) -> MetricReport:
     """Evaluate one estimated pose against its reference.
 
+    Scores follow the fixed BOP 2020 protocol of the module constants.
     Mask quality defaults to 1.0 when no predicted mask is supplied
     (the reference mask stands in for the prediction).
     """
     d = model.diameter_m
 
     e_mssd = mssd_error(model, pose_true, pose_est)
-    mssd_score = recall_average([e_mssd], [f * d for f in params.surface_fractions])
+    mssd_score = recall_average([e_mssd], [f * d for f in MSSD_FRACTIONS])
 
     e_mspd = mspd_error(model, pose_true, pose_est, intrinsics)
-    px_unit = intrinsics.width / params.projection_base_width
-    mspd_score = recall_average(
-        [e_mspd], [m * px_unit for m in params.projection_multipliers]
-    )
+    px_unit = intrinsics.width / MSPD_BASE_WIDTH
+    mspd_score = recall_average([e_mspd], [m * px_unit for m in MSPD_MULTIPLIERS])
 
     e_vsd = vsd_error_set(
         model,
@@ -358,14 +338,13 @@ def pair_report(
         pose_est,
         scene_depth,
         intrinsics,
-        [f * d for f in params.tolerance_fractions],
-        params.occlusion_tolerance,
+        [f * d for f in VSD_TOLERANCE_FRACTIONS],
     )
     vsd_score = math.fsum(
-        recall_average([e], params.error_thresholds) for e in e_vsd
+        recall_average([e], VSD_THRESHOLDS) for e in e_vsd
     ) / len(e_vsd)
 
-    add = add_result(model, pose_true, pose_est, params.add_threshold_fraction)
+    add = add_result(model, pose_true, pose_est)
 
     if gt_mask is None:
         mask_score = 1.0

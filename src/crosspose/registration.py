@@ -48,7 +48,6 @@ class RegistrationParams:
     inlier_threshold: float = 0.01
     compatibility_tolerance: float = 0.01
     iterations: int = 1000
-    seed: int = 0
 
     def __post_init__(self):
         if self.inlier_threshold <= 0:
@@ -187,12 +186,13 @@ def _register(
     dst: np.ndarray,
     params: RegistrationParams,
     weights: np.ndarray | None,
+    seed: int,
 ) -> RegistrationResult:
     n = len(src)
     if n < 3:
         raise TooFewMatches(f"registration needs at least 3 matches, got {n}")
 
-    triplets = _sample_triplets(n, params.iterations, weights, params.seed)
+    triplets = _sample_triplets(n, params.iterations, weights, seed)
     rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
 
     # Residuals of every match under every hypothesis: (iterations, n).
@@ -235,16 +235,22 @@ def _register(
 
 
 def register_spatial_consistency(
-    matches: Correspondences, params: RegistrationParams = RegistrationParams()
+    matches: Correspondences,
+    params: RegistrationParams = RegistrationParams(),
+    *,
+    seed: int = 0,
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with consistency-weighted seeds."""
     src, dst = matches.anchor_points, matches.query_points
     scores = compatibility_scores(src, dst, params.compatibility_tolerance)
-    return _register(src, dst, params, scores)
+    return _register(src, dst, params, scores, seed)
 
 
 def register_ransac(
-    matches: Correspondences, params: RegistrationParams = RegistrationParams()
+    matches: Correspondences,
+    params: RegistrationParams = RegistrationParams(),
+    *,
+    seed: int = 0,
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with uniform seed sampling."""
-    return _register(matches.anchor_points, matches.query_points, params, None)
+    return _register(matches.anchor_points, matches.query_points, params, None, seed)

@@ -17,7 +17,6 @@ from crosspose import (
     CameraIntrinsics,
     FeatureSet,
     GtPair,
-    MetricParams,
     MetricReport,
     NoConsensus,
     Pose,
@@ -46,6 +45,7 @@ from crosspose import (
 )
 from crosspose.cli import main
 from crosspose.config import load_pairs
+from crosspose.metrics import VSD_THRESHOLDS
 
 # ---------------------------------------------------------------------------
 # Independent oracles
@@ -187,7 +187,7 @@ def test_metric_scores_match_bruteforce_oracles():
     # 50 randomized instances, models up to 500 points, 64x64 cameras,
     # every score within 1e-12 relative of its longhand oracle, < 30 s.
     rng = np.random.default_rng(2026)
-    thresholds = MetricParams().error_thresholds
+    thresholds = VSD_THRESHOLDS
     kinds = ("blob", "sphere", "box", "cylinder")
     start = time.perf_counter()
     for trial in range(50):
@@ -337,7 +337,7 @@ def test_registration_recovery_under_noise_and_outliers():
             seed=seed, extent=0.15,
         )
         result = register_spatial_consistency(
-            matches, RegistrationParams(iterations=1000, seed=seed)
+            matches, RegistrationParams(iterations=1000), seed=seed
         )
         hits += _pose_recovered(result.pose, truth)
     assert hits >= 95
@@ -346,7 +346,7 @@ def test_registration_recovery_under_noise_and_outliers():
     matches, truth = make_correspondences(
         n_matches=60, outlier_fraction=0.0, noise=0.0, seed=424, extent=0.15,
     )
-    exact = register_spatial_consistency(matches, RegistrationParams(seed=424))
+    exact = register_spatial_consistency(matches, seed=424)
     assert _rotation_angle(exact.pose.rotation @ truth.rotation.T) < 1e-9
     assert float(np.linalg.norm(exact.pose.translation - truth.translation)) < 1e-9
     assert time.perf_counter() - start < 60.0
@@ -366,16 +366,16 @@ def test_plain_ransac_trails_spatial_consistency():
             n_matches=200, outlier_fraction=0.3, noise=0.002,
             seed=seed, extent=0.15,
         )
-        params = RegistrationParams(iterations=4, seed=seed)
+        params = RegistrationParams(iterations=4)
         try:
             sc_hits += _pose_recovered(
-                register_spatial_consistency(matches, params).pose, truth
+                register_spatial_consistency(matches, params, seed=seed).pose, truth
             )
         except NoConsensus:
             pass
         try:
             ransac_hits += _pose_recovered(
-                register_ransac(matches, params).pose, truth
+                register_ransac(matches, params, seed=seed).pose, truth
             )
         except NoConsensus:
             pass

@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line pipeline and its config layer."""
 
+import argparse
 import hashlib
 import json
 import math
 import shutil
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -17,8 +19,8 @@ from crosspose import (
     render_scene,
     rotation_about_axis,
 )
-from crosspose.cli import main
-from crosspose.config import derive_seed, load_config, load_pairs
+from crosspose.cli import build_parser, main
+from crosspose.config import EvalConfig, derive_seed, load_config, load_pairs
 from crosspose import io
 
 # ---------------------------------------------------------------------------
@@ -510,12 +512,49 @@ class TestConfigLayer:
 
     def test_unknown_keys_rejected(self, tmp_path):
         cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"bogus": 1})
-        with pytest.raises(ConfigError):
-            load_config(cfg_path)
-        io.write_json(cfg_path, {"match": {"bogus": 1}})
-        with pytest.raises(ConfigError):
-            load_config(cfg_path)
+        payloads = (
+            {"bogus": 1},
+            {"match": {"bogus": 1}},
+            # No flag sets these, so neither may a config file.
+            {"loss": {"positive_margin": 0.2}},
+            {"metrics": {"occlusion_tolerance": 0.01}},
+            {"registration": {"seed": 1}},
+        )
+        for payload in payloads:
+            io.write_json(cfg_path, payload)
+            with pytest.raises(ConfigError):
+                load_config(cfg_path)
+
+    def test_config_keys_mirror_flags(self, dataset_small, tmp_path):
+        parser = build_parser()
+        (commands,) = [
+            a.choices for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)
+        ]
+        flags = {
+            action.dest
+            for name, sub in commands.items() if name != "synth"
+            for action in sub._actions
+        }
+        renamed = {"pairs_file": "pairs", "output_dir": "out_dir"}
+        keys = []
+        for f in fields(EvalConfig):
+            value = getattr(EvalConfig(), f.name)
+            if is_dataclass(value):
+                keys += [g.name for g in fields(value)]
+            else:
+                keys.append(renamed.get(f.name, f.name))
+        assert len(keys) == 11
+        assert set(keys) <= flags
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset_small, preds)
+        with pytest.raises(SystemExit) as exc:
+            main([
+                "eval", "--pairs", str(dataset_small / "pairs.json"),
+                "--predictions", str(preds), "--out", str(tmp_path / "r.json"),
+                "--occlusion-tolerance", "0.01",
+            ])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize(
         "section", [[1], "ab", [[1, 2]]], ids=["list", "string", "pair-list"]
@@ -536,7 +575,7 @@ class TestConfigLayer:
         # register derives every pair's seed from the master seed.
         cfg_path = tmp_path / "config.json"
         io.write_json(cfg_path, {"registration": {"seed": 123}})
-        with pytest.raises(ConfigError, match="master 'seed'"):
+        with pytest.raises(ConfigError, match=r"'registration' has unknown keys: \['seed'\]"):
             load_config(cfg_path)
         out = tmp_path / "out"
         assert main([
@@ -560,13 +599,18 @@ class TestConfigLayer:
         assert cfg.pairs_file == sub / "pairs.json"
 
     def test_derive_seed_streams_stable_and_distinct(self):
-        streams = ("matchgen", "registration", "synth")
+        streams = ("registration", "synth")
         values = [derive_seed(0, s) for s in streams]
-        assert len(set(values)) == 3
+        assert len(set(values)) == 2
         assert values == [derive_seed(0, s) for s in streams]
         assert derive_seed(1, "synth") != derive_seed(0, "synth")
-        with pytest.raises(ValueError):
-            derive_seed(0, "nope")
+        # Stream numbers are fixed, so derived seeds never change.
+        for stream, number in (("registration", 2), ("synth", 3)):
+            state = np.random.SeedSequence([7, number]).generate_state(1, np.uint64)
+            assert derive_seed(7, stream) == int(state[0])
+        for stream in ("nope", "matchgen"):
+            with pytest.raises(ValueError):
+                derive_seed(0, stream)
 
     def test_invalid_worker_env_is_config_error(self, dataset, tmp_path, monkeypatch):
         monkeypatch.setenv("CROSSPOSE_WORKERS", "abc")
@@ -616,6 +660,16 @@ class TestConfigLayer:
             with pytest.raises(ConfigError):
                 load_pairs(manifest)
         out = tmp_path / "out"
+        assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
+        assert not out.exists()
+        # A pair id names output files, so it must be a plain file name.
+        view = dict.fromkeys(("depth", "mask", "camera", "pose"), "pairs.json")
+        for pair_id in ("../escaped", "a/b", None, 5, "", ".."):
+            entry = {"id": pair_id, "model": "pairs.json", "anchor": view, "query": view}
+            manifest.write_text(json.dumps({"pairs": [entry]}))
+            with pytest.raises(ConfigError, match="plain file name"):
+                load_pairs(manifest)
+        manifest.write_text(json.dumps({"pairs": [dict(entry, id="../escaped")]}))
         assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
         assert not out.exists()
 

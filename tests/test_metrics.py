@@ -15,7 +15,6 @@ from crosspose import (
     CameraIntrinsics,
     DimensionMismatch,
     EmptyRender,
-    MetricParams,
     MetricReport,
     ObjectModel,
     Pose,
@@ -33,6 +32,7 @@ from crosspose import (
     vsd_error,
     vsd_error_set,
 )
+from crosspose.metrics import VSD_TOLERANCE_FRACTIONS
 from conftest import random_se3
 
 # ---------------------------------------------------------------------------
@@ -600,7 +600,7 @@ class TestPairReport:
     def test_vsd_errors_exposed_per_tolerance(self, scene_setup, cam96):
         model, pose, scene = scene_setup
         rep = pair_report(model, pose, pose, scene.depth, cam96)
-        assert len(rep.vsd_errors) == len(MetricParams().tolerance_fractions)
+        assert len(rep.vsd_errors) == len(VSD_TOLERANCE_FRACTIONS)
         assert all(e == 0.0 for e in rep.vsd_errors)
 
 

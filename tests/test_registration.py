@@ -193,9 +193,7 @@ class TestRegisterSpatialConsistency:
                 n_matches=200, outlier_fraction=0.3, noise=0.002,
                 seed=seed, extent=0.15,
             )
-            result = register_spatial_consistency(
-                matches, RegistrationParams(seed=seed)
-            )
+            result = register_spatial_consistency(matches, seed=seed)
             rot_err, trans_err = _pose_errors(result.pose, true)
             if rot_err < np.radians(1.0) and trans_err < 0.005:
                 successes += 1
@@ -220,8 +218,8 @@ class TestRegisterSpatialConsistency:
 
     def test_every_inlier_residual_within_threshold(self):
         matches, _ = make_correspondences(seed=3)
-        params = RegistrationParams(seed=3)
-        result = register_spatial_consistency(matches, params)
+        params = RegistrationParams()
+        result = register_spatial_consistency(matches, params, seed=3)
         res = np.linalg.norm(
             result.pose.apply(matches.anchor_points[result.inliers])
             - matches.query_points[result.inliers],
@@ -232,8 +230,8 @@ class TestRegisterSpatialConsistency:
 
     def test_deterministic_inlier_sets_per_seed(self):
         matches, _ = make_correspondences(seed=5)
-        a = register_spatial_consistency(matches, RegistrationParams(seed=42))
-        b = register_spatial_consistency(matches, RegistrationParams(seed=42))
+        a = register_spatial_consistency(matches, seed=42)
+        b = register_spatial_consistency(matches, seed=42)
         np.testing.assert_array_equal(a.inliers, b.inliers)
         np.testing.assert_array_equal(a.pose.rotation, b.pose.rotation)
         np.testing.assert_array_equal(a.pose.translation, b.pose.translation)
@@ -245,9 +243,8 @@ class TestRegisterSpatialConsistency:
         moved = Correspondences(
             g.apply(matches.anchor_points), matches.query_points
         )
-        params = RegistrationParams(seed=17)
-        base = register_spatial_consistency(matches, params)
-        shifted = register_spatial_consistency(moved, params)
+        base = register_spatial_consistency(matches, seed=17)
+        shifted = register_spatial_consistency(moved, seed=17)
         np.testing.assert_array_equal(base.inliers, shifted.inliers)
         expected = base.pose.compose(g.inverse())
         np.testing.assert_allclose(shifted.pose.rotation, expected.rotation, atol=1e-9)
@@ -281,18 +278,18 @@ class TestRegisterRansac:
                 n_matches=200, outlier_fraction=0.3, noise=0.002,
                 seed=seed, extent=0.15,
             )
-            params = RegistrationParams(iterations=4, seed=seed)
+            params = RegistrationParams(iterations=4)
 
             def ok(result):
                 rot_err, trans_err = _pose_errors(result.pose, true)
                 return rot_err < np.radians(1.0) and trans_err < 0.005
 
             try:
-                sc_wins += ok(register_spatial_consistency(matches, params))
+                sc_wins += ok(register_spatial_consistency(matches, params, seed=seed))
             except NoConsensus:
                 pass
             try:
-                rs_wins += ok(register_ransac(matches, params))
+                rs_wins += ok(register_ransac(matches, params, seed=seed))
             except NoConsensus:
                 pass
         assert sc_wins > rs_wins
@@ -308,7 +305,7 @@ class TestRefitOptimality:
         # The final pose is a least-squares fit on its inlier set, so its
         # summed residual there cannot exceed that of any rigid probe.
         matches, _ = make_correspondences(seed=12)
-        result = register_spatial_consistency(matches, RegistrationParams(seed=12))
+        result = register_spatial_consistency(matches, seed=12)
         src = matches.anchor_points[result.inliers]
         dst = matches.query_points[result.inliers]
         w = np.full(len(src), 1.0 / len(src))

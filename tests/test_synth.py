@@ -11,7 +11,6 @@ from crosspose import (
     MatchParams,
     NoConsensus,
     Pose,
-    RegistrationParams,
     TooFewMatches,
     clutter_depth,
     cyclic_symmetries,
@@ -581,9 +580,7 @@ class TestPipelineClosure:
                 matches, scene_a.depth, scene_q.depth, cam64, cam64
             )
             try:
-                result = register_spatial_consistency(
-                    lifted, RegistrationParams(seed=trial)
-                )
+                result = register_spatial_consistency(lifted, seed=trial)
             except (NoConsensus, TooFewMatches):
                 continue
             true_rel = relative_pose(pose_a, pose_q)
