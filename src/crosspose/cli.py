@@ -47,9 +47,10 @@ from .losses import (
 )
 from .matcher import downsample_mask, lift_matches, match_features, pixels_to_cells
 from .matchgen import accept_pair, generate_gt_matches
-from .metrics import aggregate_reports, pair_report
+from .metrics import SCORES, aggregate_reports, pair_report
 from .registration import register_spatial_consistency
 from .synth import (
+    check_descriptor_params,
     make_descriptor_field,
     make_model,
     make_pair,
@@ -139,26 +140,33 @@ _VIEW_BOUNDS = ((-0.01, -0.01, 0.5), (0.01, 0.01, 0.6))
 
 
 def cmd_synth(args) -> int:
+    # Every setting is checked before the first directory is made.
+    if args.pairs < 1:
+        raise ConfigError("--pairs must be at least 1")
+    size = args.image_size
+    try:
+        camera = CameraIntrinsics(
+            fx=args.focal,
+            fy=args.focal,
+            cx=(size - 1) / 2.0,
+            cy=(size - 1) / 2.0,
+            width=size,
+            height=size,
+        )
+        model = make_model(
+            args.model_kind,
+            n_points=args.model_points,
+            size=args.model_size,
+            cyclic_order=args.cyclic_order,
+            seed=derive_seed(args.seed, "synth"),
+        )
+        check_descriptor_params(args.feature_dim, args.noise, args.outlier_fraction)
+    except ValueError as exc:
+        raise ConfigError(f"invalid synth setting: {exc}") from exc
+
     out = Path(args.out)
     (out / "models").mkdir(parents=True, exist_ok=True)
     (out / "pairs").mkdir(parents=True, exist_ok=True)
-
-    size = args.image_size
-    camera = CameraIntrinsics(
-        fx=args.focal,
-        fy=args.focal,
-        cx=(size - 1) / 2.0,
-        cy=(size - 1) / 2.0,
-        width=size,
-        height=size,
-    )
-    model = make_model(
-        args.model_kind,
-        n_points=args.model_points,
-        size=args.model_size,
-        cyclic_order=args.cyclic_order,
-        seed=derive_seed(args.seed, "synth"),
-    )
     io.write_model(out / "models" / "model.xyz", model)
     io.write_intrinsics(out / "camera.json", camera)
 
@@ -335,11 +343,10 @@ def cmd_eval(args) -> int:
         pairs = {pid: r.to_dict() for pid, r in results}
         aggregate = aggregate_reports([r for _, r in results])
         payload = {"pairs": pairs, "aggregate": aggregate, "errors": errors}
-        columns = ("ar", "vsd", "mssd", "mspd", "add", "miou")
-        lines = [f"{'pair':<14}" + "".join(f"{name:>8}" for name in columns)]
+        lines = [f"{'pair':<14}" + "".join(f"{name:>8}" for name in SCORES)]
         for label, scores in [*pairs.items(), ("mean", aggregate)]:
             lines.append(
-                f"{label:<14}" + "".join(f"{scores[name]:>8.3f}" for name in columns)
+                f"{label:<14}" + "".join(f"{scores[name]:>8.3f}" for name in SCORES)
             )
         return Path(args.out), payload, lines
 
@@ -351,6 +358,8 @@ def cmd_eval(args) -> int:
 
 def cmd_losses(args) -> int:
     cfg = _config_from_args(args)
+    if args.max_samples < 1:
+        raise ConfigError("--max-samples must be at least 1")
     matches_dir = Path(args.matches) if args.matches else None
 
     def work(entry: PairEntry):

@@ -159,8 +159,8 @@ class EvalConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.nn_radius <= 0:
-            raise ConfigError("nn_radius must be positive")
+        if not 0 < self.nn_radius < np.inf:
+            raise ConfigError("nn_radius must be finite and positive")
         if self.min_matches < 0:
             raise ConfigError("min_matches must be non-negative")
         if self.workers < 1:
@@ -223,7 +223,7 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
         value = overrides.get(name)
         if value is None:
             value = data.get(name)
-            if value is not None and not Path(value).is_absolute():
+            if value is not None:
                 value = base / value
         if value is not None:
             kwargs[name] = Path(value)

@@ -20,15 +20,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
+from scipy.spatial import cKDTree
 
 from .errors import DegenerateConfiguration
 
 # A rotation must be orthonormal with det +1 to within this bound.
 ORTHONORMALITY_TOL = 1e-9
 
-# diameter() searches only convex-hull vertices above this many points.
-_DIAMETER_HULL_ABOVE = 10_000
 # _max_pairwise_sq: farthest-point sweeps for the lower bound, kd-tree leaf
 # size, relative margin on every bound, and pair entries scored at once.
 _DIAMETER_SWEEPS = 4
@@ -257,18 +255,17 @@ def project(points, intrinsics: CameraIntrinsics) -> Projection:
     z = pts[:, 2]
     in_front = z > 0
     uv = np.full((len(pts), 2), np.nan)
-    if np.any(in_front):
-        zf = z[in_front]
-        uv[in_front, 0] = intrinsics.fx * pts[in_front, 0] / zf + intrinsics.cx
-        uv[in_front, 1] = intrinsics.fy * pts[in_front, 1] / zf + intrinsics.cy
+    zf = z[in_front]
+    u = intrinsics.fx * pts[in_front, 0] / zf + intrinsics.cx
+    v = intrinsics.fy * pts[in_front, 1] / zf + intrinsics.cy
+    uv[in_front, 0] = u
+    uv[in_front, 1] = v
+    # Rounds-to-inside test under the pixel-center convention.
     in_image = in_front.copy()
-    if np.any(in_front):
-        u = uv[in_front, 0]
-        v = uv[in_front, 1]
-        # Rounds-to-inside test under the pixel-center convention.
-        inside = (u >= -0.5) & (u < intrinsics.width - 0.5)
-        inside &= (v >= -0.5) & (v < intrinsics.height - 0.5)
-        in_image[in_front] = inside
+    in_image[in_front] = (
+        (u >= -0.5) & (u < intrinsics.width - 0.5)
+        & (v >= -0.5) & (v < intrinsics.height - 0.5)
+    )
     return Projection(uv=uv, in_front=in_front, in_image=in_image)
 
 
@@ -356,21 +353,13 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
 def diameter(points) -> float:
     """Exact largest pairwise distance of a point set.
 
-    Up to 10^4 points the pruned search of ``_max_pairwise_sq`` runs on
-    the whole cloud; beyond that only convex-hull vertices enter it,
-    which is still exact (the farthest pair lies on the hull). Degenerate
-    clouds skip the hull. The result is the float that scoring every pair
-    by brute force gives.
+    The pruned search of ``_max_pairwise_sq`` runs on the whole cloud, at
+    any size and with bounded memory, and returns the float that scoring
+    every pair by brute force gives.
     """
     pts = _as_points(points)
     if len(pts) < 2:
         raise ValueError("diameter requires at least 2 points")
-    if len(pts) > _DIAMETER_HULL_ABOVE:
-        try:
-            hull = ConvexHull(pts)
-            pts = pts[hull.vertices]
-        except QhullError:
-            pass  # flat or collinear cloud: search all points
     return float(np.sqrt(_max_pairwise_sq(pts)))
 
 

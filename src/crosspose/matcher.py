@@ -146,8 +146,6 @@ def downsample_mask(mask, grid_shape: tuple[int, int]) -> np.ndarray:
     gh, gw = grid_shape
     if gh < 1 or gw < 1:
         raise ValueError("grid shape must be positive")
-    if m.shape == (gh, gw):
-        return m.copy()
     h, w = m.shape
     rows = _cell_center_pixels(np.arange(gh), gh, h)
     cols = _cell_center_pixels(np.arange(gw), gw, w)
@@ -211,12 +209,11 @@ def match_features(
     kept_q = lin_q[best_idx[keep]]
     kept_d = dist[keep]
 
-    if len(kept_d) > params.max_matches:
-        order = np.lexsort((kept_a, kept_d))[: params.max_matches]
-        order = order[np.argsort(kept_a[order], kind="stable")]
-        kept_a = kept_a[order]
-        kept_q = kept_q[order]
-        kept_d = kept_d[order]
+    # kept_a increases, so the sorted survivors are in anchor-cell order.
+    order = np.sort(np.lexsort((kept_a, kept_d))[: params.max_matches])
+    kept_a = kept_a[order]
+    kept_q = kept_q[order]
+    kept_d = kept_d[order]
 
     wa = fa.shape[1]
     wq = fq.shape[1]

@@ -65,10 +65,9 @@ def nearest_neighbors(tree: cKDTree, points: np.ndarray) -> tuple[np.ndarray, np
         return np.atleast_1d(dist), np.atleast_1d(idx)
     tied = dist[:, 1] == dist[:, 0]
     best_idx = idx[:, 0].copy()
-    if np.any(tied):
-        for i in np.nonzero(tied)[0]:
-            candidates = tree.query_ball_point(points[i], r=dist[i, 0])
-            best_idx[i] = min(candidates)
+    for i in np.nonzero(tied)[0]:
+        candidates = tree.query_ball_point(points[i], r=dist[i, 0])
+        best_idx[i] = min(candidates)
     return dist[:, 0], best_idx
 
 
@@ -87,8 +86,8 @@ def generate_gt_matches(
 
     Raises EmptyMask when either masked cloud has no valid pixel.
     """
-    if nn_radius <= 0:
-        raise ValueError("nn_radius must be positive")
+    if not 0 < nn_radius < np.inf:
+        raise ValueError("nn_radius must be finite and positive")
     cloud_a = unproject(depth_a, cam_a, mask_a)
     cloud_q = unproject(depth_q, cam_q, mask_q)
     if len(cloud_a) == 0:

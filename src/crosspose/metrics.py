@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -57,6 +57,9 @@ MSSD_FRACTIONS = _TENTH_STEPS
 MSPD_MULTIPLIERS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 MSPD_BASE_WIDTH = 640.0
 DEFAULT_OCCLUSION_TOLERANCE = 0.015  # meters
+
+# The scores of a report, in [0, 1], in the order of the eval table.
+SCORES = ("ar", "vsd", "mssd", "mspd", "add", "miou")
 
 
 def mssd_error(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> float:
@@ -269,7 +272,7 @@ class MetricReport:
     vsd_errors: tuple
 
     def __post_init__(self):
-        for name in ("vsd", "mssd", "mspd", "ar", "add", "miou"):
+        for name in SCORES:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
@@ -294,18 +297,7 @@ class MetricReport:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "ar": self.ar,
-            "vsd": self.vsd,
-            "mssd": self.mssd,
-            "mspd": self.mspd,
-            "add": self.add,
-            "miou": self.miou,
-            "mssd_error_m": self.mssd_error_m,
-            "mspd_error_px": self.mspd_error_px,
-            "add_error_m": self.add_error_m,
-            "vsd_errors": list(self.vsd_errors),
-        }
+        return asdict(self)
 
 
 def pair_report(
@@ -375,16 +367,5 @@ def aggregate_reports(reports) -> dict:
     if len(reports) == 0:
         raise ValueError("cannot aggregate zero reports")
     n = len(reports)
-
-    def mean(name):
-        return math.fsum(getattr(r, name) for r in reports) / n
-
-    return {
-        "count": n,
-        "ar": mean("ar"),
-        "vsd": mean("vsd"),
-        "mssd": mean("mssd"),
-        "mspd": mean("mspd"),
-        "add": mean("add"),
-        "miou": mean("miou"),
-    }
+    means = {name: math.fsum(getattr(r, name) for r in reports) / n for name in SCORES}
+    return {"count": n, **means}

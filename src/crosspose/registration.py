@@ -42,7 +42,7 @@ class RegistrationParams:
     ``inlier_threshold`` (meters) accepts a correspondence under a
     hypothesis; ``compatibility_tolerance`` (meters) bounds how much a
     pairwise distance may change between views while still counting as
-    consistent.
+    consistent. Both must be finite and positive.
     """
 
     inlier_threshold: float = 0.01
@@ -50,10 +50,10 @@ class RegistrationParams:
     iterations: int = 1000
 
     def __post_init__(self):
-        if self.inlier_threshold <= 0:
-            raise ValueError("inlier_threshold must be positive")
-        if self.compatibility_tolerance <= 0:
-            raise ValueError("compatibility_tolerance must be positive")
+        if not 0 < self.inlier_threshold < np.inf:
+            raise ValueError("inlier_threshold must be finite and positive")
+        if not 0 < self.compatibility_tolerance < np.inf:
+            raise ValueError("compatibility_tolerance must be finite and positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
@@ -86,18 +86,16 @@ def kabsch(src, dst, weights=None) -> Pose:
     n = len(s)
     if n < 3:
         raise TooFewMatches(f"rigid fit needs at least 3 pairs, got {n}")
-    if weights is None:
-        w = np.full(n, 1.0 / n)
-    else:
-        w = np.asarray(weights, dtype=np.float64).reshape(-1)
-        if w.shape != (n,):
-            raise ValueError("weights must have one entry per pair")
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite and non-negative")
-        total = w.sum()
-        if total <= 0:
-            raise ValueError("weights must not all be zero")
-        w = w / total
+    w = np.ones(n) if weights is None else weights
+    w = np.asarray(w, dtype=np.float64).reshape(-1)
+    if w.shape != (n,):
+        raise ValueError("weights must have one entry per pair")
+    if np.any(w < 0) or not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite and non-negative")
+    total = w.sum()
+    if total <= 0:
+        raise ValueError("weights must not all be zero")
+    w = w / total
 
     cs = (w[:, None] * s).sum(axis=0)
     cd = (w[:, None] * d).sum(axis=0)

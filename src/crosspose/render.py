@@ -26,14 +26,9 @@ def splat_depth(
     h, w = intrinsics.height, intrinsics.width
     depth = np.zeros((h, w))
     index = np.full((h, w), -1, dtype=np.int64)
-    if len(pts) == 0:
-        return depth, index
 
     proj = project(pts, intrinsics)
     visible = np.nonzero(proj.in_image)[0]
-    if len(visible) == 0:
-        return depth, index
-
     uv = np.rint(proj.uv[visible]).astype(np.int64)
     z = pts[visible, 2]
     lin = uv[:, 1] * w + uv[:, 0]

@@ -314,6 +314,16 @@ def make_pair(
     return scene_a, scene_q, oracle
 
 
+def check_descriptor_params(dim: int, noise: float, outlier_fraction: float) -> None:
+    """Raise ValueError unless :func:`make_descriptor_field` accepts these."""
+    if dim < 2:
+        raise ValueError("dim must be at least 2")
+    if not 0 <= noise < np.inf:
+        raise ValueError("noise must be finite and non-negative")
+    if not 0.0 <= outlier_fraction <= 1.0:
+        raise ValueError("outlier_fraction must lie in [0, 1]")
+
+
 def make_descriptor_field(
     scene_a: SynthScene,
     scene_q: SynthScene,
@@ -332,12 +342,7 @@ def make_descriptor_field(
     re-normalization; ``outlier_fraction`` replaces that share of
     query-side object cells with fresh random unit vectors.
     """
-    if dim < 2:
-        raise ValueError("dim must be at least 2")
-    if noise < 0:
-        raise ValueError("noise must be non-negative")
-    if not 0.0 <= outlier_fraction <= 1.0:
-        raise ValueError("outlier_fraction must lie in [0, 1]")
+    check_descriptor_params(dim, noise, outlier_fraction)
 
     def unit(v: np.ndarray) -> np.ndarray:
         return v / np.linalg.norm(v, axis=-1, keepdims=True)

@@ -129,6 +129,27 @@ class TestSynth:
         pose_b = (second / "pairs" / "pair_0000" / "pose_anchor.json").read_bytes()
         assert pose_a != pose_b
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--image-size", "0"),
+            ("--focal", "0"),
+            ("--cyclic-order", "0"),
+            ("--model-points", "1"),
+            ("--feature-dim", "1"),
+            ("--noise", "-1"),
+            ("--noise", "nan"),
+            ("--outlier-fraction", "2"),
+            ("--pairs", "0"),
+        ],
+    )
+    def test_invalid_value_exits_2_and_writes_nothing(self, flag, value, tmp_path, capsys):
+        out = tmp_path / "data"
+        argv = ["synth", "--out", str(out), "--image-size", "32", "--model-points", "200"]
+        assert main(argv + [flag, value]) == 2
+        assert not out.exists()
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 # ---------------------------------------------------------------------------
 # gen-matches
@@ -590,13 +611,61 @@ class TestConfigLayer:
         with pytest.raises(ConfigError):
             load_config(None, workers=0)
 
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "command, flag, key, value",
+        [
+            ("gen-matches", "--nn-radius", "nn_radius", "nan"),
+            ("gen-matches", "--nn-radius", "nn_radius", "inf"),
+            ("losses", "--nn-radius", "nn_radius", "nan"),
+            ("register", "--inlier-threshold", "registration.inlier_threshold", "nan"),
+            (
+                "register",
+                "--compatibility-tolerance",
+                "registration.compatibility_tolerance",
+                "nan",
+            ),
+        ],
+    )
+    def test_non_finite_threshold_exits_2(
+        self, via, command, flag, key, value, dataset_small, tmp_path
+    ):
+        out = tmp_path / "out"
+        argv = [command, "--pairs", str(dataset_small / "pairs.json")]
+        if command == "losses":
+            argv += ["--out", str(out / "losses.json")]
+        else:
+            argv += ["--out-dir", str(out)]
+        if via == "flag":
+            argv += [flag, value]
+        else:
+            *section, name = key.split(".")
+            payload = {name: float(value)}
+            if section:
+                payload = {section[0]: payload}
+            cfg_path = tmp_path / "config.json"
+            io.write_json(cfg_path, payload)
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_max_samples_below_one_exits_2(self, value, dataset_small, tmp_path):
+        out = tmp_path / "out"
+        assert main([
+            "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--out", str(out / "losses.json"), "--max-samples", value,
+        ]) == 2
+        assert not out.exists()
+
     def test_relative_paths_resolve_against_config_file(self, tmp_path):
         sub = tmp_path / "sub"
         sub.mkdir()
         cfg_path = sub / "config.json"
-        io.write_json(cfg_path, {"pairs_file": "pairs.json"})
+        io.write_json(cfg_path, {"pairs_file": "pairs.json", "output_dir": str(tmp_path)})
         cfg = load_config(cfg_path)
         assert cfg.pairs_file == sub / "pairs.json"
+        assert cfg.output_dir == tmp_path  # an absolute path stays as it is
 
     def test_derive_seed_streams_stable_and_distinct(self):
         streams = ("registration", "synth")

@@ -19,6 +19,7 @@ from crosspose import (
     unproject,
 )
 from crosspose.geometry import _max_pairwise_sq
+from crosspose.render import splat_depth
 from conftest import random_rotation_matrix, random_se3
 
 # ---------------------------------------------------------------------------
@@ -208,6 +209,35 @@ class TestProject:
         np.testing.assert_allclose(out.uv[0], [1032.0, 32.0])
 
 
+# Inputs with nothing to draw on ``cam64``: no points, all at or behind the
+# camera, all in front but beside the image.
+_NOTHING_VISIBLE = {
+    "empty": np.zeros((0, 3)),
+    "behind": np.array([[0.0, 0.0, -1.0], [0.1, 0.0, 0.0]]),
+    "outside": np.array([[10.0, 0.0, 1.0], [0.0, -1.0, 2.0]]),
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("case", sorted(_NOTHING_VISIBLE))
+class TestNothingVisible:
+    def test_project_flags_every_point(self, case, cam64):
+        pts = _NOTHING_VISIBLE[case]
+        out = project(pts, cam64)
+        assert out.uv.shape == (len(pts), 2)
+        assert out.in_image.shape == (len(pts),)
+        assert not out.in_image.any()
+        np.testing.assert_array_equal(out.in_front, pts[:, 2] > 0)
+        assert np.isnan(out.uv[~out.in_front]).all()
+        assert np.isfinite(out.uv[out.in_front]).all()
+
+    def test_splat_depth_returns_empty_maps(self, case, cam64):
+        depth, index = splat_depth(_NOTHING_VISIBLE[case], cam64)
+        assert depth.dtype == np.float64 and index.dtype == np.int64
+        np.testing.assert_array_equal(depth, np.zeros((64, 64)))
+        np.testing.assert_array_equal(index, np.full((64, 64), -1))
+
+
 class TestUnproject:
     def test_principal_point_pixel(self):
         k = CameraIntrinsics(fx=100.0, fy=100.0, cx=3.0, cy=2.0, width=8, height=8)
@@ -276,15 +306,14 @@ class TestDiameter:
         assert diameter(pts) == pytest.approx(_diameter_oracle(pts), abs=1e-12)
 
     def test_hull_path_matches_brute_force(self, rng):
-        # Above the brute-force size limit the hull shortcut kicks in.
         pts = rng.normal(size=(10_001, 3))
         sub = pts[rng.choice(len(pts), size=400, replace=False)]
         full = diameter(pts)
         assert full >= _diameter_oracle(sub) - 1e-12
-        hull_free = float(
+        brute = float(
             np.sqrt(max(np.sum((pts[i] - pts) ** 2, axis=1).max() for i in range(len(pts))))
         )
-        assert full == pytest.approx(hull_free, abs=1e-9)
+        assert full == brute
 
     def test_invariant_under_rigid_transform(self, rng):
         pts = rng.normal(size=(200, 3))

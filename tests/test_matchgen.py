@@ -119,11 +119,12 @@ class TestGenerateGtMatches:
 
     def test_nonpositive_radius_rejected(self):
         depth, mask = _flat_scene()
-        with pytest.raises(ValueError):
-            generate_gt_matches(
-                depth, depth, mask, mask, _TINY_CAM, _TINY_CAM,
-                Pose.identity(), Pose.identity(), nn_radius=0.0,
-            )
+        for radius in (0.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                generate_gt_matches(
+                    depth, depth, mask, mask, _TINY_CAM, _TINY_CAM,
+                    Pose.identity(), Pose.identity(), nn_radius=radius,
+                )
 
     def test_equidistant_neighbors_resolve_to_lowest_index(self):
         k = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.0, cy=3.0, width=8, height=8)

@@ -495,8 +495,9 @@ class TestMakeDescriptorField:
         scene_a, scene_q, _ = _pair_scene(cam96)
         with pytest.raises(ValueError):
             make_descriptor_field(scene_a, scene_q, dim=1)
-        with pytest.raises(ValueError):
-            make_descriptor_field(scene_a, scene_q, noise=-0.1)
+        for noise in (-0.1, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                make_descriptor_field(scene_a, scene_q, noise=noise)
         with pytest.raises(ValueError):
             make_descriptor_field(scene_a, scene_q, outlier_fraction=1.5)
 
