@@ -137,12 +137,18 @@ def _pred_mask(entry: PairEntry, default):
 
 # Bounds of a view's translation: a small lateral offset, 0.5-0.6 m away.
 _VIEW_BOUNDS = ((-0.01, -0.01, 0.5), (0.01, 0.01, 0.6))
+_MIN_VIEW_ANGLE = 10.0  # degrees
 
 
 def cmd_synth(args) -> int:
     # Every setting is checked before the first directory is made.
     if args.pairs < 1:
         raise ConfigError("--pairs must be at least 1")
+    if not _MIN_VIEW_ANGLE <= args.max_view_angle < np.inf:
+        raise ConfigError(f"--max-view-angle must be finite and at least {_MIN_VIEW_ANGLE:g}")
+    depth_max = io.DEPTH_MAX_MM * 0.001  # the deepest value a depth file holds
+    if not 0 <= args.background_depth <= depth_max:
+        raise ConfigError(f"--background-depth must lie in [0, {depth_max:g}] m")
     size = args.image_size
     try:
         camera = CameraIntrinsics(
@@ -182,7 +188,7 @@ def cmd_synth(args) -> int:
         rot_a = random_rotation(rng)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        angle = rng.uniform(np.radians(10.0), np.radians(args.max_view_angle))
+        angle = rng.uniform(np.radians(_MIN_VIEW_ANGLE), np.radians(args.max_view_angle))
         pose_a = Pose(rot_a, rng.uniform(*_VIEW_BOUNDS))
         pose_q = Pose(rotation_about_axis(axis, angle) @ rot_a, rng.uniform(*_VIEW_BOUNDS))
         scene_a, scene_q, oracle = make_pair(

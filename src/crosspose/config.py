@@ -224,6 +224,8 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
         if value is None:
             value = data.get(name)
             if value is not None:
+                if not isinstance(value, str):
+                    raise ConfigError(f"config {name!r} must be a path string")
                 value = base / value
         if value is not None:
             kwargs[name] = Path(value)

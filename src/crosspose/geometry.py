@@ -178,21 +178,20 @@ def as_mask(mask, shape: tuple[int, int] | None = None) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points in meters, optionally with the source pixel of each point."""
+    """Points in meters with the source pixel of each point."""
 
     points: np.ndarray  # (N, 3)
-    pixels: np.ndarray | None = None  # (N, 2) int, (u, v)
+    pixels: np.ndarray  # (N, 2) int, (u, v)
 
     def __post_init__(self):
         pts = _as_points(self.points)
+        pix = np.asarray(self.pixels)
+        if pix.shape != (len(pts), 2):
+            raise ValueError(
+                f"pixels shape {pix.shape} does not match points ({len(pts)}, 2)"
+            )
         object.__setattr__(self, "points", pts)
-        if self.pixels is not None:
-            pix = np.asarray(self.pixels)
-            if pix.shape != (len(pts), 2):
-                raise ValueError(
-                    f"pixels shape {pix.shape} does not match points ({len(pts)}, 2)"
-                )
-            object.__setattr__(self, "pixels", pix.astype(np.int64))
+        object.__setattr__(self, "pixels", pix.astype(np.int64))
 
     def __len__(self) -> int:
         return len(self.points)

@@ -28,6 +28,8 @@ from .geometry import CameraIntrinsics, ObjectModel, Pose
 from .matchgen import GtPair
 
 FEATURE_MAGIC = b"ORYT"
+# Largest depth a 16-bit PGM holds, in millimeters (65.535 m).
+DEPTH_MAX_MM = 65535
 
 
 # ---------------------------------------------------------------- JSON --
@@ -68,15 +70,25 @@ def _read_pgm_header(data: bytes) -> tuple[int, int, int, int]:
     return fields[0], fields[1], fields[2], pos + 1  # one whitespace after maxval
 
 
+def _depth_mm(depth_m) -> np.ndarray:
+    """Meters to whole millimeters, clipped to what a depth PGM holds."""
+    return np.clip(np.round(np.asarray(depth_m, dtype=np.float64) * 1000.0), 0, DEPTH_MAX_MM)
+
+
+def quantize_depth(depth_m) -> np.ndarray:
+    """The depth map in meters that a write_depth/read_depth round trip returns."""
+    return _depth_mm(depth_m) * 0.001
+
+
 def write_depth(path, depth_m) -> None:
     """Write a depth map in meters as a 16-bit millimeter PGM."""
     arr = np.asarray(depth_m, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("depth must be 2D")
-    mm = np.clip(np.round(arr * 1000.0), 0, 65535).astype(">u2")
+    mm = _depth_mm(arr).astype(">u2")
     h, w = arr.shape
     with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n65535\n".encode())
+        fh.write(f"P5\n{w} {h}\n{DEPTH_MAX_MM}\n".encode())
         fh.write(mm.tobytes())
 
 
@@ -84,8 +96,8 @@ def read_depth(path) -> np.ndarray:
     """Read a 16-bit millimeter PGM as a depth map in meters."""
     data = Path(path).read_bytes()
     w, h, maxval, offset = _read_pgm_header(data)
-    if maxval != 65535:
-        raise ValueError(f"depth PGM must have maxval 65535, got {maxval}")
+    if maxval != DEPTH_MAX_MM:
+        raise ValueError(f"depth PGM must have maxval {DEPTH_MAX_MM}, got {maxval}")
     mm = np.frombuffer(data, dtype=">u2", count=h * w, offset=offset)
     return mm.reshape(h, w).astype(np.float64) * 0.001
 
@@ -233,8 +245,6 @@ def write_matches(path, pair: GtPair) -> None:
 
 def read_matches(path) -> GtPair:
     d = read_json(path)
-    anchor = np.asarray(d["anchor"], dtype=np.int64).reshape(-1, 2)
-    query = np.asarray(d["query"], dtype=np.int64).reshape(-1, 2)
     return GtPair(
-        anchor=anchor, query=query, relative=pose_from_dict(d["relative_pose"])
+        anchor=d["anchor"], query=d["query"], relative=pose_from_dict(d["relative_pose"])
     )

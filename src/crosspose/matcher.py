@@ -13,7 +13,8 @@ maps, dropping cells that land on depth holes; the result is the
 The cosine distance used everywhere is ``(1 - cos) / 2``, which maps
 aligned vectors to 0 and opposed vectors to 1 and is invariant to
 positive rescaling of either argument. :func:`unit_rows` and
-:func:`cosine_distance` implement it for this module and ``losses``.
+:func:`cosine_distance` implement it for this module and ``losses``;
+``synth`` draws its unit descriptors through :func:`unit_rows` too.
 """
 
 from __future__ import annotations
@@ -104,15 +105,17 @@ class Correspondences:
 
 
 def unit_rows(vectors: np.ndarray, what: str) -> np.ndarray:
-    """Scale each row of a (N, D) array to unit length.
+    """Scale each vector along the last axis to unit length.
 
-    Raises ZeroVector, naming ``what``, when any row's norm is below
+    Takes an (N, D) stack of rows or an (H, W, D) grid of cells alike.
+
+    Raises ZeroVector, naming ``what``, when any vector's norm is below
     ``ZERO_NORM_TOL``, where the cosine distance is undefined.
     """
-    norms = np.linalg.norm(vectors, axis=1)
+    norms = np.linalg.norm(vectors, axis=-1)
     if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVector(f"{what} contain (near-)zero feature vectors")
-    return vectors / norms[:, None]
+    return vectors / norms[..., None]
 
 
 def cosine_distance(cos):

@@ -57,17 +57,18 @@ def nearest_neighbors(tree: cKDTree, points: np.ndarray) -> tuple[np.ndarray, np
 
     A kd-tree already returns exact distances; this wrapper re-resolves
     only the (rare) exact-distance ties so the winner is always the
-    lowest candidate index.
+    lowest candidate index. With one reference point the second
+    neighbor is at infinity, so nothing ties.
     """
-    k = min(2, tree.n)
-    dist, idx = tree.query(points, k=k)
-    if k == 1:
-        return np.atleast_1d(dist), np.atleast_1d(idx)
-    tied = dist[:, 1] == dist[:, 0]
+    dist, idx = tree.query(points, k=2)
     best_idx = idx[:, 0].copy()
-    for i in np.nonzero(tied)[0]:
-        candidates = tree.query_ball_point(points[i], r=dist[i, 0])
-        best_idx[i] = min(candidates)
+    for i in np.nonzero(dist[:, 1] == dist[:, 0])[0]:
+        # A ball of exactly the tied radius can miss a tied point through
+        # rounding, so search a slightly larger one and re-rank exactly.
+        candidates = np.array(tree.query_ball_point(points[i], r=dist[i, 0] * (1 + 1e-9)))
+        d = tree.data[candidates] - points[i]
+        cand_dist = np.sqrt(np.sum(d * d, axis=-1))
+        best_idx[i] = candidates[cand_dist == cand_dist.min()].min()
     return dist[:, 0], best_idx
 
 

@@ -47,7 +47,7 @@ from scipy.spatial import cKDTree
 
 from .errors import BehindCamera, DimensionMismatch, EmptyRender
 from .geometry import CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, project
-from .render import splat_depth
+from .render import splat_depth, visibility
 
 # 0.05, 0.10, ..., 0.50: the standard threshold sweep.
 _TENTH_STEPS = tuple((i + 1) * 0.05 for i in range(10))
@@ -147,15 +147,6 @@ def add_result(
     return AddResult(error=err, threshold=threshold, success=err < threshold)
 
 
-def _visibility(
-    rendered: np.ndarray, scene: np.ndarray, occlusion_tolerance: float
-) -> np.ndarray:
-    """Pixels where the rendered surface would actually be observed."""
-    valid = rendered > 0
-    free = scene == 0
-    return valid & (free | (rendered < scene + occlusion_tolerance))
-
-
 def vsd_error_set(
     model: ObjectModel,
     pose_true: Pose,
@@ -178,8 +169,8 @@ def vsd_error_set(
     d_true, _ = splat_depth(pose_true.apply(model.points), intrinsics)
     d_est, _ = splat_depth(pose_est.apply(model.points), intrinsics)
 
-    visib_true = _visibility(d_true, scene, occlusion_tolerance)
-    visib_est = _visibility(d_est, scene, occlusion_tolerance)
+    visib_true = visibility(d_true, scene, occlusion_tolerance)
+    visib_est = visibility(d_est, scene, occlusion_tolerance)
     # Where the reference object is visible, an estimate landing on the
     # same pixel competes there even if something occludes it.
     visib_est |= visib_true & (d_est > 0)
@@ -196,29 +187,6 @@ def vsd_error_set(
         mismatch = one_sided | (union & (diff > tol))
         errors[i] = np.count_nonzero(mismatch) / n_union
     return errors
-
-
-def vsd_error(
-    model: ObjectModel,
-    pose_true: Pose,
-    pose_est: Pose,
-    scene_depth,
-    intrinsics: CameraIntrinsics,
-    misalignment_tolerance: float,
-    occlusion_tolerance: float = DEFAULT_OCCLUSION_TOLERANCE,
-) -> float:
-    """Visible-surface error at one misalignment tolerance."""
-    return float(
-        vsd_error_set(
-            model,
-            pose_true,
-            pose_est,
-            scene_depth,
-            intrinsics,
-            [misalignment_tolerance],
-            occlusion_tolerance,
-        )[0]
-    )
 
 
 def recall_average(errors, thresholds) -> float:

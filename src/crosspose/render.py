@@ -45,3 +45,13 @@ def splat_depth(
     depth[rows, cols] = z[winners]
     index[rows, cols] = visible[winners]
     return depth, index
+
+
+def visibility(rendered: np.ndarray, scene: np.ndarray, tolerance: float) -> np.ndarray:
+    """Pixels where a rendered surface shows in front of a scene depth map.
+
+    A rendered pixel (depth > 0) shows where the scene is free space
+    (depth 0) or where it lies nearer than the scene depth plus
+    ``tolerance``.
+    """
+    return (rendered > 0) & ((scene == 0) | (rendered < scene + tolerance))

@@ -11,9 +11,9 @@ Two renderer properties keep oracles exact:
 * the winning point of each pixel is stored through its depth, so
   re-unprojecting the depth map reproduces the visible surface on the
   pixel-center rays exactly;
-* depth values are quantized to integer millimeters at render time,
-  matching the on-disk depth format, so the in-memory scene and its
-  file round-trip are bit-identical.
+* depth values are quantized at render time as the on-disk depth
+  format stores them (whole millimeters up to 65.535 m), so the
+  in-memory scene and its file round-trip are bit-identical.
 
 Symmetric models are built by orbit completion: base points are
 replicated under the declared finite rotation group, so every declared
@@ -30,15 +30,15 @@ import numpy as np
 from .geometry import (
     CameraIntrinsics,
     ObjectModel,
-    PointCloud,
     Pose,
     as_depth,
+    back_project,
     relative_pose,
-    unproject,
 )
-from .matcher import Correspondences
+from .io import quantize_depth
+from .matcher import Correspondences, unit_rows
 from .matchgen import GtPair
-from .render import splat_depth
+from .render import splat_depth, visibility
 
 _STREAM_POINT_DESC = 0
 _STREAM_BACKGROUND_A = 1
@@ -105,9 +105,7 @@ def _orbit_complete(base: np.ndarray, symmetries: tuple[Pose, ...]) -> np.ndarra
 
 
 def _sphere_points(rng, n: int, radius: float) -> np.ndarray:
-    d = rng.normal(size=(n, 3))
-    d /= np.linalg.norm(d, axis=1, keepdims=True)
-    return radius * d
+    return radius * unit_rows(rng.normal(size=(n, 3)), "sphere directions")
 
 
 def _box_points(rng, n: int, size) -> np.ndarray:
@@ -166,6 +164,9 @@ def make_model(
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
+    sizes = np.asarray(size, dtype=np.float64)
+    if not np.all((sizes > 0) & (sizes < np.inf)):
+        raise ValueError("size must be finite and positive")
     rng = np.random.default_rng(seed)
     symmetries = cyclic_symmetries(cyclic_order, symmetry_axis)
     n_base = max(2, -(-n_points // len(symmetries)))  # ceil division
@@ -203,14 +204,6 @@ class SynthScene:
     mask: np.ndarray
     point_index: np.ndarray
 
-    def visible_cloud(self) -> PointCloud:
-        """Camera-frame surface points, one per masked pixel."""
-        return unproject(self.depth, self.camera, self.mask)
-
-
-def _quantize_mm(depth: np.ndarray) -> np.ndarray:
-    return np.round(depth * 1000.0) * 0.001
-
 
 def render_scene(
     model: ObjectModel,
@@ -220,23 +213,20 @@ def render_scene(
 ) -> SynthScene:
     """Render the model over a background with per-pixel ground truth.
 
-    ``background_depth`` is a scalar plane depth or a full (H, W) map;
-    0 means free space. Model pixels survive only where the model is
-    strictly nearer than the background. All depth values are quantized
-    to integer millimeters (the on-disk unit), so writing and re-reading
-    the scene is lossless.
+    ``background_depth`` is a depth map that broadcasts to (H, W), such
+    as a scalar plane depth or a full map; 0 means free space. Model
+    pixels survive only where the model is strictly nearer than the
+    background. All depth values are quantized as the on-disk depth
+    format stores them (:func:`crosspose.io.quantize_depth`), so writing
+    and re-reading the scene is lossless.
     """
-    if np.isscalar(background_depth):
-        background = np.full((camera.height, camera.width), float(background_depth))
-    else:
-        background = as_depth(background_depth, camera).copy()
-    background = _quantize_mm(background)
+    shape = (camera.height, camera.width)
+    background = quantize_depth(as_depth(np.broadcast_to(background_depth, shape), camera))
 
     raw_depth, index = splat_depth(pose.apply(model.points), camera)
-    model_depth = _quantize_mm(raw_depth)
+    model_depth = quantize_depth(raw_depth)
 
-    free = background == 0
-    visible = (model_depth > 0) & (free | (model_depth < background))
+    visible = visibility(model_depth, background, 0.0)
     depth = np.where(visible, model_depth, background)
     return SynthScene(
         model=model,
@@ -267,12 +257,10 @@ def clutter_depth(
         # Keep the center inside the frustum at its depth.
         u = rng.uniform(0.2, 0.8) * camera.width
         v = rng.uniform(0.2, 0.8) * camera.height
-        center = np.array(
-            [(u - camera.cx) * z / camera.fx, (v - camera.cy) * z / camera.fy, z]
-        )
+        center = back_project(u, v, z, camera)
         pts = _sphere_points(rng, points_per_sphere, radius) + center
         depth, _ = splat_depth(pts, camera)
-        hit = (depth > 0) & (depth < background)
+        hit = visibility(depth, background, 0.0)
         background[hit] = depth[hit]
     return background
 
@@ -343,12 +331,11 @@ def make_descriptor_field(
     query-side object cells with fresh random unit vectors.
     """
     check_descriptor_params(dim, noise, outlier_fraction)
-
-    def unit(v: np.ndarray) -> np.ndarray:
-        return v / np.linalg.norm(v, axis=-1, keepdims=True)
-
     n = len(scene_a.model.points)
-    desc = unit(np.random.default_rng([seed, _STREAM_POINT_DESC]).normal(size=(n, dim)))
+    desc = unit_rows(
+        np.random.default_rng([seed, _STREAM_POINT_DESC]).normal(size=(n, dim)),
+        "point descriptors",
+    )
 
     fields = []
     for scene, stream in (
@@ -356,23 +343,26 @@ def make_descriptor_field(
         (scene_q, _STREAM_BACKGROUND_Q),
     ):
         h, w = scene.depth.shape
-        field = unit(np.random.default_rng([seed, stream]).normal(size=(h, w, dim)))
+        field = unit_rows(
+            np.random.default_rng([seed, stream]).normal(size=(h, w, dim)),
+            "background descriptors",
+        )
         field[scene.mask] = desc[scene.point_index[scene.mask]]
         fields.append(field)
     field_a, field_q = fields
 
     if noise > 0:
         rng = np.random.default_rng([seed, _STREAM_NOISE])
-        field_a = unit(field_a + noise * rng.normal(size=field_a.shape))
-        field_q = unit(field_q + noise * rng.normal(size=field_q.shape))
+        field_a = unit_rows(field_a + noise * rng.normal(size=field_a.shape), "noisy descriptors")
+        field_q = unit_rows(field_q + noise * rng.normal(size=field_q.shape), "noisy descriptors")
 
     if outlier_fraction > 0:
         rng = np.random.default_rng([seed, _STREAM_OUTLIERS])
         rows, cols = np.nonzero(scene_q.mask)
         n_out = int(round(outlier_fraction * len(rows)))
         chosen = rng.permutation(len(rows))[:n_out]
-        field_q[rows[chosen], cols[chosen]] = unit(
-            rng.normal(size=(n_out, field_q.shape[2]))
+        field_q[rows[chosen], cols[chosen]] = unit_rows(
+            rng.normal(size=(n_out, field_q.shape[2])), "outlier descriptors"
         )
     return field_a, field_q
 

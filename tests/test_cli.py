@@ -141,6 +141,12 @@ class TestSynth:
             ("--noise", "nan"),
             ("--outlier-fraction", "2"),
             ("--pairs", "0"),
+            ("--max-view-angle", "5"),
+            ("--max-view-angle", "nan"),
+            ("--background-depth", "-1"),
+            ("--background-depth", "nan"),
+            ("--background-depth", "70"),
+            ("--model-size", "0"),
         ],
     )
     def test_invalid_value_exits_2_and_writes_nothing(self, flag, value, tmp_path, capsys):
@@ -657,6 +663,22 @@ class TestConfigLayer:
             "--out", str(out / "losses.json"), "--max-samples", value,
         ]) == 2
         assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "key, value", [("pairs_file", 5), ("output_dir", 5), ("output_dir", ["out"])]
+    )
+    def test_non_string_path_exits_2(self, key, value, dataset_small, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        io.write_json(cfg_path, {key: value})
+        with pytest.raises(ConfigError, match=f"'{key}' must be a path string"):
+            load_config(cfg_path)
+        argv = ["gen-matches", "--config", str(cfg_path)]
+        if key == "pairs_file":
+            argv += ["--out-dir", str(tmp_path / "out")]
+        else:
+            argv += ["--pairs", str(dataset_small / "pairs.json")]
+        assert main(argv) == 2
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
     def test_relative_paths_resolve_against_config_file(self, tmp_path):
         sub = tmp_path / "sub"

@@ -8,6 +8,7 @@ import pytest
 
 from crosspose import Pose, cyclic_symmetries, make_model, make_pair, render_scene
 from crosspose.io import (
+    quantize_depth,
     read_depth,
     read_features,
     read_intrinsics,
@@ -50,6 +51,13 @@ class TestDepth:
         path = tmp_path / "depth.pgm"
         write_depth(path, np.array([[-0.5, 70.0]]))
         assert np.array_equal(read_depth(path), [[0.0, 65.535]])
+
+    def test_quantize_depth_equals_file_round_trip(self, rng, tmp_path):
+        depth = rng.uniform(-1.0, 70.0, size=(16, 16))
+        depth[0, :3] = [0.0, 0.0005, 65.5355]
+        path = tmp_path / "depth.pgm"
+        write_depth(path, depth)
+        assert np.array_equal(quantize_depth(depth), read_depth(path))
 
     def test_header_and_big_endian_payload(self, tmp_path):
         path = tmp_path / "depth.pgm"

@@ -18,6 +18,7 @@ from crosspose import (
     make_pair,
     Pose,
 )
+from crosspose.matcher import unit_rows
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -106,6 +107,12 @@ class TestFeatureDistance:
             feature_distance([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ZeroVector):
             feature_distance([1.0, 0.0], [1e-13, 0.0])
+
+    def test_unit_rows_normalizes_a_grid_like_its_rows(self, rng):
+        grid = rng.normal(size=(4, 5, 7))
+        unit = unit_rows(grid, "cells")
+        assert np.array_equal(unit, unit_rows(grid.reshape(-1, 7), "cells").reshape(grid.shape))
+        assert np.linalg.norm(unit, axis=-1) == pytest.approx(np.ones((4, 5)), abs=1e-15)
 
     def test_matches_longhand_oracle(self, rng):
         for _ in range(50):

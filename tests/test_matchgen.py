@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from crosspose import (
     CameraIntrinsics,
@@ -15,6 +16,7 @@ from crosspose import (
     render_scene,
     unproject,
 )
+from crosspose.matchgen import nearest_neighbors
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -236,3 +238,30 @@ class TestGtPair:
         )
         assert pair.anchor.dtype == np.int64
         assert pair.query.dtype == np.int64
+
+
+class TestNearestNeighbors:
+    @staticmethod
+    def _oracle(ref, points):
+        d = points[:, None, :] - ref[None, :, :]
+        dist = np.sqrt(np.sum(d * d, axis=-1))
+        return dist.min(axis=1), dist.argmin(axis=1)  # argmin: lowest tied index
+
+    def test_exact_ties_take_lowest_index(self):
+        # Every query inside the grid sits at the same distance from the
+        # corners of its cell.
+        grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1)
+        ref = grid.reshape(-1, 3)
+        points = ref + 0.5
+        dist, idx = nearest_neighbors(cKDTree(ref), points)
+        exp_dist, exp_idx = self._oracle(ref, points)
+        np.testing.assert_array_equal(idx, exp_idx)
+        np.testing.assert_array_equal(dist, exp_dist)
+
+    def test_single_reference_point(self, rng):
+        ref = rng.normal(size=(1, 3))
+        points = rng.normal(size=(5, 3))
+        dist, idx = nearest_neighbors(cKDTree(ref), points)
+        exp_dist, exp_idx = self._oracle(ref, points)
+        np.testing.assert_array_equal(idx, exp_idx)
+        np.testing.assert_array_equal(dist, exp_dist)

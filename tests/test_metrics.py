@@ -29,7 +29,6 @@ from crosspose import (
     pair_report,
     recall_average,
     rotation_about_axis,
-    vsd_error,
     vsd_error_set,
 )
 from crosspose.metrics import VSD_TOLERANCE_FRACTIONS
@@ -365,13 +364,14 @@ class TestVsdError:
         model = _plate_model(16, 16, _PLATE_CAM)
         scene = np.zeros((64, 64))
         pose = Pose.identity()
-        assert vsd_error(model, pose, pose, scene, _PLATE_CAM, 0.01) == 0.0
+        assert vsd_error_set(model, pose, pose, scene, _PLATE_CAM, [0.01])[0] == 0.0
 
     def test_disjoint_renders_give_one(self):
         model = _plate_model(16, 16, _PLATE_CAM)
         scene = np.zeros((64, 64))
         moved = _shift_pixels(32)
-        assert vsd_error(model, Pose.identity(), moved, scene, _PLATE_CAM, 0.01) == 1.0
+        err = vsd_error_set(model, Pose.identity(), moved, scene, _PLATE_CAM, [0.01])[0]
+        assert err == 1.0
 
     def test_half_overlap_counts_one_sided_pixels(self):
         # Shift by 8 of 16 columns: 8 columns agree at equal depth, 8+8
@@ -379,7 +379,7 @@ class TestVsdError:
         model = _plate_model(16, 16, _PLATE_CAM)
         scene = np.zeros((64, 64))
         moved = _shift_pixels(8)
-        err = vsd_error(model, Pose.identity(), moved, scene, _PLATE_CAM, 0.01)
+        err = vsd_error_set(model, Pose.identity(), moved, scene, _PLATE_CAM, [0.01])[0]
         assert err == pytest.approx(2.0 / 3.0, abs=1e-15)
 
     def test_depth_difference_beyond_tolerance_counts(self):
@@ -389,8 +389,8 @@ class TestVsdError:
         # scaling preserved by moving along rays is violated here, so use a
         # tolerance sweep instead: at 3 cm tolerance the move is invisible).
         moved = Pose(np.eye(3), np.array([0.0, 0.0, -0.02]))
-        tight = vsd_error(model, Pose.identity(), moved, scene, _PLATE_CAM, 0.01)
-        loose = vsd_error(model, Pose.identity(), moved, scene, _PLATE_CAM, 0.03)
+        tight = vsd_error_set(model, Pose.identity(), moved, scene, _PLATE_CAM, [0.01])[0]
+        loose = vsd_error_set(model, Pose.identity(), moved, scene, _PLATE_CAM, [0.03])[0]
         assert tight > 0.9
         assert loose < tight
 
@@ -400,14 +400,14 @@ class TestVsdError:
         # under either pose, so there is no union to score.
         scene = np.full((64, 64), 0.9)
         with pytest.raises(EmptyRender):
-            vsd_error(model, Pose.identity(), _shift_pixels(2), scene, _PLATE_CAM, 0.01)
+            vsd_error_set(model, Pose.identity(), _shift_pixels(2), scene, _PLATE_CAM, [0.01])
 
     def test_empty_render_raises(self):
         model = _plate_model(8, 8, _PLATE_CAM)
         scene = np.zeros((64, 64))
         away = Pose(np.eye(3), np.array([10.0, 0.0, 0.0]))
         with pytest.raises(EmptyRender):
-            vsd_error(model, away, away, scene, _PLATE_CAM, 0.01)
+            vsd_error_set(model, away, away, scene, _PLATE_CAM, [0.01])
 
     def test_matches_pixel_count_oracle(self, rng):
         model = make_model("blob", n_points=1500, size=0.05, seed=9)
@@ -421,7 +421,7 @@ class TestVsdError:
                 nudge @ rot, pose_true.translation + rng.normal(scale=0.003, size=3)
             )
             scene = np.full((64, 64), 0.8)
-            got = vsd_error(model, pose_true, pose_est, scene, k, 0.005)
+            got = vsd_error_set(model, pose_true, pose_est, scene, k, [0.005])[0]
             exp = _vsd_oracle(model, pose_true, pose_est, scene, k, 0.005, 0.015)
             assert got == exp
 

@@ -29,6 +29,7 @@ from crosspose import (
     rotation_about_axis,
     unproject,
 )
+from crosspose.io import read_depth, write_depth
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -219,6 +220,14 @@ class TestMakeModel:
         with pytest.raises(ValueError):
             make_model("sphere", n_points=1)
 
+    @pytest.mark.parametrize(
+        "kind, size",
+        [("blob", 0.0), ("sphere", -0.01), ("blob", np.nan), ("box", (0.02, np.inf, 0.02))],
+    )
+    def test_size_not_finite_and_positive_rejected(self, kind, size):
+        with pytest.raises(ValueError, match="size must be finite and positive"):
+            make_model(kind, n_points=64, size=size)
+
 
 # ---------------------------------------------------------------------------
 # render_scene
@@ -274,7 +283,7 @@ class TestRenderScene:
         model = make_model("blob", n_points=3000, size=0.025, seed=2)
         pose = _tilted_pose(0.3, [0.005, -0.003, 0.6])
         scene = render_scene(model, pose, cam96)
-        cloud = scene.visible_cloud()
+        cloud = unproject(scene.depth, scene.camera, scene.mask)
         # Scalar re-unprojection in the same row-major masked order.
         expected = []
         for r, c in zip(*np.nonzero(scene.mask)):
@@ -294,7 +303,7 @@ class TestRenderScene:
         posed = pose.apply(model.points)
         rows, cols = np.nonzero(scene.mask)
         truth = posed[scene.point_index[rows, cols]]
-        recovered = scene.visible_cloud().points
+        recovered = unproject(scene.depth, scene.camera, scene.mask).points
         err = np.abs(recovered - truth)
         assert np.max(err[:, 2]) <= 5.001e-4
         assert np.max(err[:, :2]) <= 1e-3
@@ -311,6 +320,23 @@ class TestRenderScene:
         v = cam96.fy * winners[:, 1] / winners[:, 2] + cam96.cy
         assert np.array_equal(np.rint(u).astype(int), cols)
         assert np.array_equal(np.rint(v).astype(int), rows)
+
+    def test_deep_background_equals_depth_file_round_trip(self, cam96, tmp_path):
+        # 70 m lies beyond the 65.535 m a depth file holds.
+        model = make_model("blob", n_points=2000, size=0.02)
+        scene = render_scene(
+            model, Pose(np.eye(3), [0.0, 0.0, 0.6]), cam96, background_depth=70.0
+        )
+        path = tmp_path / "depth.pgm"
+        write_depth(path, scene.depth)
+        assert np.array_equal(scene.depth, read_depth(path))
+        assert scene.depth[~scene.mask] == pytest.approx(65.535, abs=1e-12)
+
+    @pytest.mark.parametrize("background", [np.nan, -1.0])
+    def test_invalid_scalar_background_rejected(self, cam96, background):
+        model = make_model("blob", n_points=200, size=0.02)
+        with pytest.raises(ValueError):
+            render_scene(model, Pose(np.eye(3), [0.0, 0.0, 0.6]), cam96, background)
 
     def test_full_background_map_accepted(self, cam96):
         clutter = clutter_depth(cam96, plane_depth=0.8, n_spheres=2, seed=1)
