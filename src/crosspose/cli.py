@@ -65,7 +65,15 @@ def _pair_seed(base_seed: int, pair_id: str) -> int:
     return int(mixed.generate_state(1, np.uint64)[0])
 
 
-def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path | None = None) -> int:
+def _make_dir(path: Path) -> None:
+    """Create a directory and its parents; a file in the way is a ConfigError."""
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as exc:
+        raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from exc
+
+
+def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path) -> int:
     """Run ``work`` on every pair of the manifest and report the batch.
 
     The manifest loads before ``out_dir`` is created, so a configuration
@@ -77,8 +85,7 @@ def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path | None = None) ->
     code is 1 when any pair failed, else 0.
     """
     pairs = load_pairs(cfg.pairs_file)
-    if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    _make_dir(out_dir)
 
     def guarded(entry: PairEntry):
         try:
@@ -127,6 +134,15 @@ def _load_view(view, features: bool = False) -> _View:
     )
 
 
+def _flag_path(value, flag: str, is_dir: bool) -> Path:
+    """The path a flag names: an existing directory, or anything but one."""
+    path = Path(value)
+    if path.is_dir() != is_dir:
+        wanted = "an existing directory" if is_dir else "a file, not a directory"
+        raise ConfigError(f"{flag} must name {wanted}: {path}")
+    return path
+
+
 def _pred_mask(entry: PairEntry, default):
     """The pair's predicted query mask, or ``default`` when it names none."""
     path = entry.pred_mask_query
@@ -171,8 +187,8 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"invalid synth setting: {exc}") from exc
 
     out = Path(args.out)
-    (out / "models").mkdir(parents=True, exist_ok=True)
-    (out / "pairs").mkdir(parents=True, exist_ok=True)
+    _make_dir(out / "models")
+    _make_dir(out / "pairs")
     io.write_model(out / "models" / "model.xyz", model)
     io.write_intrinsics(out / "camera.json", camera)
 
@@ -320,9 +336,8 @@ def cmd_register(args) -> int:
 
 def cmd_eval(args) -> int:
     cfg = _config_from_args(args)
-    pred_dir = Path(args.predictions)
-    if not pred_dir.exists():
-        raise ConfigError(f"predictions directory does not exist: {pred_dir}")
+    pred_dir = _flag_path(args.predictions, "--predictions", is_dir=True)
+    report = _flag_path(args.out, "--out", is_dir=False)
 
     def work(entry: PairEntry):
         pred_path = pred_dir / f"{entry.pair_id}.json"
@@ -354,9 +369,9 @@ def cmd_eval(args) -> int:
             lines.append(
                 f"{label:<14}" + "".join(f"{scores[name]:>8.3f}" for name in SCORES)
             )
-        return Path(args.out), payload, lines
+        return report, payload, lines
 
-    return _run_stage(cfg, work, summarize, Path(args.out).parent)
+    return _run_stage(cfg, work, summarize, report.parent)
 
 
 # --------------------------------------------------------------- losses --
@@ -366,7 +381,8 @@ def cmd_losses(args) -> int:
     cfg = _config_from_args(args)
     if args.max_samples < 1:
         raise ConfigError("--max-samples must be at least 1")
-    matches_dir = Path(args.matches) if args.matches else None
+    matches_dir = _flag_path(args.matches, "--matches", is_dir=True) if args.matches else None
+    report = _flag_path(args.out, "--out", is_dir=False)
 
     def work(entry: PairEntry):
         a = _load_view(entry.anchor, features=True)
@@ -417,9 +433,9 @@ def cmd_losses(args) -> int:
             f"total {r['total']:.6f}"
             for pid, r in results
         ]
-        return Path(args.out), payload, lines
+        return report, payload, lines
 
-    return _run_stage(cfg, work, summarize, Path(args.out).parent)
+    return _run_stage(cfg, work, summarize, report.parent)
 
 
 # ---------------------------------------------------------------- main --

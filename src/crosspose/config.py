@@ -10,7 +10,9 @@ and accept it and ignore it.
 A config file mirrors the flags: its keys are the destinations of the
 manifest subcommands' flags (``pairs_file`` for ``--pairs``,
 ``output_dir`` for ``--out-dir``), with the matching and registration
-flags grouped in the ``match`` and ``registration`` sections.
+flags grouped in the ``match`` and ``registration`` sections. Each value
+must have its flag's type (a bool is never a number), and each layer
+(defaults, file, flags) is checked on its own before they merge.
 
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
@@ -167,12 +169,42 @@ class EvalConfig:
             raise ConfigError("workers must be at least 1")
 
 
-def _build_params(cls, data: dict, section: str):
-    _check_keys(data, {f.name for f in fields(cls)}, f"config section {section!r}")
-    try:
-        return cls(**data)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"config section {section!r} is invalid: {exc}") from exc
+# The value types a config field takes, by its annotation, and their name
+# in messages. A bool is never a number.
+_VALUE_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "Path | None": ((str, Path), "a path string"),
+}
+_SECTIONS = {"match": MatchParams, "registration": RegistrationParams}
+_PATHS = ("pairs_file", "output_dir")
+
+
+def _check_fields(cls, values, what: str) -> None:
+    """Reject a non-object, unknown keys, and values of the wrong type for ``cls``."""
+    if not isinstance(values, dict):
+        raise ConfigError(f"{what} must be an object")
+    annotations = {f.name: f.type for f in fields(cls)}
+    _check_keys(values, set(annotations), what)
+    for name, value in values.items():
+        types, noun = _VALUE_TYPES.get(annotations[name], (None, None))
+        if types and (isinstance(value, bool) or not isinstance(value, types)):
+            raise ConfigError(f"{what}: {name!r} must be {noun}, got {value!r}")
+
+
+def _build(values: dict) -> EvalConfig:
+    """Check one layer of config values, or their merge, and build it."""
+    _check_fields(EvalConfig, values, "config")
+    kwargs = {key: Path(value) if key in _PATHS else value for key, value in values.items()}
+    for name, cls in _SECTIONS.items():
+        if name in values:
+            what = f"config section {name!r}"
+            _check_fields(cls, values[name], what)
+            try:
+                kwargs[name] = cls(**values[name])
+            except ValueError as exc:
+                raise ConfigError(f"{what} is invalid: {exc}") from exc
+    return EvalConfig(**kwargs)
 
 
 def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
@@ -181,62 +213,28 @@ def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
     Precedence: explicit overrides (e.g. command-line flags) beat the
     file, which beats ``defaults`` (e.g. environment variables), which
     beat the built-in values. Override values of None are ignored, so
-    flags can be passed through unconditionally.
+    flags can be passed through unconditionally. Each layer is checked
+    on its own, so a bad value fails even where a higher layer sets it.
+    Relative paths in the file resolve against the file's directory.
     """
-    data: dict = dict(defaults or {})
-    base = Path.cwd()
+    layers = [defaults or {}]
     if path is not None:
         path = Path(path)
         if not path.exists():
             raise ConfigError(f"config file does not exist: {path}")
         try:
-            file_data = read_json(path)
+            data = read_json(path)
         except ValueError as exc:
             raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        if not isinstance(file_data, dict):
-            raise ConfigError("config file must hold a JSON object")
-        data.update(file_data)
-        base = path.parent
-
-    known = {f.name for f in fields(EvalConfig)}
-    _check_keys(data, known, "config")
-
-    kwargs: dict = {}
-    for name, cls in (("match", MatchParams), ("registration", RegistrationParams)):
-        section_data = data.get(name, {})
-        if not isinstance(section_data, dict):
-            raise ConfigError(f"config section {name!r} must be an object")
-        section_data = dict(section_data)
-        section_overrides = overrides.pop(name, None) or {}
-        section_data.update(
-            {k: v for k, v in section_overrides.items() if v is not None}
-        )
-        kwargs[name] = _build_params(cls, section_data, name)
-
-    for name in ("nn_radius", "min_matches", "workers", "seed"):
-        if overrides.get(name) is not None:
-            kwargs[name] = overrides[name]
-        elif name in data:
-            kwargs[name] = data[name]
-
-    for name in ("pairs_file", "output_dir"):
-        value = overrides.get(name)
-        if value is None:
-            value = data.get(name)
-            if value is not None:
-                if not isinstance(value, str):
-                    raise ConfigError(f"config {name!r} must be a path string")
-                value = base / value
-        if value is not None:
-            kwargs[name] = Path(value)
-
-    leftover = {
-        k for k, v in overrides.items()
-        if v is not None and k not in known
-    }
-    if leftover:
-        raise ConfigError(f"unknown config overrides: {sorted(leftover)}")
-    try:
-        return EvalConfig(**kwargs)
-    except TypeError as exc:
-        raise ConfigError(f"invalid configuration: {exc}") from exc
+        _build(data)  # the file's paths are strings; resolve them against its directory
+        layers.append({k: path.parent / v if k in _PATHS else v for k, v in data.items()})
+    layers.append({
+        k: {sk: sv for sk, sv in v.items() if sv is not None} if isinstance(v, dict) else v
+        for k, v in overrides.items() if v is not None
+    })
+    merged: dict = {}
+    for layer in layers:
+        _build(layer)
+        for key, value in layer.items():
+            merged[key] = {**merged.get(key, {}), **value} if key in _SECTIONS else value
+    return _build(merged)

@@ -1,4 +1,4 @@
-"""Rigid transforms, pinhole cameras, and point-cloud primitives.
+"""Rigid transforms, pinhole cameras, point-cloud primitives, and nearest-point search.
 
 Conventions used throughout the package:
 
@@ -21,8 +21,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.spatial import cKDTree
-
-from .errors import DegenerateConfiguration
 
 # A rotation must be orthonormal with det +1 to within this bound.
 ORTHONORMALITY_TOL = 1e-9
@@ -360,6 +358,25 @@ def diameter(points) -> float:
     if len(pts) < 2:
         raise ValueError("diameter requires at least 2 points")
     return float(np.sqrt(_max_pairwise_sq(pts)))
+
+
+def nearest_neighbors(reference, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to, and index of, each query's nearest reference point.
+
+    A kd-tree returns exact distances; the (rare) exact ties are re-ranked
+    so the lowest reference index always wins.
+    """
+    tree = cKDTree(reference)
+    dist, idx = tree.query(queries, k=2)  # with one reference point, nothing ties
+    best_idx = idx[:, 0].copy()
+    for i in np.nonzero(dist[:, 1] == dist[:, 0])[0]:
+        # A ball of exactly the tied radius can miss a tied point through
+        # rounding, so search a slightly larger one and re-rank exactly.
+        candidates = np.array(tree.query_ball_point(queries[i], r=dist[i, 0] * (1 + 1e-9)))
+        d = tree.data[candidates] - queries[i]
+        cand_dist = np.sqrt(np.sum(d * d, axis=-1))
+        best_idx[i] = candidates[cand_dist == cand_dist.min()].min()
+    return dist[:, 0], best_idx
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -51,9 +52,9 @@ def _read_pgm_header(data: bytes) -> tuple[int, int, int, int]:
     """Parse a P5 header; returns (width, height, maxval, data offset)."""
     if not data.startswith(b"P5"):
         raise ValueError("not a binary PGM (P5) file")
-    fields = []
+    values = []
     pos = 2
-    while len(fields) < 3:
+    while len(values) < 3:
         if pos >= len(data):
             raise ValueError("truncated PGM header")
         ch = data[pos : pos + 1]
@@ -65,9 +66,21 @@ def _read_pgm_header(data: bytes) -> tuple[int, int, int, int]:
             end = pos
             while end < len(data) and not data[end : end + 1].isspace():
                 end += 1
-            fields.append(int(data[pos:end]))
+            values.append(int(data[pos:end]))
             pos = end
-    return fields[0], fields[1], fields[2], pos + 1  # one whitespace after maxval
+    return values[0], values[1], values[2], pos + 1  # one whitespace after maxval
+
+
+def _read_pgm(path, maxval: int, dtype, kind: str) -> np.ndarray:
+    """The (H, W) samples of a P5 file whose header must declare ``maxval``."""
+    data = Path(path).read_bytes()
+    w, h, got, offset = _read_pgm_header(data)
+    if got != maxval:
+        raise ValueError(f"{kind} PGM must have maxval {maxval}, got {got}")
+    expected = offset + h * w * np.dtype(dtype).itemsize
+    if len(data) < expected:
+        raise ValueError(f"{kind} PGM of {w}x{h} needs {expected} bytes, got {len(data)}")
+    return np.frombuffer(data, dtype=dtype, count=h * w, offset=offset).reshape(h, w)
 
 
 def _depth_mm(depth_m) -> np.ndarray:
@@ -94,12 +107,7 @@ def write_depth(path, depth_m) -> None:
 
 def read_depth(path) -> np.ndarray:
     """Read a 16-bit millimeter PGM as a depth map in meters."""
-    data = Path(path).read_bytes()
-    w, h, maxval, offset = _read_pgm_header(data)
-    if maxval != DEPTH_MAX_MM:
-        raise ValueError(f"depth PGM must have maxval {DEPTH_MAX_MM}, got {maxval}")
-    mm = np.frombuffer(data, dtype=">u2", count=h * w, offset=offset)
-    return mm.reshape(h, w).astype(np.float64) * 0.001
+    return _read_pgm(path, DEPTH_MAX_MM, ">u2", "depth").astype(np.float64) * 0.001
 
 
 def write_mask(path, mask) -> None:
@@ -113,12 +121,7 @@ def write_mask(path, mask) -> None:
 
 
 def read_mask(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    w, h, maxval, offset = _read_pgm_header(data)
-    if maxval != 255:
-        raise ValueError(f"mask PGM must have maxval 255, got {maxval}")
-    raw = np.frombuffer(data, dtype=np.uint8, count=h * w, offset=offset)
-    return raw.reshape(h, w) > 0
+    return _read_pgm(path, 255, np.uint8, "mask") > 0
 
 
 # ---------------------------------------------------------------- poses --
@@ -149,29 +152,13 @@ def read_pose(path) -> Pose:
 
 
 def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
-    write_json(
-        path,
-        {
-            "fx": intrinsics.fx,
-            "fy": intrinsics.fy,
-            "cx": intrinsics.cx,
-            "cy": intrinsics.cy,
-            "width": intrinsics.width,
-            "height": intrinsics.height,
-        },
-    )
+    write_json(path, asdict(intrinsics))
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
     d = read_json(path)
-    return CameraIntrinsics(
-        fx=float(d["fx"]),
-        fy=float(d["fy"]),
-        cx=float(d["cx"]),
-        cy=float(d["cy"]),
-        width=int(d["width"]),
-        height=int(d["height"]),
-    )
+    cast = {"float": float, "int": int}  # by field annotation
+    return CameraIntrinsics(**{f.name: cast[f.type](d[f.name]) for f in fields(CameraIntrinsics)})
 
 
 # ------------------------------------------------------------- features --
@@ -192,12 +179,13 @@ def read_features(path) -> np.ndarray:
     data = Path(path).read_bytes()
     if data[:4] != FEATURE_MAGIC:
         raise ValueError("bad feature file magic")
+    if len(data) < 16:
+        raise ValueError(f"feature file header needs 16 bytes, got {len(data)}")
     h, w, d = struct.unpack("<III", data[4:16])
-    expected = h * w * d
-    values = np.frombuffer(data, dtype="<f4", count=expected, offset=16)
-    if len(values) != expected:
-        raise ValueError("feature file truncated")
-    return values.reshape(h, w, d).astype(np.float64)
+    expected = 16 + 4 * h * w * d
+    if len(data) != expected:
+        raise ValueError(f"feature file of {h}x{w}x{d} needs {expected} bytes, got {len(data)}")
+    return np.frombuffer(data, dtype="<f4", offset=16).reshape(h, w, d).astype(np.float64)
 
 
 # --------------------------------------------------------------- models --

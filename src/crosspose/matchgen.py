@@ -18,10 +18,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EmptyMask
-from .geometry import CameraIntrinsics, Pose, relative_pose, unproject
+from .geometry import CameraIntrinsics, Pose, nearest_neighbors, relative_pose, unproject
 
 DEFAULT_NN_RADIUS = 0.002  # meters
 DEFAULT_MIN_MATCHES = 100
@@ -52,26 +51,6 @@ class GtPair:
         return len(self.anchor)
 
 
-def nearest_neighbors(tree: cKDTree, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exact nearest neighbor of each point, ties broken by lowest index.
-
-    A kd-tree already returns exact distances; this wrapper re-resolves
-    only the (rare) exact-distance ties so the winner is always the
-    lowest candidate index. With one reference point the second
-    neighbor is at infinity, so nothing ties.
-    """
-    dist, idx = tree.query(points, k=2)
-    best_idx = idx[:, 0].copy()
-    for i in np.nonzero(dist[:, 1] == dist[:, 0])[0]:
-        # A ball of exactly the tied radius can miss a tied point through
-        # rounding, so search a slightly larger one and re-rank exactly.
-        candidates = np.array(tree.query_ball_point(points[i], r=dist[i, 0] * (1 + 1e-9)))
-        d = tree.data[candidates] - points[i]
-        cand_dist = np.sqrt(np.sum(d * d, axis=-1))
-        best_idx[i] = candidates[cand_dist == cand_dist.min()].min()
-    return dist[:, 0], best_idx
-
-
 def generate_gt_matches(
     depth_a,
     depth_q,
@@ -98,7 +77,7 @@ def generate_gt_matches(
 
     rel = relative_pose(pose_a, pose_q)
     aligned = rel.apply(cloud_a.points)
-    dist, idx = nearest_neighbors(cKDTree(cloud_q.points), aligned)
+    dist, idx = nearest_neighbors(cloud_q.points, aligned)
     keep = dist <= nn_radius
     return GtPair(
         anchor=cloud_a.pixels[keep],

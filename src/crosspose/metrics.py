@@ -43,10 +43,11 @@ import warnings
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import BehindCamera, DimensionMismatch, EmptyRender
-from .geometry import CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, project
+from .geometry import (
+    CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, nearest_neighbors, project,
+)
 from .render import splat_depth, visibility
 
 # 0.05, 0.10, ..., 0.50: the standard threshold sweep.
@@ -123,7 +124,7 @@ def add_error(
     est = pose_est.apply(model.points)
     ref = pose_true.apply(model.points)
     if use_adds:
-        dist, _ = cKDTree(ref).query(est, k=1)
+        dist, _ = nearest_neighbors(ref, est)
         return float(np.mean(dist))
     return float(np.mean(np.linalg.norm(est - ref, axis=1)))
 

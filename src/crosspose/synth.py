@@ -247,8 +247,8 @@ def clutter_depth(
     points_per_sphere: int = 2000,
 ) -> np.ndarray:
     """A background plane with random occluder spheres splatted in."""
-    if plane_depth <= 0:
-        raise ValueError("plane_depth must be positive")
+    if not 0 < plane_depth < np.inf:
+        raise ValueError("plane_depth must be finite and positive")
     background = np.full((camera.height, camera.width), float(plane_depth))
     rng = np.random.default_rng(seed)
     for _ in range(n_spheres):

@@ -156,6 +156,13 @@ class TestSynth:
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
 
+    def test_out_that_is_a_file_exits_2(self, tmp_path):
+        out = tmp_path / "out"
+        out.write_text("keep")
+        argv = ["synth", "--out", str(out), "--image-size", "32", "--model-points", "200"]
+        assert main(argv) == 2
+        assert out.read_text() == "keep"
+
 
 # ---------------------------------------------------------------------------
 # gen-matches
@@ -246,6 +253,16 @@ class TestGenMatches:
         ])
         assert rc == 2
 
+    @pytest.mark.parametrize("sub", ["", "sub"], ids=["file", "under-file"])
+    def test_out_dir_that_is_a_file_exits_2(self, sub, dataset_small, tmp_path):
+        blocker = tmp_path / "out"
+        blocker.write_text("keep")
+        assert main([
+            "gen-matches", "--pairs", str(dataset_small / "pairs.json"),
+            "--out-dir", str(blocker / sub),
+        ]) == 2
+        assert blocker.read_text() == "keep"
+
     def test_summary_bytes_stable_across_runs(self, dataset, tmp_path):
         argv = ["gen-matches", "--pairs", str(dataset / "pairs.json")]
         first = tmp_path / "one"
@@ -312,7 +329,7 @@ class TestRegister:
     ):
         data = tmp_path / "data"
         shutil.copytree(dataset_small, data)
-        # Magic plus 6 bytes: too short for the H W D header (struct.error).
+        # Magic plus 6 bytes: too short for the H W D header.
         (data / "pairs" / "pair_0000" / "features_query.feat").write_bytes(
             b"ORYT" + bytes(6)
         )
@@ -322,7 +339,7 @@ class TestRegister:
         summary = io.read_json(out / "summary.json")
         assert summary["registered"] == ["pair_0001"]
         assert list(summary["errors"]) == ["pair_0000"]
-        assert summary["errors"]["pair_0000"].startswith("error: ")
+        assert summary["errors"]["pair_0000"].startswith("ValueError: ")
         assert (out / "pair_0001.json").exists()
 
 
@@ -403,6 +420,26 @@ class TestEval:
             "--out", str(tmp_path / "report.json"),
         ])
         assert rc == 2
+
+    def test_predictions_that_is_a_file_exits_2(self, dataset_small, tmp_path):
+        preds = tmp_path / "preds.json"
+        preds.write_text("{}")
+        assert main([
+            "eval", "--pairs", str(dataset_small / "pairs.json"),
+            "--predictions", str(preds), "--out", str(tmp_path / "new" / "report.json"),
+        ]) == 2
+        assert not (tmp_path / "new").exists()
+
+    def test_out_that_is_a_directory_exits_2(self, dataset_small, tmp_path):
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset_small, preds)
+        report = tmp_path / "report"
+        report.mkdir()
+        assert main([
+            "eval", "--pairs", str(dataset_small / "pairs.json"),
+            "--predictions", str(preds), "--out", str(report),
+        ]) == 2
+        assert list(report.iterdir()) == []
 
     def test_partial_predictions_fail_some_pairs(self, dataset, tmp_path):
         preds = tmp_path / "preds"
@@ -499,6 +536,14 @@ class TestLosses:
         a = io.read_json(from_files)
         b = io.read_json(recomputed)
         assert a["pairs"] == b["pairs"]
+
+    def test_missing_matches_dir_exits_2(self, dataset_small, tmp_path):
+        assert main([
+            "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--matches", str(tmp_path / "nodir"),
+            "--out", str(tmp_path / "new" / "losses.json"),
+        ]) == 2
+        assert not (tmp_path / "new").exists()
 
     def test_report_directory_is_created(self, dataset_small, tmp_path):
         report_path = tmp_path / "new" / "losses.json"
@@ -680,6 +725,39 @@ class TestConfigLayer:
         assert main(argv) == 2
         assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
+    def test_overridden_file_values_still_checked(self, tmp_path):
+        cfg_path = tmp_path / "config.json"
+        io.write_json(cfg_path, {"pairs_file": 5, "nn_radius": "x"})
+        with pytest.raises(ConfigError):
+            load_config(cfg_path, pairs_file="a.json", nn_radius=0.002)
+
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("register", "registration.iterations", 2.5),
+            ("register", "match.max_matches", 2.5),
+            ("register", "seed", 1.5),
+            ("gen-matches", "min_matches", 1.5),
+            ("gen-matches", "nn_radius", True),
+            ("gen-matches", "workers", True),
+        ],
+    )
+    def test_wrong_number_type_exits_2(self, command, key, value, dataset_small, tmp_path):
+        *section, name = key.split(".")
+        payload = {name: value}
+        if section:
+            payload = {section[0]: payload}
+        cfg_path = tmp_path / "config.json"
+        io.write_json(cfg_path, payload)
+        with pytest.raises(ConfigError, match=f"'{name}' must be"):
+            load_config(cfg_path)
+        out = tmp_path / "out"
+        assert main([
+            command, "--pairs", str(dataset_small / "pairs.json"),
+            "--config", str(cfg_path), "--out-dir", str(out),
+        ]) == 2
+        assert not out.exists()
+
     def test_relative_paths_resolve_against_config_file(self, tmp_path):
         sub = tmp_path / "sub"
         sub.mkdir()
@@ -710,6 +788,16 @@ class TestConfigLayer:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+    def test_invalid_worker_env_exits_2_under_flag(self, dataset_small, tmp_path, monkeypatch):
+        # Every layer is checked, even where a higher one overrides it.
+        monkeypatch.setenv("CROSSPOSE_WORKERS", "0")
+        out = tmp_path / "out"
+        assert main([
+            "gen-matches", "--pairs", str(dataset_small / "pairs.json"),
+            "--workers", "2", "--out-dir", str(out),
+        ]) == 2
+        assert not out.exists()
 
     @pytest.mark.parametrize("stage", ["gen-matches", "register", "eval", "losses"])
     def test_worker_count_does_not_change_results(

@@ -1,7 +1,9 @@
 """Tests for poses, pinhole projection, and object models."""
 
+import ast
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -434,3 +436,21 @@ class TestObjectModel:
         pts = rng.normal(size=(10, 3))
         with pytest.raises(ValueError):
             ObjectModel(points=pts, diameter_m=diameter(pts), symmetries=())
+
+
+def test_only_geometry_imports_scipy():
+    # Nearest-point search and the diameter kd-tree live in geometry, so
+    # replacing scipy touches one module.
+    package = Path(__file__).resolve().parents[1] / "src" / "crosspose"
+    importers = set()
+    for path in package.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                importers.add(path.name)
+    assert importers == {"geometry.py"}

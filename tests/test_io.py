@@ -88,7 +88,14 @@ class TestDepth:
     def test_truncated_header_rejected(self, tmp_path):
         path = tmp_path / "depth.pgm"
         path.write_bytes(b"P5\n2 2")
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="truncated PGM header"):
+            read_depth(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        # A 12-byte header and three of the four 2-byte samples.
+        path = tmp_path / "depth.pgm"
+        path.write_bytes(b"P5\n2 2\n65535\n" + b"\x00" * 6)
+        with pytest.raises(ValueError, match="depth PGM of 2x2 needs 21 bytes, got 19"):
             read_depth(path)
 
     def test_non_2d_rejected(self, tmp_path):
@@ -124,6 +131,12 @@ class TestMask:
         path = tmp_path / "mask.pgm"
         path.write_bytes(b"P5\n1 1\n65535\n\x00\x00")
         with pytest.raises(ValueError):
+            read_mask(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(b"P5\n3 1\n255\n\xff\xff")
+        with pytest.raises(ValueError, match="mask PGM of 3x1 needs 14 bytes, got 13"):
             read_mask(path)
 
 
@@ -206,7 +219,19 @@ class TestFeatureFile:
     def test_truncated_payload_rejected(self, tmp_path):
         path = tmp_path / "features.oryt"
         path.write_bytes(b"ORYT" + struct.pack("<III", 2, 2, 2) + b"\x00" * 8)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="2x2x2 needs 48 bytes, got 24"):
+            read_features(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "features.oryt"
+        path.write_bytes(b"ORYT" + struct.pack("<III", 1, 1, 2) + b"\x00" * 12)
+        with pytest.raises(ValueError, match="1x1x2 needs 24 bytes, got 28"):
+            read_features(path)
+
+    def test_short_header_rejected(self, tmp_path):
+        path = tmp_path / "features.oryt"
+        path.write_bytes(b"ORYT" + bytes(6))
+        with pytest.raises(ValueError, match="header needs 16 bytes, got 10"):
             read_features(path)
 
     def test_non_3d_rejected(self, tmp_path):

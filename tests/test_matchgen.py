@@ -2,7 +2,6 @@
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from crosspose import (
     CameraIntrinsics,
@@ -16,7 +15,7 @@ from crosspose import (
     render_scene,
     unproject,
 )
-from crosspose.matchgen import nearest_neighbors
+from crosspose.geometry import nearest_neighbors
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -253,7 +252,7 @@ class TestNearestNeighbors:
         grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1)
         ref = grid.reshape(-1, 3)
         points = ref + 0.5
-        dist, idx = nearest_neighbors(cKDTree(ref), points)
+        dist, idx = nearest_neighbors(ref, points)
         exp_dist, exp_idx = self._oracle(ref, points)
         np.testing.assert_array_equal(idx, exp_idx)
         np.testing.assert_array_equal(dist, exp_dist)
@@ -261,7 +260,7 @@ class TestNearestNeighbors:
     def test_single_reference_point(self, rng):
         ref = rng.normal(size=(1, 3))
         points = rng.normal(size=(5, 3))
-        dist, idx = nearest_neighbors(cKDTree(ref), points)
+        dist, idx = nearest_neighbors(ref, points)
         exp_dist, exp_idx = self._oracle(ref, points)
         np.testing.assert_array_equal(idx, exp_idx)
         np.testing.assert_array_equal(dist, exp_dist)

@@ -364,6 +364,12 @@ class TestClutterDepth:
         with pytest.raises(ValueError):
             clutter_depth(cam96, plane_depth=0.0, n_spheres=1)
 
+    @pytest.mark.parametrize("plane_depth", [np.nan, np.inf])
+    @pytest.mark.parametrize("n_spheres", [0, 2])
+    def test_non_finite_plane_rejected(self, cam96, plane_depth, n_spheres):
+        with pytest.raises(ValueError, match="finite and positive"):
+            clutter_depth(cam96, plane_depth=plane_depth, n_spheres=n_spheres)
+
 
 # ---------------------------------------------------------------------------
 # make_pair
