@@ -26,7 +26,6 @@ import argparse
 import math
 import os
 import sys
-import zlib
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
@@ -34,7 +33,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import io
-from .config import EvalConfig, PairEntry, derive_seed, load_config, load_pairs
+from .config import EvalConfig, PairEntry, derive_seed, load_config, load_pairs, pair_seed
 from .errors import ConfigError, CrossposeError
 from .geometry import CameraIntrinsics, Pose, compose
 from .losses import (
@@ -57,12 +56,6 @@ from .synth import (
     random_rotation,
     rotation_about_axis,
 )
-
-
-def _pair_seed(base_seed: int, pair_id: str) -> int:
-    """Stable per-pair seed: independent of batch order and worker count."""
-    mixed = np.random.SeedSequence([base_seed, zlib.crc32(pair_id.encode())])
-    return int(mixed.generate_state(1, np.uint64)[0])
 
 
 def _make_dir(path: Path) -> None:
@@ -310,7 +303,7 @@ def cmd_register(args) -> int:
             matches, a.depth, q.depth, a.camera, q.camera, grid_a, grid_q
         )
         result = register_spatial_consistency(
-            lifted, cfg.registration, seed=_pair_seed(reg_seed, entry.pair_id)
+            lifted, cfg.registration, seed=pair_seed(reg_seed, entry.pair_id)
         )
         io.write_json(
             out / f"{entry.pair_id}.json",
@@ -445,10 +438,12 @@ def _config_from_args(args) -> EvalConfig:
     workers_env = os.environ.get("CROSSPOSE_WORKERS")
     defaults = {}
     if workers_env is not None:
+        # Checked on its own first, so the message names the variable.
         try:
             defaults["workers"] = int(workers_env)
-        except ValueError as exc:
-            raise ConfigError(f"CROSSPOSE_WORKERS must be an integer: {exc}") from exc
+            EvalConfig(**defaults)
+        except (ValueError, ConfigError) as exc:
+            raise ConfigError(f"CROSSPOSE_WORKERS={workers_env!r} is invalid: {exc}") from exc
 
     # A flag's destination is its config key; flags a command lacks are None.
     flags = vars(args)

@@ -3,9 +3,10 @@
 One master seed drives every random choice in a run. Each consumer
 draws from a named sub-stream (``registration``, ``synth``) derived from
 the master seed, so re-running any single stage reproduces its exact
-results regardless of what else ran. Only ``synth`` and ``register``
-draw from ``--seed``; the other stages are deterministic without one,
-and accept it and ignore it.
+results regardless of what else ran. A per-pair seed mixes the pair id
+into its stream's seed, so it depends on neither batch order nor worker
+count. Only ``synth`` and ``register`` draw from ``--seed``; the other
+stages are deterministic without one, and accept it and ignore it.
 
 A config file mirrors the flags: its keys are the destinations of the
 manifest subcommands' flags (``pairs_file`` for ``--pairs``,
@@ -25,6 +26,7 @@ files, so it must be a plain file name.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -40,14 +42,22 @@ from .registration import RegistrationParams
 _SEED_STREAMS = {"registration": 2, "synth": 3}
 
 
+def _mix_seed(seed: int, key: int) -> int:
+    return int(np.random.SeedSequence([seed, key]).generate_state(1, np.uint64)[0])
+
+
 def derive_seed(seed: int, stream: str) -> int:
     """Sub-seed for one named consumer of the master seed."""
     if stream not in _SEED_STREAMS:
         raise ValueError(
             f"unknown seed stream {stream!r}; expected one of {sorted(_SEED_STREAMS)}"
         )
-    ss = np.random.SeedSequence([int(seed), _SEED_STREAMS[stream]])
-    return int(ss.generate_state(1, np.uint64)[0])
+    return _mix_seed(int(seed), _SEED_STREAMS[stream])
+
+
+def pair_seed(seed: int, pair_id: str) -> int:
+    """Sub-seed for one pair of a stage seeded with ``seed``."""
+    return _mix_seed(seed, zlib.crc32(pair_id.encode()))
 
 
 @dataclass(frozen=True)

@@ -363,19 +363,23 @@ def diameter(points) -> float:
 def nearest_neighbors(reference, queries) -> tuple[np.ndarray, np.ndarray]:
     """Distance to, and index of, each query's nearest reference point.
 
-    A kd-tree returns exact distances; the (rare) exact ties are re-ranked
-    so the lowest reference index always wins.
+    A kd-tree returns exact distances; the exact ties are re-ranked, all
+    in one pass, so the lowest reference index always wins.
     """
     tree = cKDTree(reference)
     dist, idx = tree.query(queries, k=2)  # with one reference point, nothing ties
     best_idx = idx[:, 0].copy()
-    for i in np.nonzero(dist[:, 1] == dist[:, 0])[0]:
-        # A ball of exactly the tied radius can miss a tied point through
-        # rounding, so search a slightly larger one and re-rank exactly.
-        candidates = np.array(tree.query_ball_point(queries[i], r=dist[i, 0] * (1 + 1e-9)))
-        d = tree.data[candidates] - queries[i]
-        cand_dist = np.sqrt(np.sum(d * d, axis=-1))
-        best_idx[i] = candidates[cand_dist == cand_dist.min()].min()
+    tied = np.nonzero(dist[:, 1] == dist[:, 0])[0]
+    q = queries[tied]
+    # A ball of exactly the tied radius can miss a tied point through
+    # rounding, so the k nearest cover a slightly larger ball of every
+    # tied query; their distances are then recomputed and ranked exactly.
+    k = tree.query_ball_point(q, dist[tied, 0] * (1 + 1e-9), return_length=True).max(initial=2)
+    _, candidates = tree.query(q, k=k)
+    d = tree.data[candidates] - q[:, None, :]
+    cand_dist = np.sqrt(np.sum(d * d, axis=-1))
+    at_min = cand_dist == cand_dist.min(axis=1, keepdims=True)
+    best_idx[tied] = np.where(at_min, candidates, len(tree.data)).min(axis=1)
     return dist[:, 0], best_idx
 
 

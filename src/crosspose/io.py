@@ -83,6 +83,16 @@ def _read_pgm(path, maxval: int, dtype, kind: str) -> np.ndarray:
     return np.frombuffer(data, dtype=dtype, count=h * w, offset=offset).reshape(h, w)
 
 
+def _write_pgm(path, samples: np.ndarray, maxval: int, kind: str) -> None:
+    """Write (H, W) samples, already in their on-disk dtype, as a P5 file."""
+    if samples.ndim != 2:
+        raise ValueError(f"{kind} must be 2D")
+    h, w = samples.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
+        fh.write(samples.tobytes())
+
+
 def _depth_mm(depth_m) -> np.ndarray:
     """Meters to whole millimeters, clipped to what a depth PGM holds."""
     return np.clip(np.round(np.asarray(depth_m, dtype=np.float64) * 1000.0), 0, DEPTH_MAX_MM)
@@ -95,14 +105,7 @@ def quantize_depth(depth_m) -> np.ndarray:
 
 def write_depth(path, depth_m) -> None:
     """Write a depth map in meters as a 16-bit millimeter PGM."""
-    arr = np.asarray(depth_m, dtype=np.float64)
-    if arr.ndim != 2:
-        raise ValueError("depth must be 2D")
-    mm = _depth_mm(arr).astype(">u2")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n{DEPTH_MAX_MM}\n".encode())
-        fh.write(mm.tobytes())
+    _write_pgm(path, _depth_mm(depth_m).astype(">u2"), DEPTH_MAX_MM, "depth")
 
 
 def read_depth(path) -> np.ndarray:
@@ -111,13 +114,7 @@ def read_depth(path) -> np.ndarray:
 
 
 def write_mask(path, mask) -> None:
-    arr = np.asarray(mask).astype(bool)
-    if arr.ndim != 2:
-        raise ValueError("mask must be 2D")
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write((arr.astype(np.uint8) * 255).tobytes())
+    _write_pgm(path, np.asarray(mask).astype(bool).astype(np.uint8) * 255, 255, "mask")
 
 
 def read_mask(path) -> np.ndarray:

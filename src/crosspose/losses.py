@@ -8,12 +8,13 @@ Matched features from the two views form index-aligned sets. The
 positive term penalizes matched pairs whose cosine distance exceeds a
 margin. The hardest-negative term works per side: for each sampled
 feature, candidate negatives are features of the same view at least
-``exclusion_radius`` pixels away, and the term penalizes the closest
-such candidate for sitting inside the ``negative_margin``. Both sides
+``EXCLUSION_RADIUS`` pixels away, and the term penalizes the closest
+such candidate for sitting inside the ``NEGATIVE_MARGIN``. Both sides
 are averaged with weight 1/(2C) over the C matches.
 
 Cosine distance is ``(1 - cos) / 2`` throughout, so all margins live in
-[0, 1].
+[0, 1]. The margins, the radius and the term weights are module
+constants.
 """
 
 from __future__ import annotations
@@ -29,29 +30,13 @@ from .matcher import cosine_distance, unit_rows
 logger = logging.getLogger(__name__)
 
 DICE_SMOOTH = 1e-6
-
-
-@dataclass(frozen=True)
-class LossParams:
-    positive_margin: float = 0.2
-    negative_margin: float = 0.9
-    exclusion_radius: float = 5.0  # pixels
-    weight_positive: float = 0.5
-    weight_negative: float = 0.5
-    weight_mask: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 <= self.positive_margin <= 1.0:
-            raise ValueError("positive_margin must lie in [0, 1]")
-        if not 0.0 <= self.negative_margin <= 1.0:
-            raise ValueError("negative_margin must lie in [0, 1]")
-        if self.positive_margin >= self.negative_margin:
-            raise ValueError("positive_margin must be below negative_margin")
-        if self.exclusion_radius < 0:
-            raise ValueError("exclusion_radius must be non-negative")
-        for name in ("weight_positive", "weight_negative", "weight_mask"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+# Margins are cosine distances; the weights combine the terms.
+POSITIVE_MARGIN = 0.2
+NEGATIVE_MARGIN = 0.9
+EXCLUSION_RADIUS = 5.0  # pixels
+WEIGHT_POSITIVE = 0.5
+WEIGHT_NEGATIVE = 0.5
+WEIGHT_MASK = 1.0
 
 
 @dataclass(frozen=True)
@@ -93,24 +78,20 @@ def _require_aligned(anchor: FeatureSet, query: FeatureSet):
         raise ValueError("feature dimensions differ between views")
 
 
-def positive_loss(
-    anchor: FeatureSet, query: FeatureSet, params: LossParams = LossParams()
-) -> float:
+def positive_loss(anchor: FeatureSet, query: FeatureSet) -> float:
     """Mean hinge on matched-pair distance above the positive margin."""
     _require_aligned(anchor, query)
     ua = unit_rows(anchor.features, "anchor features")
     uq = unit_rows(query.features, "query features")
     dist = cosine_distance(np.einsum("ij,ij->i", ua, uq))
-    return float(np.mean(np.maximum(dist - params.positive_margin, 0.0)))
+    return float(np.mean(np.maximum(dist - POSITIVE_MARGIN, 0.0)))
 
 
-def hardest_negative_indices(
-    fset: FeatureSet, exclusion_radius: float = 5.0
-) -> tuple[np.ndarray, np.ndarray]:
+def hardest_negative_indices(fset: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     """Per feature, its closest same-view candidate negative.
 
     Candidates for row i are rows k != i whose pixel distance from row i
-    is at least ``exclusion_radius``. Returns ``(indices, distances)``
+    is at least ``EXCLUSION_RADIUS``. Returns ``(indices, distances)``
     with index -1 and distance NaN where no candidate exists; distance
     ties resolve to the lowest index.
     """
@@ -121,7 +102,7 @@ def hardest_negative_indices(
     sep = np.linalg.norm(
         fset.coords[:, None, :] - fset.coords[None, :, :], axis=-1
     )
-    blocked = sep < exclusion_radius
+    blocked = sep < EXCLUSION_RADIUS
     np.fill_diagonal(blocked, True)
     dist = np.where(blocked, np.inf, dist)
     indices = np.argmin(dist, axis=1)
@@ -132,9 +113,7 @@ def hardest_negative_indices(
     return indices, best
 
 
-def hardest_negative_loss(
-    anchor: FeatureSet, query: FeatureSet, params: LossParams = LossParams()
-) -> float:
+def hardest_negative_loss(anchor: FeatureSet, query: FeatureSet) -> float:
     """Two-sided hardest-negative hinge, averaged with weight 1/(2C).
 
     Features whose candidate set is empty contribute nothing; how many
@@ -145,10 +124,10 @@ def hardest_negative_loss(
     total = 0.0
     skipped = 0
     for fset in (anchor, query):
-        _, best = hardest_negative_indices(fset, params.exclusion_radius)
+        _, best = hardest_negative_indices(fset)
         missing = np.isnan(best)
         skipped += int(np.count_nonzero(missing))
-        hinge = np.maximum(params.negative_margin - best[~missing], 0.0)
+        hinge = np.maximum(NEGATIVE_MARGIN - best[~missing], 0.0)
         total += float(np.sum(hinge))
     if skipped:
         logger.debug(
@@ -159,11 +138,9 @@ def hardest_negative_loss(
     return total / (2.0 * c)
 
 
-def feature_loss(
-    positive: float, negative: float, params: LossParams = LossParams()
-) -> float:
+def feature_loss(positive: float, negative: float) -> float:
     """Weighted sum of the two contrastive terms."""
-    return params.weight_negative * negative + params.weight_positive * positive
+    return WEIGHT_NEGATIVE * negative + WEIGHT_POSITIVE * positive
 
 
 def dice_loss(pred, gt_mask) -> float:
@@ -185,8 +162,6 @@ def dice_loss(pred, gt_mask) -> float:
     return 1.0 - 2.0 * overlap / (mass + DICE_SMOOTH)
 
 
-def total_loss(
-    mask_loss: float, feature_loss_value: float, params: LossParams = LossParams()
-) -> float:
+def total_loss(mask_loss: float, feature_loss_value: float) -> float:
     """Mask term plus feature term: the full training-time objective."""
-    return params.weight_mask * mask_loss + feature_loss_value
+    return WEIGHT_MASK * mask_loss + feature_loss_value

@@ -32,8 +32,8 @@ surface, and projection recalls.
 the misalignment tolerance tau at 0.05 to 0.5 of the diameter;
 ``VSD_THRESHOLDS``, theta at 0.05 to 0.5; ``MSSD_FRACTIONS``, 0.05 to
 0.5 of the diameter; ``MSPD_MULTIPLIERS``, 5r to 50r pixels with
-r = width / ``MSPD_BASE_WIDTH``; and ``DEFAULT_OCCLUSION_TOLERANCE``,
-delta = 15 mm. ADD(-S) counts at one tenth of the diameter.
+r = width / ``MSPD_BASE_WIDTH``; and ``OCCLUSION_TOLERANCE``, delta =
+15 mm. ADD(-S) counts at ``ADD_FRACTION``, one tenth of the diameter.
 """
 
 from __future__ import annotations
@@ -57,7 +57,8 @@ VSD_THRESHOLDS = _TENTH_STEPS
 MSSD_FRACTIONS = _TENTH_STEPS
 MSPD_MULTIPLIERS = (5.0, 10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0, 45.0, 50.0)
 MSPD_BASE_WIDTH = 640.0
-DEFAULT_OCCLUSION_TOLERANCE = 0.015  # meters
+OCCLUSION_TOLERANCE = 0.015  # meters
+ADD_FRACTION = 0.1
 
 # The scores of a report, in [0, 1], in the order of the eval table.
 SCORES = ("ar", "vsd", "mssd", "mspd", "add", "miou")
@@ -109,21 +110,14 @@ def mspd_error(
     return best
 
 
-def add_error(
-    model: ObjectModel,
-    pose_true: Pose,
-    pose_est: Pose,
-    symmetric: bool | None = None,
-) -> float:
+def add_error(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> float:
     """Mean displacement (ADD), or mean closest-point distance (ADD-S).
 
-    ``symmetric=None`` picks ADD-S exactly when the model declares a
-    non-identity symmetry.
+    ADD-S scores exactly the models that declare a non-identity symmetry.
     """
-    use_adds = model.is_symmetric if symmetric is None else symmetric
     est = pose_est.apply(model.points)
     ref = pose_true.apply(model.points)
-    if use_adds:
+    if model.is_symmetric:
         dist, _ = nearest_neighbors(ref, est)
         return float(np.mean(dist))
     return float(np.mean(np.linalg.norm(est - ref, axis=1)))
@@ -136,15 +130,10 @@ class AddResult:
     success: bool
 
 
-def add_result(
-    model: ObjectModel,
-    pose_true: Pose,
-    pose_est: Pose,
-    threshold_fraction: float = 0.1,
-) -> AddResult:
+def add_result(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> AddResult:
     """ADD(-S) error plus the strict diameter-fraction success test."""
     err = add_error(model, pose_true, pose_est)
-    threshold = threshold_fraction * model.diameter_m
+    threshold = ADD_FRACTION * model.diameter_m
     return AddResult(error=err, threshold=threshold, success=err < threshold)
 
 
@@ -155,7 +144,6 @@ def vsd_error_set(
     scene_depth,
     intrinsics: CameraIntrinsics,
     misalignment_tolerances,
-    occlusion_tolerance: float = DEFAULT_OCCLUSION_TOLERANCE,
 ) -> np.ndarray:
     """Visible-surface error at several misalignment tolerances.
 
@@ -170,8 +158,8 @@ def vsd_error_set(
     d_true, _ = splat_depth(pose_true.apply(model.points), intrinsics)
     d_est, _ = splat_depth(pose_est.apply(model.points), intrinsics)
 
-    visib_true = visibility(d_true, scene, occlusion_tolerance)
-    visib_est = visibility(d_est, scene, occlusion_tolerance)
+    visib_true = visibility(d_true, scene, OCCLUSION_TOLERANCE)
+    visib_est = visibility(d_est, scene, OCCLUSION_TOLERANCE)
     # Where the reference object is visible, an estimate landing on the
     # same pixel competes there even if something occludes it.
     visib_est |= visib_true & (d_est > 0)

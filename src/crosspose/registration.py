@@ -70,14 +70,14 @@ class RegistrationResult:
         )
 
 
-def kabsch(src, dst, weights=None) -> Pose:
+def kabsch(src, dst) -> Pose:
     """Least-squares rigid transform carrying ``src`` onto ``dst``.
 
-    Minimizes sum_i w_i ||R s_i + t - d_i||^2 in closed form via the SVD
-    of the weighted cross-covariance, with the reflection guard on the
-    smallest singular direction. Raises DegenerateConfiguration when
-    either set is collinear or coincident (within 1e-9), where the
-    rotation is not unique.
+    Minimizes sum_i ||R s_i + t - d_i||^2 in closed form via the SVD of
+    the cross-covariance, with the reflection guard on the smallest
+    singular direction. Raises DegenerateConfiguration when either set
+    is collinear or coincident (within 1e-9), where the rotation is not
+    unique.
     """
     s = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     d = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
@@ -86,16 +86,9 @@ def kabsch(src, dst, weights=None) -> Pose:
     n = len(s)
     if n < 3:
         raise TooFewMatches(f"rigid fit needs at least 3 pairs, got {n}")
-    w = np.ones(n) if weights is None else weights
-    w = np.asarray(w, dtype=np.float64).reshape(-1)
-    if w.shape != (n,):
-        raise ValueError("weights must have one entry per pair")
-    if np.any(w < 0) or not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite and non-negative")
-    total = w.sum()
-    if total <= 0:
-        raise ValueError("weights must not all be zero")
-    w = w / total
+    # Uniform 1/n weights enter as products, not as ``mean``; the two
+    # round differently.
+    w = np.ones(n) / n
 
     cs = (w[:, None] * s).sum(axis=0)
     cd = (w[:, None] * d).sum(axis=0)

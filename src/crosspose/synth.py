@@ -46,6 +46,12 @@ _STREAM_BACKGROUND_Q = 2
 _STREAM_NOISE = 3
 _STREAM_OUTLIERS = 4
 
+# Declared symmetries turn about the model's z axis.
+_SYMMETRY_AXIS = (0.0, 0.0, 1.0)
+# Occluder spheres of clutter_depth: radius bounds (m) and samples each.
+_CLUTTER_RADII = (0.02, 0.05)
+_CLUTTER_SPHERE_POINTS = 2000
+
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
     """Rotation matrix for a right-handed turn about ``axis``."""
@@ -85,8 +91,8 @@ def random_pose(rng: np.random.Generator, max_translation: float = 0.5) -> Pose:
     return Pose(random_rotation(rng), t)
 
 
-def cyclic_symmetries(order: int, axis=(0.0, 0.0, 1.0)) -> tuple[Pose, ...]:
-    """The cyclic rotation group of the given order about an axis.
+def cyclic_symmetries(order: int) -> tuple[Pose, ...]:
+    """The cyclic rotation group of the given order about the z axis.
 
     Order 1 is just the identity. The group is closed under
     composition, which downstream symmetry-invariance guarantees rely
@@ -96,7 +102,7 @@ def cyclic_symmetries(order: int, axis=(0.0, 0.0, 1.0)) -> tuple[Pose, ...]:
         raise ValueError("order must be at least 1")
     poses = [Pose.identity()]
     for k in range(1, order):
-        poses.append(Pose(rotation_about_axis(axis, 2.0 * math.pi * k / order), np.zeros(3)))
+        poses.append(Pose(rotation_about_axis(_SYMMETRY_AXIS, 2.0 * math.pi * k / order), np.zeros(3)))
     return tuple(poses)
 
 
@@ -149,7 +155,6 @@ def make_model(
     n_points: int = 512,
     size=0.05,
     cyclic_order: int = 1,
-    symmetry_axis=(0.0, 0.0, 1.0),
     seed: int = 0,
 ) -> ObjectModel:
     """Sample a synthetic object surface with a declared symmetry group.
@@ -159,8 +164,7 @@ def make_model(
     is exact), ``cylinder`` (size = (radius, height) or a scalar for
     radius = size/2, height = size), ``blob`` (size = Gaussian scale).
     With ``cyclic_order > 1`` the cloud is orbit-completed under the
-    cyclic group about ``symmetry_axis`` and that group is declared as
-    the model's symmetries.
+    cyclic group about the z axis, declared as the model's symmetries.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
@@ -168,7 +172,7 @@ def make_model(
     if not np.all((sizes > 0) & (sizes < np.inf)):
         raise ValueError("size must be finite and positive")
     rng = np.random.default_rng(seed)
-    symmetries = cyclic_symmetries(cyclic_order, symmetry_axis)
+    symmetries = cyclic_symmetries(cyclic_order)
     n_base = max(2, -(-n_points // len(symmetries)))  # ceil division
 
     if kind == "sphere":
@@ -243,8 +247,6 @@ def clutter_depth(
     plane_depth: float,
     n_spheres: int,
     seed: int = 0,
-    radius_range=(0.02, 0.05),
-    points_per_sphere: int = 2000,
 ) -> np.ndarray:
     """A background plane with random occluder spheres splatted in."""
     if not 0 < plane_depth < np.inf:
@@ -252,13 +254,13 @@ def clutter_depth(
     background = np.full((camera.height, camera.width), float(plane_depth))
     rng = np.random.default_rng(seed)
     for _ in range(n_spheres):
-        radius = rng.uniform(*radius_range)
+        radius = rng.uniform(*_CLUTTER_RADII)
         z = rng.uniform(0.3 * plane_depth, 0.9 * plane_depth)
         # Keep the center inside the frustum at its depth.
         u = rng.uniform(0.2, 0.8) * camera.width
         v = rng.uniform(0.2, 0.8) * camera.height
         center = back_project(u, v, z, camera)
-        pts = _sphere_points(rng, points_per_sphere, radius) + center
+        pts = _sphere_points(rng, _CLUTTER_SPHERE_POINTS, radius) + center
         depth, _ = splat_depth(pts, camera)
         hit = visibility(depth, background, 0.0)
         background[hit] = depth[hit]

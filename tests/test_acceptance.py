@@ -456,7 +456,7 @@ def test_loss_identities_match_closed_forms():
         feats = _unit_rows(rng, 200, 16)
         coords = rng.uniform(0.0, 320.0, size=(200, 2))
         got_idx, got_dist = hardest_negative_indices(
-            FeatureSet(features=feats, coords=coords), exclusion_radius=radius
+            FeatureSet(features=feats, coords=coords)
         )
         exp_idx, exp_dist = _hardest_negative_oracle(feats, coords, radius)
         assert np.array_equal(got_idx, exp_idx)

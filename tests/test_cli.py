@@ -789,8 +789,11 @@ class TestConfigLayer:
         ])
         assert rc == 2
 
-    def test_invalid_worker_env_exits_2_under_flag(self, dataset_small, tmp_path, monkeypatch):
-        # Every layer is checked, even where a higher one overrides it.
+    def test_invalid_worker_env_exits_2_under_flag(
+        self, dataset_small, tmp_path, monkeypatch, capsys
+    ):
+        # Every layer is checked, even where a higher one overrides it,
+        # and the message names the variable that holds the bad value.
         monkeypatch.setenv("CROSSPOSE_WORKERS", "0")
         out = tmp_path / "out"
         assert main([
@@ -798,6 +801,9 @@ class TestConfigLayer:
             "--workers", "2", "--out-dir", str(out),
         ]) == 2
         assert not out.exists()
+        err = capsys.readouterr().err
+        assert "CROSSPOSE_WORKERS='0'" in err
+        assert "workers must be at least 1" in err
 
     @pytest.mark.parametrize("stage", ["gen-matches", "register", "eval", "losses"])
     def test_worker_count_does_not_change_results(

@@ -9,7 +9,6 @@ from crosspose import (
     DimensionMismatch,
     EmptyMatchSet,
     FeatureSet,
-    LossParams,
     ZeroVector,
     dice_loss,
     feature_loss,
@@ -18,6 +17,7 @@ from crosspose import (
     positive_loss,
     total_loss,
 )
+from crosspose import losses
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -107,41 +107,19 @@ def _random_featureset(rng, count, dim, coord_range=64.0):
 
 
 # ---------------------------------------------------------------------------
-# LossParams and FeatureSet
+# Loss settings and FeatureSet
 # ---------------------------------------------------------------------------
 
 
 class TestLossParams:
     def test_defaults(self):
-        p = LossParams()
-        assert p.positive_margin == 0.2
-        assert p.negative_margin == 0.9
-        assert p.exclusion_radius == 5.0
-        assert p.weight_positive == 0.5
-        assert p.weight_negative == 0.5
-        assert p.weight_mask == 1.0
-
-    def test_margin_order_enforced(self):
-        with pytest.raises(ValueError):
-            LossParams(positive_margin=0.9, negative_margin=0.2)
-        with pytest.raises(ValueError):
-            LossParams(positive_margin=0.5, negative_margin=0.5)
-
-    def test_margins_must_lie_in_unit_interval(self):
-        with pytest.raises(ValueError):
-            LossParams(positive_margin=-0.1)
-        with pytest.raises(ValueError):
-            LossParams(negative_margin=1.5)
-
-    def test_negative_radius_rejected(self):
-        with pytest.raises(ValueError):
-            LossParams(exclusion_radius=-1.0)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            LossParams(weight_mask=-0.5)
-        with pytest.raises(ValueError):
-            LossParams(weight_positive=-1.0)
+        # The module constants every loss and the CLI report use.
+        assert losses.POSITIVE_MARGIN == 0.2
+        assert losses.NEGATIVE_MARGIN == 0.9
+        assert losses.EXCLUSION_RADIUS == 5.0
+        assert losses.WEIGHT_POSITIVE == 0.5
+        assert losses.WEIGHT_NEGATIVE == 0.5
+        assert losses.WEIGHT_MASK == 1.0
 
 
 class TestFeatureSet:
@@ -217,15 +195,6 @@ class TestPositiveLoss:
                 expected, abs=1e-12
             )
 
-    def test_respects_custom_margin(self, rng):
-        anchor = _random_featureset(rng, 20, 8)
-        query = _random_featureset(rng, 20, 8)
-        params = LossParams(positive_margin=0.05)
-        expected = _positive_oracle(anchor, query, 0.05)
-        assert positive_loss(anchor, query, params) == pytest.approx(
-            expected, abs=1e-12
-        )
-
     def test_invariant_under_per_feature_scaling(self, rng):
         anchor = _random_featureset(rng, 15, 6)
         query = _random_featureset(rng, 15, 6)
@@ -293,7 +262,7 @@ class TestHardestNegativeIndices:
             features=[[1.0, 0.0], [1.0, 0.0], [0.0, 1.0]],
             coords=[[0.0, 0.0], [2.0, 0.0], [30.0, 0.0]],
         )
-        indices, dists = hardest_negative_indices(fset, exclusion_radius=5.0)
+        indices, dists = hardest_negative_indices(fset)
         assert indices[0] == 2
         assert dists[0] == pytest.approx(0.5, abs=1e-15)
 
@@ -303,7 +272,7 @@ class TestHardestNegativeIndices:
             features=[[1.0, 0.0], [0.0, 1.0]],
             coords=[[0.0, 0.0], [3.0, 4.0]],
         )
-        indices, dists = hardest_negative_indices(fset, exclusion_radius=5.0)
+        indices, dists = hardest_negative_indices(fset)
         assert indices[0] == 1
         assert indices[1] == 0
         assert dists == pytest.approx([0.5, 0.5], abs=1e-15)
@@ -313,7 +282,7 @@ class TestHardestNegativeIndices:
             features=[[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
             coords=[[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]],
         )
-        indices, dists = hardest_negative_indices(fset, exclusion_radius=5.0)
+        indices, dists = hardest_negative_indices(fset)
         assert np.all(indices == -1)
         assert np.all(np.isnan(dists))
 
@@ -415,15 +384,6 @@ class TestHardestNegativeLoss:
                 expected, abs=1e-12
             )
 
-    def test_respects_custom_margin_and_radius(self, rng):
-        anchor = _random_featureset(rng, 25, 6)
-        query = _random_featureset(rng, 25, 6)
-        params = LossParams(negative_margin=0.7, exclusion_radius=12.0)
-        expected = _negative_loss_oracle(anchor, query, 0.7, 12.0)
-        assert hardest_negative_loss(anchor, query, params) == pytest.approx(
-            expected, abs=1e-12
-        )
-
     def test_invariant_under_per_feature_scaling(self, rng):
         anchor = _random_featureset(rng, 15, 6)
         query = _random_featureset(rng, 15, 6)
@@ -453,13 +413,6 @@ class TestFeatureLoss:
     def test_default_weights_average_the_terms(self):
         assert feature_loss(0.3, 0.4) == pytest.approx(0.35, abs=1e-12)
 
-    def test_linearity_in_weights(self):
-        base = feature_loss(0.3, 0.4, LossParams())
-        doubled = feature_loss(
-            0.3, 0.4, LossParams(weight_positive=1.0, weight_negative=1.0)
-        )
-        assert doubled == 2.0 * base
-
 
 class TestTotalLoss:
     def test_zero_inputs_give_zero(self):
@@ -467,10 +420,6 @@ class TestTotalLoss:
 
     def test_unit_mask_weight_adds_terms(self):
         assert total_loss(1.0, 0.35) == pytest.approx(1.35, abs=1e-12)
-
-    def test_zero_mask_weight_reduces_to_feature_term(self):
-        params = LossParams(weight_mask=0.0)
-        assert total_loss(0.7, 0.35, params) == 0.35
 
 
 # ---------------------------------------------------------------------------

@@ -248,14 +248,18 @@ class TestNearestNeighbors:
 
     def test_exact_ties_take_lowest_index(self):
         # Every query inside the grid sits at the same distance from the
-        # corners of its cell.
+        # corners of its cell. In a cloud holding each point twice, every
+        # query ties at distance zero with its own copy.
         grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1)
         ref = grid.reshape(-1, 3)
-        points = ref + 0.5
-        dist, idx = nearest_neighbors(ref, points)
-        exp_dist, exp_idx = self._oracle(ref, points)
-        np.testing.assert_array_equal(idx, exp_idx)
-        np.testing.assert_array_equal(dist, exp_dist)
+        cylinder = make_model("cylinder", n_points=600, size=0.03, cyclic_order=4).points
+        doubled = np.concatenate([cylinder, cylinder])
+        for ref, points in ((ref, ref + 0.5), (doubled, doubled)):
+            dist, idx = nearest_neighbors(ref, points)
+            exp_dist, exp_idx = self._oracle(ref, points)
+            np.testing.assert_array_equal(idx, exp_idx)
+            np.testing.assert_array_equal(dist, exp_dist)
+        assert np.array_equal(idx, np.tile(np.arange(len(cylinder)), 2))
 
     def test_single_reference_point(self, rng):
         ref = rng.normal(size=(1, 3))

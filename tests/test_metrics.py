@@ -305,18 +305,19 @@ class TestAddError:
         assert res.error == pytest.approx(res.threshold, rel=1e-12)
 
     def test_error_equal_to_threshold_fails_strictly(self):
-        # All quantities are exact binary fractions, so the error lands
-        # bitwise on the threshold and the strict < must reject it.
-        model = ObjectModel.from_points([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        moved = Pose(np.eye(3), np.array([0.25, 0.0, 0.0]))
-        res = add_result(model, Pose.identity(), moved, threshold_fraction=0.25)
+        # A model 10 m across moved by 1 m: 0.1 * 10.0 rounds to exactly
+        # 1.0, so the error lands bitwise on the threshold and the strict
+        # < must reject it.
+        model = ObjectModel.from_points([[0.0, 0.0, 0.0], [10.0, 0.0, 0.0]])
+        moved = Pose(np.eye(3), np.array([1.0, 0.0, 0.0]))
+        res = add_result(model, Pose.identity(), moved)
         assert res.error == res.threshold
         assert not res.success
 
     def test_add_matches_oracle(self, rng):
         model = make_model("blob", n_points=120, seed=2)
         pose_true, pose_est = random_se3(rng), random_se3(rng)
-        got = add_error(model, pose_true, pose_est, symmetric=False)
+        got = add_error(model, pose_true, pose_est)
         assert got == pytest.approx(_add_oracle(model, pose_true, pose_est), rel=1e-12)
 
     def test_adds_matches_brute_force_min_distance_oracle(self, rng):
@@ -325,7 +326,7 @@ class TestAddError:
         pose_est = Pose(
             pose_true.rotation, pose_true.translation + rng.normal(scale=0.01, size=3)
         )
-        got = add_error(model, pose_true, pose_est, symmetric=True)
+        got = add_error(model, pose_true, pose_est)
         exp = _adds_oracle(model, pose_true, pose_est)
         assert got == pytest.approx(exp, rel=1e-12)
 
@@ -333,7 +334,7 @@ class TestAddError:
         model = make_model("sphere", n_points=2000, size=0.05, cyclic_order=2, seed=4)
         pose = Pose(np.eye(3), np.zeros(3))
         spun = Pose(random_se3(rng).rotation, np.zeros(3))
-        err = add_error(model, pose, spun, symmetric=True)
+        err = add_error(model, pose, spun)
         # Bounded by the sampling gap of 2000 points on the sphere.
         assert err < 0.005
 
@@ -349,7 +350,7 @@ class TestAddError:
         model = make_model("blob", n_points=150, seed=6)
         for _ in range(10):
             pose_true, pose_est = random_se3(rng), random_se3(rng)
-            add = add_error(model, pose_true, pose_est, symmetric=False)
+            add = add_error(model, pose_true, pose_est)
             mssd = mssd_error(model, pose_true, pose_est)
             assert add <= mssd + 1e-12
 

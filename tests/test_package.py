@@ -1,0 +1,38 @@
+"""Static checks on the package source: no dead imports, an exact export list."""
+
+import ast
+from pathlib import Path
+
+import crosspose
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crosspose"
+
+
+def _imported_names(tree) -> set:
+    """Names that the import statements of a module bind."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.asname or a.name.split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names.update(a.asname or a.name for a in node.names)
+    return names
+
+
+def test_every_import_is_used():
+    unused = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue  # its imports are the exports, checked below
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        missing = _imported_names(tree) - used
+        if missing:
+            unused[path.name] = sorted(missing)
+    assert unused == {}
+
+
+def test_all_lists_exactly_the_imported_names():
+    imported = _imported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
+    assert len(crosspose.__all__) == len(set(crosspose.__all__))
+    assert set(crosspose.__all__) == imported

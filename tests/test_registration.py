@@ -24,17 +24,16 @@ from conftest import random_se3
 # ---------------------------------------------------------------------------
 
 
-def _weighted_residual(pose, src, dst, weights):
+def _residual(pose, src, dst):
     moved = pose.apply(src)
-    return float(np.sum(weights * np.sum((moved - dst) ** 2, axis=1)))
+    return float(np.sum((moved - dst) ** 2))
 
 
-def _kabsch_oracle(src, dst, weights):
+def _kabsch_oracle(src, dst):
     """Rotation via an independent solver (quaternion-based alignment)."""
-    w = np.asarray(weights, dtype=np.float64)
-    cs = (w[:, None] * src).sum(axis=0) / w.sum()
-    cd = (w[:, None] * dst).sum(axis=0) / w.sum()
-    rot, _ = Rotation.align_vectors(dst - cd, src - cs, weights=w)
+    cs = src.mean(axis=0)
+    cd = dst.mean(axis=0)
+    rot, _ = Rotation.align_vectors(dst - cd, src - cs)
     r = rot.as_matrix()
     return Pose(r, cd - r @ cs)
 
@@ -98,41 +97,22 @@ class TestKabsch:
             pose = kabsch(src, true.apply(src))
             assert np.linalg.det(pose.rotation) > 0.99
 
-    def test_weighted_fit_matches_independent_solver(self, rng):
+    def test_fit_matches_independent_solver(self, rng):
         for _ in range(10):
             src = rng.normal(size=(25, 3))
             dst = random_se3(rng).apply(src) + rng.normal(scale=0.05, size=(25, 3))
-            w = rng.uniform(0.1, 2.0, size=25)
-            got = kabsch(src, dst, weights=w)
-            exp = _kabsch_oracle(src, dst, w)
+            got = kabsch(src, dst)
+            exp = _kabsch_oracle(src, dst)
             np.testing.assert_allclose(got.rotation, exp.rotation, atol=1e-8)
             np.testing.assert_allclose(got.translation, exp.translation, atol=1e-8)
 
-    def test_weighted_residual_is_locally_optimal(self, rng):
+    def test_residual_is_locally_optimal(self, rng):
         src = rng.normal(size=(20, 3))
         dst = random_se3(rng).apply(src) + rng.normal(scale=0.02, size=(20, 3))
-        w = rng.uniform(0.5, 1.5, size=20)
-        best = _weighted_residual(kabsch(src, dst, weights=w), src, dst, w)
+        best = _residual(kabsch(src, dst), src, dst)
         for _ in range(50):
             probe = random_se3(rng, translation_scale=0.5)
-            assert best <= _weighted_residual(probe, src, dst, w) + 1e-12
-
-    def test_zero_weight_pairs_are_ignored(self, rng):
-        src = rng.normal(size=(10, 3))
-        true = random_se3(rng)
-        dst = true.apply(src)
-        dst[7] += 100.0  # gross outlier, weight 0
-        w = np.ones(10)
-        w[7] = 0.0
-        pose = kabsch(src, dst, weights=w)
-        np.testing.assert_allclose(pose.rotation, true.rotation, atol=1e-9)
-
-    def test_invalid_weights_rejected(self, rng):
-        pts = rng.normal(size=(5, 3))
-        with pytest.raises(ValueError):
-            kabsch(pts, pts, weights=np.full(5, -1.0))
-        with pytest.raises(ValueError):
-            kabsch(pts, pts, weights=np.zeros(5))
+            assert best <= _residual(probe, src, dst) + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -308,9 +288,8 @@ class TestRefitOptimality:
         result = register_spatial_consistency(matches, seed=12)
         src = matches.anchor_points[result.inliers]
         dst = matches.query_points[result.inliers]
-        w = np.full(len(src), 1.0 / len(src))
-        best = _weighted_residual(result.pose, src, dst, w)
+        best = _residual(result.pose, src, dst)
         probe_rng = np.random.default_rng(99)
         for _ in range(25):
             probe = random_se3(probe_rng, translation_scale=0.2)
-            assert best <= _weighted_residual(probe, src, dst, w) + 1e-12
+            assert best <= _residual(probe, src, dst) + 1e-12

@@ -127,6 +127,9 @@ class TestCyclicSymmetries:
         assert _rotation_angle(syms[1].rotation) == pytest.approx(
             math.pi / 2.0, abs=1e-12
         )
+        # The group turns about the z axis: a quarter turn carries x to y.
+        mapped = syms[1].apply(np.array([[1.0, 0.0, 0.0]]))[0]
+        assert mapped == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
     def test_group_closed_under_composition(self):
         syms = cyclic_symmetries(4)
@@ -136,11 +139,6 @@ class TestCyclicSymmetries:
                 assert any(
                     np.max(np.abs(prod - s.rotation)) < 1e-9 for s in syms
                 )
-
-    def test_custom_axis(self):
-        syms = cyclic_symmetries(2, axis=(1.0, 0.0, 0.0))
-        mapped = syms[1].apply(np.array([[0.0, 1.0, 0.0]]))[0]
-        assert mapped == pytest.approx([0.0, -1.0, 0.0], abs=1e-12)
 
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
