@@ -45,8 +45,7 @@ def main():
     center = pose_a.translation
     delta = Pose(spin, center - spin @ center + [0.005, 0.0, 0.0])
     scene_a, scene_q, gt = make_pair(
-        model, pose_a, compose(delta, pose_a), cam,
-        background_a=0.8, background_q=0.8,
+        model, pose_a, compose(delta, pose_a), cam, background=0.8
     )
     print(f"rendered pair shares {len(gt.anchor)} ground-truth pixels")
 

@@ -190,7 +190,7 @@ def cmd_synth(args) -> int:
     for i in range(args.pairs):
         pair_id = f"pair_{i:04d}"
         pair_dir = out / "pairs" / pair_id
-        pair_dir.mkdir(parents=True, exist_ok=True)
+        _make_dir(pair_dir)
 
         # The query view re-orients the object by a bounded angle so the
         # two views share a substantial visible surface.
@@ -201,9 +201,7 @@ def cmd_synth(args) -> int:
         pose_a = Pose(rot_a, rng.uniform(*_VIEW_BOUNDS))
         pose_q = Pose(rotation_about_axis(axis, angle) @ rot_a, rng.uniform(*_VIEW_BOUNDS))
         scene_a, scene_q, oracle = make_pair(
-            model, pose_a, pose_q, camera,
-            background_a=args.background_depth,
-            background_q=args.background_depth,
+            model, pose_a, pose_q, camera, background=args.background_depth
         )
         feat_seed = int(rng.integers(2**63))
         feat_a, feat_q = make_descriptor_field(

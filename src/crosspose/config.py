@@ -177,6 +177,8 @@ class EvalConfig:
             raise ConfigError("min_matches must be non-negative")
         if self.workers < 1:
             raise ConfigError("workers must be at least 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
 
 
 # The value types a config field takes, by its annotation, and their name

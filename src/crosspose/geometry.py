@@ -92,28 +92,13 @@ class Pose:
         return Pose(rot_inv, -rot_inv @ self.translation)
 
     def apply(self, points) -> np.ndarray:
-        """Transform one point ``(3,)`` or a stack ``(N, 3)``."""
-        pts = np.asarray(points, dtype=np.float64)
-        if pts.shape == (3,):
-            return self.rotation @ pts + self.translation
-        pts = _as_points(pts)
-        return pts @ self.rotation.T + self.translation
-
-    def matrix(self) -> np.ndarray:
-        """Return the 4x4 homogeneous matrix."""
-        mat = np.eye(4)
-        mat[:3, :3] = self.rotation
-        mat[:3, 3] = self.translation
-        return mat
+        """Transform a stack of points ``(N, 3)``."""
+        return _as_points(points) @ self.rotation.T + self.translation
 
 
 def compose(a: Pose, b: Pose) -> Pose:
     """Return ``a * b`` (apply ``b`` first)."""
     return a.compose(b)
-
-
-def inverse(pose: Pose) -> Pose:
-    return pose.inverse()
 
 
 def relative_pose(pose_a: Pose, pose_b: Pose) -> Pose:
@@ -240,10 +225,6 @@ class Projection:
     uv: np.ndarray  # (N, 2) float
     in_front: np.ndarray  # (N,) bool, z > 0
     in_image: np.ndarray  # (N,) bool
-
-    @property
-    def num_behind(self) -> int:
-        return int(np.count_nonzero(~self.in_front))
 
 
 def project(points, intrinsics: CameraIntrinsics) -> Projection:

@@ -123,16 +123,6 @@ def cosine_distance(cos):
     return np.clip((1.0 - cos) / 2.0, 0.0, 1.0)
 
 
-def feature_distance(f1, f2) -> float:
-    """Cosine distance ``(1 - cos) / 2`` between two feature vectors."""
-    a = np.asarray(f1, dtype=np.float64).reshape(-1)
-    b = np.asarray(f2, dtype=np.float64).reshape(-1)
-    if a.shape != b.shape:
-        raise ValueError(f"feature dimensions differ: {a.shape} vs {b.shape}")
-    ua, ub = unit_rows(np.stack([a, b]), "the arguments")
-    return float(cosine_distance(np.dot(ua, ub)))
-
-
 def _cell_center_pixels(index, cells: int, pixels: int) -> np.ndarray:
     """Pixel under the center of each cell, along one axis of ``cells`` cells."""
     centers = np.floor((index + 0.5) * pixels / cells).astype(np.int64)

@@ -32,7 +32,6 @@ from .geometry import (
     ObjectModel,
     Pose,
     as_depth,
-    back_project,
     relative_pose,
 )
 from .io import quantize_depth
@@ -48,9 +47,6 @@ _STREAM_OUTLIERS = 4
 
 # Declared symmetries turn about the model's z axis.
 _SYMMETRY_AXIS = (0.0, 0.0, 1.0)
-# Occluder spheres of clutter_depth: radius bounds (m) and samples each.
-_CLUTTER_RADII = (0.02, 0.05)
-_CLUTTER_SPHERE_POINTS = 2000
 
 
 def rotation_about_axis(axis, angle: float) -> np.ndarray:
@@ -85,9 +81,9 @@ def random_rotation(rng: np.random.Generator) -> np.ndarray:
     )
 
 
-def random_pose(rng: np.random.Generator, max_translation: float = 0.5) -> Pose:
-    """Uniformly random rotation with a uniform box translation."""
-    t = rng.uniform(-max_translation, max_translation, size=3)
+def random_pose(rng: np.random.Generator) -> Pose:
+    """Uniformly random rotation with a translation uniform in [-0.5, 0.5]^3 m."""
+    t = rng.uniform(-0.5, 0.5, size=3)
     return Pose(random_rotation(rng), t)
 
 
@@ -242,50 +238,23 @@ def render_scene(
     )
 
 
-def clutter_depth(
-    camera: CameraIntrinsics,
-    plane_depth: float,
-    n_spheres: int,
-    seed: int = 0,
-) -> np.ndarray:
-    """A background plane with random occluder spheres splatted in."""
-    if not 0 < plane_depth < np.inf:
-        raise ValueError("plane_depth must be finite and positive")
-    background = np.full((camera.height, camera.width), float(plane_depth))
-    rng = np.random.default_rng(seed)
-    for _ in range(n_spheres):
-        radius = rng.uniform(*_CLUTTER_RADII)
-        z = rng.uniform(0.3 * plane_depth, 0.9 * plane_depth)
-        # Keep the center inside the frustum at its depth.
-        u = rng.uniform(0.2, 0.8) * camera.width
-        v = rng.uniform(0.2, 0.8) * camera.height
-        center = back_project(u, v, z, camera)
-        pts = _sphere_points(rng, _CLUTTER_SPHERE_POINTS, radius) + center
-        depth, _ = splat_depth(pts, camera)
-        hit = visibility(depth, background, 0.0)
-        background[hit] = depth[hit]
-    return background
-
-
 def make_pair(
     model: ObjectModel,
     pose_a: Pose,
     pose_q: Pose,
-    camera_a: CameraIntrinsics,
-    camera_q: CameraIntrinsics | None = None,
-    background_a=0.0,
-    background_q=0.0,
+    camera: CameraIntrinsics,
+    background=0.0,
 ) -> tuple[SynthScene, SynthScene, GtPair]:
     """Render two views and derive the co-visibility match oracle.
 
-    The oracle pairs the pixels of every model point visible in both
-    views (by point identity, not proximity), ordered by model point
-    index. It is exact by construction and independent of any search
-    radius.
+    Both views use one camera and one ``background`` (as in
+    :func:`render_scene`). The oracle pairs the pixels of every model
+    point visible in both views (by point identity, not proximity),
+    ordered by model point index. It is exact by construction and
+    independent of any search radius.
     """
-    camera_q = camera_a if camera_q is None else camera_q
-    scene_a = render_scene(model, pose_a, camera_a, background_a)
-    scene_q = render_scene(model, pose_q, camera_q, background_q)
+    scene_a = render_scene(model, pose_a, camera, background)
+    scene_q = render_scene(model, pose_q, camera, background)
 
     n = len(model.points)
     pix_a = np.full((n, 2), -1, dtype=np.int64)
@@ -375,7 +344,6 @@ def make_correspondences(
     noise: float = 0.002,
     seed: int = 0,
     extent: float = 0.1,
-    pose: Pose | None = None,
 ) -> tuple[Correspondences, Pose]:
     """Synthetic 3D correspondences for registration Monte-Carlo runs.
 
@@ -390,7 +358,7 @@ def make_correspondences(
     if not 0.0 <= outlier_fraction <= 1.0:
         raise ValueError("outlier_fraction must lie in [0, 1]")
     rng = np.random.default_rng(seed)
-    true_pose = random_pose(rng) if pose is None else pose
+    true_pose = random_pose(rng)
 
     src = rng.uniform(-extent / 2.0, extent / 2.0, size=(n_matches, 3))
     dst = true_pose.apply(src)

@@ -163,6 +163,16 @@ class TestSynth:
         assert main(argv) == 2
         assert out.read_text() == "keep"
 
+    def test_pair_directory_that_is_a_file_exits_2(self, tmp_path, capsys):
+        blocker = tmp_path / "data" / "pairs" / "pair_0000"
+        blocker.parent.mkdir(parents=True)
+        blocker.write_text("keep")
+        argv = ["synth", "--out", str(tmp_path / "data"), "--pairs", "1",
+                "--image-size", "32", "--model-points", "200"]
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error: cannot create directory ")
+        assert blocker.read_text() == "keep"
+
 
 # ---------------------------------------------------------------------------
 # gen-matches
@@ -309,6 +319,21 @@ class TestRegister:
         assert main(argv + ["--out-dir", str(first)]) == 0
         assert main(argv + ["--out-dir", str(second)]) == 0
         assert _tree_digest(first) == _tree_digest(second)
+
+    def test_pair_order_does_not_change_pose_files(self, dataset, tmp_path):
+        manifest = io.read_json(dataset / "pairs.json")
+        manifest["pairs"].reverse()
+        reversed_pairs = dataset / "pairs_reversed.json"
+        io.write_json(reversed_pairs, manifest)
+        forward, backward = tmp_path / "forward", tmp_path / "backward"
+        assert main(["register", "--pairs", str(dataset / "pairs.json"),
+                     "--out-dir", str(forward)]) == 0
+        assert main(["register", "--pairs", str(reversed_pairs),
+                     "--out-dir", str(backward)]) == 0
+        names = sorted(p.name for p in forward.glob("pair_*.json"))
+        assert names == ["pair_0000.json", "pair_0001.json", "pair_0002.json"]
+        for name in names:
+            assert (forward / name).read_bytes() == (backward / name).read_bytes()
 
     def test_missing_features_fail_pair_but_continue(self, dataset_small, tmp_path):
         manifest = io.read_json(dataset_small / "pairs.json")
@@ -654,6 +679,20 @@ class TestConfigLayer:
             "register", "--pairs", str(dataset_small / "pairs.json"),
             "--config", str(cfg_path), "--out-dir", str(out),
         ]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("via", ["flag", "config"])
+    def test_negative_seed_exits_2(self, via, dataset_small, tmp_path, capsys):
+        out = tmp_path / "poses"
+        argv = ["register", "--pairs", str(dataset_small / "pairs.json"), "--out-dir", str(out)]
+        if via == "flag":
+            argv += ["--seed", "-5"]
+        else:
+            cfg_path = tmp_path / "config.json"
+            io.write_json(cfg_path, {"seed": -5})
+            argv += ["--config", str(cfg_path)]
+        assert main(argv) == 2
+        assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
     def test_invalid_values_rejected(self):

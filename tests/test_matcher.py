@@ -10,7 +10,6 @@ from crosspose import (
     MatchSet,
     ZeroVector,
     downsample_mask,
-    feature_distance,
     lift_matches,
     match_features,
     make_descriptor_field,
@@ -18,7 +17,7 @@ from crosspose import (
     make_pair,
     Pose,
 )
-from crosspose.matcher import unit_rows
+from crosspose.matcher import cosine_distance, unit_rows
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -64,49 +63,55 @@ def _match_oracle(feat_a, feat_q, mask_a, mask_q, params):
     return anchor.reshape(-1, 2), query.reshape(-1, 2), dist
 
 
+def _distance(f1, f2):
+    """Cosine distance of two vectors through the primitives match_features uses."""
+    ua, ub = unit_rows(np.stack([f1, f2]).astype(np.float64), "vectors")
+    return float(cosine_distance(ua @ ub))
+
+
 def _unit_field(rng, shape):
     field = rng.normal(size=shape)
     return field / np.linalg.norm(field, axis=-1, keepdims=True)
 
 
 # ---------------------------------------------------------------------------
-# feature_distance
+# Feature distance: unit_rows + cosine_distance
 # ---------------------------------------------------------------------------
 
 
 class TestFeatureDistance:
     def test_identical_vectors_give_zero(self, rng):
         f = rng.normal(size=32)
-        assert feature_distance(f, f) == pytest.approx(0.0, abs=1e-15)
+        assert _distance(f, f) == pytest.approx(0.0, abs=1e-15)
 
     def test_orthogonal_vectors_give_half(self):
-        assert feature_distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
+        assert _distance([1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
 
     def test_antipodal_vectors_give_one(self, rng):
         f = rng.normal(size=8)
-        assert feature_distance(f, -f) == pytest.approx(1.0)
+        assert _distance(f, -f) == pytest.approx(1.0)
 
     def test_symmetric(self, rng):
         a, b = rng.normal(size=16), rng.normal(size=16)
-        assert feature_distance(a, b) == feature_distance(b, a)
+        assert _distance(a, b) == _distance(b, a)
 
     def test_invariant_to_positive_scaling(self, rng):
         a, b = rng.normal(size=16), rng.normal(size=16)
-        assert feature_distance(3.0 * a, b) == feature_distance(a, b)
-        assert feature_distance(a, 0.125 * b) == feature_distance(a, b)
+        assert _distance(3.0 * a, b) == _distance(a, b)
+        assert _distance(a, 0.125 * b) == _distance(a, b)
 
     def test_zero_iff_positively_parallel(self, rng):
         a = rng.normal(size=16)
-        assert feature_distance(a, 2.5 * a) == pytest.approx(0.0, abs=1e-15)
+        assert _distance(a, 2.5 * a) == pytest.approx(0.0, abs=1e-15)
         b = rng.normal(size=16)
         if _distance_oracle(a, b) > 1e-12:
-            assert feature_distance(a, b) > 0.0
+            assert _distance(a, b) > 0.0
 
     def test_zero_vector_raises(self):
         with pytest.raises(ZeroVector):
-            feature_distance([0.0, 0.0], [1.0, 0.0])
+            _distance([0.0, 0.0], [1.0, 0.0])
         with pytest.raises(ZeroVector):
-            feature_distance([1.0, 0.0], [1e-13, 0.0])
+            _distance([1.0, 0.0], [1e-13, 0.0])
 
     def test_unit_rows_normalizes_a_grid_like_its_rows(self, rng):
         grid = rng.normal(size=(4, 5, 7))
@@ -117,14 +122,14 @@ class TestFeatureDistance:
     def test_matches_longhand_oracle(self, rng):
         for _ in range(50):
             a, b = rng.normal(size=8), rng.normal(size=8)
-            assert feature_distance(a, b) == pytest.approx(
+            assert _distance(a, b) == pytest.approx(
                 _distance_oracle(a, b), abs=1e-15
             )
 
     def test_range_clipped_to_unit_interval(self, rng):
         for _ in range(100):
             a, b = rng.normal(size=4), rng.normal(size=4)
-            assert 0.0 <= feature_distance(a, b) <= 1.0
+            assert 0.0 <= _distance(a, b) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +364,7 @@ class TestSyntheticDescriptors:
         delta = rotation_about_axis(np.array([0.3, 0.9, 0.1]), np.radians(20))
         pose_q = Pose(delta @ rot, np.array([-0.003, 0.002, 0.57]))
         scene_a, scene_q, _ = make_pair(
-            model, pose_a, pose_q, cam96, background_a=0.8, background_q=0.8
+            model, pose_a, pose_q, cam96, background=0.8
         )
         feat_a, feat_q = make_descriptor_field(scene_a, scene_q, seed=4)
         matches = match_features(feat_a, feat_q, scene_a.mask, scene_q.mask)

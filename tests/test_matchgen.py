@@ -145,8 +145,7 @@ class TestGenerateGtMatches:
     def test_deterministic_across_calls(self, cam96):
         model = make_model("blob", n_points=4000, size=0.01, seed=5)
         rng = np.random.default_rng(7)
-        pose_a = random_pose(rng, max_translation=0.01)
-        pose_a = Pose(pose_a.rotation, pose_a.translation + [0.0, 0.0, 0.55])
+        pose_a = Pose(random_pose(rng).rotation, [0.0, 0.0, 0.55])
         pose_q = Pose(pose_a.rotation, pose_a.translation + [0.002, -0.001, 0.01])
         sa = render_scene(model, pose_a, cam96)
         sq = render_scene(model, pose_q, cam96)

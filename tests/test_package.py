@@ -1,11 +1,14 @@
-"""Static checks on the package source: no dead imports, an exact export list."""
+"""Static checks on the package source: no dead imports, an exact export list,
+and no export that only tests use."""
 
 import ast
+import re
 from pathlib import Path
 
 import crosspose
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "crosspose"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "crosspose"
 
 
 def _imported_names(tree) -> set:
@@ -36,3 +39,18 @@ def test_all_lists_exactly_the_imported_names():
     imported = _imported_names(ast.parse((PACKAGE / "__init__.py").read_text()))
     assert len(crosspose.__all__) == len(set(crosspose.__all__))
     assert set(crosspose.__all__) == imported
+
+
+def test_every_export_is_used_outside_tests():
+    """Each export is named by a package module, a demo or a README python block."""
+    sources = [p.read_text() for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    sources += [p.read_text() for p in sorted((ROOT / "demos").glob("*.py"))]
+    readme = (ROOT / "README.md").read_text()
+    sources += re.findall(r"^```python\n(.*?)^```", readme, re.S | re.M)
+    used = {
+        node.id
+        for source in sources
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name)
+    }
+    assert sorted(set(crosspose.__all__) - used) == []

@@ -12,7 +12,6 @@ from crosspose import (
     NoConsensus,
     Pose,
     TooFewMatches,
-    clutter_depth,
     cyclic_symmetries,
     generate_gt_matches,
     lift_matches,
@@ -102,8 +101,8 @@ class TestRotationHelpers:
 
     def test_random_pose_translation_bounded(self, rng):
         for _ in range(10):
-            pose = random_pose(rng, max_translation=0.2)
-            assert np.all(np.abs(pose.translation) <= 0.2)
+            pose = random_pose(rng)
+            assert np.all(np.abs(pose.translation) <= 0.5)
 
     def test_random_rotation_deterministic_per_state(self):
         a = random_rotation(np.random.default_rng(7))
@@ -337,36 +336,15 @@ class TestRenderScene:
             render_scene(model, Pose(np.eye(3), [0.0, 0.0, 0.6]), cam96, background)
 
     def test_full_background_map_accepted(self, cam96):
-        clutter = clutter_depth(cam96, plane_depth=0.8, n_spheres=2, seed=1)
+        # A plane at 0.8 m with a nearer block in one corner.
+        background = np.full((cam96.height, cam96.width), 0.8)
+        background[:20, :30] = 0.3
         model = make_model("blob", n_points=2000, size=0.02)
         scene = render_scene(
-            model, Pose(np.eye(3), [0.0, 0.0, 0.5]), cam96, background_depth=clutter
+            model, Pose(np.eye(3), [0.0, 0.0, 0.5]), cam96, background_depth=background
         )
         assert scene.mask.any()
         assert np.all(scene.depth > 0)
-
-
-class TestClutterDepth:
-    def test_occluders_cut_into_plane(self, cam96):
-        depth = clutter_depth(cam96, plane_depth=0.8, n_spheres=3, seed=2)
-        assert np.all(depth > 0)
-        assert np.all(depth <= 0.8)
-        assert np.any(depth < 0.8)
-
-    def test_deterministic(self, cam96):
-        a = clutter_depth(cam96, plane_depth=0.8, n_spheres=3, seed=2)
-        b = clutter_depth(cam96, plane_depth=0.8, n_spheres=3, seed=2)
-        assert np.array_equal(a, b)
-
-    def test_invalid_plane_rejected(self, cam96):
-        with pytest.raises(ValueError):
-            clutter_depth(cam96, plane_depth=0.0, n_spheres=1)
-
-    @pytest.mark.parametrize("plane_depth", [np.nan, np.inf])
-    @pytest.mark.parametrize("n_spheres", [0, 2])
-    def test_non_finite_plane_rejected(self, cam96, plane_depth, n_spheres):
-        with pytest.raises(ValueError, match="finite and positive"):
-            clutter_depth(cam96, plane_depth=plane_depth, n_spheres=n_spheres)
 
 
 # ---------------------------------------------------------------------------
@@ -387,10 +365,10 @@ class TestMakePair:
 
     def test_disjoint_visibility_gives_empty_oracle(self, cam96):
         model = make_model("blob", n_points=2000, size=0.02, seed=4)
-        pose = Pose(np.eye(3), [0.0, 0.0, 0.6])
-        scene_a, scene_q, oracle = make_pair(
-            model, pose, pose, cam96, background_q=0.3
-        )
+        # The shared 0.3 m background hides the query view behind it.
+        pose_a = Pose(np.eye(3), [0.0, 0.0, 0.2])
+        pose_q = Pose(np.eye(3), [0.0, 0.0, 0.6])
+        scene_a, scene_q, oracle = make_pair(model, pose_a, pose_q, cam96, background=0.3)
         assert scene_a.mask.any()
         assert not scene_q.mask.any()
         assert len(oracle.anchor) == 0
@@ -556,12 +534,6 @@ class TestMakeCorrespondences:
     def test_sources_bounded_by_extent(self):
         matches, _ = make_correspondences(n_matches=80, extent=0.2, seed=1)
         assert np.all(np.abs(matches.anchor_points) <= 0.1)
-
-    def test_given_pose_is_used(self, rng):
-        pose = random_pose(rng)
-        _, returned = make_correspondences(n_matches=30, pose=pose, seed=2)
-        assert np.array_equal(returned.rotation, pose.rotation)
-        assert np.array_equal(returned.translation, pose.translation)
 
     def test_deterministic_under_seed(self):
         a, pose_a = make_correspondences(seed=11)
