@@ -9,7 +9,8 @@ Subcommands:
   relative pose.
 * ``eval``: score predicted poses against ground truth and print a
   table.
-* ``losses``: forward loss diagnostics over ground-truth matches.
+* ``losses``: forward loss diagnostics over the ground-truth matches
+  ``gen-matches`` wrote.
 
 Exit codes: 0 on success, 1 when any pair failed but the batch ran,
 2 on configuration or usage errors. Every command is deterministic
@@ -180,17 +181,17 @@ def cmd_synth(args) -> int:
         raise ConfigError(f"invalid synth setting: {exc}") from exc
 
     out = Path(args.out)
-    _make_dir(out / "models")
-    _make_dir(out / "pairs")
+    pair_ids = [f"pair_{i:04d}" for i in range(args.pairs)]
+    # Every directory is made before the first file is written.
+    for directory in ("models", "pairs", *(f"pairs/{pair_id}" for pair_id in pair_ids)):
+        _make_dir(out / directory)
     io.write_model(out / "models" / "model.xyz", model)
     io.write_intrinsics(out / "camera.json", camera)
 
     rng = np.random.default_rng(derive_seed(args.seed, "synth"))
     entries = []
-    for i in range(args.pairs):
-        pair_id = f"pair_{i:04d}"
+    for pair_id in pair_ids:
         pair_dir = out / "pairs" / pair_id
-        _make_dir(pair_dir)
 
         # The query view re-orients the object by a bounded angle so the
         # two views share a substantial visible surface.
@@ -335,7 +336,7 @@ def cmd_eval(args) -> int:
         if not pred_path.exists():
             raise ConfigError(f"no prediction for pair: {pred_path.name}")
         payload = io.read_json(pred_path)
-        pred_rel = io.pose_from_dict(payload.get("pose", payload))
+        pred_rel = io.pose_from_dict(payload["pose"])
         q = _load_view(entry.query)
         model = io.read_model(entry.model)
         return pair_report(
@@ -372,19 +373,13 @@ def cmd_losses(args) -> int:
     cfg = _config_from_args(args)
     if args.max_samples < 1:
         raise ConfigError("--max-samples must be at least 1")
-    matches_dir = _flag_path(args.matches, "--matches", is_dir=True) if args.matches else None
+    matches_dir = _flag_path(args.matches, "--matches", is_dir=True)
     report = _flag_path(args.out, "--out", is_dir=False)
 
     def work(entry: PairEntry):
         a = _load_view(entry.anchor, features=True)
         q = _load_view(entry.query, features=True)
-        if matches_dir is not None:
-            gt = io.read_matches(matches_dir / f"{entry.pair_id}.json")
-        else:
-            gt = generate_gt_matches(
-                a.depth, q.depth, a.mask, q.mask, a.camera, q.camera, a.pose, q.pose,
-                nn_radius=cfg.nn_radius,
-            )
+        gt = io.read_matches(matches_dir / f"{entry.pair_id}.json")
         if len(gt) > args.max_samples:
             # Deterministic thinning: evenly spaced over the scan order.
             idx = np.linspace(0, len(gt) - 1, args.max_samples).astype(np.int64)
@@ -528,9 +523,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("losses", help="forward loss diagnostics")
     _add_common(p, with_out_dir=False)
     p.add_argument("--out", required=True, help="report JSON path")
-    p.add_argument("--matches", help="directory of match files (default: recompute)")
+    p.add_argument("--matches", required=True, help="gen-matches output directory")
     p.add_argument("--max-samples", type=int, default=500)
-    p.add_argument("--nn-radius", type=float)
     p.set_defaults(func=cmd_losses)
 
     return parser

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .io import read_json
+from .io import read_json, value_type_error
 from .matcher import MatchParams
 from .matchgen import DEFAULT_MIN_MATCHES, DEFAULT_NN_RADIUS
 from .registration import RegistrationParams
@@ -181,13 +181,6 @@ class EvalConfig:
             raise ConfigError("seed must be non-negative")
 
 
-# The value types a config field takes, by its annotation, and their name
-# in messages. A bool is never a number.
-_VALUE_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-    "Path | None": ((str, Path), "a path string"),
-}
 _SECTIONS = {"match": MatchParams, "registration": RegistrationParams}
 _PATHS = ("pairs_file", "output_dir")
 
@@ -199,9 +192,9 @@ def _check_fields(cls, values, what: str) -> None:
     annotations = {f.name: f.type for f in fields(cls)}
     _check_keys(values, set(annotations), what)
     for name, value in values.items():
-        types, noun = _VALUE_TYPES.get(annotations[name], (None, None))
-        if types and (isinstance(value, bool) or not isinstance(value, types)):
-            raise ConfigError(f"{what}: {name!r} must be {noun}, got {value!r}")
+        problem = value_type_error(annotations[name], value)
+        if problem:
+            raise ConfigError(f"{what}: {name!r} {problem}")
 
 
 def _build(values: dict) -> EvalConfig:

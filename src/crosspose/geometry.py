@@ -159,6 +159,16 @@ def as_mask(mask, shape: tuple[int, int] | None = None) -> np.ndarray:
     return arr.astype(bool)
 
 
+def as_rows(values, width: int, dtype, name: str) -> np.ndarray:
+    """Validate an ``(M, width)`` array; an empty list reads as ``(0, width)``."""
+    arr = np.asarray(values, dtype=dtype)
+    if arr.shape == (0,):
+        arr = arr.reshape(0, width)
+    if arr.ndim != 2 or arr.shape[1] != width:
+        raise ValueError(f"{name} must have shape (M, {width}), got {arr.shape}")
+    return arr
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Points in meters with the source pixel of each point."""

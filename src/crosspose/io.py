@@ -6,7 +6,8 @@
 * Masks: binary 8-bit PGM, 0 = outside, 255 = inside (any non-zero
   value reads as inside).
 * Poses: JSON ``{"R": [9 reals, row-major], "t": [3 reals, meters]}``.
-* Intrinsics: JSON with fx, fy, cx, cy, width, height.
+* Intrinsics: JSON with fx, fy, cx, cy (numbers) and width, height
+  (integers).
 * Feature grids: raw blob with magic ``ORYT``, three unsigned 32-bit
   little-endian dims H, W, D, then H*W*D float32 values, C order.
 * Models: whitespace-separated XYZ text plus a JSON sidecar (same stem,
@@ -34,6 +35,22 @@ DEPTH_MAX_MM = 65535
 
 
 # ---------------------------------------------------------------- JSON --
+
+# The JSON value types a dataclass field takes, by its annotation, and
+# their name in messages. A bool is never a number.
+_VALUE_TYPES = {
+    "int": ((int,), "an integer"),
+    "float": ((int, float), "a number"),
+    "Path | None": ((str, Path), "a path string"),
+}
+
+
+def value_type_error(annotation: str, value) -> str | None:
+    """Why ``value`` cannot fill a field annotated ``annotation``, or None."""
+    types, noun = _VALUE_TYPES.get(annotation, (None, None))
+    if types and (isinstance(value, bool) or not isinstance(value, types)):
+        return f"must be {noun}, got {value!r}"
+    return None
 
 
 def write_json(path, payload: dict) -> None:
@@ -155,6 +172,10 @@ def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 def read_intrinsics(path) -> CameraIntrinsics:
     d = read_json(path)
     cast = {"float": float, "int": int}  # by field annotation
+    for f in fields(CameraIntrinsics):
+        problem = value_type_error(f.type, d[f.name])
+        if problem:
+            raise ValueError(f"camera {f.name!r} {problem}")
     return CameraIntrinsics(**{f.name: cast[f.type](d[f.name]) for f in fields(CameraIntrinsics)})
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, ZeroVector
-from .geometry import CameraIntrinsics, as_depth, as_mask, back_project
+from .geometry import CameraIntrinsics, as_depth, as_mask, as_rows, back_project
 
 # Cosine distance is undefined below this norm.
 ZERO_NORM_TOL = 1e-12
@@ -58,8 +58,8 @@ class MatchSet:
     """Index-aligned matches between the feature grids of two views.
 
     ``anchor_cells``/``query_cells`` are (M, 2) integer ``(u, v)``
-    coordinates on the feature grid; ``distances`` holds each pair's
-    cosine distance.
+    coordinates on the feature grid; ``distances`` is the (M,) array of
+    each pair's cosine distance. Other shapes are rejected, not reshaped.
     """
 
     anchor_cells: np.ndarray
@@ -67,10 +67,10 @@ class MatchSet:
     distances: np.ndarray
 
     def __post_init__(self):
-        a = np.asarray(self.anchor_cells, dtype=np.int64).reshape(-1, 2)
-        q = np.asarray(self.query_cells, dtype=np.int64).reshape(-1, 2)
-        d = np.asarray(self.distances, dtype=np.float64).reshape(-1)
-        if not (len(a) == len(q) == len(d)):
+        a = as_rows(self.anchor_cells, 2, np.int64, "anchor cells")
+        q = as_rows(self.query_cells, 2, np.int64, "query cells")
+        d = np.asarray(self.distances, dtype=np.float64)
+        if d.ndim != 1 or not (len(a) == len(q) == len(d)):
             raise ValueError("anchor cells, query cells, and distances must align")
         object.__setattr__(self, "anchor_cells", a)
         object.__setattr__(self, "query_cells", q)
@@ -93,8 +93,8 @@ class Correspondences:
     query_points: np.ndarray
 
     def __post_init__(self):
-        pa = np.asarray(self.anchor_points, dtype=np.float64).reshape(-1, 3)
-        pq = np.asarray(self.query_points, dtype=np.float64).reshape(-1, 3)
+        pa = as_rows(self.anchor_points, 3, np.float64, "anchor points")
+        pq = as_rows(self.query_points, 3, np.float64, "query points")
         if len(pa) != len(pq):
             raise ValueError("anchor/query point counts differ")
         object.__setattr__(self, "anchor_points", pa)

@@ -20,7 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask
-from .geometry import CameraIntrinsics, Pose, nearest_neighbors, relative_pose, unproject
+from .geometry import (
+    CameraIntrinsics, Pose, as_rows, nearest_neighbors, relative_pose, unproject,
+)
 
 DEFAULT_NN_RADIUS = 0.002  # meters
 DEFAULT_MIN_MATCHES = 100
@@ -40,8 +42,8 @@ class GtPair:
     relative: Pose
 
     def __post_init__(self):
-        a = np.asarray(self.anchor, dtype=np.int64).reshape(-1, 2)
-        q = np.asarray(self.query, dtype=np.int64).reshape(-1, 2)
+        a = as_rows(self.anchor, 2, np.int64, "anchor pixels")
+        q = as_rows(self.query, 2, np.int64, "query pixels")
         if len(a) != len(q):
             raise ValueError(f"anchor/query counts differ: {len(a)} vs {len(q)}")
         object.__setattr__(self, "anchor", a)

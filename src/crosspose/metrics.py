@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -213,14 +213,14 @@ def miou(pred_mask, gt_mask) -> float:
 class MetricReport:
     """Per-pair scores, all in [0, 1].
 
-    ``ar`` is exactly ``(vsd + mssd + mspd) / 3``; construction fails on
-    any other value so the identity can never drift.
+    ``ar`` is not a constructor argument: it is always computed as
+    exactly ``(vsd + mssd + mspd) / 3``, so the identity can never drift.
     """
 
     vsd: float
     mssd: float
     mspd: float
-    ar: float
+    ar: float = field(init=False)
     add: float
     miou: float
     mssd_error_m: float
@@ -229,29 +229,12 @@ class MetricReport:
     vsd_errors: tuple
 
     def __post_init__(self):
+        object.__setattr__(self, "ar", (self.vsd + self.mssd + self.mspd) / 3.0)
         for name in SCORES:
             val = getattr(self, name)
             if not 0.0 <= val <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {val}")
-        if self.ar != (self.vsd + self.mssd + self.mspd) / 3.0:
-            raise ValueError("ar must equal (vsd + mssd + mspd) / 3 exactly")
         object.__setattr__(self, "vsd_errors", tuple(float(v) for v in self.vsd_errors))
-
-    @classmethod
-    def from_scores(cls, *, vsd, mssd, mspd, add, miou,
-                    mssd_error_m, mspd_error_px, add_error_m, vsd_errors):
-        return cls(
-            vsd=vsd,
-            mssd=mssd,
-            mspd=mspd,
-            ar=(vsd + mssd + mspd) / 3.0,
-            add=add,
-            miou=miou,
-            mssd_error_m=mssd_error_m,
-            mspd_error_px=mspd_error_px,
-            add_error_m=add_error_m,
-            vsd_errors=vsd_errors,
-        )
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -269,8 +252,8 @@ def pair_report(
     """Evaluate one estimated pose against its reference.
 
     Scores follow the fixed BOP 2020 protocol of the module constants.
-    Mask quality defaults to 1.0 when no predicted mask is supplied
-    (the reference mask stands in for the prediction).
+    Mask quality is 1.0 when no predicted mask is supplied, else its
+    :func:`miou` against ``gt_mask``.
     """
     d = model.diameter_m
 
@@ -295,12 +278,9 @@ def pair_report(
 
     add = add_result(model, pose_true, pose_est)
 
-    if gt_mask is None:
-        mask_score = 1.0
-    else:
-        mask_score = miou(gt_mask if pred_mask is None else pred_mask, gt_mask)
+    mask_score = 1.0 if pred_mask is None else miou(pred_mask, gt_mask)
 
-    return MetricReport.from_scores(
+    return MetricReport(
         vsd=vsd_score,
         mssd=mssd_score,
         mspd=mspd_score,

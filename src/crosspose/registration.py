@@ -128,23 +128,22 @@ def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     return compatible.sum(axis=1).astype(np.float64)
 
 
-def _sample_triplets(
-    n: int, iterations: int, weights: np.ndarray | None, seed: int
-) -> np.ndarray:
+def _sample_triplets(n: int, iterations: int, weights: np.ndarray, seed: int) -> np.ndarray:
     """Draw one index triplet per hypothesis, batched.
 
     Weighted sampling without replacement via Gumbel top-k: per row,
     keys = log(w) + Gumbel noise, and the three largest keys select the
-    triplet. Uniform sampling is the zero-log-weight special case.
+    triplet. Uniform sampling is the zero-log-weight special case: all
+    weights 1. Weights with fewer than three positive entries cannot
+    fill a triplet, so they sample uniformly too.
     """
     rng = np.random.default_rng(seed)
     gumbel = -np.log(-np.log(rng.random((iterations, n))))
-    if weights is not None:
-        positive = weights > 0
-        if np.count_nonzero(positive) >= 3:
-            logw = np.full(n, -np.inf)
-            logw[positive] = np.log(weights[positive])
-            gumbel = gumbel + logw
+    positive = weights > 0
+    if np.count_nonzero(positive) >= 3:
+        logw = np.full(n, -np.inf)
+        logw[positive] = np.log(weights[positive])
+        gumbel = gumbel + logw
     order = np.argsort(-gumbel, axis=1, kind="stable")
     return order[:, :3]
 
@@ -176,7 +175,7 @@ def _register(
     src: np.ndarray,
     dst: np.ndarray,
     params: RegistrationParams,
-    weights: np.ndarray | None,
+    weights: np.ndarray,
     seed: int,
 ) -> RegistrationResult:
     n = len(src)
@@ -244,4 +243,5 @@ def register_ransac(
     seed: int = 0,
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with uniform seed sampling."""
-    return _register(matches.anchor_points, matches.query_points, params, None, seed)
+    src, dst = matches.anchor_points, matches.query_points
+    return _register(src, dst, params, np.ones(len(src)), seed)

@@ -110,10 +110,9 @@ def _sphere_points(rng, n: int, radius: float) -> np.ndarray:
     return radius * unit_rows(rng.normal(size=(n, 3)), "sphere directions")
 
 
-def _box_points(rng, n: int, size) -> np.ndarray:
-    a, b, c = (float(v) for v in size)
-    half = np.array([a, b, c]) / 2.0
-    # The 8 corners pin the exact diagonal diameter sqrt(a^2+b^2+c^2).
+def _box_points(rng, n: int, side: float) -> np.ndarray:
+    half = np.full(3, side / 2.0)
+    # The 8 corners pin the exact diagonal diameter sqrt(3) * side.
     corners = np.array(
         [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
     ) * half
@@ -126,8 +125,7 @@ def _box_points(rng, n: int, size) -> np.ndarray:
     return np.concatenate([corners, pts], axis=0)
 
 
-def _cylinder_points(rng, n: int, size) -> np.ndarray:
-    radius, height = (float(v) for v in size)
+def _cylinder_points(rng, n: int, radius: float, height: float) -> np.ndarray:
     theta = rng.uniform(0.0, 2.0 * math.pi, size=n)
     z = rng.uniform(-height / 2.0, height / 2.0, size=n)
     pts = np.column_stack([radius * np.cos(theta), radius * np.sin(theta), z])
@@ -149,38 +147,35 @@ def _blob_points(rng, n: int, scale: float) -> np.ndarray:
 def make_model(
     kind: str,
     n_points: int = 512,
-    size=0.05,
+    size: float = 0.05,
     cyclic_order: int = 1,
     seed: int = 0,
 ) -> ObjectModel:
     """Sample a synthetic object surface with a declared symmetry group.
 
-    Kinds: ``sphere`` (size = radius), ``box`` (size = (a, b, c) or a
-    scalar for a cube; corners always present so the diagonal diameter
-    is exact), ``cylinder`` (size = (radius, height) or a scalar for
-    radius = size/2, height = size), ``blob`` (size = Gaussian scale).
+    Kinds: ``sphere`` (size = radius), ``box`` (a cube of side size;
+    corners always present so the diagonal diameter is exact),
+    ``cylinder`` (radius = size / 2, height = size), ``blob`` (size =
+    Gaussian scale).
     With ``cyclic_order > 1`` the cloud is orbit-completed under the
     cyclic group about the z axis, declared as the model's symmetries.
     """
     if n_points < 2:
         raise ValueError("n_points must be at least 2")
-    sizes = np.asarray(size, dtype=np.float64)
-    if not np.all((sizes > 0) & (sizes < np.inf)):
+    if not 0 < size < np.inf:
         raise ValueError("size must be finite and positive")
     rng = np.random.default_rng(seed)
     symmetries = cyclic_symmetries(cyclic_order)
     n_base = max(2, -(-n_points // len(symmetries)))  # ceil division
 
     if kind == "sphere":
-        base = _sphere_points(rng, n_base, float(size))
+        base = _sphere_points(rng, n_base, size)
     elif kind == "box":
-        dims = (size, size, size) if np.isscalar(size) else size
-        base = _box_points(rng, n_base, dims)
+        base = _box_points(rng, n_base, size)
     elif kind == "cylinder":
-        dims = (float(size) / 2.0, float(size)) if np.isscalar(size) else size
-        base = _cylinder_points(rng, n_base, dims)
+        base = _cylinder_points(rng, n_base, size / 2.0, size)
     elif kind == "blob":
-        base = _blob_points(rng, n_base, float(size))
+        base = _blob_points(rng, n_base, size)
     else:
         raise ValueError(f"unknown model kind: {kind!r}")
 
@@ -198,8 +193,6 @@ class SynthScene:
     """
 
     model: ObjectModel
-    pose: Pose
-    camera: CameraIntrinsics
     depth: np.ndarray
     mask: np.ndarray
     point_index: np.ndarray
@@ -230,8 +223,6 @@ def render_scene(
     depth = np.where(visible, model_depth, background)
     return SynthScene(
         model=model,
-        pose=pose,
-        camera=camera,
         depth=depth,
         mask=visible,
         point_index=np.where(visible, index, -1),

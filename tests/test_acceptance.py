@@ -248,13 +248,13 @@ def test_ar_equals_component_mean_for_every_pair():
     # Construction from raw scores forces the identity bitwise.
     for _ in range(200):
         vsd, mssd, mspd, add_s, seg = (float(v) for v in rng.random(5))
-        rep = MetricReport.from_scores(
+        rep = MetricReport(
             vsd=vsd, mssd=mssd, mspd=mspd, add=add_s, miou=seg,
             mssd_error_m=0.01, mspd_error_px=2.0, add_error_m=0.005,
             vsd_errors=[0.1, 0.2],
         )
         assert rep.ar == (rep.vsd + rep.mssd + rep.mspd) / 3.0
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         MetricReport(vsd=0.3, mssd=0.3, mspd=0.3, ar=0.5, add=1.0, miou=1.0,
                      mssd_error_m=0.0, mspd_error_px=0.0, add_error_m=0.0,
                      vsd_errors=())

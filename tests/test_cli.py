@@ -75,6 +75,16 @@ def matches_out(dataset, tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def small_matches(dataset_small, tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_matches")
+    assert main([
+        "gen-matches", "--pairs", str(dataset_small / "pairs.json"),
+        "--out-dir", str(out),
+    ]) == 0
+    return out
+
+
+@pytest.fixture(scope="module")
 def oracle_matches(dataset, tmp_path_factory):
     """Per-pair match files copied from the point-identity oracles."""
     out = tmp_path_factory.mktemp("oracle_matches")
@@ -164,14 +174,19 @@ class TestSynth:
         assert out.read_text() == "keep"
 
     def test_pair_directory_that_is_a_file_exits_2(self, tmp_path, capsys):
-        blocker = tmp_path / "data" / "pairs" / "pair_0000"
+        # A later pair directory is blocked; nothing is written before it.
+        data = tmp_path / "data"
+        blocker = data / "pairs" / "pair_0001"
         blocker.parent.mkdir(parents=True)
         blocker.write_text("keep")
-        argv = ["synth", "--out", str(tmp_path / "data"), "--pairs", "1",
+        argv = ["synth", "--out", str(data), "--pairs", "2",
                 "--image-size", "32", "--model-points", "200"]
         assert main(argv) == 2
         assert capsys.readouterr().err.startswith("error: cannot create directory ")
         assert blocker.read_text() == "keep"
+        for name in ("models/model.xyz", "camera.json", "pairs.json"):
+            assert not (data / name).exists()
+        assert not any((data / "pairs" / "pair_0000").iterdir())
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +261,22 @@ class TestGenMatches:
         assert "sparse" in summary["rejected"]
         assert summary["rejected"]["sparse"] < 100
         assert not (out / "sparse.json").exists()
+
+    def test_mistyped_camera_file_fails_only_its_pair(self, dataset_small, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        camera = io.read_json(data / "camera.json")
+        io.write_json(data / "camera_bad.json", {**camera, "width": 64.5})
+        manifest = io.read_json(data / "pairs.json")
+        manifest["pairs"][1]["query"]["camera"] = "camera_bad.json"
+        io.write_json(data / "pairs.json", manifest)
+        out = tmp_path / "out"
+        assert main(["gen-matches", "--pairs", str(data / "pairs.json"), "--out-dir", str(out)]) == 1
+        summary = io.read_json(out / "summary.json")
+        assert summary["accepted"] == ["pair_0000"]
+        assert summary["errors"] == {
+            "pair_0001": "ValueError: camera 'width' must be an integer, got 64.5"
+        }
 
     def test_missing_manifest_is_config_error(self, tmp_path):
         rc = main([
@@ -495,7 +526,7 @@ class TestEval:
         assert rc == 1
         report = io.read_json(report_path)
         assert set(report["pairs"]) == {"pair_0000"}
-        assert report["errors"] == {"pair_0001": "KeyError: 'R'"}
+        assert report["errors"] == {"pair_0001": "KeyError: 'pose'"}
         assert report["aggregate"]["count"] == 1
 
     def test_report_directory_is_created(self, dataset_small, tmp_path):
@@ -549,18 +580,38 @@ class TestLosses:
             expected = math.fsum(r[key] for r in rows) / len(rows)
             assert report["aggregate"][key] == expected
 
-    def test_recomputed_matches_agree_with_match_files(
-        self, dataset, matches_out, tmp_path
+    def test_matches_flag_is_required(self, dataset_small, tmp_path, capsys):
+        out = tmp_path / "out"
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "losses", "--pairs", str(dataset_small / "pairs.json"),
+                "--out", str(out / "losses.json"),
+            ])
+        assert exit_info.value.code == 2
+        assert "required: --matches" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_match_file_of_wrong_shape_fails_its_pair(
+        self, dataset_small, small_matches, tmp_path, capsys
     ):
-        from_files = tmp_path / "from_files.json"
-        recomputed = tmp_path / "recomputed.json"
-        base = ["losses", "--pairs", str(dataset / "pairs.json")]
-        assert main(base + ["--matches", str(matches_out),
-                            "--out", str(from_files)]) == 0
-        assert main(base + ["--out", str(recomputed)]) == 0
-        a = io.read_json(from_files)
-        b = io.read_json(recomputed)
-        assert a["pairs"] == b["pairs"]
+        matches = tmp_path / "matches"
+        shutil.copytree(small_matches, matches)
+        payload = io.read_json(matches / "pair_0001.json")
+        # An even row count, so that reshaping would pass the rows as pixels.
+        rows = len(payload["anchor"]) // 2 * 2
+        for side in ("anchor", "query"):
+            payload[side] = [[u, v, 0] for u, v in payload[side][:rows]]
+        io.write_json(matches / "pair_0001.json", payload)
+        report_path = tmp_path / "losses.json"
+        assert main([
+            "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--matches", str(matches), "--out", str(report_path),
+        ]) == 1
+        report = io.read_json(report_path)
+        assert set(report["pairs"]) == {"pair_0000"}
+        assert report["errors"]["pair_0001"].startswith(
+            "ValueError: anchor pixels must have shape (M, 2)"
+        )
 
     def test_missing_matches_dir_exits_2(self, dataset_small, tmp_path):
         assert main([
@@ -570,10 +621,11 @@ class TestLosses:
         ]) == 2
         assert not (tmp_path / "new").exists()
 
-    def test_report_directory_is_created(self, dataset_small, tmp_path):
+    def test_report_directory_is_created(self, dataset_small, small_matches, tmp_path):
         report_path = tmp_path / "new" / "losses.json"
         assert main([
             "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--matches", str(small_matches),
             "--max-samples", "50", "--out", str(report_path),
         ]) == 0
         assert set(io.read_json(report_path)["pairs"]) == {"pair_0000", "pair_0001"}
@@ -701,29 +753,34 @@ class TestConfigLayer:
         with pytest.raises(ConfigError):
             load_config(None, workers=0)
 
-    @pytest.mark.parametrize("via", ["flag", "config"])
     @pytest.mark.parametrize(
-        "command, flag, key, value",
+        "command, flag, key, value, via",
         [
-            ("gen-matches", "--nn-radius", "nn_radius", "nan"),
-            ("gen-matches", "--nn-radius", "nn_radius", "inf"),
-            ("losses", "--nn-radius", "nn_radius", "nan"),
-            ("register", "--inlier-threshold", "registration.inlier_threshold", "nan"),
-            (
-                "register",
-                "--compatibility-tolerance",
-                "registration.compatibility_tolerance",
-                "nan",
-            ),
+            (*case, via)
+            for case in [
+                ("gen-matches", "--nn-radius", "nn_radius", "nan"),
+                ("gen-matches", "--nn-radius", "nn_radius", "inf"),
+                ("losses", "--nn-radius", "nn_radius", "nan"),
+                ("register", "--inlier-threshold", "registration.inlier_threshold", "nan"),
+                (
+                    "register",
+                    "--compatibility-tolerance",
+                    "registration.compatibility_tolerance",
+                    "nan",
+                ),
+            ]
+            for via in ("flag", "config")
+            # losses has no --nn-radius flag; it checks the config key and ignores it.
+            if not (case[0] == "losses" and via == "flag")
         ],
     )
     def test_non_finite_threshold_exits_2(
-        self, via, command, flag, key, value, dataset_small, tmp_path
+        self, via, command, flag, key, value, dataset_small, small_matches, tmp_path, capsys
     ):
         out = tmp_path / "out"
         argv = [command, "--pairs", str(dataset_small / "pairs.json")]
         if command == "losses":
-            argv += ["--out", str(out / "losses.json")]
+            argv += ["--matches", str(small_matches), "--out", str(out / "losses.json")]
         else:
             argv += ["--out-dir", str(out)]
         if via == "flag":
@@ -737,15 +794,20 @@ class TestConfigLayer:
             io.write_json(cfg_path, payload)
             argv += ["--config", str(cfg_path)]
         assert main(argv) == 2
+        assert f"{key.split('.')[-1]} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
-    def test_max_samples_below_one_exits_2(self, value, dataset_small, tmp_path):
+    def test_max_samples_below_one_exits_2(
+        self, value, dataset_small, small_matches, tmp_path, capsys
+    ):
         out = tmp_path / "out"
         assert main([
             "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--matches", str(small_matches),
             "--out", str(out / "losses.json"), "--max-samples", value,
         ]) == 2
+        assert capsys.readouterr().err == "error: --max-samples must be at least 1\n"
         assert not out.exists()
 
     @pytest.mark.parametrize(
@@ -846,7 +908,7 @@ class TestConfigLayer:
 
     @pytest.mark.parametrize("stage", ["gen-matches", "register", "eval", "losses"])
     def test_worker_count_does_not_change_results(
-        self, stage, dataset_small, tmp_path, monkeypatch
+        self, stage, dataset_small, small_matches, tmp_path, monkeypatch
     ):
         preds = tmp_path / "preds"
         _write_gt_predictions(dataset_small, preds)
@@ -861,6 +923,8 @@ class TestConfigLayer:
                 argv += ["--out", str(out / "report.json")]
             if stage == "eval":
                 argv += ["--predictions", str(preds)]
+            if stage == "losses":
+                argv += ["--matches", str(small_matches)]
             assert main(argv) == 0
             return _tree_digest(out)
 

@@ -8,6 +8,7 @@ import pytest
 
 from crosspose import Pose, cyclic_symmetries, make_model, make_pair, render_scene
 from crosspose.io import (
+    pose_to_dict,
     quantize_depth,
     read_depth,
     read_features,
@@ -186,6 +187,18 @@ class TestPoseFile:
         back = read_intrinsics(path)
         assert back == cam96
 
+    @pytest.mark.parametrize(
+        "name, value, noun",
+        [("width", 96.7, "an integer"), ("height", True, "an integer"),
+         ("fx", "500", "a number"), ("cx", True, "a number")],
+    )
+    def test_intrinsics_of_wrong_type_rejected(self, cam96, tmp_path, name, value, noun):
+        path = tmp_path / "cam.json"
+        write_intrinsics(path, cam96)
+        write_json(path, {**read_json(path), name: value})
+        with pytest.raises(ValueError, match=f"camera '{name}' must be {noun}"):
+            read_intrinsics(path)
+
 
 # ---------------------------------------------------------------------------
 # Feature grids
@@ -246,7 +259,7 @@ class TestFeatureFile:
 
 class TestModelFile:
     def test_roundtrip_with_symmetries(self, tmp_path):
-        model = make_model("cylinder", n_points=120, size=(0.02, 0.05), cyclic_order=4)
+        model = make_model("cylinder", n_points=120, size=0.04, cyclic_order=4)
         path = tmp_path / "model.xyz"
         write_model(path, model)
         assert (tmp_path / "model.json").exists()
@@ -276,6 +289,15 @@ class TestModelFile:
 
 
 class TestMatchFile:
+    def test_rows_of_three_numbers_rejected(self, tmp_path):
+        path = tmp_path / "matches.json"
+        write_json(path, {
+            "anchor": [[1, 2, 3], [4, 5, 6]], "query": [[1, 2], [3, 4], [5, 6]],
+            "relative_pose": pose_to_dict(Pose.identity()), "count": 2,
+        })
+        with pytest.raises(ValueError, match=r"anchor pixels must have shape \(M, 2\)"):
+            read_matches(path)
+
     def test_roundtrip(self, cam96, tmp_path):
         model = make_model("blob", n_points=3000, size=0.025, seed=4)
         pose_a = Pose(np.eye(3), [0.0, 0.0, 0.6])

@@ -5,6 +5,7 @@ import pytest
 
 from crosspose import (
     CameraIntrinsics,
+    Correspondences,
     EmptyMask,
     MatchParams,
     MatchSet,
@@ -285,6 +286,17 @@ def _pinhole(pixels, z, cam):
     x = z * (px[:, 0] - cam.cx) / cam.fx
     y = z * (px[:, 1] - cam.cy) / cam.fy
     return np.column_stack([x, y, np.full(len(px), z)])
+
+
+def test_records_reject_wrong_shapes_instead_of_reshaping():
+    with pytest.raises(ValueError, match=r"anchor points must have shape \(M, 3\)"):
+        Correspondences(np.zeros((6, 2)), np.zeros((4, 3)))
+    with pytest.raises(ValueError, match=r"query cells must have shape \(M, 2\)"):
+        MatchSet(anchor_cells=np.zeros((2, 2)), query_cells=np.zeros((2, 3)),
+                 distances=np.zeros(2))
+    with pytest.raises(ValueError, match="must align"):
+        MatchSet(anchor_cells=np.zeros((2, 2)), query_cells=np.zeros((2, 2)),
+                 distances=np.zeros((2, 1)))
 
 
 class TestLiftMatches:

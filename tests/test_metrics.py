@@ -515,17 +515,18 @@ class TestMiou:
 
 class TestMetricReport:
     def test_ar_identity_enforced_at_construction(self):
-        with pytest.raises(ValueError):
+        # ar is computed, never passed.
+        with pytest.raises(TypeError):
             MetricReport(
                 vsd=0.5, mssd=0.5, mspd=0.5, ar=0.6, add=1.0, miou=1.0,
                 mssd_error_m=0.0, mspd_error_px=0.0, add_error_m=0.0,
                 vsd_errors=(0.0,),
             )
 
-    def test_from_scores_satisfies_identity_bitwise(self, rng):
+    def test_constructor_satisfies_identity_bitwise(self, rng):
         for _ in range(50):
             v, s, p = rng.random(3)
-            rep = MetricReport.from_scores(
+            rep = MetricReport(
                 vsd=v, mssd=s, mspd=p, add=1.0, miou=1.0,
                 mssd_error_m=0.0, mspd_error_px=0.0, add_error_m=0.0,
                 vsd_errors=(),
@@ -534,14 +535,14 @@ class TestMetricReport:
 
     def test_out_of_range_scores_rejected(self):
         with pytest.raises(ValueError):
-            MetricReport.from_scores(
+            MetricReport(
                 vsd=1.5, mssd=1.5, mspd=1.5, add=1.0, miou=1.0,
                 mssd_error_m=0.0, mspd_error_px=0.0, add_error_m=0.0,
                 vsd_errors=(),
             )
 
     def test_to_dict_field_names(self):
-        rep = MetricReport.from_scores(
+        rep = MetricReport(
             vsd=1.0, mssd=1.0, mspd=1.0, add=1.0, miou=1.0,
             mssd_error_m=0.0, mspd_error_px=0.0, add_error_m=0.0,
             vsd_errors=(0.0,),
@@ -611,7 +612,7 @@ class TestAggregateReports:
         for _ in range(n):
             v, s, p = rng.random(3)
             reps.append(
-                MetricReport.from_scores(
+                MetricReport(
                     vsd=v, mssd=s, mspd=p, add=float(rng.random() < 0.5),
                     miou=rng.random(),
                     mssd_error_m=0.0, mspd_error_px=0.0, add_error_m=0.0,

@@ -54,3 +54,25 @@ def test_every_export_is_used_outside_tests():
         if isinstance(node, ast.Name)
     }
     assert sorted(set(crosspose.__all__) - used) == []
+
+
+def _shell_commands(block: str) -> list:
+    """The commands of a shell block, without comments, ``&&`` or repeated spaces."""
+    commands = []
+    for line in block.splitlines():
+        line = line.split("#", 1)[0].strip().removesuffix("&&")
+        if line.strip():
+            commands.append(" ".join(line.split()))
+    return commands
+
+
+def test_ci_reruns_the_readme_tour():
+    readme = (ROOT / "README.md").read_text()
+    tour = re.search(r"^## Five-minute tour\n\n```bash\n(.*?)^```", readme, re.S | re.M)
+    workflow = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    body = re.search(r"^ *tour\(\) \{\n(.*?)^ *\}\n", workflow, re.S | re.M)
+    readme_commands = _shell_commands(tour.group(1))
+    cd, *ci_commands = _shell_commands(body.group(1))
+    assert cd == 'cd "$1" || return 1'
+    assert len(readme_commands) == 5
+    assert ci_commands == readme_commands

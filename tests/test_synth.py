@@ -165,8 +165,10 @@ class TestMakeModel:
         assert np.max(np.abs(model.points)) == pytest.approx(0.02, abs=1e-15)
 
     def test_box_diagonal_matches_edge_lengths(self):
-        model = make_model("box", n_points=256, size=(0.03, 0.04, 0.12))
-        assert model.diameter_m == pytest.approx(0.13, rel=1e-12)
+        # Orbit completion under quarter turns maps the cube onto itself,
+        # so the corner diagonal stays the diameter.
+        model = make_model("box", n_points=256, size=0.12, cyclic_order=4)
+        assert model.diameter_m == pytest.approx(math.sqrt(3.0) * 0.12, rel=1e-12)
 
     def test_cylinder_scalar_size_sets_radius_and_height(self):
         model = make_model("cylinder", n_points=300, size=0.06)
@@ -193,7 +195,7 @@ class TestMakeModel:
     def test_symmetry_declaration(self):
         plain = make_model("blob", n_points=64, size=0.02)
         assert not plain.is_symmetric
-        sym = make_model("cylinder", n_points=120, size=(0.02, 0.05), cyclic_order=6)
+        sym = make_model("cylinder", n_points=120, size=0.04, cyclic_order=6)
         assert sym.is_symmetric
         assert len(sym.symmetries) == 6
 
@@ -219,7 +221,7 @@ class TestMakeModel:
 
     @pytest.mark.parametrize(
         "kind, size",
-        [("blob", 0.0), ("sphere", -0.01), ("blob", np.nan), ("box", (0.02, np.inf, 0.02))],
+        [("blob", 0.0), ("sphere", -0.01), ("blob", np.nan), ("box", np.inf)],
     )
     def test_size_not_finite_and_positive_rejected(self, kind, size):
         with pytest.raises(ValueError, match="size must be finite and positive"):
@@ -280,7 +282,7 @@ class TestRenderScene:
         model = make_model("blob", n_points=3000, size=0.025, seed=2)
         pose = _tilted_pose(0.3, [0.005, -0.003, 0.6])
         scene = render_scene(model, pose, cam96)
-        cloud = unproject(scene.depth, scene.camera, scene.mask)
+        cloud = unproject(scene.depth, cam96, scene.mask)
         # Scalar re-unprojection in the same row-major masked order.
         expected = []
         for r, c in zip(*np.nonzero(scene.mask)):
@@ -300,7 +302,7 @@ class TestRenderScene:
         posed = pose.apply(model.points)
         rows, cols = np.nonzero(scene.mask)
         truth = posed[scene.point_index[rows, cols]]
-        recovered = unproject(scene.depth, scene.camera, scene.mask).points
+        recovered = unproject(scene.depth, cam96, scene.mask).points
         err = np.abs(recovered - truth)
         assert np.max(err[:, 2]) <= 5.001e-4
         assert np.max(err[:, :2]) <= 1e-3
