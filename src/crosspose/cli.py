@@ -106,26 +106,29 @@ def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path) -> int:
 
 
 class _View(NamedTuple):
-    """One view's arrays, as read from the files a manifest entry names."""
+    """One view's geometry, as read from the files a manifest entry names."""
 
     depth: np.ndarray
     mask: np.ndarray
     camera: CameraIntrinsics
     pose: Pose
-    features: np.ndarray | None
 
 
-def _load_view(view, features: bool = False) -> _View:
-    """Read one view's files, and its feature grid when ``features``."""
-    if features and view.features is None:
-        raise ConfigError("pair has no feature files")
+def _load_view(view) -> _View:
+    """Read one view's depth map, mask, camera and pose."""
     return _View(
         io.read_depth(view.depth),
         io.read_mask(view.mask),
         io.read_intrinsics(view.camera),
         io.read_pose(view.pose),
-        io.read_features(view.features) if features else None,
     )
+
+
+def _read_features(view) -> np.ndarray:
+    """Read one view's feature grid; a view that names none is a ConfigError."""
+    if view.features is None:
+        raise ConfigError("pair has no feature files")
+    return io.read_features(view.features)
 
 
 def _flag_path(value, flag: str, is_dir: bool) -> Path:
@@ -287,19 +290,24 @@ def cmd_register(args) -> int:
     reg_seed = derive_seed(cfg.seed, "registration")
 
     def work(entry: PairEntry):
-        a = _load_view(entry.anchor, features=True)
-        q = _load_view(entry.query, features=True)
-        grid_a = a.features.shape[:2]
-        grid_q = q.features.shape[:2]
+        a, q = entry.anchor, entry.query
+        feat_a, feat_q = _read_features(a), _read_features(q)
+        grid_a, grid_q = feat_a.shape[:2], feat_q.shape[:2]
         matches = match_features(
-            a.features,
-            q.features,
-            downsample_mask(a.mask, grid_a),
-            downsample_mask(q.mask, grid_q),
+            feat_a,
+            feat_q,
+            downsample_mask(io.read_mask(a.mask), grid_a),
+            downsample_mask(io.read_mask(q.mask), grid_q),
             cfg.match,
         )
         lifted = lift_matches(
-            matches, a.depth, q.depth, a.camera, q.camera, grid_a, grid_q
+            matches,
+            io.read_depth(a.depth),
+            io.read_depth(q.depth),
+            io.read_intrinsics(a.camera),
+            io.read_intrinsics(q.camera),
+            grid_a,
+            grid_q,
         )
         result = register_spatial_consistency(
             lifted, cfg.registration, seed=pair_seed(reg_seed, entry.pair_id)
@@ -377,8 +385,9 @@ def cmd_losses(args) -> int:
     report = _flag_path(args.out, "--out", is_dir=False)
 
     def work(entry: PairEntry):
-        a = _load_view(entry.anchor, features=True)
-        q = _load_view(entry.query, features=True)
+        a, q = entry.anchor, entry.query
+        feat_a, feat_q = _read_features(a), _read_features(q)
+        cam_a, cam_q = io.read_intrinsics(a.camera), io.read_intrinsics(q.camera)
         gt = io.read_matches(matches_dir / f"{entry.pair_id}.json")
         if len(gt) > args.max_samples:
             # Deterministic thinning: evenly spaced over the scan order.
@@ -386,16 +395,17 @@ def cmd_losses(args) -> int:
             anchor_px, query_px = gt.anchor[idx], gt.query[idx]
         else:
             anchor_px, query_px = gt.anchor, gt.query
-        ua, va = pixels_to_cells(anchor_px, a.features.shape[:2], a.camera)
-        uq, vq = pixels_to_cells(query_px, q.features.shape[:2], q.camera)
-        set_a = FeatureSet(a.features[va, ua], anchor_px.astype(np.float64))
-        set_q = FeatureSet(q.features[vq, uq], query_px.astype(np.float64))
+        ua, va = pixels_to_cells(anchor_px, feat_a.shape[:2], cam_a)
+        uq, vq = pixels_to_cells(query_px, feat_q.shape[:2], cam_q)
+        set_a = FeatureSet(feat_a[va, ua], anchor_px.astype(np.float64))
+        set_q = FeatureSet(feat_q[vq, uq], query_px.astype(np.float64))
 
         pos = positive_loss(set_a, set_q)
         neg = hardest_negative_loss(set_a, set_q)
         feat = feature_loss(pos, neg)
-        pred_mask = _pred_mask(entry, q.mask)
-        mask_term = dice_loss(pred_mask.astype(np.float64), q.mask)
+        mask_q = io.read_mask(q.mask)
+        pred_mask = _pred_mask(entry, mask_q)
+        mask_term = dice_loss(pred_mask.astype(np.float64), mask_q)
         return {
             "num_samples": int(len(set_a)),
             "positive": pos,

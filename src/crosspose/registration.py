@@ -14,10 +14,13 @@ Each seed triplet yields a closed-form Kabsch pose; the hypothesis with
 the most inliers wins (ties broken by lower mean inlier residual, then
 lower hypothesis index), and the winner is refit on its inliers.
 
-Determinism: all triplets are drawn in one batched pass where row ``h``
-of the key matrix is hypothesis ``h``'s private stream (Gumbel top-k,
-equivalent to sequential weighted sampling without replacement), so the
-result depends only on the seed, never on scheduling.
+Determinism: hypotheses are scored in fixed chunks of ``_CHUNK`` rows,
+in order, from one generator seeded once. Row ``h`` of the Gumbel key
+matrix is hypothesis ``h``'s private stream (Gumbel top-k, equivalent
+to sequential weighted sampling without replacement), and drawing the
+rows chunk by chunk gives the same numbers as one full draw, so the
+result depends only on the seed, never on scheduling. Memory stays
+bounded: no array grows with ``iterations * n`` or with ``n**2``.
 """
 
 from __future__ import annotations
@@ -33,6 +36,11 @@ from .matcher import Correspondences
 # Point sets whose second singular value (after centering) falls below
 # this are collinear or coincident; a rigid fit is not unique.
 _DEGENERACY_TOL = 1e-9
+
+# Hypotheses scored per chunk, and rows of the compatibility matrix per
+# block. Neither changes a result; they cap the working set.
+_CHUNK = 128
+_BLOCK = 128
 
 
 @dataclass(frozen=True)
@@ -111,41 +119,65 @@ def kabsch(src, dst) -> Pose:
     return Pose(rot, cd - rot @ cs)
 
 
+def _distances(p: np.ndarray, rows: slice) -> np.ndarray:
+    """Distances from points ``p[rows]`` to every point of ``p``.
+
+    Summed as ``(dx*dx + dy*dy) + dz*dz`` before the root, the order in
+    which ``np.linalg.norm(..., axis=-1)`` sums, so every entry equals
+    that norm bit for bit.
+    """
+    block = p[rows]
+    acc = None
+    for k in range(3):
+        diff = block[:, k, None] - p[:, k]
+        diff *= diff
+        acc = diff if acc is None else acc + diff
+    return np.sqrt(acc, out=acc)
+
+
 def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     """Count, per match, how many other matches preserve pairwise length.
 
     Match pairs (i, j) are compatible when the distance between points i
-    and j changes by at most ``tolerance`` between the two views.
+    and j changes by at most ``tolerance`` between the two views. Rows
+    are scored in blocks of ``_BLOCK``, so memory grows with ``n``, not
+    with ``n**2``.
     """
     s = np.asarray(src, dtype=np.float64).reshape(-1, 3)
     d = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
     if len(s) != len(d):
         raise ValueError("source/destination counts differ")
-    ls = np.linalg.norm(s[:, None, :] - s[None, :, :], axis=-1)
-    ld = np.linalg.norm(d[:, None, :] - d[None, :, :], axis=-1)
-    compatible = np.abs(ls - ld) <= tolerance
-    np.fill_diagonal(compatible, False)
-    return compatible.sum(axis=1).astype(np.float64)
+    n = len(s)
+    scores = np.empty(n)
+    for start in range(0, n, _BLOCK):
+        rows = slice(start, min(start + _BLOCK, n))
+        compatible = np.abs(_distances(s, rows) - _distances(d, rows)) <= tolerance
+        own = np.arange(rows.stop - start)
+        compatible[own, own + start] = False
+        scores[rows] = compatible.sum(axis=1)
+    return scores
 
 
-def _sample_triplets(n: int, iterations: int, weights: np.ndarray, seed: int) -> np.ndarray:
-    """Draw one index triplet per hypothesis, batched.
+def _top3(keys: np.ndarray) -> np.ndarray:
+    """Columns of each row's three largest keys, largest first.
 
-    Weighted sampling without replacement via Gumbel top-k: per row,
-    keys = log(w) + Gumbel noise, and the three largest keys select the
-    triplet. Uniform sampling is the zero-log-weight special case: all
-    weights 1. Weights with fewer than three positive entries cannot
-    fill a triplet, so they sample uniformly too.
+    Equal keys go to the lower column, so the result equals
+    ``np.argsort(-keys, axis=1, kind="stable")[:, :3]``. A partition
+    finds the three; rows whose third and fourth keys tie, where the
+    partition may pick either column, take the stable sort.
     """
-    rng = np.random.default_rng(seed)
-    gumbel = -np.log(-np.log(rng.random((iterations, n))))
-    positive = weights > 0
-    if np.count_nonzero(positive) >= 3:
-        logw = np.full(n, -np.inf)
-        logw[positive] = np.log(weights[positive])
-        gumbel = gumbel + logw
-    order = np.argsort(-gumbel, axis=1, kind="stable")
-    return order[:, :3]
+    neg = -keys
+    if neg.shape[1] == 3:
+        return np.argsort(neg, axis=1, kind="stable")
+    part = np.argpartition(neg, (2, 3), axis=1)
+    top = np.sort(part[:, :3], axis=1)
+    order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
+    top = np.take_along_axis(top, order, axis=1)
+    third, fourth = np.take_along_axis(neg, part[:, 2:4], axis=1).T
+    tied = third == fourth
+    if tied.any():
+        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :3]
+    return top
 
 
 def _triplet_poses(s3: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -171,6 +203,30 @@ def _triplet_poses(s3: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return rot, t, valid
 
 
+def _residuals(rot: np.ndarray, t: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """``|R_h s_i + t_h - d_i|`` for every hypothesis ``h`` and match ``i``.
+
+    Row ``h`` depends only on hypothesis ``h``, whatever the batch. The
+    rotation sums ``(x-term + z-term) + y-term``, then ``+ t`` and
+    ``- d``; the squares sum in x, y, z order before the root. On x86-64
+    with AVX-512 this is the float order of ``np.einsum("hij,nj->hni")``
+    followed by ``np.linalg.norm``, the engine's earlier form, so pose
+    files kept their bytes; spelling it out here fixes the order in this
+    source instead of in numpy's einsum internals.
+    """
+    x, y, z = src.T
+    acc = None
+    for i in range(3):
+        e = rot[:, i, 0, None] * x
+        e += rot[:, i, 2, None] * z
+        e += rot[:, i, 1, None] * y
+        e += t[:, i, None]
+        e -= dst[:, i]
+        e *= e
+        acc = e if acc is None else acc + e
+    return np.sqrt(acc, out=acc)
+
+
 def _register(
     src: np.ndarray,
     dst: np.ndarray,
@@ -178,33 +234,60 @@ def _register(
     weights: np.ndarray,
     seed: int,
 ) -> RegistrationResult:
+    """Hypothesize and verify in chunks of ``_CHUNK`` hypotheses.
+
+    Each triplet is drawn by weighted sampling without replacement via
+    Gumbel top-k: per row, keys = log(w) + Gumbel noise, and the three
+    largest keys select the triplet. Uniform sampling is the
+    zero-log-weight special case: all weights 1. Weights with fewer than
+    three positive entries cannot fill a triplet, so they sample
+    uniformly too. Only the running best hypothesis outlives its chunk.
+    """
     n = len(src)
     if n < 3:
         raise TooFewMatches(f"registration needs at least 3 matches, got {n}")
 
-    triplets = _sample_triplets(n, params.iterations, weights, seed)
-    rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
+    rng = np.random.default_rng(seed)
+    positive = weights > 0
+    logw = None
+    if np.count_nonzero(positive) >= 3:
+        logw = np.full(n, -np.inf)
+        logw[positive] = np.log(weights[positive])
 
-    # Residuals of every match under every hypothesis: (iterations, n).
-    pred = np.einsum("hij,nj->hni", rot, src) + t[:, None, :]
-    res = np.linalg.norm(pred - dst[None, :, :], axis=-1)
-    inlier = res <= params.inlier_threshold
-    counts = inlier.sum(axis=1)
-    counts[~valid] = -1
+    # The running best, ranked by most inliers, then lower mean residual,
+    # then lower hypothesis index. Invalid triplets count -1 inliers, so
+    # the -2 of the start loses to any hypothesis.
+    best_count, best_mean = -2, np.inf
+    for start in range(0, params.iterations, _CHUNK):
+        size = min(_CHUNK, params.iterations - start)
+        keys = -np.log(-np.log(rng.random((size, n))))
+        if logw is not None:
+            keys = keys + logw
+        triplets = _top3(keys)
+        rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_res = np.where(
-            counts > 0, (res * inlier).sum(axis=1) / np.maximum(counts, 1), np.inf
-        )
-    best = int(np.lexsort((mean_res, -counts))[0])
-    if counts[best] < 3:
+        res = _residuals(rot, t, src, dst)
+        inlier = res <= params.inlier_threshold
+        counts = inlier.sum(axis=1)
+        counts[~valid] = -1
+        with np.errstate(invalid="ignore", divide="ignore"):
+            mean_res = np.where(
+                counts > 0, (res * inlier).sum(axis=1) / np.maximum(counts, 1), np.inf
+            )
+        # Row 0 is the best so far; it wins its ties as the earlier index.
+        k = int(np.lexsort((np.r_[best_mean, mean_res], -np.r_[best_count, counts]))[0])
+        if k > 0:
+            h = k - 1
+            best_count, best_mean = counts[h], mean_res[h]
+            seed_pose = Pose(rot[h], t[h])
+            best_res, seed_inliers = res[h].copy(), np.nonzero(inlier[h])[0]
+
+    if best_count < 3:
         raise NoConsensus(
-            f"best hypothesis explains only {max(counts[best], 0)} matches "
+            f"best hypothesis explains only {max(best_count, 0)} matches "
             f"(need at least 3)"
         )
 
-    seed_pose = Pose(rot[best], t[best])
-    seed_inliers = np.nonzero(inlier[best])[0]
     try:
         pose = kabsch(src[seed_inliers], dst[seed_inliers])
     except DegenerateConfiguration:
@@ -215,7 +298,7 @@ def _register(
     if len(final_inliers) < 3:
         # Refit drifted off the consensus; keep the seed hypothesis.
         pose = seed_pose
-        final_res = res[best]
+        final_res = best_res
         final_inliers = seed_inliers
     return RegistrationResult(
         pose=pose,

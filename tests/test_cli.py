@@ -351,6 +351,18 @@ class TestRegister:
         assert main(argv + ["--out-dir", str(second)]) == 0
         assert _tree_digest(first) == _tree_digest(second)
 
+    def test_pose_files_are_not_read(self, dataset_small, tmp_path):
+        argv = ["register", "--seed", "5"]
+        assert main([*argv, "--pairs", str(dataset_small / "pairs.json"),
+                     "--out-dir", str(tmp_path / "full")]) == 0
+        pruned = tmp_path / "pruned"
+        shutil.copytree(dataset_small, pruned)
+        for path in (pruned / "pairs").glob("pair_*/pose_*.json"):
+            path.write_bytes(b"")
+        assert main([*argv, "--pairs", str(pruned / "pairs.json"),
+                     "--out-dir", str(tmp_path / "poses")]) == 0
+        assert _tree_digest(tmp_path / "poses") == _tree_digest(tmp_path / "full")
+
     def test_pair_order_does_not_change_pose_files(self, dataset, tmp_path):
         manifest = io.read_json(dataset / "pairs.json")
         manifest["pairs"].reverse()
@@ -612,6 +624,23 @@ class TestLosses:
         assert report["errors"]["pair_0001"].startswith(
             "ValueError: anchor pixels must have shape (M, 2)"
         )
+
+    def test_unused_view_files_are_not_read(self, dataset_small, small_matches, tmp_path):
+        # The losses use features, cameras and the query mask; a pair
+        # whose depth maps and pose files are empty scores the same. (The
+        # manifest loader exits 2 on a listed file that does not exist.)
+        argv = ["losses", "--matches", str(small_matches), "--max-samples", "50"]
+        assert main([*argv, "--pairs", str(dataset_small / "pairs.json"),
+                     "--out", str(tmp_path / "full.json")]) == 0
+        pruned = tmp_path / "pruned"
+        shutil.copytree(dataset_small, pruned)
+        for pattern in ("depth_*.pgm", "pose_*.json"):
+            for path in (pruned / "pairs" / "pair_0001").glob(pattern):
+                path.write_bytes(b"")
+        assert main([*argv, "--pairs", str(pruned / "pairs.json"),
+                     "--out", str(tmp_path / "pruned.json")]) == 0
+        full = (tmp_path / "full.json").read_bytes()
+        assert full == (tmp_path / "pruned.json").read_bytes()
 
     def test_missing_matches_dir_exits_2(self, dataset_small, tmp_path):
         assert main([

@@ -1,5 +1,7 @@
 """Tests for rigid fitting and robust two-stage registration."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation
@@ -17,6 +19,7 @@ from crosspose import (
     register_ransac,
     register_spatial_consistency,
 )
+from crosspose.registration import _register, _top3, _triplet_poses
 from conftest import random_se3
 
 # ---------------------------------------------------------------------------
@@ -49,6 +52,63 @@ def _pose_errors(estimated, true):
     rot_err = _rotation_angle(estimated.rotation @ true.rotation.T)
     trans_err = float(np.linalg.norm(estimated.translation - true.translation))
     return rot_err, trans_err
+
+
+def _distances_dense(p):
+    # The engine's per-entry expression over the whole (N, N) matrix.
+    dx, dy, dz = (p[:, None, k] - p[None, :, k] for k in range(3))
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
+def _compatibility_dense(src, dst, tolerance):
+    compatible = np.abs(_distances_dense(src) - _distances_dense(dst)) <= tolerance
+    np.fill_diagonal(compatible, False)
+    return compatible.sum(axis=1).astype(np.float64)
+
+
+def _register_dense(src, dst, params, weights, seed):
+    """The engine unchunked: one key draw, one stable sort, all residuals.
+
+    The residual uses the engine's expression rather than an einsum, so
+    the comparison does not rest on how a CPU's einsum orders its sums.
+    """
+    n = len(src)
+    keys = -np.log(-np.log(np.random.default_rng(seed).random((params.iterations, n))))
+    positive = weights > 0
+    if np.count_nonzero(positive) >= 3:
+        logw = np.full(n, -np.inf)
+        logw[positive] = np.log(weights[positive])
+        keys = keys + logw
+    triplets = np.argsort(-keys, axis=1, kind="stable")[:, :3]
+    rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
+    sq = []
+    for i in range(3):
+        e = (rot[:, i, 0, None] * src[:, 0] + rot[:, i, 2, None] * src[:, 2]) \
+            + rot[:, i, 1, None] * src[:, 1]
+        e = (e + t[:, i, None]) - dst[:, i]
+        sq.append(e * e)
+    res = np.sqrt((sq[0] + sq[1]) + sq[2])
+    inlier = res <= params.inlier_threshold
+    counts = inlier.sum(axis=1)
+    counts[~valid] = -1
+    with np.errstate(invalid="ignore", divide="ignore"):
+        mean_res = np.where(
+            counts > 0, (res * inlier).sum(axis=1) / np.maximum(counts, 1), np.inf
+        )
+    best = int(np.lexsort((mean_res, -counts))[0])
+    if counts[best] < 3:
+        raise NoConsensus(f"best hypothesis explains only {max(counts[best], 0)} matches")
+    seed_pose = Pose(rot[best], t[best])
+    seed_inliers = np.nonzero(inlier[best])[0]
+    try:
+        pose = kabsch(src[seed_inliers], dst[seed_inliers])
+    except DegenerateConfiguration:
+        pose = seed_pose
+    final_res = np.linalg.norm(pose.apply(src) - dst, axis=1)
+    final_inliers = np.nonzero(final_res <= params.inlier_threshold)[0]
+    if len(final_inliers) < 3:
+        pose, final_res, final_inliers = seed_pose, res[best], seed_inliers
+    return pose, final_inliers, float(final_res[final_inliers].mean())
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +206,45 @@ class TestCompatibilityScores:
         assert (scores >= 55).sum() >= 56
         assert (scores[scores < 55] < 30).all()
 
+    @pytest.mark.parametrize("n", [3, 129, 300])
+    def test_blocks_equal_dense_matrix(self, rng, n):
+        src = rng.normal(scale=0.1, size=(n, 3))
+        dst = random_se3(rng).apply(src) + rng.normal(scale=0.005, size=(n, 3))
+        dst[::4] = rng.normal(scale=0.1, size=dst[::4].shape)
+        src[1::9] = src[0]  # repeated points: zero distances off the diagonal
+        for tolerance in (0.005, 0.01, 1.0):
+            got = compatibility_scores(src, dst, tolerance)
+            np.testing.assert_array_equal(got, _compatibility_dense(src, dst, tolerance))
+
+
+class TestTopThree:
+    def _stable(self, keys):
+        return np.argsort(-keys, axis=1, kind="stable")[:, :3]
+
+    def test_equals_stable_sort_on_random_keys(self, rng):
+        keys = rng.gumbel(size=(200, 50))
+        np.testing.assert_array_equal(_top3(keys), self._stable(keys))
+
+    def test_ties_and_infinite_keys(self, rng):
+        # Few distinct values force ties at and around the third key.
+        for n in (3, 4, 5, 9):
+            keys = rng.integers(-2, 3, size=(400, n)).astype(np.float64)
+            keys[rng.random(keys.shape) < 0.25] = -np.inf
+            keys[rng.random(keys.shape) < 0.1] = -0.0
+            np.testing.assert_array_equal(_top3(keys), self._stable(keys))
+
+    def test_crafted_tie_at_third_and_fourth_key(self):
+        keys = np.array([
+            [0.0, 5.0, 1.0, 1.0, 4.0, 1.0],  # third and fourth keys tie
+            [1.0, 1.0, 1.0, 1.0, 1.0, 1.0],  # every key ties
+            [-np.inf, 2.0, -np.inf, 3.0, -np.inf, 1.0],
+            [-np.inf, -np.inf, 2.0, -np.inf, -np.inf, -np.inf],  # infinite third key
+        ])
+        np.testing.assert_array_equal(
+            _top3(keys), [[1, 4, 2], [0, 1, 2], [3, 1, 5], [2, 0, 1]]
+        )
+        np.testing.assert_array_equal(_top3(keys), self._stable(keys))
+
 
 # ---------------------------------------------------------------------------
 # Robust registration
@@ -231,6 +330,47 @@ class TestRegisterSpatialConsistency:
         np.testing.assert_allclose(
             shifted.pose.translation, expected.translation, atol=1e-9
         )
+
+
+class TestChunkedEngine:
+    @pytest.mark.parametrize("iterations", [1, 127, 128, 129, 1000])
+    def test_equals_dense_reference(self, iterations):
+        matches, _ = make_correspondences(
+            n_matches=150, outlier_fraction=0.6, noise=0.002, seed=iterations, extent=0.15
+        )
+        src, dst = matches.anchor_points, matches.query_points
+        params = RegistrationParams(iterations=iterations)
+        n = len(src)
+        few = np.zeros(n)
+        few[[4, 40]] = 1.0  # fewer than three positive weights: uniform
+        for weights in (compatibility_scores(src, dst, 0.01), np.ones(n), few):
+            for seed in (0, 11):
+                try:
+                    expected = _register_dense(src, dst, params, weights, seed)
+                except NoConsensus:
+                    with pytest.raises(NoConsensus):
+                        _register(src, dst, params, weights, seed)
+                    continue
+                got = _register(src, dst, params, weights, seed)
+                np.testing.assert_array_equal(got.pose.rotation, expected[0].rotation)
+                np.testing.assert_array_equal(got.pose.translation, expected[0].translation)
+                np.testing.assert_array_equal(got.inliers, expected[1])
+                assert got.mean_residual == expected[2]
+
+    def test_memory_does_not_grow_with_n_squared(self):
+        # Dense (N, N, 3) and (iterations, N, 3) arrays peaked near 288 MB
+        # here; the chunked engine holds a few (128, N) blocks at a time.
+        matches, _ = make_correspondences(
+            n_matches=2000, outlier_fraction=0.5, noise=0.002, seed=4, extent=0.15
+        )
+        tracemalloc.start()
+        try:
+            result = register_spatial_consistency(matches, seed=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 32e6
+        assert len(result.inliers) >= 900
 
 
 class TestRegisterRansac:
