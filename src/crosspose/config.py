@@ -95,10 +95,7 @@ def _resolve(base: Path, value, required: bool, what: str) -> Path | None:
         return None
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a path string, got {value!r}")
-    path = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
-    if not path.exists():
-        raise ConfigError(f"{what} does not exist: {path}")
-    return path
+    return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
 
 
 def _load_view(base: Path, data: dict, pair_id: str, side: str) -> ViewPaths:

@@ -627,8 +627,7 @@ class TestLosses:
 
     def test_unused_view_files_are_not_read(self, dataset_small, small_matches, tmp_path):
         # The losses use features, cameras and the query mask; a pair
-        # whose depth maps and pose files are empty scores the same. (The
-        # manifest loader exits 2 on a listed file that does not exist.)
+        # whose depth maps and pose files are empty scores the same.
         argv = ["losses", "--matches", str(small_matches), "--max-samples", "50"]
         assert main([*argv, "--pairs", str(dataset_small / "pairs.json"),
                      "--out", str(tmp_path / "full.json")]) == 0
@@ -641,6 +640,29 @@ class TestLosses:
                      "--out", str(tmp_path / "pruned.json")]) == 0
         full = (tmp_path / "full.json").read_bytes()
         assert full == (tmp_path / "pruned.json").read_bytes()
+
+    def test_missing_view_file_fails_only_the_stages_that_read_it(
+        self, dataset_small, small_matches, tmp_path
+    ):
+        # The manifest loader does not check that listed files exist, so
+        # a missing depth map fails a pair only where a stage reads it.
+        argv = ["--matches", str(small_matches), "--max-samples", "50"]
+        assert main(["losses", *argv, "--pairs", str(dataset_small / "pairs.json"),
+                     "--out", str(tmp_path / "full.json")]) == 0
+        pruned = tmp_path / "pruned"
+        shutil.copytree(dataset_small, pruned)
+        (pruned / "pairs" / "pair_0001" / "depth_anchor.pgm").unlink()
+        manifest = str(pruned / "pairs.json")
+        assert main(["losses", *argv, "--pairs", manifest,
+                     "--out", str(tmp_path / "pruned.json")]) == 0
+        full = (tmp_path / "full.json").read_bytes()
+        assert full == (tmp_path / "pruned.json").read_bytes()
+        out = tmp_path / "poses"
+        assert main(["register", "--pairs", manifest, "--out-dir", str(out)]) == 1
+        summary = io.read_json(out / "summary.json")
+        assert summary["registered"] == ["pair_0000"]
+        assert list(summary["errors"]) == ["pair_0001"]
+        assert summary["errors"]["pair_0001"].startswith("FileNotFoundError: ")
 
     def test_missing_matches_dir_exits_2(self, dataset_small, tmp_path):
         assert main([

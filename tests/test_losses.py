@@ -1,6 +1,7 @@
 """Tests for the forward-only contrastive and segmentation losses."""
 
 import logging
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -65,6 +66,25 @@ def _hardest_negative_oracle(fset, exclusion_radius):
         if best is not None:
             dists[i] = best
     return indices, dists
+
+
+def _dense_hardest_negative(fset):
+    """The search over full (C, C) matrices, as the blocked kernel replaced.
+
+    Same arithmetic, so the kernel must match it bit for bit.
+    """
+    unit = fset.features / np.linalg.norm(fset.features, axis=-1)[:, None]
+    dist = np.clip((1.0 - unit @ unit.T) / 2.0, 0.0, 1.0)
+    sep = np.linalg.norm(fset.coords[:, None, :] - fset.coords[None, :, :], axis=-1)
+    blocked = sep < losses.EXCLUSION_RADIUS
+    np.fill_diagonal(blocked, True)
+    dist = np.where(blocked, np.inf, dist)
+    indices = np.argmin(dist, axis=1)
+    best = dist[np.arange(len(fset)), indices]
+    none = ~np.isfinite(best)
+    indices[none] = -1
+    best[none] = np.nan
+    return indices, best
 
 
 def _negative_loss_oracle(anchor, query, margin, exclusion_radius):
@@ -302,6 +322,43 @@ class TestHardestNegativeIndices:
         indices, _ = hardest_negative_indices(fset)
         exp_idx, _ = _hardest_negative_oracle(fset, 5.0)
         assert np.array_equal(indices, exp_idx)
+
+    @pytest.mark.parametrize("crowded", [False, True])
+    @pytest.mark.parametrize("count", [1, 2, 127, 128, 129, 257, 600])
+    def test_equals_dense_search_exactly(self, rng, count, crowded):
+        # Counts either side of the block size. Spread out, every third
+        # point sits on a quarter pixel and has a twin exactly 5 px away
+        # (offset (3, 4)); crowded into a 3.5 px square, every candidate
+        # of every row is blocked.
+        if crowded:
+            coords = rng.uniform(0.0, 3.5, size=(count, 2))
+        else:
+            coords = rng.uniform(0.0, 120.0, size=(count, 2))
+            twins = coords[1::3]
+            bases = coords[0:-1:3][: len(twins)]
+            bases[:] = np.round(bases * 4.0) / 4.0
+            twins[:] = bases + (3.0, 4.0)
+            assert np.all(np.hypot(*(twins - bases).T) == 5.0)
+        fset = FeatureSet(features=rng.normal(size=(count, 8)), coords=coords)
+        indices, dists = hardest_negative_indices(fset)
+        exp_idx, exp_dist = _dense_hardest_negative(fset)
+        assert indices.dtype == exp_idx.dtype
+        assert np.array_equal(indices, exp_idx)
+        assert np.array_equal(dists, exp_dist, equal_nan=True)
+        assert np.all(indices == -1) == (crowded or count == 1)
+
+    def test_memory_does_not_grow_with_c_by_c_by_2(self, rng):
+        # Dense (C, C, 2) differences and (C, C) masks peaked at 224.5 MB
+        # here; the kernel holds the (C, C) Gram product (32 MB) and a few
+        # (128, C) blocks.
+        fset = _random_featureset(rng, 2000, 16, coord_range=200.0)
+        tracemalloc.start()
+        try:
+            hardest_negative_indices(fset)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 80e6
 
     def test_deterministic(self, rng):
         fset = _random_featureset(rng, 30, 8)

@@ -1,5 +1,7 @@
 """Tests for masked feature matching and 2D-to-3D match lifting."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -131,6 +133,18 @@ class TestFeatureDistance:
         for _ in range(100):
             a, b = rng.normal(size=4), rng.normal(size=4)
             assert 0.0 <= _distance(a, b) <= 1.0
+
+    def test_array_input_costs_one_array(self, rng):
+        # Similarities beyond [-1, 1] exercise the clip on both sides.
+        cos = rng.uniform(-1.2, 1.2, size=(500, 500))
+        tracemalloc.start()
+        try:
+            dist = cosine_distance(cos)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * cos.nbytes
+        assert np.array_equal(dist, np.clip((1.0 - cos) / 2.0, 0.0, 1.0))
 
 
 # ---------------------------------------------------------------------------
