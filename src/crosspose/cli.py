@@ -28,13 +28,14 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import io
-from .config import EvalConfig, PairEntry, derive_seed, load_config, load_pairs, pair_seed
+from .config import EvalConfig, PairEntry, derive_seed, load_pairs, pair_seed
 from .errors import ConfigError, CrossposeError
 from .geometry import CameraIntrinsics, Pose, compose
 from .losses import (
@@ -45,10 +46,10 @@ from .losses import (
     positive_loss,
     total_loss,
 )
-from .matcher import downsample_mask, lift_matches, match_features, pixels_to_cells
+from .matcher import MatchParams, downsample_mask, lift_matches, match_features, pixels_to_cells
 from .matchgen import accept_pair, generate_gt_matches
 from .metrics import SCORES, aggregate_reports, pair_report
-from .registration import register_spatial_consistency
+from .registration import RegistrationParams, register_spatial_consistency
 from .synth import (
     check_descriptor_params,
     make_descriptor_field,
@@ -438,44 +439,44 @@ def cmd_losses(args) -> int:
 
 
 def _config_from_args(args) -> EvalConfig:
+    """The run's settings: each from its flag, else its built-in default.
+
+    ``--workers`` falls back to ``CROSSPOSE_WORKERS``, which is checked
+    even when the flag is given, so a bad variable always exits 2.
+    """
+    # A flag's destination is the field it sets; flags not given are None.
+    flags = {name: value for name, value in vars(args).items() if value is not None}
     workers_env = os.environ.get("CROSSPOSE_WORKERS")
-    defaults = {}
     if workers_env is not None:
         # Checked on its own first, so the message names the variable.
         try:
-            defaults["workers"] = int(workers_env)
-            EvalConfig(**defaults)
+            workers = int(workers_env)
+            EvalConfig(workers=workers)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"CROSSPOSE_WORKERS={workers_env!r} is invalid: {exc}") from exc
+        flags.setdefault("workers", workers)
 
-    # A flag's destination is its config key; flags a command lacks are None.
-    flags = vars(args)
+    def given(cls) -> dict:
+        return {f.name: flags[f.name] for f in fields(cls) if f.name in flags}
 
-    def pick(*names):
-        return {name: flags.get(name) for name in names}
-
-    cfg = load_config(
-        flags.get("config"),
-        defaults=defaults or None,
-        pairs_file=flags.get("pairs"),
-        output_dir=flags.get("out_dir"),
-        **pick("workers", "seed", "nn_radius", "min_matches"),
-        match=pick("max_distance", "max_matches"),
-        registration=pick("inlier_threshold", "compatibility_tolerance", "iterations"),
+    try:
+        match = MatchParams(**given(MatchParams))
+        registration = RegistrationParams(**given(RegistrationParams))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return EvalConfig(
+        pairs_file=Path(args.pairs),
+        output_dir=Path(args.out_dir) if "out_dir" in flags else None,
+        match=match,
+        registration=registration,
+        **given(EvalConfig),
     )
-    if cfg.pairs_file is None:
-        raise ConfigError("a pairs manifest is required (--pairs or config file)")
-    # eval/losses write one report file (args.out); the others need a directory.
-    if not hasattr(args, "out") and cfg.output_dir is None:
-        raise ConfigError("an output directory is required (--out-dir or config file)")
-    return cfg
 
 
 def _add_common(parser, *, with_out_dir: bool):
-    parser.add_argument("--pairs", help="pairs manifest JSON")
-    parser.add_argument("--config", help="config file JSON")
+    parser.add_argument("--pairs", required=True, help="pairs manifest JSON")
     if with_out_dir:
-        parser.add_argument("--out-dir", dest="out_dir", help="output directory")
+        parser.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
     parser.add_argument("--workers", type=int, help="parallel workers")
     parser.add_argument("--seed", type=int, help="master seed")
 

@@ -8,20 +8,18 @@ into its stream's seed, so it depends on neither batch order nor worker
 count. Only ``synth`` and ``register`` draw from ``--seed``; the other
 stages are deterministic without one, and accept it and ignore it.
 
-A config file mirrors the flags: its keys are the destinations of the
-manifest subcommands' flags (``pairs_file`` for ``--pairs``,
-``output_dir`` for ``--out-dir``), with the matching and registration
-flags grouped in the ``match`` and ``registration`` sections. Each value
-must have its flag's type (a bool is never a number), and each layer
-(defaults, file, flags) is checked on its own before they merge.
+Each field of :class:`EvalConfig` and of its two sections is the
+destination of a command-line flag, and the flags are the only source
+of its values.
 
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
 (optionally feature) files. Paths are resolved relative to the manifest
-file, and every referenced file must exist at load time. Unknown keys in
-an entry or a view are rejected, so a misspelt optional key fails
-loudly instead of being ignored. A pair id names the pair's output
-files, so it must be a plain file name.
+file. A listed file need not exist when the manifest loads: a stage
+that reads a missing one fails only that pair. Unknown keys in an entry
+or a view are rejected, so a misspelt optional key fails loudly instead
+of being ignored. A pair id names the pair's output files, so it must
+be a plain file name.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError
-from .io import read_json, value_type_error
+from .io import read_json
 from .matcher import MatchParams
 from .matchgen import DEFAULT_MIN_MATCHES, DEFAULT_NN_RADIUS
 from .registration import RegistrationParams
@@ -177,66 +175,3 @@ class EvalConfig:
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
 
-
-_SECTIONS = {"match": MatchParams, "registration": RegistrationParams}
-_PATHS = ("pairs_file", "output_dir")
-
-
-def _check_fields(cls, values, what: str) -> None:
-    """Reject a non-object, unknown keys, and values of the wrong type for ``cls``."""
-    if not isinstance(values, dict):
-        raise ConfigError(f"{what} must be an object")
-    annotations = {f.name: f.type for f in fields(cls)}
-    _check_keys(values, set(annotations), what)
-    for name, value in values.items():
-        problem = value_type_error(annotations[name], value)
-        if problem:
-            raise ConfigError(f"{what}: {name!r} {problem}")
-
-
-def _build(values: dict) -> EvalConfig:
-    """Check one layer of config values, or their merge, and build it."""
-    _check_fields(EvalConfig, values, "config")
-    kwargs = {key: Path(value) if key in _PATHS else value for key, value in values.items()}
-    for name, cls in _SECTIONS.items():
-        if name in values:
-            what = f"config section {name!r}"
-            _check_fields(cls, values[name], what)
-            try:
-                kwargs[name] = cls(**values[name])
-            except ValueError as exc:
-                raise ConfigError(f"{what} is invalid: {exc}") from exc
-    return EvalConfig(**kwargs)
-
-
-def load_config(path=None, defaults=None, **overrides) -> EvalConfig:
-    """Build an EvalConfig from an optional JSON file plus overrides.
-
-    Precedence: explicit overrides (e.g. command-line flags) beat the
-    file, which beats ``defaults`` (e.g. environment variables), which
-    beat the built-in values. Override values of None are ignored, so
-    flags can be passed through unconditionally. Each layer is checked
-    on its own, so a bad value fails even where a higher layer sets it.
-    Relative paths in the file resolve against the file's directory.
-    """
-    layers = [defaults or {}]
-    if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(f"config file does not exist: {path}")
-        try:
-            data = read_json(path)
-        except ValueError as exc:
-            raise ConfigError(f"config file is not valid JSON: {exc}") from exc
-        _build(data)  # the file's paths are strings; resolve them against its directory
-        layers.append({k: path.parent / v if k in _PATHS else v for k, v in data.items()})
-    layers.append({
-        k: {sk: sv for sk, sv in v.items() if sv is not None} if isinstance(v, dict) else v
-        for k, v in overrides.items() if v is not None
-    })
-    merged: dict = {}
-    for layer in layers:
-        _build(layer)
-        for key, value in layer.items():
-            merged[key] = {**merged.get(key, {}), **value} if key in _SECTIONS else value
-    return _build(merged)

@@ -42,4 +42,4 @@ class BehindCamera(CrossposeError):
 
 
 class ConfigError(CrossposeError):
-    """A configuration file is missing, malformed, or references absent paths."""
+    """A setting is invalid, or a manifest or a path it needs is unusable."""

@@ -41,7 +41,6 @@ DEPTH_MAX_MM = 65535
 _VALUE_TYPES = {
     "int": ((int,), "an integer"),
     "float": ((int, float), "a number"),
-    "Path | None": ((str, Path), "a path string"),
 }
 
 

@@ -119,15 +119,14 @@ def unit_rows(vectors: np.ndarray, what: str) -> np.ndarray:
 
 
 def cosine_distance(cos):
-    """Cosine distance ``(1 - cos) / 2`` from cosine similarities, in [0, 1].
+    """Cosine distance ``(1 - cos) / 2`` from an array of cosine similarities, in [0, 1].
 
-    An array input costs one new array of its shape: the division and
-    the clip work in place on the difference.
+    It costs one new array of the input's shape: the division and the
+    clip work in place on the difference.
     """
     dist = np.subtract(1.0, cos)
     dist /= 2.0
-    # A scalar input gives a numpy scalar, which cannot be an ``out``.
-    return np.clip(dist, 0.0, 1.0, out=dist if isinstance(dist, np.ndarray) else None)
+    return np.clip(dist, 0.0, 1.0, out=dist)
 
 
 def _cell_center_pixels(index, cells: int, pixels: int) -> np.ndarray:

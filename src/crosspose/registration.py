@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, NoConsensus, TooFewMatches
-from .geometry import Pose
+from .geometry import Pose, as_rows
 from .matcher import Correspondences
 
 # Point sets whose second singular value (after centering) falls below
@@ -87,8 +87,8 @@ def kabsch(src, dst) -> Pose:
     is collinear or coincident (within 1e-9), where the rotation is not
     unique.
     """
-    s = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    d = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    s = as_rows(src, 3, np.float64, "src")
+    d = as_rows(dst, 3, np.float64, "dst")
     if s.shape != d.shape:
         raise ValueError(f"source/destination shapes differ: {s.shape} vs {d.shape}")
     n = len(s)
@@ -143,8 +143,8 @@ def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     are scored in blocks of ``_BLOCK``, so memory grows with ``n``, not
     with ``n**2``.
     """
-    s = np.asarray(src, dtype=np.float64).reshape(-1, 3)
-    d = np.asarray(dst, dtype=np.float64).reshape(-1, 3)
+    s = as_rows(src, 3, np.float64, "src")
+    d = as_rows(dst, 3, np.float64, "dst")
     if len(s) != len(d):
         raise ValueError("source/destination counts differ")
     n = len(s)

@@ -1,4 +1,4 @@
-"""End-to-end tests for the command-line pipeline and its config layer."""
+"""End-to-end tests for the command-line pipeline and its settings."""
 
 import argparse
 import hashlib
@@ -12,15 +12,17 @@ import pytest
 
 from crosspose import (
     ConfigError,
+    MatchParams,
     Pose,
+    RegistrationParams,
     compose,
     generate_gt_matches,
     make_model,
     render_scene,
     rotation_about_axis,
 )
-from crosspose.cli import build_parser, main
-from crosspose.config import EvalConfig, derive_seed, load_config, load_pairs
+from crosspose.cli import _config_from_args, build_parser, main
+from crosspose.config import EvalConfig, derive_seed, load_pairs
 from crosspose import io
 
 # ---------------------------------------------------------------------------
@@ -688,44 +690,20 @@ class TestLosses:
 
 
 class TestConfigLayer:
-    def test_precedence_flags_file_defaults_builtin(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"workers": 4, "seed": 5})
-        assert load_config(None).workers == 1
-        assert load_config(None, defaults={"workers": 2}).workers == 2
-        assert load_config(cfg_path, defaults={"workers": 2}).workers == 4
-        assert load_config(cfg_path, defaults={"workers": 2}, workers=8).workers == 8
-        assert load_config(cfg_path).seed == 5
+    def test_precedence_flag_env_builtin(self, monkeypatch):
+        def workers(*flags):
+            argv = ["gen-matches", "--pairs", "p", "--out-dir", "o", *flags]
+            return _config_from_args(build_parser().parse_args(argv)).workers
 
-    def test_none_overrides_fall_through(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"seed": 5})
-        assert load_config(cfg_path, seed=None).seed == 5
+        monkeypatch.delenv("CROSSPOSE_WORKERS", raising=False)
+        assert workers() == 1
+        monkeypatch.setenv("CROSSPOSE_WORKERS", "2")
+        assert workers() == 2
+        assert workers("--workers", "8") == 8
 
-    def test_param_sections_parsed_and_overridable(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"match": {"max_distance": 0.1}})
-        cfg = load_config(cfg_path)
-        assert cfg.match.max_distance == 0.1
-        cfg = load_config(cfg_path, match={"max_distance": 0.2})
-        assert cfg.match.max_distance == 0.2
-
-    def test_unknown_keys_rejected(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        payloads = (
-            {"bogus": 1},
-            {"match": {"bogus": 1}},
-            # No flag sets these, so neither may a config file.
-            {"loss": {"positive_margin": 0.2}},
-            {"metrics": {"occlusion_tolerance": 0.01}},
-            {"registration": {"seed": 1}},
-        )
-        for payload in payloads:
-            io.write_json(cfg_path, payload)
-            with pytest.raises(ConfigError):
-                load_config(cfg_path)
-
-    def test_config_keys_mirror_flags(self, dataset_small, tmp_path):
+    def test_config_keys_mirror_flags(self, dataset_small, tmp_path, monkeypatch):
+        # Every settable value is the destination of a flag and takes its
+        # value, so no setting needs another way in.
         parser = build_parser()
         (commands,) = [
             a.choices for a in parser._actions
@@ -746,105 +724,103 @@ class TestConfigLayer:
                 keys.append(renamed.get(f.name, f.name))
         assert len(keys) == 11
         assert set(keys) <= flags
+        monkeypatch.delenv("CROSSPOSE_WORKERS", raising=False)
+        cfg = _config_from_args(parser.parse_args([
+            "register", "--pairs", "p.json", "--out-dir", "o", "--workers", "3", "--seed", "4",
+            "--max-distance", "0.1", "--max-matches", "7", "--inlier-threshold", "0.02",
+            "--compatibility-tolerance", "0.03", "--iterations", "9",
+        ]))
+        assert (str(cfg.pairs_file), str(cfg.output_dir), cfg.workers, cfg.seed) == (
+            "p.json", "o", 3, 4
+        )
+        assert cfg.match == MatchParams(0.1, 7)
+        assert cfg.registration == RegistrationParams(0.02, 0.03, 9)
+        cfg = _config_from_args(parser.parse_args([
+            "gen-matches", "--pairs", "p.json", "--out-dir", "o",
+            "--nn-radius", "0.005", "--min-matches", "5",
+        ]))
+        assert (cfg.nn_radius, cfg.min_matches) == (0.005, 5)
         preds = tmp_path / "preds"
         _write_gt_predictions(dataset_small, preds)
-        with pytest.raises(SystemExit) as exc:
-            main([
+        for argv in (
+            [
                 "eval", "--pairs", str(dataset_small / "pairs.json"),
                 "--predictions", str(preds), "--out", str(tmp_path / "r.json"),
                 "--occlusion-tolerance", "0.01",
-            ])
-        assert exc.value.code == 2
+            ],
+            [
+                "register", "--pairs", str(dataset_small / "pairs.json"),
+                "--out-dir", str(tmp_path / "out"), "--config", str(tmp_path / "c.json"),
+            ],
+        ):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
-        "section", [[1], "ab", [[1, 2]]], ids=["list", "string", "pair-list"]
+        "command, argv",
+        [
+            ("gen-matches", ["--out-dir", "out"]),
+            ("register", ["--pairs", "pairs.json"]),
+            ("eval", ["--predictions", ".", "--out", "out/r.json"]),
+            ("losses", ["--matches", ".", "--out", "out/r.json"]),
+            ("register", ["--pairs", "pairs.json", "--out-dir", "out", "--iterations", "2.5"]),
+            ("register", ["--pairs", "pairs.json", "--out-dir", "out", "--seed", "1.5"]),
+        ],
     )
-    def test_non_object_section_rejected(self, section, dataset_small, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"registration": section})
-        with pytest.raises(ConfigError, match="'registration' must be an object"):
-            load_config(cfg_path)
-        out = tmp_path / "out"
-        assert main([
-            "register", "--pairs", str(dataset_small / "pairs.json"),
-            "--config", str(cfg_path), "--out-dir", str(out),
-        ]) == 2
-        assert not out.exists()
+    def test_missing_or_mistyped_flag_exits_2(
+        self, command, argv, dataset_small, tmp_path, monkeypatch
+    ):
+        monkeypatch.chdir(tmp_path)
+        shutil.copy(dataset_small / "pairs.json", "pairs.json")
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv])
+        assert exc.value.code == 2
+        assert not (tmp_path / "out").exists()
 
-    def test_registration_seed_rejected(self, dataset_small, tmp_path):
-        # register derives every pair's seed from the master seed.
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"registration": {"seed": 123}})
-        with pytest.raises(ConfigError, match=r"'registration' has unknown keys: \['seed'\]"):
-            load_config(cfg_path)
-        out = tmp_path / "out"
-        assert main([
-            "register", "--pairs", str(dataset_small / "pairs.json"),
-            "--config", str(cfg_path), "--out-dir", str(out),
-        ]) == 2
-        assert not out.exists()
-
-    @pytest.mark.parametrize("via", ["flag", "config"])
-    def test_negative_seed_exits_2(self, via, dataset_small, tmp_path, capsys):
+    def test_negative_seed_exits_2(self, dataset_small, tmp_path, capsys):
         out = tmp_path / "poses"
-        argv = ["register", "--pairs", str(dataset_small / "pairs.json"), "--out-dir", str(out)]
-        if via == "flag":
-            argv += ["--seed", "-5"]
-        else:
-            cfg_path = tmp_path / "config.json"
-            io.write_json(cfg_path, {"seed": -5})
-            argv += ["--config", str(cfg_path)]
-        assert main(argv) == 2
+        assert main([
+            "register", "--pairs", str(dataset_small / "pairs.json"),
+            "--out-dir", str(out), "--seed", "-5",
+        ]) == 2
         assert "seed must be non-negative" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_invalid_values_rejected(self):
-        with pytest.raises(ConfigError):
-            load_config(None, nn_radius=0.0)
-        with pytest.raises(ConfigError):
-            load_config(None, workers=0)
+    def test_invalid_values_rejected(self, dataset_small, tmp_path, capsys):
+        out = tmp_path / "out"
+        common = [
+            "gen-matches", "--pairs", str(dataset_small / "pairs.json"), "--out-dir", str(out),
+        ]
+        assert main([*common, "--nn-radius", "0"]) == 2
+        assert "nn_radius must be finite and positive" in capsys.readouterr().err
+        assert main([*common, "--workers", "0"]) == 2
+        assert "workers must be at least 1" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, flag, key, value, via",
+        "command, flag, key, value",
         [
-            (*case, via)
-            for case in [
-                ("gen-matches", "--nn-radius", "nn_radius", "nan"),
-                ("gen-matches", "--nn-radius", "nn_radius", "inf"),
-                ("losses", "--nn-radius", "nn_radius", "nan"),
-                ("register", "--inlier-threshold", "registration.inlier_threshold", "nan"),
-                (
-                    "register",
-                    "--compatibility-tolerance",
-                    "registration.compatibility_tolerance",
-                    "nan",
-                ),
-            ]
-            for via in ("flag", "config")
-            # losses has no --nn-radius flag; it checks the config key and ignores it.
-            if not (case[0] == "losses" and via == "flag")
+            ("gen-matches", "--nn-radius", "nn_radius", "nan"),
+            ("gen-matches", "--nn-radius", "nn_radius", "inf"),
+            ("register", "--inlier-threshold", "registration.inlier_threshold", "nan"),
+            (
+                "register",
+                "--compatibility-tolerance",
+                "registration.compatibility_tolerance",
+                "nan",
+            ),
         ],
     )
     def test_non_finite_threshold_exits_2(
-        self, via, command, flag, key, value, dataset_small, small_matches, tmp_path, capsys
+        self, command, flag, key, value, dataset_small, tmp_path, capsys
     ):
         out = tmp_path / "out"
-        argv = [command, "--pairs", str(dataset_small / "pairs.json")]
-        if command == "losses":
-            argv += ["--matches", str(small_matches), "--out", str(out / "losses.json")]
-        else:
-            argv += ["--out-dir", str(out)]
-        if via == "flag":
-            argv += [flag, value]
-        else:
-            *section, name = key.split(".")
-            payload = {name: float(value)}
-            if section:
-                payload = {section[0]: payload}
-            cfg_path = tmp_path / "config.json"
-            io.write_json(cfg_path, payload)
-            argv += ["--config", str(cfg_path)]
-        assert main(argv) == 2
+        assert main([
+            command, "--pairs", str(dataset_small / "pairs.json"),
+            "--out-dir", str(out), flag, value,
+        ]) == 2
         assert f"{key.split('.')[-1]} must be finite and positive" in capsys.readouterr().err
         assert not out.exists()
 
@@ -860,64 +836,6 @@ class TestConfigLayer:
         ]) == 2
         assert capsys.readouterr().err == "error: --max-samples must be at least 1\n"
         assert not out.exists()
-
-    @pytest.mark.parametrize(
-        "key, value", [("pairs_file", 5), ("output_dir", 5), ("output_dir", ["out"])]
-    )
-    def test_non_string_path_exits_2(self, key, value, dataset_small, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {key: value})
-        with pytest.raises(ConfigError, match=f"'{key}' must be a path string"):
-            load_config(cfg_path)
-        argv = ["gen-matches", "--config", str(cfg_path)]
-        if key == "pairs_file":
-            argv += ["--out-dir", str(tmp_path / "out")]
-        else:
-            argv += ["--pairs", str(dataset_small / "pairs.json")]
-        assert main(argv) == 2
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
-
-    def test_overridden_file_values_still_checked(self, tmp_path):
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, {"pairs_file": 5, "nn_radius": "x"})
-        with pytest.raises(ConfigError):
-            load_config(cfg_path, pairs_file="a.json", nn_radius=0.002)
-
-    @pytest.mark.parametrize(
-        "command, key, value",
-        [
-            ("register", "registration.iterations", 2.5),
-            ("register", "match.max_matches", 2.5),
-            ("register", "seed", 1.5),
-            ("gen-matches", "min_matches", 1.5),
-            ("gen-matches", "nn_radius", True),
-            ("gen-matches", "workers", True),
-        ],
-    )
-    def test_wrong_number_type_exits_2(self, command, key, value, dataset_small, tmp_path):
-        *section, name = key.split(".")
-        payload = {name: value}
-        if section:
-            payload = {section[0]: payload}
-        cfg_path = tmp_path / "config.json"
-        io.write_json(cfg_path, payload)
-        with pytest.raises(ConfigError, match=f"'{name}' must be"):
-            load_config(cfg_path)
-        out = tmp_path / "out"
-        assert main([
-            command, "--pairs", str(dataset_small / "pairs.json"),
-            "--config", str(cfg_path), "--out-dir", str(out),
-        ]) == 2
-        assert not out.exists()
-
-    def test_relative_paths_resolve_against_config_file(self, tmp_path):
-        sub = tmp_path / "sub"
-        sub.mkdir()
-        cfg_path = sub / "config.json"
-        io.write_json(cfg_path, {"pairs_file": "pairs.json", "output_dir": str(tmp_path)})
-        cfg = load_config(cfg_path)
-        assert cfg.pairs_file == sub / "pairs.json"
-        assert cfg.output_dir == tmp_path  # an absolute path stays as it is
 
     def test_derive_seed_streams_stable_and_distinct(self):
         streams = ("registration", "synth")

@@ -69,7 +69,7 @@ def _match_oracle(feat_a, feat_q, mask_a, mask_q, params):
 def _distance(f1, f2):
     """Cosine distance of two vectors through the primitives match_features uses."""
     ua, ub = unit_rows(np.stack([f1, f2]).astype(np.float64), "vectors")
-    return float(cosine_distance(ua @ ub))
+    return float(cosine_distance(np.array([ua @ ub]))[0])
 
 
 def _unit_field(rng, shape):

@@ -147,6 +147,12 @@ class TestKabsch:
         with pytest.raises(TooFewMatches):
             kabsch(pts, pts)
 
+    def test_rows_of_other_width_are_rejected(self, rng):
+        # Two rows of six would read as four points if reshaped.
+        pts = rng.normal(size=(2, 6))
+        with pytest.raises(ValueError, match=r"src must have shape \(M, 3\), got \(2, 6\)"):
+            kabsch(pts, pts)
+
     def test_reflection_never_returned(self, rng):
         # Near-planar clouds push the smallest singular value to zero,
         # where the naive SVD solution can flip to a reflection.
@@ -205,6 +211,11 @@ class TestCompatibilityScores:
         # each scores at least 55; gross outliers land far below.
         assert (scores >= 55).sum() >= 56
         assert (scores[scores < 55] < 30).all()
+
+    def test_rows_of_other_width_are_rejected(self, rng):
+        pts = rng.normal(size=(2, 6))
+        with pytest.raises(ValueError, match=r"src must have shape \(M, 3\), got \(2, 6\)"):
+            compatibility_scores(pts, pts, tolerance=0.01)
 
     @pytest.mark.parametrize("n", [3, 129, 300])
     def test_blocks_equal_dense_matrix(self, rng, n):
