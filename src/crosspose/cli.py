@@ -141,6 +141,21 @@ def _flag_path(value, flag: str, is_dir: bool) -> Path:
     return path
 
 
+def _owning_pair_file(out_dir: Path, work):
+    """``work`` for a stage that writes ``<out_dir>/<pair_id>.json``: a pair
+    that fails deletes that file before its error propagates, so a rerun
+    keeps no file from an earlier run for a pair that now fails."""
+
+    def owned(entry: PairEntry):
+        try:
+            return work(entry)
+        except Exception:
+            (out_dir / f"{entry.pair_id}.json").unlink(missing_ok=True)
+            raise
+
+    return owned
+
+
 def _pred_mask(entry: PairEntry, default):
     """The pair's predicted query mask, or ``default`` when it names none."""
     path = entry.pred_mask_query
@@ -261,8 +276,11 @@ def cmd_gen_matches(args) -> int:
             nn_radius=cfg.nn_radius,
         )
         accepted = accept_pair(pair, cfg.min_matches)
+        target = out / f"{entry.pair_id}.json"
         if accepted:
-            io.write_matches(out / f"{entry.pair_id}.json", pair)
+            io.write_matches(target, pair)
+        else:
+            target.unlink(missing_ok=True)  # no earlier run's file outlives a rejection
         return {"count": len(pair), "accepted": accepted}
 
     def summarize(results, errors):
@@ -279,7 +297,7 @@ def cmd_gen_matches(args) -> int:
         )
         return out / "summary.json", summary, [line]
 
-    return _run_stage(cfg, work, summarize, out)
+    return _run_stage(cfg, _owning_pair_file(out, work), summarize, out)
 
 
 # -------------------------------------------------------------- register --
@@ -329,7 +347,7 @@ def cmd_register(args) -> int:
         line = f"registered {len(results)} pair(s), failed {len(errors)}"
         return out / "summary.json", summary, [line]
 
-    return _run_stage(cfg, work, summarize, out)
+    return _run_stage(cfg, _owning_pair_file(out, work), summarize, out)
 
 
 # ---------------------------------------------------------------- eval --

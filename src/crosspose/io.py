@@ -13,14 +13,17 @@
 * Models: whitespace-separated XYZ text plus a JSON sidecar (same stem,
   ``.json``) holding the diameter and symmetry transforms.
 
-JSON writers sort keys and end with a newline, so identical data always
-produces identical bytes.
+Every JSON file is written by :func:`write_json`, which sorts keys,
+indents by one space and ends with a newline, so identical data always
+produces identical bytes, and which replaces its target atomically.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
+import threading
 from dataclasses import asdict, fields
 from pathlib import Path
 
@@ -52,9 +55,77 @@ def value_type_error(annotation: str, value) -> str | None:
     return None
 
 
+def _dumps(payload, stubs: list | None) -> str:
+    """``json.dumps`` in the file layout, with ndarrays taken as nested lists.
+
+    When ``stubs`` is a list, each 2-D integer array is appended to it and
+    encoded as the string ``"\\u0000ndarray <n>\\u0000"``, its 1-based
+    position in ``stubs``; every other array is encoded as its ``tolist()``.
+    """
+
+    def default(obj):
+        if not isinstance(obj, np.ndarray):
+            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+        if stubs is None or obj.ndim != 2 or obj.dtype.kind not in "iu":
+            return obj.tolist()
+        stubs.append(obj)
+        return f"\0ndarray {len(stubs)}\0"
+
+    return json.dumps(
+        payload, sort_keys=True, separators=(",", ": "), indent=1, default=default
+    )
+
+
+def _int_rows(arr: np.ndarray, indent: int) -> str:
+    """A 2-D integer array as ``json.dumps(arr.tolist(), indent=1)`` lays it
+    out inside a value whose line starts with ``indent`` spaces."""
+    rows, cols = arr.shape
+    if rows == 0:
+        return "[]"
+    outer, inner = "\n" + " " * (indent + 1), "\n" + " " * (indent + 2)
+    row = "[" + inner + ("," + inner).join(["%d"] * cols) + outer + "]" if cols else "[]"
+    body = ("," + outer).join([row] * rows) % tuple(arr.ravel().tolist())
+    return "[" + outer + body + "\n" + " " * indent + "]"
+
+
 def write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
-    Path(path).write_text(text + "\n")
+    """Write ``payload`` as JSON with sorted keys, ``indent=1`` and a
+    trailing newline, replacing ``path`` atomically.
+
+    The bytes are exactly ``json.dumps(payload, sort_keys=True,
+    separators=(",", ": "), indent=1) + "\\n"`` with every ndarray in the
+    payload replaced by its ``tolist()``. A payload without arrays is one
+    plain ``json.dumps`` call. A 2-D integer array at any depth, such as
+    the ``anchor`` and ``query`` pixels of a match file, is laid out with
+    one ``%``-template for all its rows instead of the pure-Python
+    encoder's walk over its lists; any other array goes through
+    ``tolist()``.
+
+    The text goes to a temp file in the target's directory that then
+    replaces the target, so an interrupted write never leaves a partial
+    file. On an error the temp file is removed and an ``OSError`` names
+    ``path``.
+    """
+    stubs = []
+    text = _dumps(payload, stubs)
+    for n, arr in enumerate(stubs, 1):
+        stub = f'"\\u0000ndarray {n}\\u0000"'
+        if text.count(stub) != 1:  # a string of the payload reads like a stub
+            text = _dumps(payload, None)
+            break
+        at = text.index(stub)
+        line = text[text.rfind("\n", 0, at) + 1 : at]
+        text = text.replace(stub, _int_rows(arr, len(line) - len(line.lstrip(" "))))
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        temp.write_text(text + "\n")
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
 
 
 def read_json(path) -> dict:
@@ -240,8 +311,8 @@ def write_matches(path, pair: GtPair) -> None:
     write_json(
         path,
         {
-            "anchor": [[int(u), int(v)] for u, v in pair.anchor],
-            "query": [[int(u), int(v)] for u, v in pair.query],
+            "anchor": pair.anchor,
+            "query": pair.query,
             "relative_pose": pose_to_dict(pair.relative),
             "count": len(pair),
         },

@@ -314,6 +314,28 @@ class TestGenMatches:
         assert main(argv + ["--out-dir", str(second)]) == 0
         assert _tree_digest(first) == _tree_digest(second)
 
+    def test_rerun_deletes_match_files_of_rejected_and_failed_pairs(
+        self, dataset_small, tmp_path
+    ):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        manifest = str(data / "pairs.json")
+        out, fresh = tmp_path / "matches", tmp_path / "fresh"
+        assert main(["gen-matches", "--pairs", manifest, "--out-dir", str(out)]) == 0
+        # pair_0000 is now rejected and pair_0001 fails.
+        (data / "pairs" / "pair_0001" / "mask_query.pgm").write_bytes(b"P5\n")
+        strict = ["gen-matches", "--pairs", manifest, "--min-matches", "100000"]
+        assert main([*strict, "--out-dir", str(out)]) == 1
+        assert main([*strict, "--out-dir", str(fresh)]) == 1
+        assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
+        assert _tree_digest(out) == _tree_digest(fresh)
+        # losses finds no match file to read, and deletes nothing itself.
+        report = out / "losses.json"
+        assert main(["losses", "--pairs", manifest, "--matches", str(out),
+                     "--out", str(report)]) == 1
+        assert list(io.read_json(report)["errors"]) == ["pair_0000", "pair_0001"]
+        assert sorted(p.name for p in out.iterdir()) == ["losses.json", "summary.json"]
+
 
 # ---------------------------------------------------------------------------
 # register
@@ -411,6 +433,28 @@ class TestRegister:
         assert list(summary["errors"]) == ["pair_0000"]
         assert summary["errors"]["pair_0000"].startswith("ValueError: ")
         assert (out / "pair_0001.json").exists()
+
+    def test_rerun_deletes_pose_of_pair_that_now_fails(self, dataset_small, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        manifest = str(data / "pairs.json")
+        out, fresh = tmp_path / "poses", tmp_path / "fresh"
+        assert main(["register", "--pairs", manifest, "--out-dir", str(out)]) == 0
+        (data / "pairs" / "pair_0001" / "features_query.feat").write_bytes(b"ORYT")
+        assert main(["register", "--pairs", manifest, "--out-dir", str(out)]) == 1
+        assert main(["register", "--pairs", manifest, "--out-dir", str(fresh)]) == 1
+        assert not (out / "pair_0001.json").exists()
+        assert _tree_digest(out) == _tree_digest(fresh)
+        # eval cannot score the stale pose, and deletes nothing itself.
+        report = out / "report.json"
+        assert main(["eval", "--pairs", manifest, "--predictions", str(out),
+                     "--out", str(report)]) == 1
+        assert io.read_json(report)["errors"] == {
+            "pair_0001": "ConfigError: no prediction for pair: pair_0001.json"
+        }
+        assert sorted(p.name for p in out.iterdir()) == [
+            "pair_0000.json", "report.json", "summary.json"
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from crosspose import Pose, cyclic_symmetries, make_model, make_pair, render_scene
+from crosspose import (
+    MetricReport, Pose, cyclic_symmetries, make_model, make_pair, render_scene,
+)
 from crosspose.io import (
     pose_to_dict,
     quantize_depth,
@@ -169,7 +171,7 @@ class TestPoseFile:
         assert payload["R"][3] == pose.rotation[1, 0]
         assert len(payload["t"]) == 3
 
-    def test_bytes_deterministic_sorted_with_newline(self, tmp_path):
+    def test_bytes_deterministic_sorted_with_newline(self, cam96, tmp_path):
         payload = {"b": 2, "a": [1.5, 2.5], "c": {"z": 1, "y": 0}}
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"
@@ -180,6 +182,79 @@ class TestPoseFile:
         assert text.endswith("\n")
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         assert read_json(first) == payload
+
+        # Every payload's bytes equal the stdlib layout of its arrays as lists.
+        def as_lists(value):
+            if isinstance(value, np.ndarray):
+                return value.tolist()
+            if isinstance(value, dict):
+                return {k: as_lists(v) for k, v in value.items()}
+            if isinstance(value, (list, tuple)):
+                return [as_lists(v) for v in value]
+            return value
+
+        def reference(value):
+            text = json.dumps(as_lists(value), sort_keys=True, separators=(",", ": "), indent=1)
+            return (text + "\n").encode()
+
+        grid = np.arange(15).reshape(5, 3) * 37 - 200
+        arrays = [
+            grid[:rows, :cols].astype(dtype)
+            for dtype in (np.int64, np.int32, np.uint8)
+            for rows, cols in ((0, 2), (1, 2), (5, 3))
+        ]
+        stub = "\0ndarray 1\0"  # how an integer array is held while encoding
+        corpus = [
+            {"arrays": arrays, "first": arrays[0], "last": arrays[-1]},
+            {"outer": {"inner": {"pixels": arrays[5]}, "after": arrays[4]}},
+            {"grid": grid, "column": grid[:, :1], "strided": grid[::2, ::-2], "wide": grid.T},
+            {"flags": np.array([[True, False], [False, True]]), "mask": np.zeros(3, bool)},
+            {"floats": np.array([[0.1, -2.5], [1e-300, 3.0]]), "flat": np.arange(4.0)},
+            {"empty_dict": {}, "empty_list": [], "tuple": (1, (2.5, "x")), "nested": [[]]},
+            {"text": "caf\u00e9 \u2603 \U0001f600", "escapes": 'q"\\/\b\f\n\r\t\x00\x1f'},
+            {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf, "zero": -0.0},
+            {"edge": np.array([[np.nan, np.inf, -np.inf]])},
+            {stub: 1, "pixels": grid, "same": stub},
+            {"pixels": grid, "text": f"a{stub}b"},
+        ]
+        model = make_model("blob", n_points=2000, size=0.02, seed=4)
+        _, _, oracle = make_pair(
+            model, Pose(np.eye(3), [0.0, 0.0, 0.6]), Pose(np.eye(3), [0.002, 0.0, 0.6]), cam96
+        )
+        path = tmp_path / "layout.json"
+        for value in corpus:
+            write_json(path, value)
+            assert path.read_bytes() == reference(value)
+        write_matches(path, oracle)
+        assert len(oracle) > 100
+        assert path.read_bytes() == reference({
+            "anchor": [[int(u), int(v)] for u, v in oracle.anchor],
+            "query": [[int(u), int(v)] for u, v in oracle.query],
+            "relative_pose": pose_to_dict(oracle.relative),
+            "count": len(oracle),
+        })
+        report = MetricReport(
+            vsd=0.5, mssd=1.0, mspd=0.1, add=1.0, miou=0.75, mssd_error_m=1e-4,
+            mspd_error_px=float("inf"), add_error_m=2.5e-5, vsd_errors=(0.0, 0.3),
+        )
+        eval_payload = {"pairs": {"pair_0000": report.to_dict()}, "errors": {"p": "é"}}
+        write_json(path, eval_payload)
+        assert path.read_bytes() == reference(eval_payload)
+
+    def test_write_replaces_target_atomically(self, tmp_path, monkeypatch):
+        path = tmp_path / "pose.json"
+        write_json(path, {"old": 1})
+        before = path.read_bytes()
+
+        def fail(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr("os.replace", fail)
+        with pytest.raises(OSError, match="No space left on device") as info:
+            write_json(path, {"new": [1, 2]})
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["pose.json"]
 
     def test_intrinsics_roundtrip(self, cam96, tmp_path):
         path = tmp_path / "cam.json"
