@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
@@ -204,6 +205,13 @@ def cmd_synth(args) -> int:
     # Every directory is made before the first file is written.
     for directory in ("models", "pairs", *(f"pairs/{pair_id}" for pair_id in pair_ids)):
         _make_dir(out / directory)
+    # A pair directory an earlier run wrote that this manifest does not name
+    # goes, so a rerun leaves the tree a fresh run leaves.
+    for stale in (out / "pairs").iterdir():
+        digits = stale.name.removeprefix("pair_")
+        is_pair = digits.isdecimal() and stale.name == f"pair_{int(digits):04d}"
+        if is_pair and stale.name not in pair_ids and stale.is_dir() and not stale.is_symlink():
+            shutil.rmtree(stale)
     io.write_model(out / "models" / "model.xyz", model)
     io.write_intrinsics(out / "camera.json", camera)
 
@@ -363,6 +371,8 @@ def cmd_eval(args) -> int:
         if not pred_path.exists():
             raise ConfigError(f"no prediction for pair: {pred_path.name}")
         payload = io.read_json(pred_path)
+        if not isinstance(payload, dict) or "pose" not in payload:
+            raise ConfigError(f"prediction {pred_path.name} must be an object with a 'pose' key")
         pred_rel = io.pose_from_dict(payload["pose"])
         q = _load_view(entry.query)
         model = io.read_model(entry.model)

@@ -17,6 +17,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -31,6 +32,9 @@ _DIAMETER_SWEEPS = 4
 _DIAMETER_LEAF_SIZE = 32
 _DIAMETER_MARGIN = 1e-12
 _DIAMETER_PAIR_ENTRIES = 2_000_000
+# Distinct clouds whose exact diameter one process keeps, each held as its
+# float64 bytes (see diameter).
+_DIAMETER_MEMO_ENTRIES = 8
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -338,17 +342,26 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
     return best
 
 
+@functools.lru_cache(maxsize=_DIAMETER_MEMO_ENTRIES)
+def _memo_max_pairwise_sq(shape: tuple, data: bytes) -> float:
+    """``_max_pairwise_sq`` of the float64 cloud with these C-order bytes."""
+    return _max_pairwise_sq(np.frombuffer(data).reshape(shape))
+
+
 def diameter(points) -> float:
     """Exact largest pairwise distance of a point set.
 
     The pruned search of ``_max_pairwise_sq`` runs on the whole cloud, at
     any size and with bounded memory, and returns the float that scoring
-    every pair by brute force gives.
+    every pair by brute force gives. The result is memoised by the exact
+    float64 content of the cloud, for the last ``_DIAMETER_MEMO_ENTRIES``
+    clouds, so a copy, a view or a float32 cloud with the same values
+    reuses one search, and a cloud that differs in any bit runs its own.
     """
     pts = _as_points(points)
     if len(pts) < 2:
         raise ValueError("diameter requires at least 2 points")
-    return float(np.sqrt(_max_pairwise_sq(pts)))
+    return float(np.sqrt(_memo_max_pairwise_sq(pts.shape, pts.tobytes())))
 
 
 def nearest_neighbors(reference, queries) -> tuple[np.ndarray, np.ndarray]:

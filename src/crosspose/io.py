@@ -20,11 +20,13 @@ produces identical bytes, and which replaces its target atomically.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import struct
 import threading
 from dataclasses import asdict, fields
+from io import BytesIO, TextIOWrapper
 from pathlib import Path
 
 import numpy as np
@@ -35,6 +37,8 @@ from .matchgen import GtPair
 FEATURE_MAGIC = b"ORYT"
 # Largest depth a 16-bit PGM holds, in millimeters (65.535 m).
 DEPTH_MAX_MM = 65535
+# Distinct XYZ texts whose parsed points one process keeps (see read_model).
+_XYZ_MEMO_ENTRIES = 8
 
 
 # ---------------------------------------------------------------- JSON --
@@ -293,9 +297,28 @@ def write_model(path, model: ObjectModel) -> None:
     )
 
 
+@functools.lru_cache(maxsize=_XYZ_MEMO_ENTRIES)
+def _parse_xyz(data: bytes) -> np.ndarray:
+    """The read-only points of an XYZ file's bytes, decoded as ``open`` would."""
+    points = np.loadtxt(TextIOWrapper(BytesIO(data)), dtype=np.float64, ndmin=2)
+    points.flags.writeable = False
+    return points
+
+
 def read_model(path) -> ObjectModel:
+    """Read a model's XYZ text and sidecar.
+
+    The parsed points are memoised by the file's exact bytes, for the last
+    ``_XYZ_MEMO_ENTRIES`` texts, so pairs that share a model file parse it
+    once per process. Every call still reads both files and builds the
+    model, whose diameter check runs on every read.
+    """
     path = Path(path)
-    points = np.loadtxt(path, dtype=np.float64, ndmin=2)
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        raise FileNotFoundError(f"{path} not found.") from None  # as np.loadtxt says it
+    points = _parse_xyz(data)
     meta = read_json(path.with_suffix(".json"))
     return ObjectModel(
         points=points,

@@ -13,6 +13,7 @@ import pytest
 from crosspose import (
     ConfigError,
     MatchParams,
+    ObjectModel,
     Pose,
     RegistrationParams,
     compose,
@@ -23,7 +24,7 @@ from crosspose import (
 )
 from crosspose.cli import _config_from_args, build_parser, main
 from crosspose.config import EvalConfig, derive_seed, load_pairs
-from crosspose import io
+from crosspose import geometry, io
 
 # ---------------------------------------------------------------------------
 # Helpers and fixtures
@@ -189,6 +190,27 @@ class TestSynth:
         for name in ("models/model.xyz", "camera.json", "pairs.json"):
             assert not (data / name).exists()
         assert not any((data / "pairs" / "pair_0000").iterdir())
+
+    def test_rerun_with_fewer_pairs_leaves_the_tree_of_a_fresh_run(self, tmp_path):
+        argv = ["synth", "--seed", "3", "--image-size", "48", "--model-points", "1500"]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(argv + ["--out", str(rerun), "--pairs", "3"]) == 0
+        # A setting error deletes nothing.
+        assert main(argv + ["--out", str(rerun), "--pairs", "2", "--noise", "-1"]) == 2
+        assert (rerun / "pairs" / "pair_0002" / "gt_matches.json").exists()
+        # Only the pair directories synth names are its own.
+        foreign = ["pair_7", "pair_00002", "notes"]
+        for name in foreign:
+            (rerun / "pairs" / name).mkdir()
+        (rerun / "pairs" / "pair_0003").write_text("keep")
+        assert main(argv + ["--out", str(rerun), "--pairs", "2"]) == 0
+        assert main(argv + ["--out", str(fresh), "--pairs", "2"]) == 0
+        assert not (rerun / "pairs" / "pair_0002").exists()
+        assert (rerun / "pairs" / "pair_0003").read_text() == "keep"
+        for name in foreign:
+            (rerun / "pairs" / name).rmdir()
+        (rerun / "pairs" / "pair_0003").unlink()
+        assert _tree_digest(rerun) == _tree_digest(fresh)
 
 
 # ---------------------------------------------------------------------------
@@ -571,21 +593,24 @@ class TestEval:
         assert report["aggregate"]["count"] == 2
 
     def test_malformed_prediction_fails_pair_but_continues(
-        self, dataset_small, tmp_path
+        self, dataset_small, tmp_path, capsys
     ):
         preds = tmp_path / "preds"
         _write_gt_predictions(dataset_small, preds)
-        io.write_json(preds / "pair_0001.json", {})
-        report_path = tmp_path / "report.json"
-        rc = main([
-            "eval", "--pairs", str(dataset_small / "pairs.json"),
-            "--predictions", str(preds), "--out", str(report_path),
-        ])
-        assert rc == 1
-        report = io.read_json(report_path)
-        assert set(report["pairs"]) == {"pair_0000"}
-        assert report["errors"] == {"pair_0001": "KeyError: 'pose'"}
-        assert report["aggregate"]["count"] == 1
+        message = "ConfigError: prediction pair_0001.json must be an object with a 'pose' key"
+        for text in ("{}", "[1, 2]"):  # no pose key; not an object
+            (preds / "pair_0001.json").write_text(text + "\n")
+            report_path = tmp_path / "report.json"
+            rc = main([
+                "eval", "--pairs", str(dataset_small / "pairs.json"),
+                "--predictions", str(preds), "--out", str(report_path),
+            ])
+            assert rc == 1
+            report = io.read_json(report_path)
+            assert set(report["pairs"]) == {"pair_0000"}
+            assert report["errors"] == {"pair_0001": message}
+            assert report["aggregate"]["count"] == 1
+            assert capsys.readouterr().err == f"error: pair_0001: {message}\n"
 
     def test_report_directory_is_created(self, dataset_small, tmp_path):
         preds = tmp_path / "preds"
@@ -596,6 +621,77 @@ class TestEval:
             "--predictions", str(preds), "--out", str(report_path),
         ]) == 0
         assert io.read_json(report_path)["aggregate"]["count"] == 2
+
+
+def _count_model_work(monkeypatch) -> dict:
+    """Count XYZ parses and diameter searches, starting from empty memos."""
+    io._parse_xyz.cache_clear()
+    geometry._memo_max_pairwise_sq.cache_clear()
+    counts = {"parses": 0, "searches": 0}
+
+    def counting(key, func):
+        def counted(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(np, "loadtxt", counting("parses", np.loadtxt))
+    monkeypatch.setattr(
+        geometry, "_max_pairwise_sq", counting("searches", geometry._max_pairwise_sq)
+    )
+    return counts
+
+
+class TestEvalModelMemo:
+    """``eval`` parses and searches each distinct model once per process."""
+
+    def _eval(self, manifest, preds, report_path):
+        return main([
+            "eval", "--pairs", str(manifest), "--predictions", str(preds),
+            "--out", str(report_path),
+        ])
+
+    def test_shared_model_is_parsed_and_searched_once(self, dataset, tmp_path, monkeypatch):
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset, preds)
+        counts = _count_model_work(monkeypatch)
+        assert self._eval(dataset / "pairs.json", preds, tmp_path / "report.json") == 0
+        assert counts == {"parses": 1, "searches": 1}
+
+    def test_two_model_files_cost_one_parse_and_search_each(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # The second file holds the same cloud in reverse order: other bytes,
+        # the same diameter.
+        model = io.read_model(dataset / "models" / "model.xyz")
+        other = tmp_path / "other" / "model.xyz"
+        other.parent.mkdir()
+        io.write_model(other, ObjectModel(
+            points=model.points[::-1], diameter_m=model.diameter_m,
+            symmetries=model.symmetries,
+        ))
+        manifest = io.read_json(dataset / "pairs.json")
+        for entry in manifest["pairs"]:
+            for side in ("anchor", "query"):
+                entry[side] = {k: str(dataset / v) for k, v in entry[side].items()}
+            entry["model"] = str(dataset / entry["model"])
+        manifest["pairs"][1]["model"] = str(other)
+        io.write_json(tmp_path / "pairs.json", manifest)
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset, preds)
+
+        counts = _count_model_work(monkeypatch)
+        assert self._eval(tmp_path / "pairs.json", preds, tmp_path / "memo.json") == 0
+        assert counts == {"parses": 2, "searches": 2}
+        # Without the memos every pair parses and searches its model.
+        monkeypatch.setattr(io, "_parse_xyz", io._parse_xyz.__wrapped__)
+        monkeypatch.setattr(
+            geometry, "_memo_max_pairwise_sq", geometry._memo_max_pairwise_sq.__wrapped__
+        )
+        assert self._eval(tmp_path / "pairs.json", preds, tmp_path / "fresh.json") == 0
+        assert counts == {"parses": 5, "searches": 5}
+        memo, fresh = (tmp_path / "memo.json").read_bytes(), (tmp_path / "fresh.json").read_bytes()
+        assert memo == fresh
 
 
 # ---------------------------------------------------------------------------

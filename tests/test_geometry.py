@@ -2,6 +2,8 @@
 
 import ast
 import math
+import sys
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from crosspose import (
     relative_pose,
     unproject,
 )
+from crosspose import geometry
 from crosspose.geometry import _max_pairwise_sq
 from crosspose.render import splat_depth
 from conftest import random_rotation_matrix, random_se3
@@ -390,6 +393,100 @@ class TestMaxPairwiseSq:
         assert peak < 16e6
         # Copies of a point do not change the maximum; the oracle skips them.
         assert value == _max_pairwise_sq_oracle(np.unique(pts, axis=0))
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The clouds ``_max_pairwise_sq`` searches, starting from an empty memo."""
+    geometry._memo_max_pairwise_sq.cache_clear()
+    seen = []
+
+    def counting(points):
+        seen.append(points)
+        return _max_pairwise_sq(points)
+
+    monkeypatch.setattr(geometry, "_max_pairwise_sq", counting)
+    yield seen
+    geometry._memo_max_pairwise_sq.cache_clear()
+
+
+class TestDiameterMemo:
+    """``diameter`` searches each distinct float64 cloud once per process."""
+
+    def test_copy_view_and_float32_share_one_search(self, rng, searches):
+        pts = rng.normal(size=(400, 3)).astype(np.float32).astype(np.float64)
+        wide = np.zeros((400, 6))
+        wide[:, ::2] = pts
+        values = {
+            diameter(pts),
+            diameter(pts.copy()),
+            diameter(wide[:, ::2]),  # a strided view
+            diameter(pts.astype(np.float32)),
+            diameter(pts.tolist()),
+        }
+        assert len(searches) == 1
+        assert values == {math.sqrt(_max_pairwise_sq(pts))}
+
+    def test_one_ulp_change_misses(self, rng, searches):
+        pts = rng.normal(size=(400, 3))
+        moved = pts.copy()
+        moved[17, 1] = np.nextafter(moved[17, 1], np.inf)
+        diameter(pts)
+        assert diameter(moved) == math.sqrt(_max_pairwise_sq(moved))
+        assert len(searches) == 2
+        assert np.array_equal(searches[1], moved)
+
+    def test_same_value_as_a_fresh_search_on_every_kernel_cloud(self, rng, searches):
+        for name in sorted(_KERNEL_CLOUDS):
+            pts = np.asarray(_KERNEL_CLOUDS[name](rng), dtype=np.float64)
+            first, again = diameter(pts), diameter(pts[::-1][::-1])
+            assert first == again == math.sqrt(_max_pairwise_sq_oracle(pts))
+
+    def test_declared_diameter_still_checked_after_a_hit(self, rng, searches):
+        pts = rng.normal(size=(300, 3))
+        exact = ObjectModel.from_points(pts).diameter_m
+        with pytest.raises(ValueError, match="declared diameter"):
+            ObjectModel(points=pts.copy(), diameter_m=exact + 2e-9)
+        assert len(searches) == 1
+
+    def test_entries_never_exceed_the_bound(self, rng, searches):
+        bound = geometry._DIAMETER_MEMO_ENTRIES
+        pts = rng.normal(size=(50, 3))
+        for i in range(bound + 3):
+            diameter(pts + i)
+            assert geometry._memo_max_pairwise_sq.cache_info().currsize <= bound
+        assert geometry._memo_max_pairwise_sq.cache_info().currsize == bound
+        diameter(pts + (bound + 2))  # the newest entry stays
+        diameter(pts)  # the oldest went
+        assert len(searches) == bound + 4
+
+
+    def test_threads_sharing_the_memo_get_exact_values(self, rng):
+        # eval's worker threads share the memo: more threads than cores,
+        # a short switch interval, more clouds than entries.
+        clouds = [rng.normal(size=(200, 3)) for _ in range(geometry._DIAMETER_MEMO_ENTRIES + 2)]
+        expected = [math.sqrt(_max_pairwise_sq(c)) for c in clouds]
+        geometry._memo_max_pairwise_sq.cache_clear()
+        wrong = []
+
+        def work(seed):
+            order = np.random.default_rng(seed).integers(0, len(clouds), size=60)
+            wrong.extend(int(i) for i in order if diameter(clouds[i]) != expected[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert geometry._memo_max_pairwise_sq.cache_info().currsize <= len(clouds) - 2
+        geometry._memo_max_pairwise_sq.cache_clear()
 
 
 class TestObjectModel:

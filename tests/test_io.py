@@ -2,10 +2,12 @@
 
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
 
+from crosspose import io
 from crosspose import (
     MetricReport, Pose, cyclic_symmetries, make_model, make_pair, render_scene,
 )
@@ -356,6 +358,109 @@ class TestModelFile:
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError):
             read_model(path)
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """How often ``np.loadtxt`` runs, starting from an empty XYZ memo."""
+    io._parse_xyz.cache_clear()
+    count = [0]
+    loadtxt = np.loadtxt
+
+    def counting(*args, **kwargs):
+        count[0] += 1
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counting)
+    yield count
+    io._parse_xyz.cache_clear()
+
+
+class TestModelMemo:
+    """``read_model`` parses each distinct XYZ text once per process."""
+
+    def test_same_bytes_at_two_paths_parse_once(self, tmp_path, parses):
+        model = make_model("cylinder", n_points=200, size=0.04, cyclic_order=4, seed=2)
+        write_model(tmp_path / "a.xyz", model)
+        (tmp_path / "b").mkdir()
+        for name in ("a.xyz", "a.json"):
+            (tmp_path / "b" / name).write_bytes((tmp_path / name).read_bytes())
+        models = [read_model(tmp_path / "a.xyz"), read_model(tmp_path / "b" / "a.xyz")]
+        assert parses[0] == 1
+        for back in models:
+            assert np.array_equal(back.points, model.points)
+            assert back.diameter_m == model.diameter_m
+            assert len(back.symmetries) == 4
+
+    def test_one_ulp_change_misses(self, tmp_path, parses):
+        model = make_model("blob", n_points=100, size=0.02, seed=3)
+        points = model.points.copy()
+        points[5, 2] = np.nextafter(points[5, 2], -np.inf)
+        moved = type(model).from_points(points)
+        write_model(tmp_path / "a.xyz", model)
+        write_model(tmp_path / "b.xyz", moved)
+        assert np.array_equal(read_model(tmp_path / "a.xyz").points, model.points)
+        assert np.array_equal(read_model(tmp_path / "b.xyz").points, points)
+        assert parses[0] == 2
+
+    def test_tampered_sidecar_rejected_after_a_hit(self, tmp_path, parses):
+        model = make_model("blob", n_points=64, size=0.02)
+        write_model(tmp_path / "model.xyz", model)
+        read_model(tmp_path / "model.xyz")
+        sidecar = tmp_path / "model.json"
+        meta = json.loads(sidecar.read_text())
+        meta["diameter"] = meta["diameter"] + 1e-6
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match="declared diameter"):
+            read_model(tmp_path / "model.xyz")
+        assert parses[0] == 1
+
+    def test_memo_is_read_only_and_out_of_callers_reach(self, tmp_path, parses):
+        model = make_model("blob", n_points=64, size=0.02)
+        path = tmp_path / "model.xyz"
+        write_model(path, model)
+        memo = io._parse_xyz(path.read_bytes())
+        assert memo.flags.writeable is False
+        with pytest.raises(ValueError):
+            memo[0, 0] = 1.0
+        points = read_model(path).points.copy()
+        points[0, 0] = 1.0
+        assert not np.shares_memory(read_model(path).points, memo)
+        assert np.array_equal(read_model(path).points, model.points)
+        assert parses[0] == 1
+
+    def test_entries_never_exceed_the_bound(self, tmp_path, parses):
+        bound = io._XYZ_MEMO_ENTRIES
+        for i in range(bound + 2):
+            io._parse_xyz(f"{i} 0 0\n".encode())
+            assert io._parse_xyz.cache_info().currsize <= bound
+        assert io._parse_xyz.cache_info().currsize == bound
+        io._parse_xyz(f"{bound + 1} 0 0\n".encode())  # the newest entry stays
+        io._parse_xyz(b"0 0 0\n")  # the oldest went
+        assert parses[0] == bound + 3
+
+    def test_unreadable_model_messages(self, tmp_path, parses):
+        model = make_model("blob", n_points=64, size=0.02)
+        path = tmp_path / "model.xyz"
+        write_model(path, model)
+        cases = [
+            (None, f"FileNotFoundError: {tmp_path / 'missing.xyz'} not found."),
+            (b"", "ValueError: model points must have shape (N, 3), got (0, 1)"),
+            (b"1 2 3\n4 x 6\n", "ValueError: could not convert string 'x' to float64 at row 1, column 2."),
+            (b"1 2 3\n4 5\n", "ValueError: the number of columns changed from 3 to 2 at row 2; "
+                              "use `usecols` to select a subset and avoid this error"),
+        ]
+        for data, message in cases:
+            target = tmp_path / "missing.xyz"
+            if data is not None:
+                target.write_bytes(data)
+                target.with_suffix(".json").write_bytes(path.with_suffix(".json").read_bytes())
+            for _ in range(2):  # the same message from a fresh and a repeated read
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", UserWarning)  # loadtxt on no data
+                    with pytest.raises(Exception) as info:
+                        read_model(target)
+                assert f"{type(info.value).__name__}: {info.value}" == message
 
 
 # ---------------------------------------------------------------------------
