@@ -24,6 +24,7 @@ be a plain file name.
 
 from __future__ import annotations
 
+import os
 import zlib
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -86,26 +87,45 @@ def _check_keys(data: dict, allowed: set, what: str) -> None:
         raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
 
 
-def _resolve(base: Path, value, required: bool, what: str) -> Path | None:
+def _resolver(base: Path):
+    """``(base / value).resolve()`` of a relative path ``value``, which
+    resolves each distinct parent directory once and then only a final
+    component that is a symlink."""
+    dirs = {}
+
+    def resolve(value: str) -> Path:
+        head, name = os.path.split(os.path.join(base, value))
+        if name in ("", ".", "..") or "\0" in value:  # Path.resolve() rejects NUL
+            return (base / value).resolve()
+        parent = dirs.get(head)
+        if parent is None:
+            parent = dirs[head] = str(Path(head).resolve())
+        path = os.path.join(parent, name)
+        return Path(path).resolve() if os.path.islink(path) else Path(path)
+
+    return resolve
+
+
+def _resolve(resolve, value, required: bool, what: str) -> Path | None:
     if value is None:
         if required:
             raise ConfigError(f"manifest entry is missing {what}")
         return None
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a path string, got {value!r}")
-    return (base / value).resolve() if not Path(value).is_absolute() else Path(value)
+    return resolve(value) if not Path(value).is_absolute() else Path(value)
 
 
-def _load_view(base: Path, data: dict, pair_id: str, side: str) -> ViewPaths:
+def _load_view(resolve, data: dict, pair_id: str, side: str) -> ViewPaths:
     if not isinstance(data, dict):
         raise ConfigError(f"pair {pair_id}: {side} view must be an object")
     _check_keys(data, _VIEW_KEYS, f"pair {pair_id}: {side} view")
     return ViewPaths(
-        depth=_resolve(base, data.get("depth"), True, f"{pair_id}/{side} depth"),
-        mask=_resolve(base, data.get("mask"), True, f"{pair_id}/{side} mask"),
-        camera=_resolve(base, data.get("camera"), True, f"{pair_id}/{side} camera"),
-        pose=_resolve(base, data.get("pose"), True, f"{pair_id}/{side} pose"),
-        features=_resolve(base, data.get("features"), False, f"{pair_id}/{side} features"),
+        depth=_resolve(resolve, data.get("depth"), True, f"{pair_id}/{side} depth"),
+        mask=_resolve(resolve, data.get("mask"), True, f"{pair_id}/{side} mask"),
+        camera=_resolve(resolve, data.get("camera"), True, f"{pair_id}/{side} camera"),
+        pose=_resolve(resolve, data.get("pose"), True, f"{pair_id}/{side} pose"),
+        features=_resolve(resolve, data.get("features"), False, f"{pair_id}/{side} features"),
     )
 
 
@@ -124,7 +144,7 @@ def load_pairs(manifest_path) -> list[PairEntry]:
     if not isinstance(entries, list) or len(entries) == 0:
         raise ConfigError("pairs manifest must contain a non-empty 'pairs' list")
 
-    base = manifest_path.parent
+    resolve = _resolver(manifest_path.parent)
     pairs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -138,11 +158,11 @@ def load_pairs(manifest_path) -> list[PairEntry]:
         pairs.append(
             PairEntry(
                 pair_id=pair_id,
-                model=_resolve(base, entry.get("model"), True, f"{pair_id} model"),
-                anchor=_load_view(base, entry.get("anchor"), pair_id, "anchor"),
-                query=_load_view(base, entry.get("query"), pair_id, "query"),
+                model=_resolve(resolve, entry.get("model"), True, f"{pair_id} model"),
+                anchor=_load_view(resolve, entry.get("anchor"), pair_id, "anchor"),
+                query=_load_view(resolve, entry.get("query"), pair_id, "query"),
                 pred_mask_query=_resolve(
-                    base, entry.get("pred_mask_query"), False, f"{pair_id} pred query mask"
+                    resolve, entry.get("pred_mask_query"), False, f"{pair_id} pred query mask"
                 ),
             )
         )

@@ -18,23 +18,36 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import functools
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 # A rotation must be orthonormal with det +1 to within this bound.
 ORTHONORMALITY_TOL = 1e-9
 
-# _max_pairwise_sq: farthest-point sweeps for the lower bound, kd-tree leaf
-# size, relative margin on every bound, and pair entries scored at once.
+# _cell_grid: a cell edge is at least the bounding box's largest side over
+# this many cells, so every cell coordinate and key fits in int64.
+_GRID_CELLS = 2**20
+
+# _max_pairwise_sq: farthest-point sweeps for the lower bound, mean points
+# per occupied cell, relative margin on every bound, and pair entries
+# scored at once.
 _DIAMETER_SWEEPS = 4
-_DIAMETER_LEAF_SIZE = 32
+_DIAMETER_CELL_POINTS = 64
 _DIAMETER_MARGIN = 1e-12
 _DIAMETER_PAIR_ENTRIES = 2_000_000
 # Distinct clouds whose exact diameter one process keeps, each held as its
-# float64 bytes (see diameter).
+# float64 bytes (see diameter); the lock lets one caller search a cloud
+# while the others wait for its entry.
 _DIAMETER_MEMO_ENTRIES = 8
+_DIAMETER_MEMO_LOCK = threading.Lock()
+
+# nearest_within: relative widening of the cell edge over the radius, far
+# above the rounding of a cell coordinate, and candidate entries scored at
+# once.
+_RADIUS_MARGIN = 1e-6
+_RADIUS_ENTRIES = 1 << 12
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
@@ -275,6 +288,60 @@ def _far_corner_sq(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nda
     return np.sum(np.maximum((points - lo) ** 2, (points - hi) ** 2), axis=-1)
 
 
+def _cell_grid(points: np.ndarray, edge: float):
+    """Sort points by the integer key of their cubic cell.
+
+    The cell edge is ``edge`` or, if larger, the points' largest
+    bounding-box side over ``_GRID_CELLS``. Cell ``(i, j, k)`` spans
+    ``origin + edge * ([i, j, k] - 3)`` to one edge more, so the grid of
+    ``shape = (nx, ny, nz)`` cells keeps three empty cells on every side of
+    the points. No coordinate exceeds ``_GRID_CELLS + 6``, and the key
+    ``(i * ny + j) * nz + k`` fits in int64; cells along ``k`` have
+    consecutive keys.
+
+    Returns the permutation that sorts the points by key, the sorted keys,
+    the start of each occupied cell in that order, and
+    ``(origin, edge, shape)``.
+    """
+    cols = points.T.copy()  # a C-order copy: reductions run fastest along rows
+    origin = cols.min(axis=1)
+    edge = max(edge, float(np.max(cols.max(axis=1) - origin)) / _GRID_CELLS)
+    cols -= origin[:, None]
+    cols /= edge
+    cells = np.floor(cols, out=cols).astype(np.int64)
+    shape = cells.max(axis=1) + 7
+    i, j, k = cells
+    keys = i + 3
+    keys *= shape[1]
+    keys += j + 3
+    keys *= shape[2]
+    keys += k + 3
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(np.diff(keys, prepend=-1))
+    return order, keys, starts, (origin, edge, shape)
+
+
+def _diameter_cells(points: np.ndarray):
+    """``_cell_grid`` of the coarsest edge ``extent / 2**level`` that puts at
+    most ``_DIAMETER_CELL_POINTS`` points in an occupied cell on average, or
+    of the finest edge when copies of points crowd every grid."""
+    extent = float(np.max(points.max(axis=0) - points.min(axis=0)))
+    if extent == 0.0:
+        return _cell_grid(points, 1.0)
+    need = len(points) / _DIAMETER_CELL_POINTS
+    coarse, fine = 0, _GRID_CELLS.bit_length() - 1
+    # The cells of one level split those of the level before, so the count
+    # of occupied cells only grows with the level: bisect on it.
+    while coarse < fine:
+        level = (coarse + fine) // 2
+        if len(_cell_grid(points, extent / 2**level)[2]) >= need:
+            fine = level
+        else:
+            coarse = level + 1
+    return _cell_grid(points, extent / 2**coarse)
+
+
 def _max_pairwise_sq(points: np.ndarray) -> float:
     """Largest squared pairwise distance, by an exact pruned search.
 
@@ -282,18 +349,21 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
 
     1. Farthest-point sweeps from the first point score real pairs and
        give a lower bound ``best``.
-    2. kd-tree leaves (at most ``_DIAMETER_LEAF_SIZE`` points, or copies
-       of one point) split the cloud into spatially coherent blocks with
-       bounding boxes.
-    3. For each leaf, only the leaf itself and the leaves after it whose
+    2. The occupied cells of a uniform grid (``_diameter_cells``, about
+       ``_DIAMETER_CELL_POINTS`` points per cell) split the cloud into
+       spatially coherent blocks with bounding boxes.
+    3. For each cell, only the cell itself and the cells after it whose
        box can reach ``best`` (farthest box-to-box corners) are searched.
        Their points are kept if their farthest-corner distance to the
-       leaf's box can reach ``best``, and the leaf's points if theirs to
+       cell's box can reach ``best``, and the cell's points if theirs to
        the kept points' box can. Bounds and ``best`` carry a 1e-12
        relative margin on either side, far above the rounding of either
        formula, so every pair that can score the maximum survives.
     4. Surviving pairs are scored with ``_pair_sq``, at most 2M pair
        entries at a time, so memory stays bounded on any cloud.
+
+    The result is the largest ``_pair_sq`` over the surviving pairs, so
+    any partition of the cloud gives the same float.
     """
     n = len(points)
     best, far = 0.0, 0
@@ -302,37 +372,29 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
         far = int(np.argmax(sq))
         best = max(best, float(sq[far]))
 
-    tree = cKDTree(points, leafsize=_DIAMETER_LEAF_SIZE)
-    order = points[tree.indices]
-    starts, stack = [], [tree.tree]
-    while stack:
-        node = stack.pop()
-        if node.split_dim == -1:  # a leaf
-            starts.append(node.start_idx)
-        else:
-            stack += [node.lesser, node.greater]
-    starts = np.unique(starts)
+    perm, _, starts, _ = _diameter_cells(points)
+    order = points[perm]
     ends = np.append(starts[1:], n)
     lo = np.minimum.reduceat(order, starts, axis=0)
     hi = np.maximum.reduceat(order, starts, axis=0)
-    leaf_of = np.repeat(np.arange(len(starts)), ends - starts)
+    cell_of = np.repeat(np.arange(len(starts)), ends - starts)
 
     def reaches(bound):
         return bound * (1.0 + _DIAMETER_MARGIN) >= best * (1.0 - _DIAMETER_MARGIN)
 
     for a in range(len(starts)):
         span = np.maximum(np.abs(hi[a] - lo[a:]), np.abs(hi[a:] - lo[a]))
-        leaves = np.zeros(len(starts), dtype=bool)
-        leaves[a:] = reaches(np.sum(span * span, axis=-1))
-        if not leaves.any():
+        cells = np.zeros(len(starts), dtype=bool)
+        cells[a:] = reaches(np.sum(span * span, axis=-1))
+        if not cells.any():
             continue
-        cand = order[leaves[leaf_of]]
+        cand = order[cells[cell_of]]
         cand = cand[reaches(_far_corner_sq(cand, lo[a], hi[a]))]
         if len(cand) == 0:
             continue
         block = order[starts[a] : ends[a]]
         if np.array_equal(lo[a], hi[a]):
-            block = block[:1]  # only copies of one point outgrow a leaf
+            block = block[:1]  # a cell of copies of one point
         block = block[reaches(_far_corner_sq(block, cand.min(axis=0), cand.max(axis=0)))]
         if len(block) == 0:
             continue
@@ -357,19 +419,133 @@ def diameter(points) -> float:
     float64 content of the cloud, for the last ``_DIAMETER_MEMO_ENTRIES``
     clouds, so a copy, a view or a float32 cloud with the same values
     reuses one search, and a cloud that differs in any bit runs its own.
+    Threads share the memo, and callers of a cloud that is being searched
+    wait for its entry.
     """
     pts = _as_points(points)
     if len(pts) < 2:
         raise ValueError("diameter requires at least 2 points")
-    return float(np.sqrt(_memo_max_pairwise_sq(pts.shape, pts.tobytes())))
+    with _DIAMETER_MEMO_LOCK:
+        sq = _memo_max_pairwise_sq(pts.shape, pts.tobytes())
+    return float(np.sqrt(sq))
+
+
+def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.ndarray]:
+    """Distance to, and index of, each query's nearest reference point
+    within ``radius``.
+
+    A query with no reference point at distance ``<= radius`` gets ``inf``
+    and index -1. Each distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the
+    float ``nearest_neighbors`` returns, and among exact ties the lowest
+    reference index wins.
+
+    The reference points are sorted into cells of edge a little over
+    ``radius`` (``_cell_grid``), so every point within the radius of a
+    query lies in the 27 cells around the query's cell: 9 runs of 3
+    consecutive keys, each a slice of the sorted points. Queries are
+    sorted by cell, so the keys looked up ascend, and run in blocks with
+    at most ``_RADIUS_ENTRIES`` candidates scored at once, so memory stays
+    bounded on any cloud.
+    """
+    ref = _as_points(reference, "reference")
+    qs = _as_points(queries, "queries")
+    if not 0 < radius < np.inf:
+        raise ValueError("radius must be finite and positive")
+    dist = np.full(len(qs), np.inf)
+    idx = np.full(len(qs), -1, dtype=np.int64)
+    if len(ref) == 0 or len(qs) == 0:
+        return dist, idx
+    order, keys, starts, (origin, edge, shape) = _cell_grid(
+        ref, radius * (1.0 + _RADIUS_MARGIN)
+    )
+    rx, ry, rz = np.take(ref.T, order, axis=1)
+    # Occupied cells with three sentinels past the last, and their bounds.
+    cell_keys = np.concatenate([keys[starts], np.full(3, np.iinfo(np.int64).max)])
+    bounds = np.concatenate([starts, [len(ref)]])
+    _, ny, nz = (int(v) for v in shape)
+
+    # Each query's cell, clipped into the grid's margin: the cells around a
+    # clipped query have keys and hold no point, as no point lies within
+    # the radius of a query that far out. Then the queries in key order.
+    cell = qs.T - origin[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        cell /= edge
+    cell += 3
+    np.floor(cell, out=cell)
+    ci, cj, ck = np.clip(cell, 1, shape[:, None] - 2, out=cell).astype(np.int64)
+    qkey = (ci * ny + cj) * nz + ck
+    qorder = np.argsort(qkey)
+    qkey = qkey[qorder]
+    qx, qy, qz = np.take(qs.T, qorder, axis=1)
+    # The lowest key of each of the 9 runs of 3 cells around a cell.
+    columns = np.array([(di * ny + dj) * nz - 1 for di in (-1, 0, 1) for dj in (-1, 0, 1)])
+    # Per query in key order: the nearest distance so far and its index.
+    best = np.full(len(qs), np.inf)
+    nearest = np.full(len(qs), len(ref))
+
+    per_block = max(1, _RADIUS_ENTRIES // 9)
+    for q0 in range(0, len(qs), per_block):
+        # Row by row, the keys looked up ascend. A run's occupied cells
+        # are the (at most 3) that follow the first at or after its key.
+        key = qkey[q0 : q0 + per_block] + columns[:, None]  # (run, query)
+        run_query = np.broadcast_to(np.arange(q0, q0 + key.shape[1]), key.shape).ravel()
+        first = np.searchsorted(cell_keys, key).ravel()
+        key = key.ravel()
+        key += 2  # each run's highest key
+        last = first + (cell_keys[first] <= key)
+        last += cell_keys[1:][first] <= key
+        last += cell_keys[2:][first] <= key
+        run_count = bounds[last]
+        shift = bounds[first]
+        run_count -= shift
+        end = np.cumsum(run_count)
+        shift -= end
+        shift += run_count  # sorted position minus entry number
+        for e0 in range(0, int(end[-1]), _RADIUS_ENTRIES):
+            e1 = min(e0 + _RADIUS_ENTRIES, int(end[-1]))
+            ra = int(np.searchsorted(end, e0, side="right"))
+            rb = int(np.searchsorted(end, e1 - 1, side="right")) + 1
+            taken = run_count[ra:rb].copy()
+            taken[0] -= e0 - (end[ra] - run_count[ra])  # entries before the chunk
+            taken[-1] -= end[rb - 1] - e1  # and after it
+            pos = np.repeat(shift[ra:rb], taken)
+            pos += np.arange(e0, e1)
+            owner = np.repeat(run_query[ra:rb], taken)
+            dd = rx[pos]
+            dd -= qx[owner]
+            dd *= dd
+            dy = ry[pos]
+            dy -= qy[owner]
+            dy *= dy
+            dd += dy
+            dy = rz[pos]
+            dy -= qz[owner]
+            dy *= dy
+            dd += dy
+            np.sqrt(dd, out=dd)  # sqrt((dx*dx + dy*dy) + dz*dz)
+            near = np.flatnonzero(dd <= radius)
+            owner, dd, cand = owner[near], dd[near], order[pos[near]]
+            before = best[owner]
+            np.minimum.at(best, owner, dd)
+            # A query whose distance dropped forgets its earlier index; the
+            # lowest index at the nearest distance wins.
+            nearest[owner[best[owner] < before]] = len(ref)
+            at_best = dd == best[owner]
+            np.minimum.at(nearest, owner[at_best], cand[at_best])
+    dist[qorder] = best
+    idx[qorder] = np.where(best <= radius, nearest, -1)
+    return dist, idx
 
 
 def nearest_neighbors(reference, queries) -> tuple[np.ndarray, np.ndarray]:
     """Distance to, and index of, each query's nearest reference point.
 
     A kd-tree returns exact distances; the exact ties are re-ranked, all
-    in one pass, so the lowest reference index always wins.
+    in one pass, so the lowest reference index always wins. Only ADD-S
+    needs a nearest point at any distance, so scipy loads only here.
     """
+    from scipy.spatial import cKDTree
+
     tree = cKDTree(reference)
     dist, idx = tree.query(queries, k=2)  # with one reference point, nothing ties
     best_idx = idx[:, 0].copy()

@@ -37,8 +37,10 @@ from .matchgen import GtPair
 FEATURE_MAGIC = b"ORYT"
 # Largest depth a 16-bit PGM holds, in millimeters (65.535 m).
 DEPTH_MAX_MM = 65535
-# Distinct XYZ texts whose parsed points one process keeps (see read_model).
+# Distinct XYZ texts whose parsed points one process keeps (see read_model);
+# the lock lets one caller parse a text while the others wait for its entry.
 _XYZ_MEMO_ENTRIES = 8
+_XYZ_MEMO_LOCK = threading.Lock()
 
 
 # ---------------------------------------------------------------- JSON --
@@ -310,15 +312,17 @@ def read_model(path) -> ObjectModel:
 
     The parsed points are memoised by the file's exact bytes, for the last
     ``_XYZ_MEMO_ENTRIES`` texts, so pairs that share a model file parse it
-    once per process. Every call still reads both files and builds the
-    model, whose diameter check runs on every read.
+    once per process, also when worker threads read it at once. Every call
+    still reads both files and builds the model, whose diameter check runs
+    on every read.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise FileNotFoundError(f"{path} not found.") from None  # as np.loadtxt says it
-    points = _parse_xyz(data)
+    with _XYZ_MEMO_LOCK:
+        points = _parse_xyz(data)
     meta = read_json(path.with_suffix(".json"))
     return ObjectModel(
         points=points,

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EmptyMask
 from .geometry import (
-    CameraIntrinsics, Pose, as_rows, nearest_neighbors, relative_pose, unproject,
+    CameraIntrinsics, Pose, as_rows, nearest_within, relative_pose, unproject,
 )
 
 DEFAULT_NN_RADIUS = 0.002  # meters
@@ -79,7 +79,7 @@ def generate_gt_matches(
 
     rel = relative_pose(pose_a, pose_q)
     aligned = rel.apply(cloud_a.points)
-    dist, idx = nearest_neighbors(cloud_q.points, aligned)
+    dist, idx = nearest_within(cloud_q.points, aligned, nn_radius)
     keep = dist <= nn_radius
     return GtPair(
         anchor=cloud_a.pixels[keep],

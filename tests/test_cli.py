@@ -4,8 +4,11 @@ import argparse
 import hashlib
 import json
 import math
+import os
 import shutil
+import time
 from dataclasses import fields, is_dataclass
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -24,7 +27,7 @@ from crosspose import (
 )
 from crosspose.cli import _config_from_args, build_parser, main
 from crosspose.config import EvalConfig, derive_seed, load_pairs
-from crosspose import geometry, io
+from crosspose import config, geometry, io
 
 # ---------------------------------------------------------------------------
 # Helpers and fixtures
@@ -658,6 +661,25 @@ class TestEvalModelMemo:
         assert self._eval(dataset / "pairs.json", preds, tmp_path / "report.json") == 0
         assert counts == {"parses": 1, "searches": 1}
 
+    def test_two_workers_parse_and_search_a_shared_model_once(
+        self, dataset, tmp_path, monkeypatch
+    ):
+        # Slow work makes the first two pairs miss both memos together.
+        preds = tmp_path / "preds"
+        _write_gt_predictions(dataset, preds)
+        counts = _count_model_work(monkeypatch)
+        for module, name in ((np, "loadtxt"), (geometry, "_max_pairwise_sq")):
+            def slow(*args, _func=getattr(module, name), **kwargs):
+                time.sleep(0.2)
+                return _func(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, slow)
+        assert main([
+            "eval", "--pairs", str(dataset / "pairs.json"), "--predictions", str(preds),
+            "--out", str(tmp_path / "report.json"), "--workers", "2",
+        ]) == 0
+        assert counts == {"parses": 1, "searches": 1}
+
     def test_two_model_files_cost_one_parse_and_search_each(
         self, dataset, tmp_path, monkeypatch
     ):
@@ -1087,6 +1109,76 @@ class TestConfigLayer:
         out = tmp_path / "out"
         assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
         assert not out.exists()
+
+
+class TestManifestPaths:
+    """Manifest paths equal ``Path.resolve()``, at one resolve per directory."""
+
+    VALUES = (
+        "real/file.pgm", "real/./file.pgm", "./real//file.pgm", "real/sub/../file.pgm",
+        "link/file.pgm", "link/../real/file.pgm", "link/sub/../../real/file.pgm",
+        "real/link.pgm", "link/link.pgm", "real/sub", "link", "missing/dir/x.pgm",
+        "../escaped.pgm", "real/..", "link/..", "real/.", ".", "..", "", "real/",
+    )
+
+    @pytest.fixture
+    def root(self, tmp_path):
+        root = tmp_path / "root"
+        (root / "real" / "sub").mkdir(parents=True)
+        (root / "real" / "file.pgm").write_text("x")
+        (root / "real" / "sub" / "target.pgm").write_text("x")
+        (root / "real" / "link.pgm").symlink_to(root / "real" / "sub" / "target.pgm")
+        (root / "link").symlink_to(root / "real", target_is_directory=True)
+        return root
+
+    def test_equal_to_path_resolve(self, root, monkeypatch):
+        monkeypatch.chdir(root.parent)
+        for base in (root, Path("root"), Path("root/link"), root / "link" / "sub", Path(".")):
+            resolve = config._resolver(base)
+            for value in self.VALUES:
+                assert str(resolve(value)) == str((base / value).resolve()), (base, value)
+
+    def test_load_pairs_keeps_every_path(self, root, monkeypatch):
+        monkeypatch.chdir(root.parent)
+        view = {"depth": "real/file.pgm", "mask": "link/link.pgm", "camera": "link/../c.json",
+                "pose": str(root / "link" / "file.pgm")}  # an absolute path stays as written
+        entries = [
+            {"id": f"p{i}", "model": value, "anchor": view, "query": dict(view, depth=value),
+             "pred_mask_query": "real/sub/../file.pgm"}
+            for i, value in enumerate(self.VALUES)
+        ]
+        manifest = root / "link" / "pairs.json"
+        manifest.write_text(json.dumps({"pairs": entries}))
+        for path in (manifest, Path("root/link/pairs.json")):
+            base = path.parent
+
+            def expected(value):
+                return Path(value) if Path(value).is_absolute() else (base / value).resolve()
+
+            for entry, got in zip(entries, load_pairs(path)):
+                assert got.model == expected(entry["model"])
+                assert got.pred_mask_query == expected(entry["pred_mask_query"])
+                for side in ("anchor", "query"):
+                    for key, value in entry[side].items():
+                        assert getattr(getattr(got, side), key) == expected(value)
+
+    def test_each_directory_is_resolved_once(self, dataset, monkeypatch):
+        resolved = []
+        resolve = Path.resolve
+
+        def counting(self, *args, **kwargs):
+            resolved.append(self)
+            return resolve(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "resolve", counting)
+        entries = load_pairs(dataset / "pairs.json")
+        paths = [e.model for e in entries] + [
+            getattr(getattr(e, side), f.name)
+            for e in entries for side in ("anchor", "query") for f in fields(config.ViewPaths)
+        ]
+        # No listed file is a symlink: one resolve per distinct directory.
+        assert len(paths) == 3 * 11
+        assert len(resolved) == len(set(resolved)) == len({p.parent for p in paths}) == 5
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,11 @@
 
 import ast
 import math
+import os
+import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -22,7 +25,7 @@ from crosspose import (
     unproject,
 )
 from crosspose import geometry
-from crosspose.geometry import _max_pairwise_sq
+from crosspose.geometry import _max_pairwise_sq, nearest_within
 from crosspose.render import splat_depth
 from conftest import random_rotation_matrix, random_se3
 
@@ -381,7 +384,7 @@ class TestMaxPairwiseSq:
 
     def test_memory_stays_bounded_on_two_dense_clusters(self, rng):
         # All-pairs scoring in 2M-entry chunks peaks near 128 MB here; the
-        # pruned search scores at most one kd-tree leaf against the
+        # pruned search scores at most one grid cell against the
         # candidates at a time.
         pts = _two_clusters(rng, 8000)
         tracemalloc.start()
@@ -489,6 +492,195 @@ class TestDiameterMemo:
         geometry._memo_max_pairwise_sq.cache_clear()
 
 
+class TestDiameterCells:
+    """The cell partition of the pruned search on degenerate clouds."""
+
+    @pytest.mark.parametrize(
+        "name, cloud",
+        [
+            ("coincident", lambda rng: np.tile([0.3, -0.2, 1.0], (200, 1))),
+            ("collinear", lambda rng: np.outer(rng.uniform(-2.0, 3.0, 400), [0.5, -1.0, 2.0])),
+            ("planar", lambda rng: rng.normal(size=(400, 2)) @ [[1.0, 0.0, 2.0], [0.0, 1.0, -1.0]]),
+            # Far more copies than a cell's share of points.
+            ("duplicates", lambda rng: np.repeat(rng.normal(size=(3, 3)), 300, axis=0)),
+            ("duplicates and spread", lambda rng: np.vstack(
+                [np.tile([1.0, 1.0, 1.0], (500, 1)), rng.normal(size=(100, 3))]
+            )),
+        ],
+    )
+    def test_equals_pairwise_loops(self, name, cloud, rng):
+        pts = np.asarray(cloud(rng), dtype=np.float64)
+        assert diameter(pts) == pytest.approx(_diameter_oracle(np.unique(pts, axis=0)), abs=1e-12)
+        assert _max_pairwise_sq(pts) == _max_pairwise_sq_oracle(pts)
+
+    def test_occupied_cells_hold_about_the_target_each(self, rng):
+        for pts in (
+            rng.normal(size=(6000, 3)),
+            np.outer(np.linspace(-1.0, 1.0, 6000), [1.0, 2.0, -1.0]),
+            make_model("cylinder", n_points=3000, size=0.03, cyclic_order=4, seed=3).points,
+        ):
+            starts = geometry._diameter_cells(pts)[2]
+            assert len(pts) / len(starts) <= geometry._DIAMETER_CELL_POINTS
+            assert len(pts) / len(starts) > geometry._DIAMETER_CELL_POINTS / 8
+
+    def test_large_collinear_cloud_stays_fast(self):
+        # 1e5 points on a line: the cells cut it into about 1600 blocks, and
+        # only the blocks at its two ends reach the maximum.
+        pts = np.outer(np.linspace(-1.0, 1.0, 100_000), [1.0, 2.0, -1.0])
+        start = time.perf_counter()
+        value = _max_pairwise_sq(pts)
+        assert time.perf_counter() - start < 10.0
+        assert value == float(np.sum((pts[-1] - pts[0]) ** 2))
+
+
+def test_two_threads_search_a_shared_cloud_once(rng, searches, monkeypatch):
+    # The first caller holds the memo while it searches, so the second
+    # waits for the entry instead of searching the same cloud again.
+    def slow(points):
+        time.sleep(0.2)
+        return searches_of(points)
+
+    searches_of = geometry._max_pairwise_sq
+    monkeypatch.setattr(geometry, "_max_pairwise_sq", slow)
+    pts = rng.normal(size=(300, 3))
+    barrier = threading.Barrier(2)
+    values = []
+
+    def work():
+        barrier.wait()
+        values.append(diameter(pts))
+
+    threads = [threading.Thread(target=work) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert len(searches) == 1
+    assert values == [math.sqrt(_max_pairwise_sq_oracle(pts))] * 2
+
+
+def _nearest_within_oracle(reference, queries, radius):
+    """Every pair scored with the search's formula; ties take the lowest index."""
+    d = queries[:, None, :] - reference[None, :, :]
+    dx, dy, dz = d[..., 0], d[..., 1], d[..., 2]
+    with np.errstate(over="ignore"):  # queries near 1e300 score inf
+        dist = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    dist[dist > radius] = np.inf
+    best = dist.min(axis=1, initial=np.inf)
+    idx = np.where(np.isinf(best), -1, dist.argmin(axis=1) if dist.size else -1)
+    return best, idx
+
+
+class TestNearestWithin:
+    """The cell-grid radius search equals an all-pairs search."""
+
+    def _check(self, reference, queries, radius):
+        dist, idx = nearest_within(reference, queries, radius)
+        exp_dist, exp_idx = _nearest_within_oracle(
+            np.asarray(reference, dtype=np.float64).reshape(-1, 3),
+            np.asarray(queries, dtype=np.float64).reshape(-1, 3), radius,
+        )
+        np.testing.assert_array_equal(dist, exp_dist)
+        np.testing.assert_array_equal(idx, exp_idx)
+        assert idx.dtype == np.int64
+        return dist, idx
+
+    def test_equals_all_pairs_on_random_clouds(self, rng):
+        for _ in range(30):
+            ref = rng.normal(size=(int(rng.integers(1, 400)), 3)) * rng.uniform(1e-3, 1e2)
+            queries = ref[rng.integers(0, len(ref), 300)] + rng.normal(size=(300, 3)) * 0.05
+            radius = float(rng.uniform(0.01, 0.3)) * np.ptp(ref) + 1e-9
+            self._check(ref, queries, radius)
+
+    def test_exact_ties_take_lowest_index(self):
+        # A query at a cell centre ties with the 8 corners; a doubled cloud
+        # ties every query with its own copy at distance zero.
+        grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        _, idx = self._check(grid[::-1], grid[:125] + 0.5, 1.0)
+        assert np.all(idx >= 0)
+        cylinder = make_model("cylinder", n_points=600, size=0.03, cyclic_order=4).points
+        doubled = np.concatenate([cylinder, cylinder])
+        dist, idx = self._check(doubled, doubled, 0.002)
+        assert np.array_equal(idx, np.tile(np.arange(len(cylinder)), 2))
+        assert np.all(dist == 0.0)
+
+    def test_point_exactly_at_the_radius_is_kept(self):
+        ref = np.array([[0.0, 0.0, 0.0], [3.0, 4.0, 0.0]])
+        queries = np.array([[0.5, 0.0, 0.0], [0.0, 0.0, -0.5], [3.0, 4.0, 5.0], [3.0, 4.5, 0.0]])
+        dist, idx = self._check(ref, queries, 0.5)
+        assert dist.tolist() == [0.5, 0.5, np.inf, 0.5]
+        assert idx.tolist() == [0, 0, -1, 1]
+        dist, idx = self._check(ref, queries, np.nextafter(0.5, 0.0))
+        assert idx.tolist() == [-1, -1, -1, -1]
+
+    def test_nothing_within_the_radius(self, rng):
+        ref = rng.normal(size=(50, 3))
+        dist, idx = self._check(ref, ref + 10.0, 1.0)
+        assert np.all(np.isinf(dist)) and np.all(idx == -1)
+        dist, idx = nearest_within(np.zeros((0, 3)), ref, 1.0)
+        assert np.all(np.isinf(dist)) and np.all(idx == -1)
+        dist, idx = nearest_within(ref, np.zeros((0, 3)), 1.0)
+        assert dist.shape == idx.shape == (0,)
+
+    def test_queries_far_outside_the_cloud(self, rng):
+        ref = rng.normal(size=(200, 3))
+        far = np.array([[1e6, 0.0, 0.0], [-1e300, 1e300, 0.0], [0.0, 0.0, -1e-300], [5.0, 5.0, 5.0]])
+        queries = np.vstack([far, ref[:10] + 1e-3])
+        with np.errstate(over="raise"):  # far queries meet no candidate
+            nearest_within(ref, queries, 0.1)
+        self._check(ref, queries, 0.1)
+
+    def test_duplicate_points(self, rng):
+        ref = np.repeat(rng.normal(size=(20, 3)), 50, axis=0)
+        queries = ref[::7] + rng.normal(size=ref[::7].shape) * 0.1
+        self._check(ref, queries, 0.3)
+        self._check(ref[::-1], queries, 5.0)  # every query reaches a thousand candidates
+
+    def test_tiny_radius_over_a_kilometre_cloud(self, rng):
+        # The cell edge stays above the extent over 2**20, so cell keys
+        # cannot overflow int64, and the search stays exact.
+        ref = rng.uniform(-500.0, 500.0, size=(3000, 3))
+        queries = np.vstack([ref[:500] + 1e-10, ref[500:1000] + 2e-9, [[1e3, 1e3, 1e3]]])
+        with np.errstate(all="raise"):
+            dist, idx = self._check(ref, queries, 1e-9)
+        assert np.array_equal(idx[:500], np.arange(500))
+        assert np.all(idx[500:] == -1)
+
+    def test_agrees_with_nearest_neighbors_within_the_radius(self, rng):
+        ref = make_model("blob", n_points=2000, size=0.08, seed=4).points
+        queries = ref + rng.normal(size=ref.shape) * 1e-3
+        dist, idx = nearest_within(ref, queries, 0.002)
+        kd_dist, kd_idx = geometry.nearest_neighbors(ref, queries)
+        keep = kd_dist <= 0.002
+        assert np.array_equal(dist <= 0.002, keep)
+        assert np.array_equal(dist[keep], kd_dist[keep])
+        assert np.array_equal(idx[keep], kd_idx[keep])
+
+    def test_rejects_bad_radius_and_shapes(self):
+        for radius in (0.0, -1.0, np.inf, np.nan):
+            with pytest.raises(ValueError):
+                nearest_within(np.zeros((2, 3)), np.zeros((2, 3)), radius)
+        with pytest.raises(ValueError):
+            nearest_within(np.zeros((2, 2)), np.zeros((2, 3)), 1.0)
+
+    def test_memory_stays_bounded_on_many_queries(self, rng):
+        # 2e5 queries among 40 points packed into a few cells: about 8e6
+        # candidate pairs, scored in blocks of bounded size.
+        ref = rng.uniform(0.0, 1.5, size=(40, 3))
+        queries = rng.uniform(0.0, 1.5, size=(200_000, 3))
+        tracemalloc.start()
+        try:
+            dist, idx = nearest_within(ref, queries, 1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        sample = rng.integers(0, len(queries), 500)
+        exp_dist, exp_idx = _nearest_within_oracle(ref, queries[sample], 1.0)
+        assert np.array_equal(dist[sample], exp_dist)
+        assert np.array_equal(idx[sample], exp_idx)
+
+
 class TestObjectModel:
     def test_from_points_computes_diameter(self, rng):
         pts = rng.normal(size=(100, 3))
@@ -525,19 +717,54 @@ class TestObjectModel:
             ObjectModel(points=pts, diameter_m=diameter(pts), symmetries=())
 
 
-def test_only_geometry_imports_scipy():
-    # Nearest-point search and the diameter kd-tree live in geometry, so
-    # replacing scipy touches one module.
+def _scipy_imports():
+    """``(module file, enclosing function or None)`` of every scipy import."""
     package = Path(__file__).resolve().parents[1] / "src" / "crosspose"
-    importers = set()
-    for path in package.glob("*.py"):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "scipy" for name in names):
-                importers.add(path.name)
-    assert importers == {"geometry.py"}
+    found = set()
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+        else:
+            names = []
+        if any(name.split(".")[0] == "scipy" for name in names):
+            found.add((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    for path in sorted(package.glob("*.py")):
+        visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_scipy_is_imported_only_inside_nearest_neighbors():
+    # Only ADD-S of symmetric models needs a nearest point at any distance;
+    # every other stage runs without loading scipy.
+    assert _scipy_imports() == {("geometry.py", "nearest_neighbors")}
+
+
+def test_cli_and_five_stages_leave_scipy_unloaded(tmp_path):
+    script = """
+import sys
+from crosspose.cli import main
+assert "scipy" not in sys.modules, "import crosspose.cli"
+for argv in (
+    ["synth", "--out", "data", "--pairs", "4", "--seed", "7"],
+    ["gen-matches", "--pairs", "data/pairs.json", "--out-dir", "matches"],
+    ["register", "--pairs", "data/pairs.json", "--out-dir", "poses"],
+    ["eval", "--pairs", "data/pairs.json", "--predictions", "poses", "--out", "report.json"],
+    ["losses", "--pairs", "data/pairs.json", "--matches", "matches", "--out", "losses.json"],
+):
+    assert main(argv) == 0, argv
+    assert "scipy" not in sys.modules, argv[0]
+"""
+    src = Path(__file__).resolve().parents[1] / "src"
+    result = subprocess.run(
+        [sys.executable, "-c", script], cwd=tmp_path, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(src)}, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

@@ -2,6 +2,8 @@
 
 import json
 import struct
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -438,6 +440,34 @@ class TestModelMemo:
         io._parse_xyz(f"{bound + 1} 0 0\n".encode())  # the newest entry stays
         io._parse_xyz(b"0 0 0\n")  # the oldest went
         assert parses[0] == bound + 3
+
+    def test_two_threads_parse_a_shared_text_once(self, tmp_path, parses, monkeypatch):
+        # The first reader holds the memo while it parses, so the second
+        # waits for the entry instead of parsing the same bytes again.
+        loadtxt = np.loadtxt
+
+        def slow(*args, **kwargs):
+            time.sleep(0.2)
+            return loadtxt(*args, **kwargs)
+
+        monkeypatch.setattr(np, "loadtxt", slow)
+        model = make_model("blob", n_points=64, size=0.02)
+        write_model(tmp_path / "model.xyz", model)
+        barrier = threading.Barrier(2)
+        points = []
+
+        def work():
+            barrier.wait()
+            points.append(read_model(tmp_path / "model.xyz").points)
+
+        threads = [threading.Thread(target=work) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert parses[0] == 1
+        assert len(points) == 2
+        assert all(np.array_equal(p, model.points) for p in points)
 
     def test_unreadable_model_messages(self, tmp_path, parses):
         model = make_model("blob", n_points=64, size=0.02)
