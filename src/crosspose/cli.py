@@ -19,6 +19,13 @@ Randomness flows from the master seed through named sub-streams, and
 per-pair work derives its own seed from the pair id, so results do not
 depend on batch order or on the worker count (``--workers``, default
 from ``CROSSPOSE_WORKERS``).
+
+Every run of ``gen-matches`` and ``register`` follows one fixed protocol:
+the match radius and the minimum match count are the library defaults
+(``matchgen.DEFAULT_NN_RADIUS``, ``DEFAULT_MIN_MATCHES``), and so are the
+match and registration settings (``MatchParams()``,
+``RegistrationParams()``); neither takes a setting beyond its paths,
+``--workers`` and ``--seed``.
 """
 
 from __future__ import annotations
@@ -29,14 +36,13 @@ import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from . import io
-from .config import EvalConfig, PairEntry, derive_seed, load_pairs, pair_seed
+from .config import PairEntry, derive_seed, load_pairs, pair_seed
 from .errors import ConfigError, CrossposeError
 from .geometry import CameraIntrinsics, Pose, compose
 from .losses import (
@@ -47,10 +53,10 @@ from .losses import (
     positive_loss,
     total_loss,
 )
-from .matcher import MatchParams, downsample_mask, lift_matches, match_features, pixels_to_cells
-from .matchgen import accept_pair, generate_gt_matches
+from .matcher import downsample_mask, lift_matches, match_features, pixels_to_cells
+from .matchgen import DEFAULT_MIN_MATCHES, DEFAULT_NN_RADIUS, accept_pair, generate_gt_matches
 from .metrics import SCORES, aggregate_reports, pair_report
-from .registration import RegistrationParams, register_spatial_consistency
+from .registration import register_spatial_consistency
 from .synth import (
     check_descriptor_params,
     make_descriptor_field,
@@ -69,7 +75,7 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from exc
 
 
-def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path) -> int:
+def _run_stage(pairs_file, workers: int, work, summarize, out_dir: Path) -> int:
     """Run ``work`` on every pair of the manifest and report the batch.
 
     The manifest loads before ``out_dir`` is created, so a configuration
@@ -80,7 +86,7 @@ def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path) -> int:
     returns ``(report path or None, payload, stdout lines)``. The exit
     code is 1 when any pair failed, else 0.
     """
-    pairs = load_pairs(cfg.pairs_file)
+    pairs = load_pairs(pairs_file)
     _make_dir(out_dir)
 
     def guarded(entry: PairEntry):
@@ -89,10 +95,10 @@ def _run_stage(cfg: EvalConfig, work, summarize, out_dir: Path) -> int:
         except Exception as exc:
             return entry.pair_id, None, f"{type(exc).__name__}: {exc}"
 
-    if cfg.workers <= 1:
+    if workers <= 1:
         rows = [guarded(p) for p in pairs]
     else:
-        with ThreadPoolExecutor(max_workers=cfg.workers) as pool:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(guarded, pairs))
     rows.sort(key=lambda row: row[0])
     results = [(pid, value) for pid, value, err in rows if err is None]
@@ -274,16 +280,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gen_matches(args) -> int:
-    cfg = _config_from_args(args)
-    out = Path(cfg.output_dir)
+    workers = _workers(args)
+    out = Path(args.out_dir)
 
     def work(entry: PairEntry):
         a, q = _load_view(entry.anchor), _load_view(entry.query)
         pair = generate_gt_matches(
             a.depth, q.depth, a.mask, q.mask, a.camera, q.camera, a.pose, q.pose,
-            nn_radius=cfg.nn_radius,
         )
-        accepted = accept_pair(pair, cfg.min_matches)
+        accepted = accept_pair(pair)
         target = out / f"{entry.pair_id}.json"
         if accepted:
             io.write_matches(target, pair)
@@ -296,8 +301,8 @@ def cmd_gen_matches(args) -> int:
             "accepted": [pid for pid, r in results if r["accepted"]],
             "rejected": {pid: r["count"] for pid, r in results if not r["accepted"]},
             "errors": errors,
-            "min_matches": cfg.min_matches,
-            "nn_radius": cfg.nn_radius,
+            "min_matches": DEFAULT_MIN_MATCHES,
+            "nn_radius": DEFAULT_NN_RADIUS,
         }
         line = (
             f"matched {len(summary['accepted'])} pair(s), "
@@ -305,16 +310,16 @@ def cmd_gen_matches(args) -> int:
         )
         return out / "summary.json", summary, [line]
 
-    return _run_stage(cfg, _owning_pair_file(out, work), summarize, out)
+    return _run_stage(args.pairs, workers, _owning_pair_file(out, work), summarize, out)
 
 
 # -------------------------------------------------------------- register --
 
 
 def cmd_register(args) -> int:
-    cfg = _config_from_args(args)
-    out = Path(cfg.output_dir)
-    reg_seed = derive_seed(cfg.seed, "registration")
+    workers = _workers(args)
+    out = Path(args.out_dir)
+    reg_seed = derive_seed(args.seed, "registration")
 
     def work(entry: PairEntry):
         a, q = entry.anchor, entry.query
@@ -325,7 +330,6 @@ def cmd_register(args) -> int:
             feat_q,
             downsample_mask(io.read_mask(a.mask), grid_a),
             downsample_mask(io.read_mask(q.mask), grid_q),
-            cfg.match,
         )
         lifted = lift_matches(
             matches,
@@ -336,9 +340,7 @@ def cmd_register(args) -> int:
             grid_a,
             grid_q,
         )
-        result = register_spatial_consistency(
-            lifted, cfg.registration, seed=pair_seed(reg_seed, entry.pair_id)
-        )
+        result = register_spatial_consistency(lifted, seed=pair_seed(reg_seed, entry.pair_id))
         io.write_json(
             out / f"{entry.pair_id}.json",
             {
@@ -355,14 +357,14 @@ def cmd_register(args) -> int:
         line = f"registered {len(results)} pair(s), failed {len(errors)}"
         return out / "summary.json", summary, [line]
 
-    return _run_stage(cfg, _owning_pair_file(out, work), summarize, out)
+    return _run_stage(args.pairs, workers, _owning_pair_file(out, work), summarize, out)
 
 
 # ---------------------------------------------------------------- eval --
 
 
 def cmd_eval(args) -> int:
-    cfg = _config_from_args(args)
+    workers = _workers(args)
     pred_dir = _flag_path(args.predictions, "--predictions", is_dir=True)
     report = _flag_path(args.out, "--out", is_dir=False)
 
@@ -400,14 +402,14 @@ def cmd_eval(args) -> int:
             )
         return report, payload, lines
 
-    return _run_stage(cfg, work, summarize, report.parent)
+    return _run_stage(args.pairs, workers, work, summarize, report.parent)
 
 
 # --------------------------------------------------------------- losses --
 
 
 def cmd_losses(args) -> int:
-    cfg = _config_from_args(args)
+    workers = _workers(args)
     if args.max_samples < 1:
         raise ConfigError("--max-samples must be at least 1")
     matches_dir = _flag_path(args.matches, "--matches", is_dir=True)
@@ -460,45 +462,35 @@ def cmd_losses(args) -> int:
         ]
         return report, payload, lines
 
-    return _run_stage(cfg, work, summarize, report.parent)
+    return _run_stage(args.pairs, workers, work, summarize, report.parent)
 
 
 # ---------------------------------------------------------------- main --
 
 
-def _config_from_args(args) -> EvalConfig:
-    """The run's settings: each from its flag, else its built-in default.
+def _workers(args) -> int:
+    """The run's worker count: ``--workers``, else ``CROSSPOSE_WORKERS``, else 1.
 
-    ``--workers`` falls back to ``CROSSPOSE_WORKERS``, which is checked
-    even when the flag is given, so a bad variable always exits 2.
+    The variable is checked even when the flag is given, so a bad one
+    always exits 2, and ``--seed`` is checked too; both checks come
+    before any file is read or directory made.
     """
-    # A flag's destination is the field it sets; flags not given are None.
-    flags = {name: value for name, value in vars(args).items() if value is not None}
-    workers_env = os.environ.get("CROSSPOSE_WORKERS")
-    if workers_env is not None:
+    env = os.environ.get("CROSSPOSE_WORKERS")
+    if env is not None:
         # Checked on its own first, so the message names the variable.
         try:
-            workers = int(workers_env)
-            EvalConfig(workers=workers)
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"CROSSPOSE_WORKERS={workers_env!r} is invalid: {exc}") from exc
-        flags.setdefault("workers", workers)
-
-    def given(cls) -> dict:
-        return {f.name: flags[f.name] for f in fields(cls) if f.name in flags}
-
-    try:
-        match = MatchParams(**given(MatchParams))
-        registration = RegistrationParams(**given(RegistrationParams))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return EvalConfig(
-        pairs_file=Path(args.pairs),
-        output_dir=Path(args.out_dir) if "out_dir" in flags else None,
-        match=match,
-        registration=registration,
-        **given(EvalConfig),
-    )
+            if int(env) < 1:
+                raise ValueError("workers must be at least 1")
+        except ValueError as exc:
+            raise ConfigError(f"CROSSPOSE_WORKERS={env!r} is invalid: {exc}") from exc
+    workers = args.workers
+    if workers is None:
+        workers = 1 if env is None else int(env)
+    if workers < 1:
+        raise ConfigError("workers must be at least 1")
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
+    return workers
 
 
 def _add_common(parser, *, with_out_dir: bool):
@@ -506,7 +498,7 @@ def _add_common(parser, *, with_out_dir: bool):
     if with_out_dir:
         parser.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
     parser.add_argument("--workers", type=int, help="parallel workers")
-    parser.add_argument("--seed", type=int, help="master seed")
+    parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -540,17 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-matches", help="generate ground-truth matches")
     _add_common(p, with_out_dir=True)
-    p.add_argument("--nn-radius", type=float, help="NN acceptance radius (m)")
-    p.add_argument("--min-matches", type=int, help="pair rejection threshold")
     p.set_defaults(func=cmd_gen_matches)
 
     p = sub.add_parser("register", help="match features and estimate poses")
     _add_common(p, with_out_dir=True)
-    p.add_argument("--max-distance", type=float, help="match distance threshold")
-    p.add_argument("--max-matches", type=int, help="match count cap")
-    p.add_argument("--inlier-threshold", type=float)
-    p.add_argument("--compatibility-tolerance", type=float)
-    p.add_argument("--iterations", type=int)
     p.set_defaults(func=cmd_register)
 
     p = sub.add_parser("eval", help="score predicted poses")

@@ -1,4 +1,4 @@
-"""Pipeline configuration, dataset manifests, and seed derivation.
+"""Dataset manifests and seed derivation.
 
 One master seed drives every random choice in a run. Each consumer
 draws from a named sub-stream (``registration``, ``synth``) derived from
@@ -8,9 +8,12 @@ into its stream's seed, so it depends on neither batch order nor worker
 count. Only ``synth`` and ``register`` draw from ``--seed``; the other
 stages are deterministic without one, and accept it and ignore it.
 
-Each field of :class:`EvalConfig` and of its two sections is the
-destination of a command-line flag, and the flags are the only source
-of its values.
+``gen-matches`` and ``register`` take no setting beyond their paths,
+``--workers`` and ``--seed``: the match radius, the minimum match count
+and the match and registration settings are the library defaults
+(``matchgen.DEFAULT_NN_RADIUS``, ``DEFAULT_MIN_MATCHES``,
+``MatchParams()``, ``RegistrationParams()``), so every run follows one
+protocol.
 
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
@@ -26,16 +29,13 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError
 from .io import read_json
-from .matcher import MatchParams
-from .matchgen import DEFAULT_MIN_MATCHES, DEFAULT_NN_RADIUS
-from .registration import RegistrationParams
 
 # The stream numbers enter every derived seed; never renumber them.
 _SEED_STREAMS = {"registration": 2, "synth": 3}
@@ -136,6 +136,8 @@ def load_pairs(manifest_path) -> list[PairEntry]:
         raise ConfigError(f"pairs manifest does not exist: {manifest_path}")
     try:
         payload = read_json(manifest_path)
+    except OSError as exc:  # a directory, or a file it may not read
+        raise ConfigError(f"cannot read pairs manifest {manifest_path}: {exc.strerror}") from exc
     except ValueError as exc:
         raise ConfigError(f"pairs manifest is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -170,28 +172,3 @@ def load_pairs(manifest_path) -> list[PairEntry]:
     if len(set(ids)) != len(ids):
         raise ConfigError("pair ids must be unique")
     return pairs
-
-
-@dataclass(frozen=True)
-class EvalConfig:
-    """Everything a pipeline run needs, bundled and validated."""
-
-    pairs_file: Path | None = None
-    output_dir: Path | None = None
-    match: MatchParams = field(default_factory=MatchParams)
-    registration: RegistrationParams = field(default_factory=RegistrationParams)
-    nn_radius: float = DEFAULT_NN_RADIUS
-    min_matches: int = DEFAULT_MIN_MATCHES
-    workers: int = 1
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0 < self.nn_radius < np.inf:
-            raise ConfigError("nn_radius must be finite and positive")
-        if self.min_matches < 0:
-            raise ConfigError("min_matches must be non-negative")
-        if self.workers < 1:
-            raise ConfigError("workers must be at least 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
-

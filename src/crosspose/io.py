@@ -45,21 +45,6 @@ _XYZ_MEMO_LOCK = threading.Lock()
 
 # ---------------------------------------------------------------- JSON --
 
-# The JSON value types a dataclass field takes, by its annotation, and
-# their name in messages. A bool is never a number.
-_VALUE_TYPES = {
-    "int": ((int,), "an integer"),
-    "float": ((int, float), "a number"),
-}
-
-
-def value_type_error(annotation: str, value) -> str | None:
-    """Why ``value`` cannot fill a field annotated ``annotation``, or None."""
-    types, noun = _VALUE_TYPES.get(annotation, (None, None))
-    if types and (isinstance(value, bool) or not isinstance(value, types)):
-        return f"must be {noun}, got {value!r}"
-    return None
-
 
 def _dumps(payload, stubs: list | None) -> str:
     """``json.dumps`` in the file layout, with ndarrays taken as nested lists.
@@ -247,12 +232,19 @@ def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 
 def read_intrinsics(path) -> CameraIntrinsics:
     d = read_json(path)
-    cast = {"float": float, "int": int}  # by field annotation
+    if not isinstance(d, dict):
+        raise ValueError(f"camera file must hold a JSON object, got {type(d).__name__}")
+    values = {}
     for f in fields(CameraIntrinsics):
-        problem = value_type_error(f.type, d[f.name])
-        if problem:
-            raise ValueError(f"camera {f.name!r} {problem}")
-    return CameraIntrinsics(**{f.name: cast[f.type](d[f.name]) for f in fields(CameraIntrinsics)})
+        if f.name not in d:
+            raise ValueError(f"camera file has no {f.name!r}")
+        value = d[f.name]
+        # By the field's annotation; a bool is never a number.
+        types, noun = ((int,), "an integer") if f.type == "int" else ((int, float), "a number")
+        if isinstance(value, bool) or not isinstance(value, types):
+            raise ValueError(f"camera {f.name!r} must be {noun}, got {value!r}")
+        values[f.name] = value if f.type == "int" else float(value)
+    return CameraIntrinsics(**values)
 
 
 # ------------------------------------------------------------- features --

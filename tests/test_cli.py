@@ -1,13 +1,12 @@
 """End-to-end tests for the command-line pipeline and its settings."""
 
-import argparse
 import hashlib
 import json
 import math
 import os
 import shutil
 import time
-from dataclasses import fields, is_dataclass
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,18 +14,16 @@ import pytest
 
 from crosspose import (
     ConfigError,
-    MatchParams,
     ObjectModel,
     Pose,
-    RegistrationParams,
     compose,
     generate_gt_matches,
     make_model,
     render_scene,
     rotation_about_axis,
 )
-from crosspose.cli import _config_from_args, build_parser, main
-from crosspose.config import EvalConfig, derive_seed, load_pairs
+from crosspose.cli import _workers, build_parser, main
+from crosspose.config import derive_seed, load_pairs
 from crosspose import config, geometry, io
 
 # ---------------------------------------------------------------------------
@@ -293,17 +290,22 @@ class TestGenMatches:
         data = tmp_path / "data"
         shutil.copytree(dataset_small, data)
         camera = io.read_json(data / "camera.json")
-        io.write_json(data / "camera_bad.json", {**camera, "width": 64.5})
         manifest = io.read_json(data / "pairs.json")
         manifest["pairs"][1]["query"]["camera"] = "camera_bad.json"
         io.write_json(data / "pairs.json", manifest)
-        out = tmp_path / "out"
-        assert main(["gen-matches", "--pairs", str(data / "pairs.json"), "--out-dir", str(out)]) == 1
-        summary = io.read_json(out / "summary.json")
-        assert summary["accepted"] == ["pair_0000"]
-        assert summary["errors"] == {
-            "pair_0001": "ValueError: camera 'width' must be an integer, got 64.5"
-        }
+        no_height = {k: v for k, v in camera.items() if k != "height"}
+        for bad, message in (
+            ({**camera, "width": 64.5}, "camera 'width' must be an integer, got 64.5"),
+            (no_height, "camera file has no 'height'"),
+            ([64, 64], "camera file must hold a JSON object, got list"),
+        ):
+            io.write_json(data / "camera_bad.json", bad)
+            out = tmp_path / "out"
+            assert main(["gen-matches", "--pairs", str(data / "pairs.json"),
+                         "--out-dir", str(out)]) == 1
+            summary = io.read_json(out / "summary.json")
+            assert summary["accepted"] == ["pair_0000"]
+            assert summary["errors"] == {"pair_0001": f"ValueError: {message}"}
 
     def test_missing_manifest_is_config_error(self, tmp_path):
         rc = main([
@@ -311,6 +313,14 @@ class TestGenMatches:
             "--out-dir", str(tmp_path / "out"),
         ])
         assert rc == 2
+
+    def test_manifest_that_is_a_directory_exits_2(self, dataset_small, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["gen-matches", "--pairs", str(dataset_small), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: cannot read pairs manifest {dataset_small}: Is a directory\n"
+        )
+        assert not out.exists()
 
     def test_empty_pairs_list_is_config_error(self, tmp_path):
         manifest = tmp_path / "pairs.json"
@@ -347,11 +357,19 @@ class TestGenMatches:
         manifest = str(data / "pairs.json")
         out, fresh = tmp_path / "matches", tmp_path / "fresh"
         assert main(["gen-matches", "--pairs", manifest, "--out-dir", str(out)]) == 0
-        # pair_0000 is now rejected and pair_0001 fails.
+        # pair_0000 is now rejected: its query mask keeps 20 pixels, too few
+        # for 100 matches. pair_0001 fails.
+        mask_path = data / "pairs" / "pair_0000" / "mask_query.pgm"
+        mask = io.read_mask(mask_path)
+        cut = np.zeros_like(mask)
+        rows, cols = np.nonzero(mask)
+        cut[rows[:20], cols[:20]] = True
+        io.write_mask(mask_path, cut)
         (data / "pairs" / "pair_0001" / "mask_query.pgm").write_bytes(b"P5\n")
-        strict = ["gen-matches", "--pairs", manifest, "--min-matches", "100000"]
-        assert main([*strict, "--out-dir", str(out)]) == 1
-        assert main([*strict, "--out-dir", str(fresh)]) == 1
+        argv = ["gen-matches", "--pairs", manifest]
+        assert main([*argv, "--out-dir", str(out)]) == 1
+        assert main([*argv, "--out-dir", str(fresh)]) == 1
+        assert list(io.read_json(out / "summary.json")["rejected"]) == ["pair_0000"]
         assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
         assert _tree_digest(out) == _tree_digest(fresh)
         # losses finds no match file to read, and deletes nothing itself.
@@ -855,70 +873,13 @@ class TestConfigLayer:
     def test_precedence_flag_env_builtin(self, monkeypatch):
         def workers(*flags):
             argv = ["gen-matches", "--pairs", "p", "--out-dir", "o", *flags]
-            return _config_from_args(build_parser().parse_args(argv)).workers
+            return _workers(build_parser().parse_args(argv))
 
         monkeypatch.delenv("CROSSPOSE_WORKERS", raising=False)
         assert workers() == 1
         monkeypatch.setenv("CROSSPOSE_WORKERS", "2")
         assert workers() == 2
         assert workers("--workers", "8") == 8
-
-    def test_config_keys_mirror_flags(self, dataset_small, tmp_path, monkeypatch):
-        # Every settable value is the destination of a flag and takes its
-        # value, so no setting needs another way in.
-        parser = build_parser()
-        (commands,) = [
-            a.choices for a in parser._actions
-            if isinstance(a, argparse._SubParsersAction)
-        ]
-        flags = {
-            action.dest
-            for name, sub in commands.items() if name != "synth"
-            for action in sub._actions
-        }
-        renamed = {"pairs_file": "pairs", "output_dir": "out_dir"}
-        keys = []
-        for f in fields(EvalConfig):
-            value = getattr(EvalConfig(), f.name)
-            if is_dataclass(value):
-                keys += [g.name for g in fields(value)]
-            else:
-                keys.append(renamed.get(f.name, f.name))
-        assert len(keys) == 11
-        assert set(keys) <= flags
-        monkeypatch.delenv("CROSSPOSE_WORKERS", raising=False)
-        cfg = _config_from_args(parser.parse_args([
-            "register", "--pairs", "p.json", "--out-dir", "o", "--workers", "3", "--seed", "4",
-            "--max-distance", "0.1", "--max-matches", "7", "--inlier-threshold", "0.02",
-            "--compatibility-tolerance", "0.03", "--iterations", "9",
-        ]))
-        assert (str(cfg.pairs_file), str(cfg.output_dir), cfg.workers, cfg.seed) == (
-            "p.json", "o", 3, 4
-        )
-        assert cfg.match == MatchParams(0.1, 7)
-        assert cfg.registration == RegistrationParams(0.02, 0.03, 9)
-        cfg = _config_from_args(parser.parse_args([
-            "gen-matches", "--pairs", "p.json", "--out-dir", "o",
-            "--nn-radius", "0.005", "--min-matches", "5",
-        ]))
-        assert (cfg.nn_radius, cfg.min_matches) == (0.005, 5)
-        preds = tmp_path / "preds"
-        _write_gt_predictions(dataset_small, preds)
-        for argv in (
-            [
-                "eval", "--pairs", str(dataset_small / "pairs.json"),
-                "--predictions", str(preds), "--out", str(tmp_path / "r.json"),
-                "--occlusion-tolerance", "0.01",
-            ],
-            [
-                "register", "--pairs", str(dataset_small / "pairs.json"),
-                "--out-dir", str(tmp_path / "out"), "--config", str(tmp_path / "c.json"),
-            ],
-        ):
-            with pytest.raises(SystemExit) as exc:
-                main(argv)
-            assert exc.value.code == 2
-        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command, argv",
@@ -927,7 +888,7 @@ class TestConfigLayer:
             ("register", ["--pairs", "pairs.json"]),
             ("eval", ["--predictions", ".", "--out", "out/r.json"]),
             ("losses", ["--matches", ".", "--out", "out/r.json"]),
-            ("register", ["--pairs", "pairs.json", "--out-dir", "out", "--iterations", "2.5"]),
+            ("register", ["--pairs", "pairs.json", "--out-dir", "out", "--workers", "2.5"]),
             ("register", ["--pairs", "pairs.json", "--out-dir", "out", "--seed", "1.5"]),
         ],
     )
@@ -955,35 +916,38 @@ class TestConfigLayer:
         common = [
             "gen-matches", "--pairs", str(dataset_small / "pairs.json"), "--out-dir", str(out),
         ]
-        assert main([*common, "--nn-radius", "0"]) == 2
-        assert "nn_radius must be finite and positive" in capsys.readouterr().err
         assert main([*common, "--workers", "0"]) == 2
         assert "workers must be at least 1" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(
-        "command, flag, key, value",
+        "command, flag, value",
         [
-            ("gen-matches", "--nn-radius", "nn_radius", "nan"),
-            ("gen-matches", "--nn-radius", "nn_radius", "inf"),
-            ("register", "--inlier-threshold", "registration.inlier_threshold", "nan"),
-            (
-                "register",
-                "--compatibility-tolerance",
-                "registration.compatibility_tolerance",
-                "nan",
-            ),
+            ("gen-matches", "--nn-radius", "0.002"),
+            ("gen-matches", "--min-matches", "100"),
+            ("register", "--max-distance", "0.25"),
+            ("register", "--max-matches", "500"),
+            ("register", "--inlier-threshold", "0.01"),
+            ("register", "--compatibility-tolerance", "0.01"),
+            ("register", "--iterations", "5"),
+            ("register", "--config", "c.json"),
+            ("eval", "--occlusion-tolerance", "0.015"),
         ],
     )
-    def test_non_finite_threshold_exits_2(
-        self, command, flag, key, value, dataset_small, tmp_path, capsys
+    def test_removed_flag_is_a_usage_error(
+        self, command, flag, value, dataset_small, tmp_path, capsys
     ):
+        # Every run follows one protocol: the library defaults take no flag.
         out = tmp_path / "out"
-        assert main([
-            command, "--pairs", str(dataset_small / "pairs.json"),
-            "--out-dir", str(out), flag, value,
-        ]) == 2
-        assert f"{key.split('.')[-1]} must be finite and positive" in capsys.readouterr().err
+        argv = [command, "--pairs", str(dataset_small / "pairs.json"), flag, value]
+        if command == "eval":
+            argv += ["--predictions", str(tmp_path), "--out", str(out / "report.json")]
+        else:
+            argv += ["--out-dir", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["0", "-5"])
