@@ -20,11 +20,12 @@ per-pair work derives its own seed from the pair id, so results do not
 depend on batch order or on the worker count (``--workers``, default
 from ``CROSSPOSE_WORKERS``).
 
-Every run of ``gen-matches`` and ``register`` follows one fixed protocol:
-the match radius and the minimum match count are the library defaults
-(``matchgen.DEFAULT_NN_RADIUS``, ``DEFAULT_MIN_MATCHES``), and so are the
-match and registration settings (``MatchParams()``,
-``RegistrationParams()``); neither takes a setting beyond its paths,
+Every run of ``gen-matches`` and ``register`` follows one fixed protocol,
+the module constants ``matchgen.NN_RADIUS``, ``matchgen.MIN_MATCHES``,
+``matcher.MAX_DISTANCE``, ``matcher.MAX_MATCHES``,
+``registration.INLIER_THRESHOLD`` and
+``registration.COMPATIBILITY_TOLERANCE`` at 1000 hypotheses
+(``RegistrationParams()``); neither takes a setting beyond its paths,
 ``--workers`` and ``--seed``.
 """
 
@@ -54,7 +55,7 @@ from .losses import (
     total_loss,
 )
 from .matcher import downsample_mask, lift_matches, match_features, pixels_to_cells
-from .matchgen import DEFAULT_MIN_MATCHES, DEFAULT_NN_RADIUS, accept_pair, generate_gt_matches
+from .matchgen import MIN_MATCHES, NN_RADIUS, accept_pair, generate_gt_matches
 from .metrics import SCORES, aggregate_reports, pair_report
 from .registration import register_spatial_consistency
 from .synth import (
@@ -301,8 +302,8 @@ def cmd_gen_matches(args) -> int:
             "accepted": [pid for pid, r in results if r["accepted"]],
             "rejected": {pid: r["count"] for pid, r in results if not r["accepted"]},
             "errors": errors,
-            "min_matches": DEFAULT_MIN_MATCHES,
-            "nn_radius": DEFAULT_NN_RADIUS,
+            "min_matches": MIN_MATCHES,
+            "nn_radius": NN_RADIUS,
         }
         line = (
             f"matched {len(summary['accepted'])} pair(s), "

@@ -8,13 +8,6 @@ into its stream's seed, so it depends on neither batch order nor worker
 count. Only ``synth`` and ``register`` draw from ``--seed``; the other
 stages are deterministic without one, and accept it and ignore it.
 
-``gen-matches`` and ``register`` take no setting beyond their paths,
-``--workers`` and ``--seed``: the match radius, the minimum match count
-and the match and registration settings are the library defaults
-(``matchgen.DEFAULT_NN_RADIUS``, ``DEFAULT_MIN_MATCHES``,
-``MatchParams()``, ``RegistrationParams()``), so every run follows one
-protocol.
-
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
 (optionally feature) files. Paths are resolved relative to the manifest

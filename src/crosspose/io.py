@@ -16,6 +16,8 @@
 Every JSON file is written by :func:`write_json`, which sorts keys,
 indents by one space and ends with a newline, so identical data always
 produces identical bytes, and which replaces its target atomically.
+A JSON reader raises ValueError, naming the file kind and the key, on a
+file that is not an object or lacks a key it needs.
 """
 
 from __future__ import annotations
@@ -123,6 +125,20 @@ def read_json(path) -> dict:
     return json.loads(Path(path).read_text())
 
 
+def _values(payload, kind: str, keys) -> list:
+    """``payload[key]`` for each of ``keys``.
+
+    Raises ValueError naming ``kind`` when ``payload`` is not a JSON
+    object, or naming the first of ``keys`` that it lacks.
+    """
+    if not isinstance(payload, dict):
+        raise ValueError(f"{kind} must hold a JSON object, got {type(payload).__name__}")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{kind} has no {key!r}")
+    return [payload[key] for key in keys]
+
+
 # ----------------------------------------------------------------- PGM --
 
 
@@ -210,9 +226,9 @@ def pose_to_dict(pose: Pose) -> dict:
 
 
 def pose_from_dict(payload: dict) -> Pose:
-    rot = np.asarray(payload["R"], dtype=np.float64).reshape(3, 3)
-    t = np.asarray(payload["t"], dtype=np.float64)
-    return Pose(rot, t)
+    rot, t = _values(payload, "pose", ("R", "t"))
+    rot = np.asarray(rot, dtype=np.float64).reshape(3, 3)
+    return Pose(rot, np.asarray(t, dtype=np.float64))
 
 
 def write_pose(path, pose: Pose) -> None:
@@ -231,14 +247,10 @@ def write_intrinsics(path, intrinsics: CameraIntrinsics) -> None:
 
 
 def read_intrinsics(path) -> CameraIntrinsics:
-    d = read_json(path)
-    if not isinstance(d, dict):
-        raise ValueError(f"camera file must hold a JSON object, got {type(d).__name__}")
+    found = fields(CameraIntrinsics)
+    raw = _values(read_json(path), "camera file", [f.name for f in found])
     values = {}
-    for f in fields(CameraIntrinsics):
-        if f.name not in d:
-            raise ValueError(f"camera file has no {f.name!r}")
-        value = d[f.name]
+    for f, value in zip(found, raw):
         # By the field's annotation; a bool is never a number.
         types, noun = ((int,), "an integer") if f.type == "int" else ((int, float), "a number")
         if isinstance(value, bool) or not isinstance(value, types):
@@ -315,11 +327,13 @@ def read_model(path) -> ObjectModel:
         raise FileNotFoundError(f"{path} not found.") from None  # as np.loadtxt says it
     with _XYZ_MEMO_LOCK:
         points = _parse_xyz(data)
-    meta = read_json(path.with_suffix(".json"))
+    diameter_m, symmetries = _values(
+        read_json(path.with_suffix(".json")), "model sidecar", ("diameter", "symmetries")
+    )
     return ObjectModel(
         points=points,
-        diameter_m=float(meta["diameter"]),
-        symmetries=tuple(pose_from_dict(s) for s in meta["symmetries"]),
+        diameter_m=float(diameter_m),
+        symmetries=tuple(pose_from_dict(s) for s in symmetries),
     )
 
 
@@ -339,7 +353,7 @@ def write_matches(path, pair: GtPair) -> None:
 
 
 def read_matches(path) -> GtPair:
-    d = read_json(path)
-    return GtPair(
-        anchor=d["anchor"], query=d["query"], relative=pose_from_dict(d["relative_pose"])
+    anchor, query, relative = _values(
+        read_json(path), "match file", ("anchor", "query", "relative_pose")
     )
+    return GtPair(anchor=anchor, query=query, relative=pose_from_dict(relative))

@@ -2,10 +2,11 @@
 
 Features live on an ``(H, W, D)`` grid per view. Matching considers only
 cells selected by a mask at grid resolution, pairs each anchor cell with
-its nearest query cell in cosine distance, drops pairs above a distance
-threshold, and keeps at most ``max_matches`` pairs globally (the lowest
-distances win); the result is a :class:`MatchSet` of grid cells.
-:func:`lift_matches` maps the matched cells to image pixels through the
+its nearest query cell in cosine distance, drops pairs above
+``MAX_DISTANCE``, and keeps at most ``MAX_MATCHES`` pairs globally (the
+lowest distances win); the result is a :class:`MatchSet` of grid cells.
+Both thresholds are module constants, so every caller matches under one
+protocol. :func:`lift_matches` maps the matched cells to image pixels through the
 center-of-cell convention and back-projects them to 3D with the depth
 maps, dropping cells that land on depth holes; the result is the
 :class:`Correspondences` that registration consumes.
@@ -29,28 +30,14 @@ from .geometry import CameraIntrinsics, as_depth, as_mask, as_rows, back_project
 # Cosine distance is undefined below this norm.
 ZERO_NORM_TOL = 1e-12
 
+# Pairs above this cosine distance are dropped; at most this many of the
+# rest survive, the lowest distances first.
+MAX_DISTANCE = 0.25
+MAX_MATCHES = 500
+
 # Anchor cells are matched in blocks of this many rows to bound the
 # similarity-matrix footprint on full 192x192 grids.
 _CHUNK = 1024
-
-
-@dataclass(frozen=True)
-class MatchParams:
-    """Thresholds for feature matching.
-
-    ``max_distance`` rejects weak matches (cosine distance above it);
-    ``max_matches`` caps how many pairs survive, keeping the lowest
-    distances.
-    """
-
-    max_distance: float = 0.25
-    max_matches: int = 500
-
-    def __post_init__(self):
-        if not 0.0 <= self.max_distance <= 1.0:
-            raise ValueError("max_distance must lie in [0, 1]")
-        if self.max_matches < 1:
-            raise ValueError("max_matches must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -160,21 +147,15 @@ def _validate_features(feat, name: str) -> np.ndarray:
     return arr
 
 
-def match_features(
-    feat_a,
-    feat_q,
-    mask_a,
-    mask_q,
-    params: MatchParams = MatchParams(),
-) -> MatchSet:
+def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
     """Match masked anchor cells to their nearest masked query cells.
 
     Masks must already be at feature-grid resolution (see
     :func:`downsample_mask`). Every kept pair has distance at most
-    ``params.max_distance``; if more pairs qualify than
-    ``params.max_matches``, exactly the lowest-distance pairs survive,
-    with ties broken by lowest anchor cell index. Output is ordered by
-    anchor cell in row-major scan order, so results are deterministic.
+    ``MAX_DISTANCE``; if more pairs qualify than ``MAX_MATCHES``, exactly
+    the lowest-distance pairs survive, with ties broken by lowest anchor
+    cell index. Output is ordered by anchor cell in row-major scan order,
+    so results are deterministic.
     """
     fa = _validate_features(feat_a, "anchor features")
     fq = _validate_features(feat_q, "query features")
@@ -203,13 +184,13 @@ def match_features(
         best_sim[start : start + _CHUNK] = sims[np.arange(len(best)), best]
 
     dist = cosine_distance(best_sim)
-    keep = dist <= params.max_distance
+    keep = dist <= MAX_DISTANCE
     kept_a = lin_a[keep]
     kept_q = lin_q[best_idx[keep]]
     kept_d = dist[keep]
 
     # kept_a increases, so the sorted survivors are in anchor-cell order.
-    order = np.sort(np.lexsort((kept_a, kept_d))[: params.max_matches])
+    order = np.sort(np.lexsort((kept_a, kept_d))[:MAX_MATCHES])
     kept_a = kept_a[order]
     kept_q = kept_q[order]
     kept_d = kept_d[order]

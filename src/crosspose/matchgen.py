@@ -4,13 +4,15 @@ Given depth, mask, intrinsics, and the object pose for an anchor view A
 and a query view Q, the generator back-projects both masked depth maps,
 carries the anchor cloud into the query frame with the relative pose
 ``T = pose_q * inverse(pose_a)``, and pairs each anchor point with its
-nearest query point. Pairs farther apart than ``nn_radius`` (default
-2 mm) are discarded; surviving pairs are reported through the source
-pixels recorded at back-projection, so a consumer can re-unproject them
-and reproduce the acceptance distances exactly.
+nearest query point. Pairs farther apart than ``NN_RADIUS`` (2 mm) are
+discarded; surviving pairs are reported through the source pixels
+recorded at back-projection, so a consumer can re-unproject them and
+reproduce the acceptance distances exactly.
 
 Matching is one-directional (anchor to query), so several anchor pixels
-may legitimately share one query pixel on oblique surfaces.
+may legitimately share one query pixel on oblique surfaces. A pair is
+kept for training only with at least ``MIN_MATCHES`` correspondences.
+Both values are module constants, so every caller follows one protocol.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from .geometry import (
     CameraIntrinsics, Pose, as_rows, nearest_within, relative_pose, unproject,
 )
 
-DEFAULT_NN_RADIUS = 0.002  # meters
-DEFAULT_MIN_MATCHES = 100
+NN_RADIUS = 0.002  # meters
+MIN_MATCHES = 100
 
 
 @dataclass(frozen=True)
@@ -62,14 +64,11 @@ def generate_gt_matches(
     cam_q: CameraIntrinsics,
     pose_a: Pose,
     pose_q: Pose,
-    nn_radius: float = DEFAULT_NN_RADIUS,
 ) -> GtPair:
     """Generate ground-truth matches for one anchor/query scene pair.
 
     Raises EmptyMask when either masked cloud has no valid pixel.
     """
-    if not 0 < nn_radius < np.inf:
-        raise ValueError("nn_radius must be finite and positive")
     cloud_a = unproject(depth_a, cam_a, mask_a)
     cloud_q = unproject(depth_q, cam_q, mask_q)
     if len(cloud_a) == 0:
@@ -79,8 +78,8 @@ def generate_gt_matches(
 
     rel = relative_pose(pose_a, pose_q)
     aligned = rel.apply(cloud_a.points)
-    dist, idx = nearest_within(cloud_q.points, aligned, nn_radius)
-    keep = dist <= nn_radius
+    dist, idx = nearest_within(cloud_q.points, aligned, NN_RADIUS)
+    keep = dist <= NN_RADIUS
     return GtPair(
         anchor=cloud_a.pixels[keep],
         query=cloud_q.pixels[idx[keep]],
@@ -88,8 +87,6 @@ def generate_gt_matches(
     )
 
 
-def accept_pair(pair: GtPair, min_matches: int = DEFAULT_MIN_MATCHES) -> bool:
-    """Keep only pairs with at least ``min_matches`` correspondences."""
-    if min_matches < 0:
-        raise ValueError("min_matches must be non-negative")
-    return len(pair) >= min_matches
+def accept_pair(pair: GtPair) -> bool:
+    """Keep only pairs with at least ``MIN_MATCHES`` correspondences."""
+    return len(pair) >= MIN_MATCHES

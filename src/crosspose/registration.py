@@ -12,7 +12,10 @@ Two estimators share one hypothesize-and-verify engine:
 
 Each seed triplet yields a closed-form Kabsch pose; the hypothesis with
 the most inliers wins (ties broken by lower mean inlier residual, then
-lower hypothesis index), and the winner is refit on its inliers.
+lower hypothesis index), and the winner is refit on its inliers. The
+inlier threshold and the compatibility tolerance are the module
+constants ``INLIER_THRESHOLD`` and ``COMPATIBILITY_TOLERANCE``; only the
+number of hypotheses, ``RegistrationParams.iterations``, is an argument.
 
 Determinism: hypotheses are scored in fixed chunks of ``_CHUNK`` rows,
 in order, from one generator seeded once. Row ``h`` of the Gumbel key
@@ -42,26 +45,24 @@ _DEGENERACY_TOL = 1e-9
 _CHUNK = 128
 _BLOCK = 128
 
+# Meters. A correspondence within INLIER_THRESHOLD of a hypothesis is its
+# inlier; a pairwise distance that changes by at most
+# COMPATIBILITY_TOLERANCE between the views counts as consistent.
+INLIER_THRESHOLD = 0.01
+COMPATIBILITY_TOLERANCE = 0.01
+
 
 @dataclass(frozen=True)
 class RegistrationParams:
-    """Knobs shared by both estimators.
+    """The hypothesis budget shared by both estimators.
 
-    ``inlier_threshold`` (meters) accepts a correspondence under a
-    hypothesis; ``compatibility_tolerance`` (meters) bounds how much a
-    pairwise distance may change between views while still counting as
-    consistent. Both must be finite and positive.
+    ``iterations`` seed triplets are drawn and scored; it must be at
+    least 1. The thresholds are module constants.
     """
 
-    inlier_threshold: float = 0.01
-    compatibility_tolerance: float = 0.01
     iterations: int = 1000
 
     def __post_init__(self):
-        if not 0 < self.inlier_threshold < np.inf:
-            raise ValueError("inlier_threshold must be finite and positive")
-        if not 0 < self.compatibility_tolerance < np.inf:
-            raise ValueError("compatibility_tolerance must be finite and positive")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
@@ -230,7 +231,7 @@ def _residuals(rot: np.ndarray, t: np.ndarray, src: np.ndarray, dst: np.ndarray)
 def _register(
     src: np.ndarray,
     dst: np.ndarray,
-    params: RegistrationParams,
+    iterations: int,
     weights: np.ndarray,
     seed: int,
 ) -> RegistrationResult:
@@ -258,8 +259,8 @@ def _register(
     # then lower hypothesis index. Invalid triplets count -1 inliers, so
     # the -2 of the start loses to any hypothesis.
     best_count, best_mean = -2, np.inf
-    for start in range(0, params.iterations, _CHUNK):
-        size = min(_CHUNK, params.iterations - start)
+    for start in range(0, iterations, _CHUNK):
+        size = min(_CHUNK, iterations - start)
         keys = -np.log(-np.log(rng.random((size, n))))
         if logw is not None:
             keys = keys + logw
@@ -267,7 +268,7 @@ def _register(
         rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
 
         res = _residuals(rot, t, src, dst)
-        inlier = res <= params.inlier_threshold
+        inlier = res <= INLIER_THRESHOLD
         counts = inlier.sum(axis=1)
         counts[~valid] = -1
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -294,7 +295,7 @@ def _register(
         pose = seed_pose
 
     final_res = np.linalg.norm(pose.apply(src) - dst, axis=1)
-    final_inliers = np.nonzero(final_res <= params.inlier_threshold)[0]
+    final_inliers = np.nonzero(final_res <= INLIER_THRESHOLD)[0]
     if len(final_inliers) < 3:
         # Refit drifted off the consensus; keep the seed hypothesis.
         pose = seed_pose
@@ -315,8 +316,8 @@ def register_spatial_consistency(
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with consistency-weighted seeds."""
     src, dst = matches.anchor_points, matches.query_points
-    scores = compatibility_scores(src, dst, params.compatibility_tolerance)
-    return _register(src, dst, params, scores, seed)
+    scores = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+    return _register(src, dst, params.iterations, scores, seed)
 
 
 def register_ransac(
@@ -327,4 +328,4 @@ def register_ransac(
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with uniform seed sampling."""
     src, dst = matches.anchor_points, matches.query_points
-    return _register(src, dst, params, np.ones(len(src)), seed)
+    return _register(src, dst, params.iterations, np.ones(len(src)), seed)

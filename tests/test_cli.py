@@ -307,6 +307,18 @@ class TestGenMatches:
             assert summary["accepted"] == ["pair_0000"]
             assert summary["errors"] == {"pair_0001": f"ValueError: {message}"}
 
+    def test_pose_without_t_fails_its_pair_naming_the_key(self, dataset_small, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        pose = data / "pairs" / "pair_0001" / "pose_query.json"
+        io.write_json(pose, {"R": io.read_json(pose)["R"]})
+        out = tmp_path / "out"
+        assert main(["gen-matches", "--pairs", str(data / "pairs.json"),
+                     "--out-dir", str(out)]) == 1
+        summary = io.read_json(out / "summary.json")
+        assert summary["accepted"] == ["pair_0000"]
+        assert summary["errors"] == {"pair_0001": "ValueError: pose has no 't'"}
+
     def test_missing_manifest_is_config_error(self, tmp_path):
         rc = main([
             "gen-matches", "--pairs", str(tmp_path / "nope.json"),

@@ -175,6 +175,18 @@ class TestPoseFile:
         assert payload["R"][3] == pose.rotation[1, 0]
         assert len(payload["t"]) == 3
 
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"R": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, "pose has no 't'"),
+         ({"t": [0, 0, 0]}, "pose has no 'R'"),
+         ([[1, 0, 0], [0, 0, 0]], "pose must hold a JSON object, got list")],
+    )
+    def test_pose_without_a_key_names_it(self, tmp_path, payload, message):
+        path = tmp_path / "pose.json"
+        write_json(path, payload)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            read_pose(path)
+
     def test_bytes_deterministic_sorted_with_newline(self, cam96, tmp_path):
         payload = {"b": 2, "a": [1.5, 2.5], "c": {"z": 1, "y": 0}}
         first = tmp_path / "one.json"
@@ -259,6 +271,16 @@ class TestPoseFile:
         assert info.value.filename == str(path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["pose.json"]
+
+    def test_intrinsics_without_a_key_names_it(self, cam96, tmp_path):
+        path = tmp_path / "cam.json"
+        write_intrinsics(path, cam96)
+        write_json(path, {k: v for k, v in read_json(path).items() if k != "cy"})
+        with pytest.raises(ValueError, match="^camera file has no 'cy'$"):
+            read_intrinsics(path)
+        write_json(path, "fx")
+        with pytest.raises(ValueError, match="^camera file must hold a JSON object, got str$"):
+            read_intrinsics(path)
 
     def test_intrinsics_roundtrip(self, cam96, tmp_path):
         path = tmp_path / "cam.json"
@@ -359,6 +381,17 @@ class TestModelFile:
         meta["diameter"] = meta["diameter"] * 2.0
         sidecar.write_text(json.dumps(meta))
         with pytest.raises(ValueError):
+            read_model(path)
+
+    @pytest.mark.parametrize("key", ["diameter", "symmetries"])
+    def test_sidecar_without_a_key_names_it(self, tmp_path, key):
+        path = tmp_path / "model.xyz"
+        write_model(path, make_model("blob", n_points=64, size=0.02))
+        sidecar = tmp_path / "model.json"
+        meta = json.loads(sidecar.read_text())
+        del meta[key]
+        sidecar.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"^model sidecar has no '{key}'$"):
             read_model(path)
 
 
@@ -506,6 +539,29 @@ class TestMatchFile:
             "relative_pose": pose_to_dict(Pose.identity()), "count": 2,
         })
         with pytest.raises(ValueError, match=r"anchor pixels must have shape \(M, 2\)"):
+            read_matches(path)
+
+    def test_list_payload_rejected(self, tmp_path):
+        path = tmp_path / "matches.json"
+        write_json(path, [[1, 2], [3, 4]])
+        with pytest.raises(ValueError, match="^match file must hold a JSON object, got list$"):
+            read_matches(path)
+
+    @pytest.mark.parametrize("key", ["anchor", "query", "relative_pose"])
+    def test_missing_key_named(self, tmp_path, key):
+        path = tmp_path / "matches.json"
+        payload = {"anchor": [[1, 2]], "query": [[3, 4]],
+                   "relative_pose": pose_to_dict(Pose.identity()), "count": 1}
+        del payload[key]
+        write_json(path, payload)
+        with pytest.raises(ValueError, match=f"^match file has no '{key}'$"):
+            read_matches(path)
+
+    def test_relative_pose_without_t_names_it(self, tmp_path):
+        path = tmp_path / "matches.json"
+        write_json(path, {"anchor": [[1, 2]], "query": [[3, 4]],
+                          "relative_pose": {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1]}, "count": 1})
+        with pytest.raises(ValueError, match="^pose has no 't'$"):
             read_matches(path)
 
     def test_roundtrip(self, cam96, tmp_path):

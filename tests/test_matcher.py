@@ -9,7 +9,6 @@ from crosspose import (
     CameraIntrinsics,
     Correspondences,
     EmptyMask,
-    MatchParams,
     MatchSet,
     ZeroVector,
     downsample_mask,
@@ -20,7 +19,7 @@ from crosspose import (
     make_pair,
     Pose,
 )
-from crosspose.matcher import cosine_distance, unit_rows
+from crosspose.matcher import MAX_DISTANCE, MAX_MATCHES, cosine_distance, unit_rows
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -35,7 +34,7 @@ def _distance_oracle(f1, f2):
     return min(1.0, max(0.0, (1.0 - cos) / 2.0))
 
 
-def _match_oracle(feat_a, feat_q, mask_a, mask_q, params):
+def _match_oracle(feat_a, feat_q, mask_a, mask_q):
     """Per-anchor-cell exhaustive nearest neighbor with a global full sort.
 
     Slower but structurally different from the production path: distances
@@ -55,10 +54,10 @@ def _match_oracle(feat_a, feat_q, mask_a, mask_q, params):
             d = _distance_oracle(fa, feat_q[lq // wq, lq % wq])
             if best_d is None or d < best_d:
                 best_d, best_lq = d, lq
-        if best_d <= params.max_distance:
+        if best_d <= MAX_DISTANCE:
             rows.append((best_d, la, best_lq))
     rows.sort(key=lambda r: (r[0], r[1]))
-    rows = rows[: params.max_matches]
+    rows = rows[:MAX_MATCHES]
     rows.sort(key=lambda r: r[1])
     anchor = np.array([(la % wa, la // wa) for _, la, _ in rows], dtype=np.int64)
     query = np.array([(lq % wq, lq // wq) for _, _, lq in rows], dtype=np.int64)
@@ -187,24 +186,25 @@ class TestMatchFeatures:
     def test_identical_fields_match_cells_to_themselves(self, rng):
         field = _unit_field(rng, (6, 6, 8))
         full = np.ones((6, 6), dtype=bool)
-        out = match_features(field, field, full, full, MatchParams(max_matches=100))
+        out = match_features(field, field, full, full)
         assert len(out) == 36
         np.testing.assert_array_equal(out.anchor_cells, out.query_cells)
         np.testing.assert_allclose(out.distances, 0.0, atol=1e-12)
 
     def test_identical_fields_truncate_to_cap(self, rng):
-        field = _unit_field(rng, (6, 6, 8))
-        full = np.ones((6, 6), dtype=bool)
-        out = match_features(field, field, full, full, MatchParams(max_matches=10))
-        assert len(out) == 10
+        # 576 cells all match at distance 0, more than the budget.
+        field = _unit_field(rng, (24, 24, 8))
+        full = np.ones((24, 24), dtype=bool)
+        out = match_features(field, field, full, full)
+        assert len(out) == MAX_MATCHES
 
     def test_orthogonal_fields_give_empty_set(self):
         fa = np.zeros((4, 4, 2))
         fa[..., 0] = 1.0
         fq = np.zeros((4, 4, 2))
-        fq[..., 1] = 1.0  # cosine 0 -> distance 0.5 > 0.25
+        fq[..., 1] = 1.0  # cosine 0 -> distance 0.5 > MAX_DISTANCE
         full = np.ones((4, 4), dtype=bool)
-        out = match_features(fa, fq, full, full, MatchParams(max_distance=0.25))
+        out = match_features(fa, fq, full, full)
         assert len(out) == 0
 
     def test_empty_anchor_mask_raises(self, rng):
@@ -228,21 +228,24 @@ class TestMatchFeatures:
             match_features(bad, field, full, full)
 
     def test_matches_brute_force_oracle(self, rng):
-        params = MatchParams(max_distance=0.4, max_matches=30)
+        dropped = 0
         for trial in range(5):
-            feat_a = _unit_field(rng, (8, 8, 6))
-            base = _unit_field(rng, (8, 8, 6))
+            # 16 dimensions: unrelated cells rarely come within MAX_DISTANCE.
+            feat_a = _unit_field(rng, (8, 8, 16))
+            base = _unit_field(rng, (8, 8, 16))
             # Mix of close and far query features so the threshold bites.
             feat_q = np.where(rng.random(size=(8, 8, 1)) < 0.5, feat_a, base)
             feat_q = feat_q + rng.normal(scale=0.05, size=feat_q.shape)
             mask_a = rng.random(size=(8, 8)) < 0.8
             mask_q = rng.random(size=(8, 8)) < 0.8
             mask_a[0, 0] = mask_q[0, 0] = True  # never empty
-            got = match_features(feat_a, feat_q, mask_a, mask_q, params)
-            exp_a, exp_q, exp_d = _match_oracle(feat_a, feat_q, mask_a, mask_q, params)
+            got = match_features(feat_a, feat_q, mask_a, mask_q)
+            exp_a, exp_q, exp_d = _match_oracle(feat_a, feat_q, mask_a, mask_q)
             np.testing.assert_array_equal(got.anchor_cells, exp_a)
             np.testing.assert_array_equal(got.query_cells, exp_q)
             np.testing.assert_allclose(got.distances, exp_d, atol=1e-12)
+            dropped += int(mask_a.sum()) - len(got)
+        assert dropped > 0
 
     def test_cap_keeps_exactly_lowest_distances(self, rng):
         # More than 2x the cap survive; the kept distances must be the
@@ -250,28 +253,30 @@ class TestMatchFeatures:
         feat_a = _unit_field(rng, (36, 36, 8))
         feat_q = feat_a + rng.normal(scale=0.02, size=feat_a.shape)
         full = np.ones((36, 36), dtype=bool)
-        uncapped = match_features(
-            feat_a, feat_q, full, full, MatchParams(max_matches=100_000)
-        )
-        assert len(uncapped) > 1000
-        capped = match_features(feat_a, feat_q, full, full, MatchParams(max_matches=500))
-        assert len(capped) == 500
-        cutoff = np.sort(uncapped.distances)[499]
+        # Uncapped reference: every anchor cell's nearest query distance.
+        va = feat_a.reshape(-1, 8) / np.linalg.norm(feat_a.reshape(-1, 8), axis=1)[:, None]
+        vq = feat_q.reshape(-1, 8) / np.linalg.norm(feat_q.reshape(-1, 8), axis=1)[:, None]
+        nearest = np.clip((1.0 - (va @ vq.T).max(axis=1)) / 2.0, 0.0, 1.0)
+        uncapped = np.sort(nearest[nearest <= MAX_DISTANCE])
+        assert len(uncapped) > 2 * MAX_MATCHES
+        capped = match_features(feat_a, feat_q, full, full)
+        assert len(capped) == MAX_MATCHES
+        cutoff = uncapped[MAX_MATCHES - 1]
         assert capped.distances.max() <= cutoff + 1e-15
 
     def test_every_distance_within_threshold(self, rng):
         feat_a = _unit_field(rng, (10, 10, 4))
         feat_q = _unit_field(rng, (10, 10, 4))
         full = np.ones((10, 10), dtype=bool)
-        out = match_features(feat_a, feat_q, full, full, MatchParams(max_distance=0.45))
-        assert (out.distances <= 0.45).all()
+        out = match_features(feat_a, feat_q, full, full)
+        assert (out.distances <= MAX_DISTANCE).all()
 
     def test_deterministic(self, rng):
         feat_a = _unit_field(rng, (12, 12, 8))
         feat_q = _unit_field(rng, (12, 12, 8))
         full = np.ones((12, 12), dtype=bool)
-        a = match_features(feat_a, feat_q, full, full, MatchParams(max_distance=0.6))
-        b = match_features(feat_a, feat_q, full, full, MatchParams(max_distance=0.6))
+        a = match_features(feat_a, feat_q, full, full)
+        b = match_features(feat_a, feat_q, full, full)
         np.testing.assert_array_equal(a.anchor_cells, b.anchor_cells)
         np.testing.assert_array_equal(a.query_cells, b.query_cells)
         np.testing.assert_array_equal(a.distances, b.distances)

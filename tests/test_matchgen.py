@@ -16,6 +16,7 @@ from crosspose import (
     unproject,
 )
 from crosspose.geometry import nearest_neighbors
+from crosspose.matchgen import MIN_MATCHES
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -78,7 +79,7 @@ class TestGenerateGtMatches:
         pose_q = Pose(np.eye(3), np.array([0.005, 0.0, 0.0]))
         pair = generate_gt_matches(
             depth, depth, mask, mask, _TINY_CAM, _TINY_CAM,
-            Pose.identity(), pose_q, nn_radius=0.002,
+            Pose.identity(), pose_q,
         )
         assert len(pair) == 0
 
@@ -87,7 +88,7 @@ class TestGenerateGtMatches:
         pose_q = Pose(np.eye(3), np.array([0.0015, 0.0, 0.0]))
         pair = generate_gt_matches(
             depth, depth, mask, mask, _TINY_CAM, _TINY_CAM,
-            Pose.identity(), pose_q, nn_radius=0.002,
+            Pose.identity(), pose_q,
         )
         assert len(pair) == mask.sum()
 
@@ -118,26 +119,19 @@ class TestGenerateGtMatches:
         assert len(pair) == mask.sum() - 1
         assert not ((pair.anchor == [5, 5]).all(axis=1)).any()
 
-    def test_nonpositive_radius_rejected(self):
-        depth, mask = _flat_scene()
-        for radius in (0.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                generate_gt_matches(
-                    depth, depth, mask, mask, _TINY_CAM, _TINY_CAM,
-                    Pose.identity(), Pose.identity(), nn_radius=radius,
-                )
-
     def test_equidistant_neighbors_resolve_to_lowest_index(self):
-        k = CameraIntrinsics(fx=10.0, fy=10.0, cx=3.0, cy=3.0, width=8, height=8)
+        # One pixel spans 1 mm at 1 m depth, so both query points lie
+        # within NN_RADIUS of the anchor point.
+        k = CameraIntrinsics(fx=1000.0, fy=1000.0, cx=3.0, cy=3.0, width=8, height=8)
         anchor_depth = np.zeros((8, 8))
         anchor_depth[3, 3] = 1.0  # unprojects to (0, 0, 1)
         query_depth = np.zeros((8, 8))
-        query_depth[3, 2] = 1.0  # (-0.1, 0, 1), scan-order index 0
-        query_depth[3, 4] = 1.0  # (+0.1, 0, 1), scan-order index 1
+        query_depth[3, 2] = 1.0  # (-0.001, 0, 1), scan-order index 0
+        query_depth[3, 4] = 1.0  # (+0.001, 0, 1), scan-order index 1
         full = np.ones((8, 8), dtype=bool)
         pair = generate_gt_matches(
             anchor_depth, query_depth, full, full, k, k,
-            Pose.identity(), Pose.identity(), nn_radius=0.2,
+            Pose.identity(), Pose.identity(),
         )
         assert len(pair) == 1
         np.testing.assert_array_equal(pair.query[0], [2, 3])
@@ -204,21 +198,15 @@ class TestAcceptPair:
         return GtPair(anchor=coords, query=coords, relative=Pose.identity())
 
     def test_99_of_100_rejected(self):
-        assert not accept_pair(self._pair_with(99), min_matches=100)
+        assert not accept_pair(self._pair_with(MIN_MATCHES - 1))
 
     def test_boundary_is_inclusive(self):
-        assert accept_pair(self._pair_with(100), min_matches=100)
-
-    def test_zero_threshold_accepts_empty(self):
-        assert accept_pair(self._pair_with(0), min_matches=0)
+        assert accept_pair(self._pair_with(MIN_MATCHES))
 
     def test_default_threshold_is_100(self):
+        assert MIN_MATCHES == 100
         assert accept_pair(self._pair_with(100))
         assert not accept_pair(self._pair_with(99))
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            accept_pair(self._pair_with(5), min_matches=-1)
 
 
 class TestGtPair:

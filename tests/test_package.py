@@ -1,7 +1,8 @@
 """Static checks on the package source: no dead imports, an exact export list,
-and no export that only tests use."""
+no export that only tests use, and no doc text that names a missing attribute."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -76,3 +77,37 @@ def test_ci_reruns_the_readme_tour():
     assert cd == 'cd "$1" || return 1'
     assert len(readme_commands) == 5
     assert ci_commands == readme_commands
+
+
+def _docstrings(tree) -> list:
+    return [
+        doc
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and (doc := ast.get_docstring(node, clean=False))
+    ]
+
+
+def test_docs_name_only_existing_attributes():
+    """A `module.NAME` of a crosspose module, or a `Name()` constructor call,
+    cited in README.md (single backticks) or in a package docstring (double
+    backticks), must resolve; a rename that leaves the text behind fails here."""
+    modules = {p.stem for p in PACKAGE.glob("*.py") if p.name != "__init__.py"}
+    cited = re.findall(r"(?<!`)`([\w.]+(?:\(\))?)`(?!`)", (ROOT / "README.md").read_text())
+    for path in sorted(PACKAGE.glob("*.py")):
+        for doc in _docstrings(ast.parse(path.read_text())):
+            cited += re.findall(r"``([\w.]+(?:\(\))?)``", doc)
+    namespaces = [crosspose] + [importlib.import_module(f"crosspose.{m}") for m in modules]
+    stale = set()
+    for text in cited:
+        head, *rest = text.removesuffix("()").split(".")
+        if rest and head in modules:
+            target = importlib.import_module(f"crosspose.{head}")
+            for name in rest:
+                target = getattr(target, name, None)
+            if target is None:
+                stale.add(text)
+        elif not rest and text.endswith("()") and head[:1].isupper():
+            if not any(hasattr(ns, head) for ns in namespaces):
+                stale.add(text)
+    assert sorted(stale) == []

@@ -19,7 +19,9 @@ from crosspose import (
     register_ransac,
     register_spatial_consistency,
 )
-from crosspose.registration import _register, _top3, _triplet_poses
+from crosspose.registration import (
+    COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _register, _top3, _triplet_poses,
+)
 from conftest import random_se3
 
 # ---------------------------------------------------------------------------
@@ -66,14 +68,14 @@ def _compatibility_dense(src, dst, tolerance):
     return compatible.sum(axis=1).astype(np.float64)
 
 
-def _register_dense(src, dst, params, weights, seed):
+def _register_dense(src, dst, iterations, weights, seed):
     """The engine unchunked: one key draw, one stable sort, all residuals.
 
     The residual uses the engine's expression rather than an einsum, so
     the comparison does not rest on how a CPU's einsum orders its sums.
     """
     n = len(src)
-    keys = -np.log(-np.log(np.random.default_rng(seed).random((params.iterations, n))))
+    keys = -np.log(-np.log(np.random.default_rng(seed).random((iterations, n))))
     positive = weights > 0
     if np.count_nonzero(positive) >= 3:
         logw = np.full(n, -np.inf)
@@ -88,7 +90,7 @@ def _register_dense(src, dst, params, weights, seed):
         e = (e + t[:, i, None]) - dst[:, i]
         sq.append(e * e)
     res = np.sqrt((sq[0] + sq[1]) + sq[2])
-    inlier = res <= params.inlier_threshold
+    inlier = res <= INLIER_THRESHOLD
     counts = inlier.sum(axis=1)
     counts[~valid] = -1
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -105,7 +107,7 @@ def _register_dense(src, dst, params, weights, seed):
     except DegenerateConfiguration:
         pose = seed_pose
     final_res = np.linalg.norm(pose.apply(src) - dst, axis=1)
-    final_inliers = np.nonzero(final_res <= params.inlier_threshold)[0]
+    final_inliers = np.nonzero(final_res <= INLIER_THRESHOLD)[0]
     if len(final_inliers) < 3:
         pose, final_res, final_inliers = seed_pose, res[best], seed_inliers
     return pose, final_inliers, float(final_res[final_inliers].mean())
@@ -308,15 +310,14 @@ class TestRegisterSpatialConsistency:
 
     def test_every_inlier_residual_within_threshold(self):
         matches, _ = make_correspondences(seed=3)
-        params = RegistrationParams()
-        result = register_spatial_consistency(matches, params, seed=3)
+        result = register_spatial_consistency(matches, seed=3)
         res = np.linalg.norm(
             result.pose.apply(matches.anchor_points[result.inliers])
             - matches.query_points[result.inliers],
             axis=1,
         )
-        assert (res <= params.inlier_threshold).all()
-        assert result.mean_residual <= params.inlier_threshold
+        assert (res <= INLIER_THRESHOLD).all()
+        assert result.mean_residual <= INLIER_THRESHOLD
 
     def test_deterministic_inlier_sets_per_seed(self):
         matches, _ = make_correspondences(seed=5)
@@ -350,19 +351,18 @@ class TestChunkedEngine:
             n_matches=150, outlier_fraction=0.6, noise=0.002, seed=iterations, extent=0.15
         )
         src, dst = matches.anchor_points, matches.query_points
-        params = RegistrationParams(iterations=iterations)
         n = len(src)
         few = np.zeros(n)
         few[[4, 40]] = 1.0  # fewer than three positive weights: uniform
-        for weights in (compatibility_scores(src, dst, 0.01), np.ones(n), few):
+        for weights in (compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE), np.ones(n), few):
             for seed in (0, 11):
                 try:
-                    expected = _register_dense(src, dst, params, weights, seed)
+                    expected = _register_dense(src, dst, iterations, weights, seed)
                 except NoConsensus:
                     with pytest.raises(NoConsensus):
-                        _register(src, dst, params, weights, seed)
+                        _register(src, dst, iterations, weights, seed)
                     continue
-                got = _register(src, dst, params, weights, seed)
+                got = _register(src, dst, iterations, weights, seed)
                 np.testing.assert_array_equal(got.pose.rotation, expected[0].rotation)
                 np.testing.assert_array_equal(got.pose.translation, expected[0].translation)
                 np.testing.assert_array_equal(got.inliers, expected[1])

@@ -8,7 +8,6 @@ from scipy.spatial import cKDTree
 
 from crosspose import (
     CameraIntrinsics,
-    MatchParams,
     NoConsensus,
     Pose,
     TooFewMatches,
@@ -29,6 +28,7 @@ from crosspose import (
     unproject,
 )
 from crosspose.io import read_depth, write_depth
+from crosspose.matcher import MAX_MATCHES
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -447,16 +447,14 @@ class TestMakeDescriptorField:
             norms = np.linalg.norm(field, axis=-1)
             assert norms == pytest.approx(np.ones_like(norms), abs=1e-12)
 
-    def test_clean_field_recovers_oracle_correspondences(self, cam96):
-        scene_a, scene_q, oracle = _pair_scene(cam96)
+    def test_clean_field_recovers_oracle_correspondences(self):
+        # A coarse camera keeps the oracle under the match budget, so the
+        # cap cannot hide a pair.
+        cam32 = CameraIntrinsics(fx=160.0, fy=160.0, cx=15.5, cy=15.5, width=32, height=32)
+        scene_a, scene_q, oracle = _pair_scene(cam32)
+        assert len(oracle.anchor) < MAX_MATCHES
         field_a, field_q = make_descriptor_field(scene_a, scene_q, dim=16)
-        matches = match_features(
-            field_a,
-            field_q,
-            scene_a.mask,
-            scene_q.mask,
-            MatchParams(max_matches=len(oracle.anchor) + 100),
-        )
+        matches = match_features(field_a, field_q, scene_a.mask, scene_q.mask)
         found = set(
             zip(map(tuple, matches.anchor_cells), map(tuple, matches.query_cells))
         )
