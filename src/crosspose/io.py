@@ -15,13 +15,16 @@
 
 Every JSON file is written by :func:`write_json`, which sorts keys,
 indents by one space and ends with a newline, so identical data always
-produces identical bytes, and which replaces its target atomically.
-A JSON reader raises ValueError, naming the file kind and the key, on a
-file that is not an object or lacks a key it needs.
+produces identical bytes. Every writer replaces its target atomically
+(:func:`_replacing`). A JSON reader raises ValueError, naming the file
+kind and the key, on a file that is not an object or lacks a key it
+needs, and a pose reader on an ``R`` or ``t`` that does not hold 9 or 3
+finite numbers.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import json
 import os
@@ -43,6 +46,32 @@ DEPTH_MAX_MM = 65535
 # the lock lets one caller parse a text while the others wait for its entry.
 _XYZ_MEMO_ENTRIES = 8
 _XYZ_MEMO_LOCK = threading.Lock()
+
+
+# --------------------------------------------------------------- files --
+
+
+@contextlib.contextmanager
+def _replacing(path):
+    """A binary file handle whose contents replace ``path`` atomically.
+
+    The bytes go to a temp file in the target's directory, which replaces
+    the target only when the ``with`` block ends without an error, so an
+    interrupted write never leaves a partial file and the earlier file
+    stays intact. On an error the temp file is removed and an ``OSError``
+    names ``path``.
+    """
+    path = Path(path)
+    temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
+    try:
+        with open(temp, "wb") as fh:
+            yield fh
+        os.replace(temp, path)
+    except BaseException as exc:
+        temp.unlink(missing_ok=True)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
+        raise
 
 
 # ---------------------------------------------------------------- JSON --
@@ -93,11 +122,6 @@ def write_json(path, payload: dict) -> None:
     one ``%``-template for all its rows instead of the pure-Python
     encoder's walk over its lists; any other array goes through
     ``tolist()``.
-
-    The text goes to a temp file in the target's directory that then
-    replaces the target, so an interrupted write never leaves a partial
-    file. On an error the temp file is removed and an ``OSError`` names
-    ``path``.
     """
     stubs = []
     text = _dumps(payload, stubs)
@@ -109,16 +133,8 @@ def write_json(path, payload: dict) -> None:
         at = text.index(stub)
         line = text[text.rfind("\n", 0, at) + 1 : at]
         text = text.replace(stub, _int_rows(arr, len(line) - len(line.lstrip(" "))))
-    path = Path(path)
-    temp = path.with_name(f".{path.name}.{os.getpid()}-{threading.get_ident()}.tmp")
-    try:
-        temp.write_text(text + "\n")
-        os.replace(temp, path)
-    except BaseException as exc:
-        temp.unlink(missing_ok=True)
-        if isinstance(exc, OSError) and exc.errno is not None:
-            raise OSError(exc.errno, exc.strerror, str(path)) from exc
-        raise
+    with _replacing(path) as fh:
+        fh.write((text + "\n").encode())
 
 
 def read_json(path) -> dict:
@@ -182,7 +198,7 @@ def _write_pgm(path, samples: np.ndarray, maxval: int, kind: str) -> None:
     if samples.ndim != 2:
         raise ValueError(f"{kind} must be 2D")
     h, w = samples.shape
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(f"P5\n{w} {h}\n{maxval}\n".encode())
         fh.write(samples.tobytes())
 
@@ -225,10 +241,24 @@ def pose_to_dict(pose: Pose) -> dict:
     }
 
 
+def _finite(value, count: int, key: str) -> np.ndarray:
+    """Pose entry ``key`` as ``count`` floats; ValueError naming it otherwise.
+
+    As for the camera file, a bool is never a number.
+    """
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # ragged nesting
+        arr = None
+    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (count,) \
+            or not np.isfinite(arr).all() or any(isinstance(v, bool) for v in value):
+        raise ValueError(f"pose {key!r} must hold {count} finite numbers, got {value!r:.80}")
+    return arr.astype(np.float64)
+
+
 def pose_from_dict(payload: dict) -> Pose:
     rot, t = _values(payload, "pose", ("R", "t"))
-    rot = np.asarray(rot, dtype=np.float64).reshape(3, 3)
-    return Pose(rot, np.asarray(t, dtype=np.float64))
+    return Pose(_finite(rot, 9, "R").reshape(3, 3), _finite(t, 3, "t"))
 
 
 def write_pose(path, pose: Pose) -> None:
@@ -267,7 +297,7 @@ def write_features(path, features) -> None:
     if arr.ndim != 3:
         raise ValueError("feature grid must be (H, W, D)")
     h, w, d = arr.shape
-    with open(path, "wb") as fh:
+    with _replacing(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", h, w, d))
         fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
@@ -293,7 +323,8 @@ def write_model(path, model: ObjectModel) -> None:
     """Write XYZ text plus the metadata sidecar next to it."""
     path = Path(path)
     lines = [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in model.points]
-    path.write_text("\n".join(lines) + "\n")
+    with _replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode())
     write_json(
         path.with_suffix(".json"),
         {

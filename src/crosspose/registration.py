@@ -17,6 +17,19 @@ inlier threshold and the compatibility tolerance are the module
 constants ``INLIER_THRESHOLD`` and ``COMPATIBILITY_TOLERANCE``; only the
 number of hypotheses, ``RegistrationParams.iterations``, is an argument.
 
+Classify, then verify: every decision is the one the exact residuals of
+:func:`_residuals` give, but most entries never need them. One matrix
+product gives every squared residual to within a bound that scales with
+the largest coordinate of the call (see :func:`_bands`). An entry at
+least a margin ``delta`` (100 times that bound, far below the squared
+threshold) inside or outside the threshold is classified from the
+product alone; a row with an entry inside the band is recomputed
+exactly. Among the rows that tie on the most inliers, only those whose
+fast mean residual lies within ``sqrt(delta)`` (plus the summation
+error) of the smallest, or of the running best, get exact residuals and
+the exact mean, so the winner, its mean and its residual row are those
+of the exact engine.
+
 Determinism: hypotheses are scored in fixed chunks of ``_CHUNK`` rows,
 in order, from one generator seeded once. Row ``h`` of the Gumbel key
 matrix is hypothesis ``h``'s private stream (Gumbel top-k, equivalent
@@ -44,6 +57,9 @@ _DEGENERACY_TOL = 1e-9
 # block. Neither changes a result; they cap the working set.
 _CHUNK = 128
 _BLOCK = 128
+
+# Unit roundoff of float64.
+_U = np.finfo(np.float64).eps / 2
 
 # Meters. A correspondence within INLIER_THRESHOLD of a hypothesis is its
 # inlier; a pairwise distance that changes by at most
@@ -120,42 +136,53 @@ def kabsch(src, dst) -> Pose:
     return Pose(rot, cd - rot @ cs)
 
 
-def _distances(p: np.ndarray, rows: slice) -> np.ndarray:
-    """Distances from points ``p[rows]`` to every point of ``p``.
+def _distances(p: np.ndarray, start: int, stop: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """Distances from points ``p[start:stop]`` to the points ``p[start:]``.
 
     Summed as ``(dx*dx + dy*dy) + dz*dz`` before the root, the order in
     which ``np.linalg.norm(..., axis=-1)`` sums, so every entry equals
-    that norm bit for bit.
+    that norm bit for bit. Written into ``out``; ``tmp`` is a work buffer of
+    the same shape.
     """
-    block = p[rows]
-    acc = None
-    for k in range(3):
-        diff = block[:, k, None] - p[:, k]
-        diff *= diff
-        acc = diff if acc is None else acc + diff
-    return np.sqrt(acc, out=acc)
+    block, rest = p[start:stop], p[start:]
+    np.subtract(block[:, 0, None], rest[:, 0], out=out)
+    out *= out
+    for k in (1, 2):
+        np.subtract(block[:, k, None], rest[:, k], out=tmp)
+        tmp *= tmp
+        out += tmp
+    return np.sqrt(out, out=out)
 
 
 def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     """Count, per match, how many other matches preserve pairwise length.
 
     Match pairs (i, j) are compatible when the distance between points i
-    and j changes by at most ``tolerance`` between the two views. Rows
-    are scored in blocks of ``_BLOCK``, so memory grows with ``n``, not
-    with ``n**2``.
+    and j changes by at most ``tolerance`` between the two views. The
+    matrix is exactly symmetric (``a - b == -(b - a)`` in IEEE
+    arithmetic), so each pair is scored once: a block of ``_BLOCK`` rows
+    meets only the columns from its own first row on, and adds to both
+    its row and its column counts. Memory grows with ``n``, not with
+    ``n**2``.
     """
     s = as_rows(src, 3, np.float64, "src")
     d = as_rows(dst, 3, np.float64, "dst")
     if len(s) != len(d):
         raise ValueError("source/destination counts differ")
     n = len(s)
-    scores = np.empty(n)
+    scores = np.zeros(n)
+    buffers = np.empty((3, min(_BLOCK, n), n))
     for start in range(0, n, _BLOCK):
-        rows = slice(start, min(start + _BLOCK, n))
-        compatible = np.abs(_distances(s, rows) - _distances(d, rows)) <= tolerance
-        own = np.arange(rows.stop - start)
-        compatible[own, own + start] = False
-        scores[rows] = compatible.sum(axis=1)
+        stop = min(start + _BLOCK, n)
+        ds, dd, tmp = buffers[:, : stop - start, : n - start]
+        _distances(s, start, stop, ds, tmp)
+        _distances(d, start, stop, dd, tmp)
+        ds -= dd
+        compatible = np.abs(ds, out=ds) <= tolerance
+        own = np.arange(stop - start)
+        compatible[own, own] = False
+        scores[start:stop] += compatible.sum(axis=1)
+        scores[stop:] += compatible[:, stop - start :].sum(axis=0)
     return scores
 
 
@@ -163,21 +190,24 @@ def _top3(keys: np.ndarray) -> np.ndarray:
     """Columns of each row's three largest keys, largest first.
 
     Equal keys go to the lower column, so the result equals
-    ``np.argsort(-keys, axis=1, kind="stable")[:, :3]``. A partition
-    finds the three; rows whose third and fourth keys tie, where the
-    partition may pick either column, take the stable sort.
+    ``np.argsort(-keys, axis=1, kind="stable")[:, :3]``. Three ``argmax``
+    passes over a copy find them, each masking its pick with ``-inf``;
+    ``argmax`` returns the first maximum, so ties go to the lower column.
+    A row whose pick lands on ``-inf`` (fewer than three finite keys),
+    where the mask is indistinguishable from a key, takes the stable
+    sort. ``keys`` is not modified.
     """
-    neg = -keys
-    if neg.shape[1] == 3:
-        return np.argsort(neg, axis=1, kind="stable")
-    part = np.argpartition(neg, (2, 3), axis=1)
-    top = np.sort(part[:, :3], axis=1)
-    order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
-    top = np.take_along_axis(top, order, axis=1)
-    third, fourth = np.take_along_axis(neg, part[:, 2:4], axis=1).T
-    tied = third == fourth
-    if tied.any():
-        top[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :3]
+    work = keys.copy()
+    rows = np.arange(len(work))
+    top = np.empty((len(work), 3), dtype=np.intp)
+    stuck = np.zeros(len(work), dtype=bool)
+    for j in range(3):
+        col = work.argmax(axis=1)
+        top[:, j] = col
+        stuck |= ~(work[rows, col] > -np.inf)
+        work[rows, col] = -np.inf
+    if stuck.any():
+        top[stuck] = np.argsort(-keys[stuck], axis=1, kind="stable")[:, :3]
     return top
 
 
@@ -207,6 +237,10 @@ def _triplet_poses(s3: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _residuals(rot: np.ndarray, t: np.ndarray, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     """``|R_h s_i + t_h - d_i|`` for every hypothesis ``h`` and match ``i``.
 
+    The exact residuals: every inlier decision and every mean residual
+    the engine reports is the one these values give. The engine computes
+    them only for the rows that can decide (see :func:`_register`).
+
     Row ``h`` depends only on hypothesis ``h``, whatever the batch. The
     rotation sums ``(x-term + z-term) + y-term``, then ``+ t`` and
     ``- d``; the squares sum in x, y, z order before the root. On x86-64
@@ -228,6 +262,58 @@ def _residuals(rot: np.ndarray, t: np.ndarray, src: np.ndarray, dst: np.ndarray)
     return np.sqrt(acc, out=acc)
 
 
+def _squared_residuals(rot: np.ndarray, t: np.ndarray, src_h: np.ndarray, dst_t: np.ndarray) -> np.ndarray:
+    """``|R_h s_i + t_h - d_i|**2`` from one matrix product, to within :func:`_bands`.
+
+    ``src_h`` is the ``(4, n)`` homogeneous source ``[s; 1]`` and
+    ``dst_t`` the ``(3, n)`` destination, so ``[R | t] @ src_h`` stacks
+    every hypothesis' three rows into one product. Its float order is
+    the BLAS library's, so the values are close to, not equal to, the
+    squares of :func:`_residuals`.
+    """
+    size = len(rot)
+    rt = np.concatenate((rot, t[:, :, None]), axis=2).reshape(3 * size, 4)
+    e = (rt @ src_h).reshape(size, 3, -1)
+    e -= dst_t
+    e *= e
+    sq = e[:, 0] + e[:, 1]
+    sq += e[:, 2]
+    return sq
+
+
+def _bands(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, float]:
+    """Bounds that turn :func:`_squared_residuals` into exact decisions.
+
+    Returns ``(lo, hi, eta)``: a squared residual at most ``lo`` is an
+    inlier of :func:`_residuals`, one above ``hi`` an outlier, and a
+    fast mean inlier residual lies within ``eta`` of the exact one.
+
+    The bound. Let ``M`` be the largest coordinate magnitude of the call
+    and ``u = 2**-53``. Each coordinate of ``R s + t - d`` sums five
+    terms of total magnitude at most ``7M`` (``|R_ij| <= 1``, ``|t_i| <=
+    (1 + sqrt 3) M`` for a pose fit to three of the points). Either route
+    is a five-term dot product, within ``gamma_5 * 7M`` of the true value
+    whatever its order or fused multiply-adds (``gamma_5 = 5u / (1 -
+    5u)``), so the routes differ by at most ``eps = 80 u M`` per
+    coordinate. Where either squared sum is at most ``T**2`` (``T =
+    INLIER_THRESHOLD``), every coordinate is at most about ``T`` and the
+    two squared sums differ by at most ``B = 4 eps T + 3 eps**2 + 8 u
+    T**2``. The band is ``delta = 100 B``: ``lo = T**2 - delta``, ``hi =
+    T**2 + delta``. For an inlier the two residuals differ by at most
+    ``sqrt(B) + 2uT``, below ``sqrt(delta)``, and the two ways of summing
+    ``n`` of them, then dividing, add at most ``4 n u T``, so ``eta =
+    sqrt(delta) + 4 n u T``. At ``M = 1000`` m, ``delta`` is about 4e-11
+    against ``T**2 = 1e-4``. A non-finite coordinate makes every row
+    verify exactly.
+    """
+    t2 = INLIER_THRESHOLD * INLIER_THRESHOLD
+    eps = 80 * _U * max(np.abs(src).max(), np.abs(dst).max())
+    delta = 100 * (4 * eps * INLIER_THRESHOLD + 3 * eps * eps + 8 * _U * t2)
+    if not np.isfinite(delta):
+        return -np.inf, np.inf, np.inf
+    return t2 - delta, t2 + delta, np.sqrt(delta) + 4 * len(src) * _U * INLIER_THRESHOLD
+
+
 def _register(
     src: np.ndarray,
     dst: np.ndarray,
@@ -243,6 +329,14 @@ def _register(
     zero-log-weight special case: all weights 1. Weights with fewer than
     three positive entries cannot fill a triplet, so they sample
     uniformly too. Only the running best hypothesis outlives its chunk.
+
+    Per chunk, inliers are counted from :func:`_squared_residuals`
+    against the bands of :func:`_bands`; a row with an entry between
+    them is recounted from :func:`_residuals`. The rows that reach the
+    most inliers and whose fast mean residual is within ``eta`` of the
+    running best, or within ``2 eta`` of the smallest, are the only
+    ones that can win: they alone get exact residuals and the exact
+    mean, summed as ``(res * inlier).sum(axis=1)``.
     """
     n = len(src)
     if n < 3:
@@ -255,33 +349,67 @@ def _register(
         logw = np.full(n, -np.inf)
         logw[positive] = np.log(weights[positive])
 
+    lo, hi, eta = _bands(src, dst)
+    src_h = np.vstack((src.T, np.ones(n)))
+    dst_t = np.ascontiguousarray(dst.T)
+
     # The running best, ranked by most inliers, then lower mean residual,
     # then lower hypothesis index. Invalid triplets count -1 inliers, so
     # the -2 of the start loses to any hypothesis.
     best_count, best_mean = -2, np.inf
     for start in range(0, iterations, _CHUNK):
         size = min(_CHUNK, iterations - start)
-        keys = -np.log(-np.log(rng.random((size, n))))
+        # -log(-log(u)) in place; negation is exact, so the bits match.
+        keys = rng.random((size, n))
+        np.negative(np.log(keys, out=keys), out=keys)
+        np.negative(np.log(keys, out=keys), out=keys)
         if logw is not None:
-            keys = keys + logw
+            keys += logw
         triplets = _top3(keys)
         rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
 
-        res = _residuals(rot, t, src, dst)
-        inlier = res <= INLIER_THRESHOLD
+        sq = _squared_residuals(rot, t, src_h, dst_t)
+        inlier = sq <= lo
         counts = inlier.sum(axis=1)
+        unsure = np.nonzero((sq <= hi).sum(axis=1) != counts)[0]
+        if len(unsure):
+            inlier[unsure] = _residuals(rot[unsure], t[unsure], src, dst) <= INLIER_THRESHOLD
+            counts[unsure] = inlier[unsure].sum(axis=1)
         counts[~valid] = -1
+
+        top = counts.max()
+        if top < best_count:
+            continue
+        # Rows that reach the most inliers, and the bound their exact
+        # means must meet to beat the running best or each other.
+        rows = np.nonzero(counts == top)[0]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            fast = np.where(
+                top > 0,
+                (np.sqrt(sq[rows]) * inlier[rows]).sum(axis=1) / max(top, 1),
+                np.inf,
+            )
+        bound = fast.min() + 2 * eta
+        if top == best_count:
+            bound = min(bound, best_mean + eta)
+        rows = rows[~(fast > bound)]
+        if not len(rows):
+            continue
+
+        res = _residuals(rot[rows], t[rows], src, dst)
+        inl = res <= INLIER_THRESHOLD
+        cnt = counts[rows]
         with np.errstate(invalid="ignore", divide="ignore"):
             mean_res = np.where(
-                counts > 0, (res * inlier).sum(axis=1) / np.maximum(counts, 1), np.inf
+                cnt > 0, (res * inl).sum(axis=1) / np.maximum(cnt, 1), np.inf
             )
         # Row 0 is the best so far; it wins its ties as the earlier index.
-        k = int(np.lexsort((np.r_[best_mean, mean_res], -np.r_[best_count, counts]))[0])
+        k = int(np.lexsort((np.r_[best_mean, mean_res], -np.r_[best_count, cnt]))[0])
         if k > 0:
-            h = k - 1
-            best_count, best_mean = counts[h], mean_res[h]
+            j, h = k - 1, rows[k - 1]
+            best_count, best_mean = cnt[j], mean_res[j]
             seed_pose = Pose(rot[h], t[h])
-            best_res, seed_inliers = res[h].copy(), np.nonzero(inlier[h])[0]
+            best_res, seed_inliers = res[j], np.nonzero(inl[j])[0]
 
     if best_count < 3:
         raise NoConsensus(

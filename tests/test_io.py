@@ -35,6 +35,76 @@ from crosspose.io import (
 )
 
 # ---------------------------------------------------------------------------
+# Atomic writes
+# ---------------------------------------------------------------------------
+
+
+class _FailingHandle:
+    """A file handle that writes half of its first chunk, then fails."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+    def write(self, data):
+        self._fh.write(bytes(data)[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+
+_WRITERS = {
+    "json": lambda path: write_json(path, {"new": [1, 2]}),
+    "depth": lambda path: write_depth(path, np.full((4, 5), 0.5)),
+    "mask": lambda path: write_mask(path, np.ones((4, 5), dtype=bool)),
+    "features": lambda path: write_features(path, np.ones((2, 3, 4))),
+    "model": lambda path: write_model(path, make_model("cylinder", n_points=50, size=0.05)),
+}
+
+
+class TestAtomicWrites:
+    def test_failing_block_keeps_the_earlier_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier")
+        with pytest.raises(RuntimeError, match="mid-write"):
+            with io._replacing(path) as fh:
+                fh.write(b"partial")
+                raise RuntimeError("mid-write")
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    def test_completed_block_replaces_the_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"earlier")
+        with io._replacing(path) as fh:
+            fh.write(b"new")
+        assert path.read_bytes() == b"new"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    def test_writer_failing_mid_write_leaves_earlier_file(self, tmp_path, monkeypatch, kind):
+        path = tmp_path / "target"
+        path.write_bytes(b"earlier")
+        real_open = open
+        monkeypatch.setattr(
+            io, "open", lambda *a, **k: _FailingHandle(real_open(*a, **k)), raising=False
+        )
+        with pytest.raises(OSError, match="No space left on device") as info:
+            _WRITERS[kind](path)
+        assert info.value.filename == str(path)
+        assert path.read_bytes() == b"earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["target"]
+
+    @pytest.mark.parametrize("kind", sorted(_WRITERS))
+    def test_writer_leaves_no_temp_file(self, tmp_path, kind):
+        _WRITERS[kind](tmp_path / "target")
+        assert all(not p.name.startswith(".") for p in tmp_path.iterdir())
+
+
+# ---------------------------------------------------------------------------
 # Depth maps
 # ---------------------------------------------------------------------------
 
@@ -186,6 +256,33 @@ class TestPoseFile:
         write_json(path, payload)
         with pytest.raises(ValueError, match=f"^{message}$"):
             read_pose(path)
+
+    @pytest.mark.parametrize(
+        "payload, message",
+        [({"R": [1, 0, 0, 1], "t": [0, 0, 0]}, "pose 'R' must hold 9 finite numbers"),
+         ({"R": ["abc"] * 9, "t": [0, 0, 0]}, "pose 'R' must hold 9 finite numbers"),
+         ({"R": [[1, 0, 0], [0, 1, 0], [0, 0, 1]], "t": [0, 0, 0]},
+          "pose 'R' must hold 9 finite numbers"),
+         ({"R": [1, 0, 0, 0, 1, 0, 0, 0, float("nan")], "t": [0, 0, 0]},
+          "pose 'R' must hold 9 finite numbers"),
+         ({"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0]}, "pose 't' must hold 3 finite numbers"),
+         ({"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, [0], 0]},
+          "pose 't' must hold 3 finite numbers"),
+         ({"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [True, 0, 0]},
+          "pose 't' must hold 3 finite numbers")],
+    )
+    def test_malformed_entry_names_the_key(self, tmp_path, payload, message):
+        path = tmp_path / "pose.json"
+        write_json(path, payload)
+        with pytest.raises(ValueError, match=f"^{message}, got "):
+            read_pose(path)
+
+    def test_integer_entries_read_as_floats(self, tmp_path):
+        path = tmp_path / "pose.json"
+        write_json(path, {"R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 2]})
+        pose = read_pose(path)
+        assert np.array_equal(pose.rotation, np.eye(3))
+        assert pose.translation.tolist() == [0.0, 0.0, 2.0]
 
     def test_bytes_deterministic_sorted_with_newline(self, cam96, tmp_path):
         payload = {"b": 2, "a": [1.5, 2.5], "c": {"z": 1, "y": 0}}

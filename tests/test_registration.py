@@ -19,8 +19,9 @@ from crosspose import (
     register_ransac,
     register_spatial_consistency,
 )
+from crosspose import registration
 from crosspose.registration import (
-    COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _register, _top3, _triplet_poses,
+    COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _bands, _register, _top3, _triplet_poses,
 )
 from conftest import random_se3
 
@@ -246,6 +247,21 @@ class TestTopThree:
             keys[rng.random(keys.shape) < 0.1] = -0.0
             np.testing.assert_array_equal(_top3(keys), self._stable(keys))
 
+    def test_input_left_unchanged(self, rng):
+        keys = rng.gumbel(size=(50, 8))
+        keys[::3, 2] = -np.inf
+        before = keys.copy()
+        _top3(keys)
+        np.testing.assert_array_equal(keys, before)
+
+    @pytest.mark.parametrize("finite", [0, 1, 2])
+    def test_rows_with_fewer_than_three_finite_keys(self, rng, finite):
+        keys = np.full((40, 7), -np.inf)
+        for row in keys:
+            row[rng.choice(7, size=finite, replace=False)] = rng.normal(size=finite)
+        keys[-1] = -np.inf  # a row with no finite key at all
+        np.testing.assert_array_equal(_top3(keys), self._stable(keys))
+
     def test_crafted_tie_at_third_and_fourth_key(self):
         keys = np.array([
             [0.0, 5.0, 1.0, 1.0, 4.0, 1.0],  # third and fourth keys tie
@@ -382,6 +398,98 @@ class TestChunkedEngine:
             tracemalloc.stop()
         assert peak <= 32e6
         assert len(result.inliers) >= 900
+
+
+class TestClassifyThenVerify:
+    """The fast-classified engine against the exact dense reference, on
+    inputs built to reach its verify band and its mean margin."""
+
+    def _check(self, src, dst, iterations, weights, seed):
+        expected = _register_dense(src, dst, iterations, weights, seed)
+        got = _register(src, dst, iterations, weights, seed)
+        np.testing.assert_array_equal(got.pose.rotation, expected[0].rotation)
+        np.testing.assert_array_equal(got.pose.translation, expected[0].translation)
+        np.testing.assert_array_equal(got.inliers, expected[1])
+        assert got.mean_residual == expected[2]
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Entries that fell inside the verify band, and the row count of
+        every exact-residual call."""
+        seen = {"band": 0, "rows": []}
+        fast, exact = registration._squared_residuals, registration._residuals
+
+        def squared(rot, t, src_h, dst_t):
+            sq = fast(rot, t, src_h, dst_t)
+            lo, hi, _ = _bands(src_h[:3].T, dst_t.T)
+            seen["band"] += int(((sq > lo) & (sq <= hi)).sum())
+            return sq
+
+        def residuals(rot, t, src, dst):
+            seen["rows"].append(len(rot))
+            return exact(rot, t, src, dst)
+
+        monkeypatch.setattr(registration, "_squared_residuals", squared)
+        monkeypatch.setattr(registration, "_residuals", residuals)
+        return seen
+
+    @pytest.mark.parametrize("offset", [0.0, 60.0])
+    def test_residuals_within_ulps_of_threshold(self, rng, spy, offset):
+        # Two consensus sets. The first has 25 exact matches and 30 that
+        # sit INLIER_THRESHOLD away in random directions, short of it by
+        # 8 to 63 ulps of the coordinates; the second has 45 exact matches
+        # under another pose. Hypotheses fit to exact matches of the first
+        # set put the 30 residuals inside the band, and only if the exact
+        # residuals count them does the first set win. At 60 m the band
+        # and the ulps widen with the coordinates.
+        src = rng.normal(scale=0.05, size=(100, 3)) + offset
+        dst = src.copy()
+        away = rng.normal(size=(30, 3))
+        away /= np.linalg.norm(away, axis=1, keepdims=True)
+        short = rng.integers(8, 64, size=(30, 1)) * np.spacing(offset + 0.25)
+        dst[25:55] += (INLIER_THRESHOLD - short) * away
+        dst[55:] = random_se3(rng, translation_scale=0.5).apply(src[55:]) + [1.0, 0, 0]
+        for weights in (compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE), np.ones(100)):
+            for seed in (0, 5):
+                self._check(src, dst, 1000, weights, seed)
+                assert (_register_dense(src, dst, 1000, weights, seed)[1] < 55).all()
+        assert spy["band"] > 0
+
+    def test_band_grows_with_coordinate_magnitude(self, rng):
+        src = rng.normal(scale=0.05, size=(20, 3))
+        near = _bands(src, src)
+        far = _bands(src + 60.0, src + 60.0)
+        assert far[0] < near[0] < INLIER_THRESHOLD**2 < near[1] < far[1]
+        assert far[2] > near[2]
+        # Both bands stay far inside the threshold.
+        assert far[1] - far[0] < 1e-6 * INLIER_THRESHOLD**2
+
+    def test_offset_clouds_equal_dense_reference(self):
+        matches, _ = make_correspondences(
+            n_matches=150, outlier_fraction=0.5, noise=0.002, seed=3, extent=0.15
+        )
+        src = matches.anchor_points + 60.0
+        dst = matches.query_points + 60.0
+        weights = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+        for seed in (0, 11):
+            self._check(src, dst, 300, weights, seed)
+
+    def test_hypotheses_tied_on_count_resolve_by_exact_mean(self, rng, spy):
+        # Noise-free matches: every valid hypothesis explains all of them,
+        # and their mean residuals differ by rounding only, so many rows
+        # stay within the mean margin and get exact means.
+        true = random_se3(rng)
+        src = rng.normal(scale=0.05, size=(60, 3))
+        dst = true.apply(src)
+        for weights in (compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE), np.ones(60)):
+            for seed in (0, 7):
+                self._check(src, dst, 300, weights, seed)
+        assert max(spy["rows"]) > 1
+
+    def test_non_finite_coordinates_verify_every_row(self):
+        src = np.zeros((4, 3))
+        src[0, 0] = np.nan
+        assert _bands(src, src) == (-np.inf, np.inf, np.inf)
 
 
 class TestRegisterRansac:
