@@ -418,9 +418,13 @@ def cmd_losses(args) -> int:
 
     def work(entry: PairEntry):
         a, q = entry.anchor, entry.query
+        match_path = matches_dir / f"{entry.pair_id}.json"
+        if not match_path.exists():
+            # gen-matches writes no file for a pair it rejected or failed.
+            raise ConfigError(f"no matches for pair: {match_path.name}")
         feat_a, feat_q = _read_features(a), _read_features(q)
         cam_a, cam_q = io.read_intrinsics(a.camera), io.read_intrinsics(q.camera)
-        gt = io.read_matches(matches_dir / f"{entry.pair_id}.json")
+        gt = io.read_matches(match_path)
         if len(gt) > args.max_samples:
             # Deterministic thinning: evenly spaced over the scan order.
             idx = np.linspace(0, len(gt) - 1, args.max_samples).astype(np.int64)
@@ -429,6 +433,7 @@ def cmd_losses(args) -> int:
             anchor_px, query_px = gt.anchor, gt.query
         ua, va = pixels_to_cells(anchor_px, feat_a.shape[:2], cam_a)
         uq, vq = pixels_to_cells(query_px, feat_q.shape[:2], cam_q)
+        # The grids stay float32; FeatureSet widens the sampled cells only.
         set_a = FeatureSet(feat_a[va, ua], anchor_px.astype(np.float64))
         set_q = FeatureSet(feat_q[vq, uq], query_px.astype(np.float64))
 

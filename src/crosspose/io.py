@@ -304,7 +304,15 @@ def write_features(path, features) -> None:
 
 
 def read_features(path) -> np.ndarray:
-    data = Path(path).read_bytes()
+    """The stored (H, W, D) grid, as its little-endian float32 values.
+
+    The payload is not widened: a stage picks the cells it uses first
+    and widens only those, which is exact. The array is writable and
+    lies in the buffer the file was read into.
+    """
+    with open(path, "rb") as fh:
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        fh.readinto(data)
     if data[:4] != FEATURE_MAGIC:
         raise ValueError("bad feature file magic")
     if len(data) < 16:
@@ -313,7 +321,7 @@ def read_features(path) -> np.ndarray:
     expected = 16 + 4 * h * w * d
     if len(data) != expected:
         raise ValueError(f"feature file of {h}x{w}x{d} needs {expected} bytes, got {len(data)}")
-    return np.frombuffer(data, dtype="<f4", offset=16).reshape(h, w, d).astype(np.float64)
+    return np.frombuffer(data, dtype="<f4", offset=16).reshape(h, w, d)
 
 
 # --------------------------------------------------------------- models --

@@ -12,8 +12,11 @@ feature, candidate negatives are features of the same view at least
 such candidate for sitting inside the ``NEGATIVE_MARGIN``. Both sides
 are averaged with weight 1/(2C) over the C matches. The search holds
 one C x C float64 array, the Gram product of the features (2 MB at
-C = 500, 32 MB at 2000); the distances, the pixel separations and the
-minima are computed on blocks of ``_BLOCK`` rows.
+C = 500, 32 MB at 2000). Most rows are settled from the Gram row alone,
+by its largest entry and the runner-up (see
+:func:`hardest_negative_indices`); the distances, the pixel separations
+and the minima of the other rows are computed on blocks of ``_BLOCK``
+rows, and so is every gather of Gram rows.
 
 Cosine distance is ``(1 - cos) / 2`` throughout, so all margins live in
 [0, 1]. The margins, the radius and the term weights are module
@@ -43,6 +46,9 @@ WEIGHT_MASK = 1.0
 # Rows of the hardest-negative search per block; it caps the working
 # set and changes no result.
 _BLOCK = 128
+# Largest Gram entries a row may try before the blocked search takes
+# it over; it changes no result.
+_ROUNDS = 3
 
 
 @dataclass(frozen=True)
@@ -93,6 +99,42 @@ def positive_loss(anchor: FeatureSet, query: FeatureSet) -> float:
     return float(np.mean(np.maximum(dist - POSITIVE_MARGIN, 0.0)))
 
 
+def _separation(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """Pixel separation as np.linalg.norm computes it for 2-vectors:
+    ``sqrt(du*du + dv*dv)``, formed in place in ``du``."""
+    du *= du
+    dv *= dv
+    du += dv
+    return np.sqrt(du, out=du)
+
+
+def _row_argmax(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``np.argmax(gram[rows], axis=1)``, gathering ``_BLOCK`` rows at a time."""
+    if len(rows) == len(gram):
+        return np.argmax(gram, axis=1)
+    out = np.empty(len(rows), dtype=np.intp)
+    for start in range(0, len(rows), _BLOCK):
+        out[start : start + _BLOCK] = np.argmax(gram[rows[start : start + _BLOCK]], axis=1)
+    return out
+
+
+def _blocked_search(gram, u, v, rows, indices, best) -> None:
+    """The exhaustive search for ``rows``, written into ``indices`` and ``best``.
+
+    Each block of rows gets its distances, its pixel separations and
+    their masked minimum; a row without a candidate gets distance inf.
+    """
+    for start in range(0, len(rows), _BLOCK):
+        block = rows[start : start + _BLOCK]
+        own = np.arange(len(block))
+        dist = cosine_distance(gram[block])
+        sep = _separation(u[block, None] - u, v[block, None] - v)
+        dist[sep < EXCLUSION_RADIUS] = np.inf
+        dist[own, block] = np.inf
+        indices[block] = np.argmin(dist, axis=1)
+        best[block] = dist[own, indices[block]]
+
+
 def hardest_negative_indices(fset: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     """Per feature, its closest same-view candidate negative.
 
@@ -100,6 +142,21 @@ def hardest_negative_indices(fset: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     is at least ``EXCLUSION_RADIUS``. Returns ``(indices, distances)``
     with index -1 and distance NaN where no candidate exists; distance
     ties resolve to the lowest index.
+
+    The result is that of the exhaustive search, bit for bit, though
+    most rows never form their distances. Each step of
+    ``cosine_distance`` (subtract, halve, clip) rounds monotonically, so
+    a distance never rises with its Gram entry. A row's largest entry,
+    its top, is therefore its closest feature. The top is the answer,
+    with distance ``cosine_distance(top)``, when it is a candidate by the
+    separation arithmetic of the search and the row's next largest
+    entry, the runner-up, has a strictly larger distance: every other
+    column is then strictly farther, so no tie with a lower index can
+    exist. No tolerance is involved, since the runner-up's distance is
+    computed exactly. A row whose top is not a candidate drops that
+    column and tries again with the runner-up as its top, up to
+    ``_ROUNDS`` times. Rows left over (a tie, or ``_ROUNDS`` blocked
+    tops) go through the exhaustive search.
     """
     if len(fset) == 0:
         raise EmptyMatchSet("no features to search negatives in")
@@ -107,26 +164,31 @@ def hardest_negative_indices(fset: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     # One product for all rows: BLAS may round a product of a row block
     # differently in the last bits.
     gram = unit @ unit.T
+    np.fill_diagonal(gram, -np.inf)
     u, v = fset.coords.T
     c = len(fset)
     indices = np.empty(c, dtype=np.intp)
     best = np.empty(c)
-    for start in range(0, c, _BLOCK):
-        stop = min(start + _BLOCK, c)
-        own = np.arange(stop - start)
-        dist = cosine_distance(gram[start:stop])
-        # Pixel separation as np.linalg.norm computes it for 2-vectors:
-        # sqrt(du*du + dv*dv), formed in place.
-        sep = u[start:stop, None] - u
-        dv = v[start:stop, None] - v
-        sep *= sep
-        dv *= dv
-        sep += dv
-        np.sqrt(sep, out=sep)
-        dist[sep < EXCLUSION_RADIUS] = np.inf
-        dist[own, own + start] = np.inf
-        indices[start:stop] = np.argmin(dist, axis=1)
-        best[start:stop] = dist[own, indices[start:stop]]
+    rows = np.arange(c)
+    top = np.argmax(gram, axis=1)
+    dropped, tied = [], []
+    for _ in range(_ROUNDS):
+        peak = gram[rows, top]
+        gram[rows, top] = -np.inf
+        dropped.append((rows, top, peak))
+        runner = _row_argmax(gram, rows)
+        dist = cosine_distance(peak)
+        candidate = _separation(u[rows] - u[top], v[rows] - v[top]) >= EXCLUSION_RADIUS
+        settled = candidate & (cosine_distance(gram[rows, runner]) > dist)
+        indices[rows[settled]] = top[settled]
+        best[rows[settled]] = dist[settled]
+        tied.append(rows[candidate & ~settled])
+        rows, top = rows[~candidate], runner[~candidate]
+    # Put the dropped entries back, newest first: a row with no entry
+    # left drops a dropped column again.
+    for dropped_rows, cols, values in reversed(dropped):
+        gram[dropped_rows, cols] = values
+    _blocked_search(gram, u, v, np.concatenate([*tied, rows]), indices, best)
     none = ~np.isfinite(best)
     indices[none] = -1
     best[none] = np.nan

@@ -139,12 +139,21 @@ def downsample_mask(mask, grid_shape: tuple[int, int]) -> np.ndarray:
 
 
 def _validate_features(feat, name: str) -> np.ndarray:
-    arr = np.asarray(feat, dtype=np.float64)
+    """The grid as float64, or as the float32 it is stored in: checking
+    a float32 grid before widening it is exact."""
+    arr = np.asarray(feat)
+    if arr.dtype != np.float32:
+        arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"{name} must have shape (H, W, D), got {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite values")
     return arr
+
+
+def _widened_rows(grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
+    """The feature vectors of the ``cells`` (row-major indices), as float64."""
+    return grid.reshape(-1, grid.shape[2])[cells].astype(np.float64, copy=False)
 
 
 def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
@@ -171,8 +180,8 @@ def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
     if len(lin_q) == 0:
         raise EmptyMask("query mask selects no feature cells")
 
-    va = unit_rows(fa.reshape(-1, fa.shape[2])[lin_a], "masked anchor cells")
-    vq = unit_rows(fq.reshape(-1, fq.shape[2])[lin_q], "masked query cells")
+    va = unit_rows(_widened_rows(fa, lin_a), "masked anchor cells")
+    vq = unit_rows(_widened_rows(fq, lin_q), "masked query cells")
 
     best_idx = np.empty(len(va), dtype=np.int64)
     best_sim = np.empty(len(va))

@@ -384,11 +384,14 @@ class TestGenMatches:
         assert list(io.read_json(out / "summary.json")["rejected"]) == ["pair_0000"]
         assert sorted(p.name for p in out.iterdir()) == ["summary.json"]
         assert _tree_digest(out) == _tree_digest(fresh)
-        # losses finds no match file to read, and deletes nothing itself.
+        # losses finds no match file to read, names it, and deletes nothing itself.
         report = out / "losses.json"
         assert main(["losses", "--pairs", manifest, "--matches", str(out),
                      "--out", str(report)]) == 1
-        assert list(io.read_json(report)["errors"]) == ["pair_0000", "pair_0001"]
+        assert io.read_json(report)["errors"] == {
+            pid: f"ConfigError: no matches for pair: {pid}.json"
+            for pid in ("pair_0000", "pair_0001")
+        }
         assert sorted(p.name for p in out.iterdir()) == ["losses.json", "summary.json"]
 
 

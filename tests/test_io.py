@@ -409,8 +409,9 @@ class TestFeatureFile:
         path = tmp_path / "features.oryt"
         write_features(path, grid)
         back = read_features(path)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, grid.astype(np.float64))
+        assert back.dtype == np.dtype("<f4")
+        assert back.tobytes() == grid.astype("<f4").tobytes()
+        back[0, 0, 0] = 0.0  # the caller owns the array
 
     def test_header_layout(self, rng, tmp_path):
         grid = rng.normal(size=(3, 4, 2)).astype(np.float32)

@@ -87,6 +87,21 @@ def _dense_hardest_negative(fset):
     return indices, best
 
 
+def _plain_argmax(fset):
+    """Per row, the candidate with the largest Gram entry, first on ties.
+
+    What the search would return if it trusted the top candidate without
+    the runner-up check; distances that tie after rounding make it
+    differ from the search.
+    """
+    unit = fset.features / np.linalg.norm(fset.features, axis=-1)[:, None]
+    gram = unit @ unit.T
+    sep = np.linalg.norm(fset.coords[:, None, :] - fset.coords[None, :, :], axis=-1)
+    blocked = sep < losses.EXCLUSION_RADIUS
+    np.fill_diagonal(blocked, True)
+    return np.argmax(np.where(blocked, -np.inf, gram), axis=1)
+
+
 def _negative_loss_oracle(anchor, query, margin, exclusion_radius):
     """Two-sided hinge sum over the brute-force minima, weighted 1/(2C)."""
     total = 0.0
@@ -371,6 +386,147 @@ class TestHardestNegativeIndices:
         empty = FeatureSet(features=np.zeros((0, 4)), coords=np.zeros((0, 2)))
         with pytest.raises(EmptyMatchSet):
             hardest_negative_indices(empty)
+
+
+@pytest.fixture
+def fallback_rows(monkeypatch):
+    """The rows handed to the blocked search, one array per call."""
+    seen = []
+    search = losses._blocked_search
+
+    def spy(gram, u, v, rows, indices, best):
+        seen.append(np.array(rows))
+        return search(gram, u, v, rows, indices, best)
+
+    monkeypatch.setattr(losses, "_blocked_search", spy)
+    return seen
+
+
+@pytest.fixture(scope="module")
+def contaminated_pair(tmp_path_factory):
+    """One synthetic pair at the contaminated bench flags, with its matches."""
+    from crosspose.cli import main
+
+    root = tmp_path_factory.mktemp("contaminated")
+    assert main(["synth", "--out", str(root / "data"), "--pairs", "1", "--seed", "7",
+                 "--noise", "0.2", "--outlier-fraction", "0.5",
+                 "--model-points", "3000"]) == 0
+    assert main(["gen-matches", "--pairs", str(root / "data" / "pairs.json"),
+                 "--out-dir", str(root / "matches")]) == 0
+    return root
+
+
+class TestClassifyThenVerify:
+    """The settled rows and the blocked search together equal the dense
+    search bit for bit, where distances tie after rounding too."""
+
+    @staticmethod
+    def _check(fset):
+        indices, dists = hardest_negative_indices(fset)
+        exp_idx, exp_dist = _dense_hardest_negative(fset)
+        assert indices.dtype == exp_idx.dtype
+        assert np.array_equal(indices, exp_idx)
+        assert np.array_equal(dists, exp_dist, equal_nan=True)
+
+    @pytest.mark.parametrize("dim", [8, 64, 512, 2048])
+    def test_near_duplicates_at_far_pixels(self, rng, dim):
+        # Copies of one random direction plus noise 1e-17 to 1e-13 of
+        # their size, rescaled, at pixels far apart. Their Gram entries
+        # differ in the last bits around 1, so distances tie at the clip
+        # to 0 on entries that are not equal, and a plain argmax of the
+        # Gram row names another index than the search.
+        base = rng.normal(size=dim)
+        wrong = 0
+        for _ in range(20):
+            noise = rng.normal(size=(30, dim)) * 10.0 ** rng.uniform(-17, -13, size=(30, 1))
+            feats = (base + noise) * rng.uniform(0.5, 4.0, size=(30, 1))
+            fset = FeatureSet(features=feats, coords=rng.uniform(0.0, 400.0, size=(30, 2)))
+            self._check(fset)
+            wrong += np.count_nonzero(_plain_argmax(fset) != _dense_hardest_negative(fset)[0])
+        assert wrong > 0
+
+    def test_rounding_tie_below_one_half(self):
+        # Row 0's Gram entries with rows 1 and 2 are 0.3 and the next
+        # double up; 1 - g rounds both to one distance, so row 0 must
+        # return row 1, not its top, row 2.
+        a = 0.3
+        b = a + 2.0**-54
+        fset = FeatureSet(
+            features=[[1.0, 0.0], [a, np.sqrt(1 - a * a)], [b, np.sqrt(1 - b * b)]],
+            coords=_spread_coords(3, spacing=100.0),
+        )
+        unit = fset.features / np.linalg.norm(fset.features, axis=-1)[:, None]
+        gram = unit @ unit.T
+        assert gram[0, 1] < gram[0, 2]
+        assert (1.0 - gram[0, 1]) / 2.0 == (1.0 - gram[0, 2]) / 2.0
+        assert _plain_argmax(fset)[0] == 2
+        self._check(fset)
+        assert hardest_negative_indices(fset)[0][0] == 1
+
+    def test_maximum_clipped_to_zero_resolves_to_lowest_index(self, rng):
+        # Rescaled copies of one vector: their unit rows differ in the last
+        # bits, so Gram entries of 1 and above all clip to distance 0. A
+        # row whose largest entry, above 1, follows another entry of at
+        # least 1 must return the earlier one.
+        clipped = 0
+        for _ in range(20):
+            feats = rng.normal(size=8) * rng.uniform(0.5, 4.0, size=(6, 1))
+            fset = FeatureSet(features=feats, coords=_spread_coords(6))
+            self._check(fset)
+            indices, dists = hardest_negative_indices(fset)
+            top = _plain_argmax(fset)
+            clipped += np.count_nonzero((dists == 0.0) & (indices < top))
+        assert clipped > 0
+
+    def test_low_entropy_features_on_integer_pixels(self, rng):
+        # Features in {-1, 0, 1}: many Gram entries of a row are equal.
+        for _ in range(20):
+            count = int(rng.integers(2, 200))
+            feats = rng.integers(-1, 2, size=(count, 4)).astype(np.float64)
+            feats[np.all(feats == 0, axis=1), 0] = 1.0
+            coords = rng.integers(0, 30, size=(count, 2)).astype(np.float64)
+            self._check(FeatureSet(features=feats, coords=coords))
+
+    def test_duplicated_pixels_try_their_runner_up(self, rng, fallback_rows):
+        # gen-matches maps several anchor pixels to one query pixel, so a
+        # sampled set repeats a pixel with its feature. Each copy's top is
+        # a twin inside the exclusion radius: a pixel held two or three
+        # times settles on a later top, and one held _ROUNDS + 2 times
+        # runs out of tops and takes the blocked search.
+        pixels = rng.permutation(np.arange(0, 960, 10.0))[:60]
+        feats = rng.normal(size=(60, 16))
+        counts = rng.integers(1, 4, size=60)
+        counts[0] = losses._ROUNDS + 2
+        pick = np.repeat(np.arange(60), counts)
+        coords = np.column_stack([pixels[pick], np.zeros(len(pick))])
+        self._check(FeatureSet(features=feats[pick], coords=coords))
+        (rows,) = fallback_rows[-1:]
+        assert set(np.flatnonzero(pick == 0)) <= set(rows)
+        assert 0 < len(rows) < len(pick)
+
+    def test_settled_and_fallback_rows_on_a_contaminated_pair(
+        self, contaminated_pair, fallback_rows, monkeypatch
+    ):
+        # The loss stage as run: every kernel result equals the dense
+        # search, most rows settle and some fall back.
+        from crosspose.cli import main
+
+        sizes = []
+        kernel = losses.hardest_negative_indices
+
+        def checked(fset):
+            sizes.append(len(fset))
+            self._check(fset)
+            return kernel(fset)
+
+        monkeypatch.setattr(losses, "hardest_negative_indices", checked)
+        root = contaminated_pair
+        assert main(["losses", "--pairs", str(root / "data" / "pairs.json"),
+                     "--matches", str(root / "matches"),
+                     "--out", str(root / "losses.json")]) == 0
+        fallen = sum(len(rows) for rows in fallback_rows)
+        assert sizes == [500, 500]
+        assert 0 < fallen < sum(sizes) / 2
 
 
 # ---------------------------------------------------------------------------
