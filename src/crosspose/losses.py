@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,12 @@ class FeatureSet:
     def __len__(self) -> int:
         return len(self.features)
 
+    @cached_property
+    def unit(self) -> np.ndarray:
+        """The features scaled to unit length, computed on first use only;
+        raises ZeroVector on a (near-)zero feature."""
+        return unit_rows(self.features, "sampled features")
+
 
 def _require_aligned(anchor: FeatureSet, query: FeatureSet):
     if len(anchor) == 0 or len(query) == 0:
@@ -93,9 +100,7 @@ def _require_aligned(anchor: FeatureSet, query: FeatureSet):
 def positive_loss(anchor: FeatureSet, query: FeatureSet) -> float:
     """Mean hinge on matched-pair distance above the positive margin."""
     _require_aligned(anchor, query)
-    ua = unit_rows(anchor.features, "anchor features")
-    uq = unit_rows(query.features, "query features")
-    dist = cosine_distance(np.einsum("ij,ij->i", ua, uq))
+    dist = cosine_distance(np.einsum("ij,ij->i", anchor.unit, query.unit))
     return float(np.mean(np.maximum(dist - POSITIVE_MARGIN, 0.0)))
 
 
@@ -160,10 +165,9 @@ def hardest_negative_indices(fset: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
     """
     if len(fset) == 0:
         raise EmptyMatchSet("no features to search negatives in")
-    unit = unit_rows(fset.features, "sampled features")
     # One product for all rows: BLAS may round a product of a row block
     # differently in the last bits.
-    gram = unit @ unit.T
+    gram = fset.unit @ fset.unit.T
     np.fill_diagonal(gram, -np.inf)
     u, v = fset.coords.T
     c = len(fset)

@@ -15,7 +15,8 @@ The cosine distance used everywhere is ``(1 - cos) / 2``, which maps
 aligned vectors to 0 and opposed vectors to 1 and is invariant to
 positive rescaling of either argument. :func:`unit_rows` and
 :func:`cosine_distance` implement it for this module and ``losses``;
-``synth`` draws its unit descriptors through :func:`unit_rows` too.
+``synth`` draws its unit descriptors through :func:`unit_rows` and
+normalises its descriptor fields in place by :func:`row_norms`.
 """
 
 from __future__ import annotations
@@ -35,9 +36,10 @@ ZERO_NORM_TOL = 1e-12
 MAX_DISTANCE = 0.25
 MAX_MATCHES = 500
 
-# Anchor cells are matched in blocks of this many rows to bound the
-# similarity-matrix footprint on full 192x192 grids.
-_CHUNK = 1024
+# Rows per block. match_features holds the similarities of this many
+# anchor cells at a time, _CHUNK x len(vq) floats, besides the widened
+# masked rows of both views; row_norms squares this many rows at a time.
+_CHUNK = 128
 
 
 @dataclass(frozen=True)
@@ -91,18 +93,33 @@ class Correspondences:
         return len(self.anchor_points)
 
 
-def unit_rows(vectors: np.ndarray, what: str) -> np.ndarray:
-    """Scale each vector along the last axis to unit length.
+def row_norms(vectors: np.ndarray, what: str) -> np.ndarray:
+    """The Euclidean norm of each float vector along the last axis.
 
     Takes an (N, D) stack of rows or an (H, W, D) grid of cells alike.
+    The result is ``np.linalg.norm(vectors, axis=-1)`` bit for bit: the
+    same ``np.add.reduce`` sums each row's squares, but only ``_CHUNK``
+    rows are squared at a time, so no temporary of the input's size
+    exists.
 
     Raises ZeroVector, naming ``what``, when any vector's norm is below
     ``ZERO_NORM_TOL``, where the cosine distance is undefined.
     """
-    norms = np.linalg.norm(vectors, axis=-1)
+    rows = vectors.reshape(-1, vectors.shape[-1])
+    norms = np.empty(len(rows), dtype=rows.dtype)
+    for start in range(0, len(rows), _CHUNK):
+        block = rows[start : start + _CHUNK]
+        np.add.reduce(block * block, axis=-1, out=norms[start : start + _CHUNK])
+    np.sqrt(norms, out=norms)
     if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVector(f"{what} contain (near-)zero feature vectors")
-    return vectors / norms[..., None]
+    return norms.reshape(vectors.shape[:-1])
+
+
+def unit_rows(vectors: np.ndarray, what: str) -> np.ndarray:
+    """Each float vector along the last axis scaled to unit length, as a
+    new array; raises ZeroVector as :func:`row_norms` does."""
+    return vectors / row_norms(vectors, what)[..., None]
 
 
 def cosine_distance(cos):
@@ -151,9 +168,12 @@ def _validate_features(feat, name: str) -> np.ndarray:
     return arr
 
 
-def _widened_rows(grid: np.ndarray, cells: np.ndarray) -> np.ndarray:
-    """The feature vectors of the ``cells`` (row-major indices), as float64."""
-    return grid.reshape(-1, grid.shape[2])[cells].astype(np.float64, copy=False)
+def _unit_cells(grid: np.ndarray, cells: np.ndarray, what: str) -> np.ndarray:
+    """The feature vectors of the ``cells`` (row-major indices), widened
+    to float64 and scaled to unit length in that new array."""
+    rows = grid.reshape(-1, grid.shape[2])[cells].astype(np.float64, copy=False)
+    rows /= row_norms(rows, what)[:, None]
+    return rows
 
 
 def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
@@ -165,6 +185,14 @@ def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
     the lowest-distance pairs survive, with ties broken by lowest anchor
     cell index. Output is ordered by anchor cell in row-major scan order,
     so results are deterministic.
+
+    Memory is bounded by the masked rows of both views, widened to
+    float64, plus one ``_CHUNK x len(vq)`` block of similarities, reused
+    for every block of anchor rows. Under OpenBLAS the last bits of a
+    similarity can depend on the block's row count, so another
+    ``_CHUNK`` can move a distance by a few ulps: going from 1024 to 128
+    rows moved one distance in 2 of the 36 match sets of the bench
+    workloads (seed 7, one BLAS thread), with the same cells.
     """
     fa = _validate_features(feat_a, "anchor features")
     fq = _validate_features(feat_q, "query features")
@@ -180,13 +208,15 @@ def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
     if len(lin_q) == 0:
         raise EmptyMask("query mask selects no feature cells")
 
-    va = unit_rows(_widened_rows(fa, lin_a), "masked anchor cells")
-    vq = unit_rows(_widened_rows(fq, lin_q), "masked query cells")
+    va = _unit_cells(fa, lin_a, "masked anchor cells")
+    vq = _unit_cells(fq, lin_q, "masked query cells")
 
     best_idx = np.empty(len(va), dtype=np.int64)
     best_sim = np.empty(len(va))
+    buf = np.empty((min(_CHUNK, len(va)), len(vq)))
     for start in range(0, len(va), _CHUNK):
-        sims = va[start : start + _CHUNK] @ vq.T
+        block = va[start : start + _CHUNK]
+        sims = np.matmul(block, vq.T, out=buf[: len(block)])
         # argmax returns the first maximum, i.e. the lowest query cell index.
         best = np.argmax(sims, axis=1)
         best_idx[start : start + _CHUNK] = best

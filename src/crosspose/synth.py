@@ -35,7 +35,7 @@ from .geometry import (
     relative_pose,
 )
 from .io import quantize_depth
-from .matcher import Correspondences, unit_rows
+from .matcher import Correspondences, row_norms, unit_rows
 from .matchgen import GtPair
 from .render import splat_depth, visibility
 
@@ -305,18 +305,22 @@ def make_descriptor_field(
         (scene_q, _STREAM_BACKGROUND_Q),
     ):
         h, w = scene.depth.shape
-        field = unit_rows(
-            np.random.default_rng([seed, stream]).normal(size=(h, w, dim)),
-            "background descriptors",
-        )
+        field = np.random.default_rng([seed, stream]).normal(size=(h, w, dim))
+        field /= row_norms(field, "background descriptors")[..., None]
         field[scene.mask] = desc[scene.point_index[scene.mask]]
         fields.append(field)
     field_a, field_q = fields
 
     if noise > 0:
+        # In place, one draw alive at a time: noise * z + field, rounded
+        # as the out-of-place sum rounds it.
         rng = np.random.default_rng([seed, _STREAM_NOISE])
-        field_a = unit_rows(field_a + noise * rng.normal(size=field_a.shape), "noisy descriptors")
-        field_q = unit_rows(field_q + noise * rng.normal(size=field_q.shape), "noisy descriptors")
+        for field in fields:
+            z = rng.normal(size=field.shape)
+            z *= noise
+            field += z
+            del z
+            field /= row_norms(field, "noisy descriptors")[..., None]
 
     if outlier_fraction > 0:
         rng = np.random.default_rng([seed, _STREAM_OUTLIERS])

@@ -180,6 +180,23 @@ class TestFeatureSet:
         with pytest.raises(ValueError):
             FeatureSet(features=bad, coords=np.zeros((3, 2)))
 
+    def test_both_terms_normalise_each_set_once(self, rng, monkeypatch):
+        calls = []
+        unit_rows = losses.unit_rows
+
+        def counting_unit_rows(vectors, what):
+            calls.append(what)
+            return unit_rows(vectors, what)
+
+        monkeypatch.setattr(losses, "unit_rows", counting_unit_rows)
+        anchor = _random_featureset(rng, 20, 4)
+        query = _random_featureset(rng, 20, 4)
+        positive_loss(anchor, query)
+        hardest_negative_loss(anchor, query)
+        assert len(calls) == 2
+        norms = np.linalg.norm(anchor.features, axis=1)
+        assert np.array_equal(anchor.unit, anchor.features / norms[:, None])
+
 
 # ---------------------------------------------------------------------------
 # positive_loss

@@ -19,7 +19,14 @@ from crosspose import (
     make_pair,
     Pose,
 )
-from crosspose.matcher import MAX_DISTANCE, MAX_MATCHES, cosine_distance, unit_rows
+from crosspose.matcher import (
+    _CHUNK,
+    MAX_DISTANCE,
+    MAX_MATCHES,
+    cosine_distance,
+    row_norms,
+    unit_rows,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -132,6 +139,21 @@ class TestFeatureDistance:
         for _ in range(100):
             a, b = rng.normal(size=4), rng.normal(size=4)
             assert 0.0 <= _distance(a, b) <= 1.0
+
+    # Row counts that are no multiple of the block leave a short last block.
+    @pytest.mark.parametrize("shape", [(3 * _CHUNK + 5, 7), (_CHUNK + 1, 33), (9, 31, 5)])
+    def test_row_norms_equal_linalg_norm_bit_for_bit(self, rng, shape):
+        vectors = rng.normal(size=shape) * rng.uniform(0.1, 10.0, size=(*shape[:-1], 1))
+        assert np.array_equal(row_norms(vectors, "rows"), np.linalg.norm(vectors, axis=-1))
+        assert np.array_equal(
+            unit_rows(vectors, "rows"), vectors / np.linalg.norm(vectors, axis=-1)[..., None]
+        )
+
+    def test_row_norms_reject_a_zero_row(self, rng):
+        vectors = rng.normal(size=(2 * _CHUNK + 3, 4))
+        vectors[_CHUNK + 1] = 0.0
+        with pytest.raises(ZeroVector, match="probe rows"):
+            row_norms(vectors, "probe rows")
 
     def test_array_input_costs_one_array(self, rng):
         # Similarities beyond [-1, 1] exercise the clip on both sides.
@@ -246,6 +268,42 @@ class TestMatchFeatures:
             np.testing.assert_allclose(got.distances, exp_d, atol=1e-12)
             dropped += int(mask_a.sum()) - len(got)
         assert dropped > 0
+
+    def test_several_anchor_blocks_match_the_oracle(self, rng):
+        # 19 x 19 anchor cells fill two blocks and part of a third.
+        feat_a = _unit_field(rng, (19, 19, 8))
+        feat_q = feat_a[::3, ::3] + rng.normal(scale=0.05, size=(7, 7, 8))
+        full_a = np.ones((19, 19), dtype=bool)
+        mask_q = rng.random(size=(7, 7)) < 0.7
+        mask_q[0, 0] = True
+        assert full_a.sum() > 2 * _CHUNK
+        got = match_features(feat_a, feat_q, full_a, mask_q)
+        exp_a, exp_q, exp_d = _match_oracle(feat_a, feat_q, full_a, mask_q)
+        assert len(exp_a) > 0
+        np.testing.assert_array_equal(got.anchor_cells, exp_a)
+        np.testing.assert_array_equal(got.query_cells, exp_q)
+        np.testing.assert_allclose(got.distances, exp_d, atol=1e-12)
+
+    def test_memory_is_the_widened_rows_plus_one_block(self, rng):
+        # A full 128 x 128 anchor grid against 2048 query cells. Blocks of
+        # 1024 anchor rows would hold 16 MB each; one 128-row block holds 2 MB.
+        dim = 16
+        feat_a = rng.normal(size=(128, 128, dim)).astype(np.float32)
+        feat_q = rng.normal(size=(64, 64, dim)).astype(np.float32)
+        mask_a = np.ones((128, 128), dtype=bool)
+        mask_q = np.zeros((64, 64), dtype=bool)
+        mask_q[:32] = True
+        n_a, n_q = int(mask_a.sum()), int(mask_q.sum())
+        widened = (n_a + n_q) * dim * 8
+        block = _CHUNK * n_q * 8
+        tracemalloc.start()
+        try:
+            out = match_features(feat_a, feat_q, mask_a, mask_q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(out) == MAX_MATCHES
+        assert peak < 1.5 * (widened + block)
 
     def test_cap_keeps_exactly_lowest_distances(self, rng):
         # More than 2x the cap survive; the kept distances must be the

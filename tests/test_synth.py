@@ -29,6 +29,13 @@ from crosspose import (
 )
 from crosspose.io import read_depth, write_depth
 from crosspose.matcher import MAX_MATCHES
+from crosspose.synth import (
+    _STREAM_BACKGROUND_A,
+    _STREAM_BACKGROUND_Q,
+    _STREAM_NOISE,
+    _STREAM_OUTLIERS,
+    _STREAM_POINT_DESC,
+)
 
 # ---------------------------------------------------------------------------
 # Oracles
@@ -432,7 +439,41 @@ def _pair_scene(cam, seed=4, delta_angle=0.25):
     return make_pair(model, pose_a, pose_q, cam)
 
 
+def _descriptor_field_oracle(scene_a, scene_q, dim, noise, outlier_fraction, seed):
+    """make_descriptor_field written out of place, with np.linalg.norm."""
+
+    def unit(x):
+        return x / np.linalg.norm(x, axis=-1)[..., None]
+
+    n = len(scene_a.model.points)
+    desc = unit(np.random.default_rng([seed, _STREAM_POINT_DESC]).normal(size=(n, dim)))
+    fields = []
+    for scene, stream in ((scene_a, _STREAM_BACKGROUND_A), (scene_q, _STREAM_BACKGROUND_Q)):
+        shape = (*scene.depth.shape, dim)
+        field = unit(np.random.default_rng([seed, stream]).normal(size=shape))
+        field[scene.mask] = desc[scene.point_index[scene.mask]]
+        fields.append(field)
+    rng = np.random.default_rng([seed, _STREAM_NOISE])
+    field_a = unit(fields[0] + noise * rng.normal(size=fields[0].shape))
+    field_q = unit(fields[1] + noise * rng.normal(size=fields[1].shape))
+    rng = np.random.default_rng([seed, _STREAM_OUTLIERS])
+    rows, cols = np.nonzero(scene_q.mask)
+    chosen = rng.permutation(len(rows))[: int(round(outlier_fraction * len(rows)))]
+    field_q[rows[chosen], cols[chosen]] = unit(rng.normal(size=(len(chosen), dim)))
+    return field_a, field_q
+
+
 class TestMakeDescriptorField:
+    @pytest.mark.parametrize("seed", [0, 9])
+    def test_in_place_fields_equal_the_out_of_place_formula(self, cam96, seed):
+        scene_a, scene_q, _ = _pair_scene(cam96)
+        got = make_descriptor_field(
+            scene_a, scene_q, dim=12, noise=0.3, outlier_fraction=0.4, seed=seed
+        )
+        want = _descriptor_field_oracle(scene_a, scene_q, 12, 0.3, 0.4, seed)
+        assert np.array_equal(got[0], want[0])
+        assert np.array_equal(got[1], want[1])
+
     def test_covisible_points_share_descriptors_exactly(self, cam96):
         scene_a, scene_q, oracle = _pair_scene(cam96)
         field_a, field_q = make_descriptor_field(scene_a, scene_q, dim=16)
