@@ -14,7 +14,9 @@ Subcommands:
 
 Exit codes: 0 on success, 1 when any pair failed but the batch ran,
 2 on configuration or usage errors. Every command is deterministic
-under a fixed ``--seed`` and safe to re-run into the same directory.
+under a fixed ``--seed``. A rerun into the same directory leaves what a
+fresh run leaves: every stage rewrites its report, and ``gen-matches``
+and ``register`` delete a pair's file before its work runs.
 Randomness flows from the master seed through named sub-streams, and
 per-pair work derives its own seed from the pair id, so results do not
 depend on batch order or on the worker count (``--workers``, default
@@ -76,22 +78,33 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot create directory {path}: {exc.strerror}") from exc
 
 
-def _run_stage(pairs_file, workers: int, work, summarize, out_dir: Path) -> int:
-    """Run ``work`` on every pair of the manifest and report the batch.
+def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
+               pair_files: bool = False) -> int:
+    """Run ``work`` on every pair of the manifest, write ``report`` and
+    return the exit code: 1 when any pair failed, else 0.
 
-    The manifest loads before ``out_dir`` is created, so a configuration
-    error leaves no directory behind. Any exception raised by ``work``
-    fails only its pair, as ``ClassName: message`` printed to stderr.
-    ``summarize(results, errors)`` receives the ``(pair_id, value)`` rows
-    and the ``pair_id -> message`` map, both sorted by pair id, and
-    returns ``(report path or None, payload, stdout lines)``. The exit
-    code is 1 when any pair failed, else 0.
+    The manifest loads before the report's directory is made, so a
+    configuration error leaves no directory behind. With ``pair_files``
+    the stage writes ``<pair_id>.json`` beside the report, and each
+    pair's file is deleted before its work runs, so a failed or rejected
+    pair leaves none; temp files a killed writer left for those files or
+    the report are deleted first. An exception raised by ``work`` fails
+    only its pair, printed to stderr as ``ClassName: message``.
+    ``summarize(results, errors)`` gets the ``(pair_id, value)`` rows and
+    the ``pair_id -> message`` map, both sorted by pair id, and returns
+    the report's payload and the stdout lines.
     """
     pairs = load_pairs(pairs_file)
+    out_dir = report.parent
     _make_dir(out_dir)
+    io.remove_temp_files(
+        out_dir, {report.name, *(f"{p.pair_id}.json" for p in pairs if pair_files)}
+    )
 
     def guarded(entry: PairEntry):
         try:
+            if pair_files:
+                (out_dir / f"{entry.pair_id}.json").unlink(missing_ok=True)
             return entry.pair_id, work(entry), None
         except Exception as exc:
             return entry.pair_id, None, f"{type(exc).__name__}: {exc}"
@@ -106,9 +119,8 @@ def _run_stage(pairs_file, workers: int, work, summarize, out_dir: Path) -> int:
     errors = {pid: err for pid, _, err in rows if err is not None}
     for pair_id, message in errors.items():
         print(f"error: {pair_id}: {message}", file=sys.stderr)
-    path, payload, lines = summarize(results, errors)
-    if path is not None:
-        io.write_json(path, payload)
+    payload, lines = summarize(results, errors)
+    io.write_json(report, payload)
     for line in lines:
         print(line)
     return 1 if errors else 0
@@ -147,21 +159,6 @@ def _flag_path(value, flag: str, is_dir: bool) -> Path:
         wanted = "an existing directory" if is_dir else "a file, not a directory"
         raise ConfigError(f"{flag} must name {wanted}: {path}")
     return path
-
-
-def _owning_pair_file(out_dir: Path, work):
-    """``work`` for a stage that writes ``<out_dir>/<pair_id>.json``: a pair
-    that fails deletes that file before its error propagates, so a rerun
-    keeps no file from an earlier run for a pair that now fails."""
-
-    def owned(entry: PairEntry):
-        try:
-            return work(entry)
-        except Exception:
-            (out_dir / f"{entry.pair_id}.json").unlink(missing_ok=True)
-            raise
-
-    return owned
 
 
 def _pred_mask(entry: PairEntry, default):
@@ -290,11 +287,8 @@ def cmd_gen_matches(args) -> int:
             a.depth, q.depth, a.mask, q.mask, a.camera, q.camera, a.pose, q.pose,
         )
         accepted = accept_pair(pair)
-        target = out / f"{entry.pair_id}.json"
         if accepted:
-            io.write_matches(target, pair)
-        else:
-            target.unlink(missing_ok=True)  # no earlier run's file outlives a rejection
+            io.write_matches(out / f"{entry.pair_id}.json", pair)
         return {"count": len(pair), "accepted": accepted}
 
     def summarize(results, errors):
@@ -309,9 +303,9 @@ def cmd_gen_matches(args) -> int:
             f"matched {len(summary['accepted'])} pair(s), "
             f"rejected {len(summary['rejected'])}, failed {len(errors)}"
         )
-        return out / "summary.json", summary, [line]
+        return summary, [line]
 
-    return _run_stage(args.pairs, workers, _owning_pair_file(out, work), summarize, out)
+    return _run_stage(args.pairs, workers, work, summarize, out / "summary.json", pair_files=True)
 
 
 # -------------------------------------------------------------- register --
@@ -356,9 +350,9 @@ def cmd_register(args) -> int:
     def summarize(results, errors):
         summary = {"registered": [pid for pid, _ in results], "errors": errors}
         line = f"registered {len(results)} pair(s), failed {len(errors)}"
-        return out / "summary.json", summary, [line]
+        return summary, [line]
 
-    return _run_stage(args.pairs, workers, _owning_pair_file(out, work), summarize, out)
+    return _run_stage(args.pairs, workers, work, summarize, out / "summary.json", pair_files=True)
 
 
 # ---------------------------------------------------------------- eval --
@@ -390,10 +384,10 @@ def cmd_eval(args) -> int:
         )
 
     def summarize(results, errors):
+        pairs = {pid: r.to_dict() for pid, r in results}
         if not results:
             print("error: no pair could be evaluated", file=sys.stderr)
-            return None, None, []
-        pairs = {pid: r.to_dict() for pid, r in results}
+            return {"pairs": pairs, "errors": errors}, []
         aggregate = aggregate_reports([r for _, r in results])
         payload = {"pairs": pairs, "aggregate": aggregate, "errors": errors}
         lines = [f"{'pair':<14}" + "".join(f"{name:>8}" for name in SCORES)]
@@ -401,9 +395,9 @@ def cmd_eval(args) -> int:
             lines.append(
                 f"{label:<14}" + "".join(f"{scores[name]:>8.3f}" for name in SCORES)
             )
-        return report, payload, lines
+        return payload, lines
 
-    return _run_stage(args.pairs, workers, work, summarize, report.parent)
+    return _run_stage(args.pairs, workers, work, summarize, report)
 
 
 # --------------------------------------------------------------- losses --
@@ -466,9 +460,9 @@ def cmd_losses(args) -> int:
             f"total {r['total']:.6f}"
             for pid, r in results
         ]
-        return report, payload, lines
+        return payload, lines
 
-    return _run_stage(args.pairs, workers, work, summarize, report.parent)
+    return _run_stage(args.pairs, workers, work, summarize, report)
 
 
 # ---------------------------------------------------------------- main --

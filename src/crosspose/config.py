@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -113,13 +113,12 @@ def _load_view(resolve, data: dict, pair_id: str, side: str) -> ViewPaths:
     if not isinstance(data, dict):
         raise ConfigError(f"pair {pair_id}: {side} view must be an object")
     _check_keys(data, _VIEW_KEYS, f"pair {pair_id}: {side} view")
-    return ViewPaths(
-        depth=_resolve(resolve, data.get("depth"), True, f"{pair_id}/{side} depth"),
-        mask=_resolve(resolve, data.get("mask"), True, f"{pair_id}/{side} mask"),
-        camera=_resolve(resolve, data.get("camera"), True, f"{pair_id}/{side} camera"),
-        pose=_resolve(resolve, data.get("pose"), True, f"{pair_id}/{side} pose"),
-        features=_resolve(resolve, data.get("features"), False, f"{pair_id}/{side} features"),
-    )
+    return ViewPaths(**{
+        f.name: _resolve(
+            resolve, data.get(f.name), f.default is MISSING, f"{pair_id}/{side} {f.name}"
+        )
+        for f in fields(ViewPaths)
+    })
 
 
 def load_pairs(manifest_path) -> list[PairEntry]:

@@ -28,6 +28,7 @@ import contextlib
 import functools
 import json
 import os
+import re
 import struct
 import threading
 from dataclasses import asdict, fields
@@ -49,6 +50,15 @@ _XYZ_MEMO_LOCK = threading.Lock()
 
 
 # --------------------------------------------------------------- files --
+
+
+def remove_temp_files(directory, names) -> None:
+    """Delete each ``.<name>.<pid>-<thread>.tmp`` in ``directory`` whose name
+    is in ``names``: the temp file a kill inside ``_replacing`` leaves."""
+    for path in Path(directory).glob(".*.tmp"):
+        temp = re.fullmatch(r"\.(.+)\.\d+-\d+\.tmp", path.name)
+        if temp is not None and temp[1] in names:
+            path.unlink(missing_ok=True)
 
 
 @contextlib.contextmanager

@@ -5,6 +5,9 @@ import json
 import math
 import os
 import shutil
+import signal
+import subprocess
+import sys
 import time
 from dataclasses import fields
 from pathlib import Path
@@ -12,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import crosspose
 from crosspose import (
     ConfigError,
     ObjectModel,
@@ -514,6 +518,56 @@ class TestRegister:
             "pair_0000.json", "report.json", "summary.json"
         ]
 
+    def test_rerun_removes_temp_files_a_killed_writer_left(self, dataset_small, tmp_path):
+        manifest = str(dataset_small / "pairs.json")
+        out, fresh = tmp_path / "poses", tmp_path / "fresh"
+        assert main(["register", "--pairs", manifest, "--out-dir", str(out)]) == 0
+        # The names io._replacing gives the temp files of a pose file and of
+        # the summary; a SIGKILL during the write leaves them behind.
+        for name in (".pair_0001.json.1-1.tmp", ".summary.json.1-1.tmp"):
+            (out / name).write_text('{"pose": ')
+        assert main(["register", "--pairs", manifest, "--out-dir", str(out)]) == 0
+        assert main(["register", "--pairs", manifest, "--out-dir", str(fresh)]) == 0
+        assert _tree_digest(out) == _tree_digest(fresh)
+        # A temp file of a pair the manifest does not name is not the stage's.
+        (out / ".pair_0009.json.1-1.tmp").write_text("{")
+        assert main(["register", "--pairs", manifest, "--out-dir", str(out)]) == 0
+        assert (out / ".pair_0009.json.1-1.tmp").read_text() == "{"
+
+    def test_killed_run_leaves_parseable_files_and_a_rerun_restores_the_tree(
+        self, tmp_path
+    ):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--pairs", "12", "--seed", "5",
+                     "--image-size", "64", "--model-points", "2500"]) == 0
+        argv = ["register", "--pairs", str(data / "pairs.json"), "--workers", "1"]
+        out, fresh = tmp_path / "poses", tmp_path / "fresh"
+        src = str(Path(crosspose.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "crosspose.cli", *argv, "--out-dir", str(out)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while len(list(out.glob("pair_*.json"))) < 2:
+                assert child.poll() is None, "register exited before writing two poses"
+                assert time.monotonic() < deadline, "register wrote no two poses in 120 s"
+                time.sleep(0.001)
+        finally:
+            child.kill()
+            child.wait(timeout=60)
+        # Each pair takes tens of milliseconds, so ten pairs were still to go.
+        assert child.returncode == -signal.SIGKILL
+        left = sorted(p.name for p in out.glob("*.json"))
+        assert 2 <= len(left) < 12 and "summary.json" not in left
+        for name in left:
+            assert "pose" in io.read_json(out / name)
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        assert main([*argv, "--out-dir", str(fresh)]) == 0
+        assert _tree_digest(out) == _tree_digest(fresh)
+
 
 # ---------------------------------------------------------------------------
 # eval
@@ -657,6 +711,27 @@ class TestEval:
             "--predictions", str(preds), "--out", str(report_path),
         ]) == 0
         assert io.read_json(report_path)["aggregate"]["count"] == 2
+
+    def test_run_with_no_prediction_replaces_the_earlier_report(
+        self, dataset_small, tmp_path, capsys
+    ):
+        preds, empty = tmp_path / "preds", tmp_path / "empty"
+        _write_gt_predictions(dataset_small, preds)
+        empty.mkdir()
+        report_path = tmp_path / "report.json"
+        argv = ["eval", "--pairs", str(dataset_small / "pairs.json"), "--out", str(report_path)]
+        assert main([*argv, "--predictions", str(preds)]) == 0
+        assert io.read_json(report_path)["aggregate"]["count"] == 2
+        capsys.readouterr()
+        assert main([*argv, "--predictions", str(empty)]) == 1
+        assert io.read_json(report_path) == {
+            "pairs": {},
+            "errors": {
+                pid: f"ConfigError: no prediction for pair: {pid}.json"
+                for pid in ("pair_0000", "pair_0001")
+            },
+        }
+        assert capsys.readouterr().err.endswith("error: no pair could be evaluated\n")
 
 
 def _count_model_work(monkeypatch) -> dict:
