@@ -19,8 +19,11 @@ fresh run leaves: every stage rewrites its report, and ``gen-matches``
 and ``register`` delete a pair's file before its work runs.
 Randomness flows from the master seed through named sub-streams, and
 per-pair work derives its own seed from the pair id, so results do not
-depend on batch order or on the worker count (``--workers``, default
-from ``CROSSPOSE_WORKERS``).
+depend on batch order or on the worker count (``--workers``, default 1).
+Each setting has one way in, its flag; ``synth``'s camera focal length,
+descriptor dimension, background depth and view-angle range are the
+module constants ``_FOCAL``, ``_FEATURE_DIM``, ``_BACKGROUND_DEPTH`` and
+``_VIEW_ANGLES``.
 
 Every run of ``gen-matches`` and ``register`` follows one fixed protocol,
 the module constants ``matchgen.NN_RADIUS``, ``matchgen.MIN_MATCHES``,
@@ -35,7 +38,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import shutil
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -85,7 +87,8 @@ def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
 
     The manifest loads before the report's directory is made, so a
     configuration error leaves no directory behind. With ``pair_files``
-    the stage writes ``<pair_id>.json`` beside the report, and each
+    the stage writes ``<pair_id>.json`` beside the report (a pair whose
+    file would be the report is a ConfigError), and each
     pair's file is deleted before its work runs, so a failed or rejected
     pair leaves none; temp files a killed writer left for those files or
     the report are deleted first. An exception raised by ``work`` fails
@@ -95,6 +98,8 @@ def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
     the report's payload and the stdout lines.
     """
     pairs = load_pairs(pairs_file)
+    if pair_files and report.stem in {p.pair_id for p in pairs}:
+        raise ConfigError(f"pair id {report.stem!r} names the stage report {report.name}")
     out_dir = report.parent
     _make_dir(out_dir)
     io.remove_temp_files(
@@ -171,23 +176,32 @@ def _pred_mask(entry: PairEntry, default):
 
 # Bounds of a view's translation: a small lateral offset, 0.5-0.6 m away.
 _VIEW_BOUNDS = ((-0.01, -0.01, 0.5), (0.01, 0.01, 0.6))
-_MIN_VIEW_ANGLE = 10.0  # degrees
+# The range of the query view's rotation against the anchor's, in degrees.
+_VIEW_ANGLES = (10.0, 35.0)
+_FOCAL = 500.0  # pixels: a narrow field of view keeps pixel rays tight
+_FEATURE_DIM = 32
+_BACKGROUND_DEPTH = 0.8  # meters
+# The files of one pair directory: (kind, extension, writer) per view.
+_VIEW_FILES = (
+    ("depth", "pgm", io.write_depth),
+    ("mask", "pgm", io.write_mask),
+    ("pose", "json", io.write_pose),
+    ("features", "feat", io.write_features),
+)
+_PAIR_FILES = {"rel_pose.json", "gt_matches.json"} | {
+    f"{kind}_{side}.{ext}" for kind, ext, _ in _VIEW_FILES for side in ("anchor", "query")
+}
 
 
 def cmd_synth(args) -> int:
     # Every setting is checked before the first directory is made.
     if args.pairs < 1:
         raise ConfigError("--pairs must be at least 1")
-    if not _MIN_VIEW_ANGLE <= args.max_view_angle < np.inf:
-        raise ConfigError(f"--max-view-angle must be finite and at least {_MIN_VIEW_ANGLE:g}")
-    depth_max = io.DEPTH_MAX_MM * 0.001  # the deepest value a depth file holds
-    if not 0 <= args.background_depth <= depth_max:
-        raise ConfigError(f"--background-depth must lie in [0, {depth_max:g}] m")
     size = args.image_size
     try:
         camera = CameraIntrinsics(
-            fx=args.focal,
-            fy=args.focal,
+            fx=_FOCAL,
+            fy=_FOCAL,
             cx=(size - 1) / 2.0,
             cy=(size - 1) / 2.0,
             width=size,
@@ -200,7 +214,7 @@ def cmd_synth(args) -> int:
             cyclic_order=args.cyclic_order,
             seed=derive_seed(args.seed, "synth"),
         )
-        check_descriptor_params(args.feature_dim, args.noise, args.outlier_fraction)
+        check_descriptor_params(_FEATURE_DIM, args.noise, args.outlier_fraction)
     except ValueError as exc:
         raise ConfigError(f"invalid synth setting: {exc}") from exc
 
@@ -216,6 +230,11 @@ def cmd_synth(args) -> int:
         is_pair = digits.isdecimal() and stale.name == f"pair_{int(digits):04d}"
         if is_pair and stale.name not in pair_ids and stale.is_dir() and not stale.is_symlink():
             shutil.rmtree(stale)
+    # So do the temp files a killed writer left for the files written below.
+    io.remove_temp_files(out, {"pairs.json", "synth_config.json", "camera.json"})
+    io.remove_temp_files(out / "models", {"model.xyz", "model.json"})
+    for pair_id in pair_ids:
+        io.remove_temp_files(out / "pairs" / pair_id, _PAIR_FILES)
     io.write_model(out / "models" / "model.xyz", model)
     io.write_intrinsics(out / "camera.json", camera)
 
@@ -229,17 +248,17 @@ def cmd_synth(args) -> int:
         rot_a = random_rotation(rng)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        angle = rng.uniform(np.radians(_MIN_VIEW_ANGLE), np.radians(args.max_view_angle))
+        angle = rng.uniform(*np.radians(_VIEW_ANGLES))
         pose_a = Pose(rot_a, rng.uniform(*_VIEW_BOUNDS))
         pose_q = Pose(rotation_about_axis(axis, angle) @ rot_a, rng.uniform(*_VIEW_BOUNDS))
         scene_a, scene_q, oracle = make_pair(
-            model, pose_a, pose_q, camera, background=args.background_depth
+            model, pose_a, pose_q, camera, background=_BACKGROUND_DEPTH
         )
         feat_seed = int(rng.integers(2**63))
         feat_a, feat_q = make_descriptor_field(
             scene_a,
             scene_q,
-            dim=args.feature_dim,
+            dim=_FEATURE_DIM,
             noise=args.noise,
             outlier_fraction=args.outlier_fraction,
             seed=feat_seed,
@@ -249,17 +268,11 @@ def cmd_synth(args) -> int:
         entry = {"id": pair_id, "model": "models/model.xyz"}
         views = (("anchor", scene_a, pose_a, feat_a), ("query", scene_q, pose_q, feat_q))
         for side, scene, pose, feat in views:
-            io.write_depth(pair_dir / f"depth_{side}.pgm", scene.depth)
-            io.write_mask(pair_dir / f"mask_{side}.pgm", scene.mask)
-            io.write_pose(pair_dir / f"pose_{side}.json", pose)
-            io.write_features(pair_dir / f"features_{side}.feat", feat)
-            entry[side] = {
-                "depth": f"{rel}/depth_{side}.pgm",
-                "mask": f"{rel}/mask_{side}.pgm",
-                "camera": "camera.json",
-                "pose": f"{rel}/pose_{side}.json",
-                "features": f"{rel}/features_{side}.feat",
-            }
+            values = {"depth": scene.depth, "mask": scene.mask, "pose": pose, "features": feat}
+            entry[side] = {"camera": "camera.json"}
+            for kind, ext, write in _VIEW_FILES:
+                write(pair_dir / f"{kind}_{side}.{ext}", values[kind])
+                entry[side][kind] = f"{rel}/{kind}_{side}.{ext}"
         io.write_pose(pair_dir / "rel_pose.json", oracle.relative)
         io.write_matches(pair_dir / "gt_matches.json", oracle)
         entries.append(entry)
@@ -269,6 +282,9 @@ def cmd_synth(args) -> int:
         key: value for key, value in vars(args).items()
         if key not in ("command", "func", "out")
     }
+    # The constants keep the keys of the flags they replaced.
+    settings.update(focal=_FOCAL, feature_dim=_FEATURE_DIM,
+                    background_depth=_BACKGROUND_DEPTH, max_view_angle=_VIEW_ANGLES[1])
     io.write_json(out / "synth_config.json", settings)
     print(f"wrote {args.pairs} pairs to {out}")
     return 0
@@ -469,35 +485,20 @@ def cmd_losses(args) -> int:
 
 
 def _workers(args) -> int:
-    """The run's worker count: ``--workers``, else ``CROSSPOSE_WORKERS``, else 1.
-
-    The variable is checked even when the flag is given, so a bad one
-    always exits 2, and ``--seed`` is checked too; both checks come
-    before any file is read or directory made.
-    """
-    env = os.environ.get("CROSSPOSE_WORKERS")
-    if env is not None:
-        # Checked on its own first, so the message names the variable.
-        try:
-            if int(env) < 1:
-                raise ValueError("workers must be at least 1")
-        except ValueError as exc:
-            raise ConfigError(f"CROSSPOSE_WORKERS={env!r} is invalid: {exc}") from exc
-    workers = args.workers
-    if workers is None:
-        workers = 1 if env is None else int(env)
-    if workers < 1:
+    """The run's ``--workers``, checked with ``--seed`` before any file is
+    read or directory made."""
+    if args.workers < 1:
         raise ConfigError("workers must be at least 1")
     if args.seed < 0:
         raise ConfigError("seed must be non-negative")
-    return workers
+    return args.workers
 
 
 def _add_common(parser, *, with_out_dir: bool):
     parser.add_argument("--pairs", required=True, help="pairs manifest JSON")
     if with_out_dir:
         parser.add_argument("--out-dir", dest="out_dir", required=True, help="output directory")
-    parser.add_argument("--workers", type=int, help="parallel workers")
+    parser.add_argument("--workers", type=int, default=1, help="parallel workers")
     parser.add_argument("--seed", type=int, default=0, help="master seed")
 
 
@@ -513,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pairs", type=int, default=4, help="number of scene pairs")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--image-size", type=int, default=96)
-    p.add_argument("--focal", type=float, default=500.0,
-                   help="focal length in pixels (narrow FOV keeps pixel rays tight)")
     p.add_argument("--model-kind", default="blob",
                    choices=["blob", "sphere", "box", "cylinder"])
     p.add_argument("--model-points", type=int, default=6000)
@@ -522,12 +521,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="shape scale (radius / Gaussian scale)")
     p.add_argument("--cyclic-order", type=int, default=1,
                    help="declared rotational symmetry order")
-    p.add_argument("--feature-dim", type=int, default=32)
     p.add_argument("--noise", type=float, default=0.0)
     p.add_argument("--outlier-fraction", type=float, default=0.0)
-    p.add_argument("--background-depth", type=float, default=0.8)
-    p.add_argument("--max-view-angle", type=float, default=35.0,
-                   help="largest relative rotation between views (degrees)")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("gen-matches", help="generate ground-truth matches")

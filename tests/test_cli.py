@@ -150,19 +150,12 @@ class TestSynth:
         "flag, value",
         [
             ("--image-size", "0"),
-            ("--focal", "0"),
             ("--cyclic-order", "0"),
             ("--model-points", "1"),
-            ("--feature-dim", "1"),
             ("--noise", "-1"),
             ("--noise", "nan"),
             ("--outlier-fraction", "2"),
             ("--pairs", "0"),
-            ("--max-view-angle", "5"),
-            ("--max-view-angle", "nan"),
-            ("--background-depth", "-1"),
-            ("--background-depth", "nan"),
-            ("--background-depth", "70"),
             ("--model-size", "0"),
         ],
     )
@@ -172,6 +165,37 @@ class TestSynth:
         assert main(argv + [flag, value]) == 2
         assert not out.exists()
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--focal", "500"),
+            ("--feature-dim", "32"),
+            ("--background-depth", "0.8"),
+            ("--max-view-angle", "35"),
+        ],
+    )
+    def test_removed_flag_is_a_usage_error(self, flag, value, tmp_path, capsys):
+        # The camera, descriptor size, background and view angles are fixed.
+        out = tmp_path / "data"
+        argv = ["synth", "--out", str(out), "--image-size", "32", "--model-points", "200"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rerun_removes_temp_files_a_killed_writer_left(self, tmp_path):
+        argv = ["synth", "--pairs", "2", "--image-size", "32", "--model-points", "200"]
+        rerun, fresh = tmp_path / "rerun", tmp_path / "fresh"
+        assert main(argv + ["--out", str(rerun)]) == 0
+        # The names io._replacing gives the temp files of the manifest and of
+        # a depth map; a SIGKILL during the write leaves them behind.
+        for name in (".pairs.json.1-1.tmp", "pairs/pair_0001/.depth_query.pgm.1-1.tmp"):
+            (rerun / name).write_text("partial")
+        assert main(argv + ["--out", str(rerun)]) == 0
+        assert main(argv + ["--out", str(fresh)]) == 0
+        assert _tree_digest(rerun) == _tree_digest(fresh)
 
     def test_out_that_is_a_file_exits_2(self, tmp_path):
         out = tmp_path / "out"
@@ -960,16 +984,24 @@ class TestLosses:
 
 
 class TestConfigLayer:
-    def test_precedence_flag_env_builtin(self, monkeypatch):
-        def workers(*flags):
-            argv = ["gen-matches", "--pairs", "p", "--out-dir", "o", *flags]
-            return _workers(build_parser().parse_args(argv))
+    def test_workers_default_to_one(self):
+        args = build_parser().parse_args(["gen-matches", "--pairs", "p", "--out-dir", "o"])
+        assert args.workers == 1
+        assert _workers(args) == 1
 
-        monkeypatch.delenv("CROSSPOSE_WORKERS", raising=False)
-        assert workers() == 1
-        monkeypatch.setenv("CROSSPOSE_WORKERS", "2")
-        assert workers() == 2
-        assert workers("--workers", "8") == 8
+    @pytest.mark.parametrize("stage", ["gen-matches", "register"])
+    def test_pair_id_naming_the_report_exits_2(self, stage, dataset_small, tmp_path, capsys):
+        # Pair "summary" would write summary.json, the file the report takes.
+        manifest = io.read_json(dataset_small / "pairs.json")
+        manifest["pairs"][1]["id"] = "summary"
+        pairs = dataset_small / "pairs_summary.json"
+        io.write_json(pairs, manifest)
+        out = tmp_path / "out"
+        assert main([stage, "--pairs", str(pairs), "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: pair id 'summary' names the stage report summary.json\n"
+        )
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "command, argv",
@@ -1067,40 +1099,16 @@ class TestConfigLayer:
             with pytest.raises(ValueError):
                 derive_seed(0, stream)
 
-    def test_invalid_worker_env_is_config_error(self, dataset, tmp_path, monkeypatch):
-        monkeypatch.setenv("CROSSPOSE_WORKERS", "abc")
-        rc = main([
-            "gen-matches", "--pairs", str(dataset / "pairs.json"),
-            "--out-dir", str(tmp_path / "out"),
-        ])
-        assert rc == 2
-
-    def test_invalid_worker_env_exits_2_under_flag(
-        self, dataset_small, tmp_path, monkeypatch, capsys
-    ):
-        # Every layer is checked, even where a higher one overrides it,
-        # and the message names the variable that holds the bad value.
-        monkeypatch.setenv("CROSSPOSE_WORKERS", "0")
-        out = tmp_path / "out"
-        assert main([
-            "gen-matches", "--pairs", str(dataset_small / "pairs.json"),
-            "--workers", "2", "--out-dir", str(out),
-        ]) == 2
-        assert not out.exists()
-        err = capsys.readouterr().err
-        assert "CROSSPOSE_WORKERS='0'" in err
-        assert "workers must be at least 1" in err
-
     @pytest.mark.parametrize("stage", ["gen-matches", "register", "eval", "losses"])
     def test_worker_count_does_not_change_results(
-        self, stage, dataset_small, small_matches, tmp_path, monkeypatch
+        self, stage, dataset_small, small_matches, tmp_path
     ):
         preds = tmp_path / "preds"
         _write_gt_predictions(dataset_small, preds)
 
-        def run(name):
+        def run(name, *flags):
             out = tmp_path / name
-            argv = [stage, "--pairs", str(dataset_small / "pairs.json")]
+            argv = [stage, "--pairs", str(dataset_small / "pairs.json"), *flags]
             if stage in ("gen-matches", "register"):
                 argv += ["--out-dir", str(out)]
             else:
@@ -1113,9 +1121,7 @@ class TestConfigLayer:
             assert main(argv) == 0
             return _tree_digest(out)
 
-        serial = run("serial")
-        monkeypatch.setenv("CROSSPOSE_WORKERS", "4")
-        assert run("parallel") == serial
+        assert run("parallel", "--workers", "4") == run("serial")
 
     def test_load_pairs_validations(self, tmp_path):
         manifest = tmp_path / "pairs.json"
