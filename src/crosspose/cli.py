@@ -81,14 +81,16 @@ def _make_dir(path: Path) -> None:
 
 
 def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
-               pair_files: bool = False) -> int:
+               pair_files: bool = False, inputs: Path | None = None) -> int:
     """Run ``work`` on every pair of the manifest, write ``report`` and
     return the exit code: 1 when any pair failed, else 0.
 
     The manifest loads before the report's directory is made, so a
-    configuration error leaves no directory behind. With ``pair_files``
-    the stage writes ``<pair_id>.json`` beside the report (a pair whose
-    file would be the report is a ConfigError), and each
+    configuration error leaves no directory behind. A report that would
+    replace the manifest, or the ``<pair_id>.json`` of a pair in the
+    directory ``inputs`` the stage reads, is a ConfigError. With
+    ``pair_files`` the stage writes ``<pair_id>.json`` beside the report
+    (a pair whose file would be the report is a ConfigError), and each
     pair's file is deleted before its work runs, so a failed or rejected
     pair leaves none; temp files a killed writer left for those files or
     the report are deleted first. An exception raised by ``work`` fails
@@ -98,8 +100,18 @@ def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
     the report's payload and the stdout lines.
     """
     pairs = load_pairs(pairs_file)
-    if pair_files and report.stem in {p.pair_id for p in pairs}:
+    ids = {p.pair_id for p in pairs}
+    if pair_files and report.stem in ids:
         raise ConfigError(f"pair id {report.stem!r} names the stage report {report.name}")
+    read = [Path(pairs_file)]
+    if inputs is not None:
+        read += [inputs / f"{pid}.json" for pid in ids if f"{pid}.json" == report.name]
+    # Writing the report replaces the directory entry it names (a symlink
+    # there, not its target); a read follows every symlink.
+    target = report.parent.resolve() / report.name
+    for path in read:
+        if target in (path.parent.resolve() / path.name, path.resolve()):
+            raise ConfigError(f"the report {report} would replace {path}, which the stage reads")
     out_dir = report.parent
     _make_dir(out_dir)
     io.remove_temp_files(
@@ -413,7 +425,7 @@ def cmd_eval(args) -> int:
             )
         return payload, lines
 
-    return _run_stage(args.pairs, workers, work, summarize, report)
+    return _run_stage(args.pairs, workers, work, summarize, report, inputs=pred_dir)
 
 
 # --------------------------------------------------------------- losses --
@@ -478,7 +490,7 @@ def cmd_losses(args) -> int:
         ]
         return payload, lines
 
-    return _run_stage(args.pairs, workers, work, summarize, report)
+    return _run_stage(args.pairs, workers, work, summarize, report, inputs=matches_dir)
 
 
 # ---------------------------------------------------------------- main --

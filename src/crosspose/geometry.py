@@ -149,8 +149,8 @@ class CameraIntrinsics:
             raise ValueError("principal point must lie inside the image")
 
 
-def as_depth(depth, intrinsics: CameraIntrinsics | None = None) -> np.ndarray:
-    """Validate a depth map: 2D, finite, non-negative, meters."""
+def as_depth(depth, intrinsics: CameraIntrinsics) -> np.ndarray:
+    """Validate a depth map of the camera's size: finite, non-negative, meters."""
     arr = np.asarray(depth, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"depth must be 2D, got shape {arr.shape}")
@@ -158,7 +158,7 @@ def as_depth(depth, intrinsics: CameraIntrinsics | None = None) -> np.ndarray:
         raise ValueError("depth contains non-finite values")
     if np.any(arr < 0):
         raise ValueError("depth contains negative values")
-    if intrinsics is not None and arr.shape != (intrinsics.height, intrinsics.width):
+    if arr.shape != (intrinsics.height, intrinsics.width):
         raise ValueError(
             f"depth shape {arr.shape} does not match intrinsics "
             f"({intrinsics.height}, {intrinsics.width})"
@@ -435,9 +435,8 @@ def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.nd
     within ``radius``.
 
     A query with no reference point at distance ``<= radius`` gets ``inf``
-    and index -1. Each distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, the
-    float ``nearest_neighbors`` returns, and among exact ties the lowest
-    reference index wins.
+    and index -1. Each distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, and
+    among exact ties the lowest reference index wins.
 
     The reference points are sorted into cells of edge a little over
     ``radius`` (``_cell_grid``), so every point within the radius of a
@@ -535,32 +534,6 @@ def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.nd
     dist[qorder] = best
     idx[qorder] = np.where(best <= radius, nearest, -1)
     return dist, idx
-
-
-def nearest_neighbors(reference, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Distance to, and index of, each query's nearest reference point.
-
-    A kd-tree returns exact distances; the exact ties are re-ranked, all
-    in one pass, so the lowest reference index always wins. Only ADD-S
-    needs a nearest point at any distance, so scipy loads only here.
-    """
-    from scipy.spatial import cKDTree
-
-    tree = cKDTree(reference)
-    dist, idx = tree.query(queries, k=2)  # with one reference point, nothing ties
-    best_idx = idx[:, 0].copy()
-    tied = np.nonzero(dist[:, 1] == dist[:, 0])[0]
-    q = queries[tied]
-    # A ball of exactly the tied radius can miss a tied point through
-    # rounding, so the k nearest cover a slightly larger ball of every
-    # tied query; their distances are then recomputed and ranked exactly.
-    k = tree.query_ball_point(q, dist[tied, 0] * (1 + 1e-9), return_length=True).max(initial=2)
-    _, candidates = tree.query(q, k=k)
-    d = tree.data[candidates] - q[:, None, :]
-    cand_dist = np.sqrt(np.sum(d * d, axis=-1))
-    at_min = cand_dist == cand_dist.min(axis=1, keepdims=True)
-    best_idx[tied] = np.where(at_min, candidates, len(tree.data)).min(axis=1)
-    return dist[:, 0], best_idx
 
 
 @dataclass(frozen=True)

@@ -82,7 +82,7 @@ class FeatureSet:
     @cached_property
     def unit(self) -> np.ndarray:
         """The features scaled to unit length, computed on first use only;
-        raises ZeroVector on a (near-)zero feature."""
+        raises as :func:`matcher.row_norms` does."""
         return unit_rows(self.features, "sampled features")
 
 

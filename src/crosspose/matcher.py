@@ -103,7 +103,9 @@ def row_norms(vectors: np.ndarray, what: str) -> np.ndarray:
     exists.
 
     Raises ZeroVector, naming ``what``, when any vector's norm is below
-    ``ZERO_NORM_TOL``, where the cosine distance is undefined.
+    ``ZERO_NORM_TOL``, where the cosine distance is undefined, and
+    ValueError when a norm is not finite, as when values above about
+    1e154 square to infinity: dividing by it would give zero vectors.
     """
     rows = vectors.reshape(-1, vectors.shape[-1])
     norms = np.empty(len(rows), dtype=rows.dtype)
@@ -113,6 +115,8 @@ def row_norms(vectors: np.ndarray, what: str) -> np.ndarray:
     np.sqrt(norms, out=norms)
     if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVector(f"{what} contain (near-)zero feature vectors")
+    if not np.all(np.isfinite(norms)):
+        raise ValueError(f"{what} contain feature vectors of non-finite norm")
     return norms.reshape(vectors.shape[:-1])
 
 

@@ -45,9 +45,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import BehindCamera, DimensionMismatch, EmptyRender
-from .geometry import (
-    CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, nearest_neighbors, project,
-)
+from .geometry import CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, project
 from .render import splat_depth, visibility
 
 # 0.05, 0.10, ..., 0.50: the standard threshold sweep.
@@ -114,12 +112,14 @@ def add_error(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> float:
     """Mean displacement (ADD), or mean closest-point distance (ADD-S).
 
     ADD-S scores exactly the models that declare a non-identity symmetry.
+    It alone needs a nearest point at any distance, so scipy loads only here.
     """
     est = pose_est.apply(model.points)
     ref = pose_true.apply(model.points)
     if model.is_symmetric:
-        dist, _ = nearest_neighbors(ref, est)
-        return float(np.mean(dist))
+        from scipy.spatial import cKDTree
+
+        return float(np.mean(cKDTree(ref).query(est)[0]))
     return float(np.mean(np.linalg.norm(est - ref, axis=1)))
 
 

@@ -154,6 +154,7 @@ class TestSynth:
             ("--model-points", "1"),
             ("--noise", "-1"),
             ("--noise", "nan"),
+            ("--noise", "1e160"),
             ("--outlier-fraction", "2"),
             ("--pairs", "0"),
             ("--model-size", "0"),
@@ -1002,6 +1003,32 @@ class TestConfigLayer:
             "error: pair id 'summary' names the stage report summary.json\n"
         )
         assert not out.exists()
+
+    @pytest.mark.parametrize("stage, flag", [("eval", "--predictions"), ("losses", "--matches")])
+    @pytest.mark.parametrize("target", ["input", "input_via_link", "manifest"])
+    def test_report_replacing_a_file_it_reads_exits_2(
+        self, stage, flag, target, dataset_small, small_matches, tmp_path, capsys
+    ):
+        # A rerun would read the report in place of the prediction, the
+        # match file or the manifest it replaced.
+        inputs = tmp_path / "inputs"
+        if stage == "eval":
+            _write_gt_predictions(dataset_small, inputs)
+        else:
+            shutil.copytree(small_matches, inputs)
+        (tmp_path / "link").symlink_to(inputs)
+        manifest = dataset_small / f"pairs_{stage}_{target}.json"
+        shutil.copy(dataset_small / "pairs.json", manifest)
+        out = {
+            "input": inputs / "pair_0000.json",
+            "input_via_link": tmp_path / "link" / "pair_0000.json",
+            "manifest": manifest,
+        }[target]
+        before = out.read_bytes()
+        argv = [stage, "--pairs", str(manifest), flag, str(inputs), "--out", str(out)]
+        assert main(argv) == 2
+        assert out.read_bytes() == before
+        assert capsys.readouterr().err.endswith(", which the stage reads\n")
 
     @pytest.mark.parametrize(
         "command, argv",

@@ -12,6 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from crosspose import (
     CameraIntrinsics,
@@ -646,11 +647,11 @@ class TestNearestWithin:
         assert np.array_equal(idx[:500], np.arange(500))
         assert np.all(idx[500:] == -1)
 
-    def test_agrees_with_nearest_neighbors_within_the_radius(self, rng):
+    def test_agrees_with_a_kd_tree_within_the_radius(self, rng):
         ref = make_model("blob", n_points=2000, size=0.08, seed=4).points
         queries = ref + rng.normal(size=ref.shape) * 1e-3
         dist, idx = nearest_within(ref, queries, 0.002)
-        kd_dist, kd_idx = geometry.nearest_neighbors(ref, queries)
+        kd_dist, kd_idx = cKDTree(ref).query(queries)
         keep = kd_dist <= 0.002
         assert np.array_equal(dist <= 0.002, keep)
         assert np.array_equal(dist[keep], kd_dist[keep])
@@ -741,10 +742,10 @@ def _scipy_imports():
     return found
 
 
-def test_scipy_is_imported_only_inside_nearest_neighbors():
+def test_scipy_is_imported_only_inside_add_error():
     # Only ADD-S of symmetric models needs a nearest point at any distance;
     # every other stage runs without loading scipy.
-    assert _scipy_imports() == {("geometry.py", "nearest_neighbors")}
+    assert _scipy_imports() == {("metrics.py", "add_error")}
 
 
 def test_cli_and_five_stages_leave_scipy_unloaded(tmp_path):

@@ -280,6 +280,14 @@ class TestPositiveLoss:
         with pytest.raises(ZeroVector):
             positive_loss(anchor, query)
 
+    def test_feature_of_overflowing_norm_rejected(self):
+        # 1e200 squares to inf: dividing by that norm would score a zero vector.
+        anchor = FeatureSet(features=[[1e200, 1.0]], coords=[[0.0, 0.0]])
+        query = FeatureSet(features=[[1.0, 0.0]], coords=[[0.0, 0.0]])
+        for loss in (positive_loss, hardest_negative_loss):
+            with pytest.raises(ValueError, match="non-finite norm"):
+                loss(anchor, query)
+
 
 # ---------------------------------------------------------------------------
 # hardest_negative_indices

@@ -155,6 +155,15 @@ class TestFeatureDistance:
         with pytest.raises(ZeroVector, match="probe rows"):
             row_norms(vectors, "probe rows")
 
+    def test_row_norms_reject_a_non_finite_norm(self, rng):
+        # Squares above about 1e308 overflow to inf; the rows themselves are finite.
+        vectors = rng.normal(size=(2 * _CHUNK + 3, 4))
+        vectors[_CHUNK + 1] *= 1e160
+        with pytest.raises(ValueError, match="probe rows contain .* non-finite norm"):
+            row_norms(vectors, "probe rows")
+        with pytest.raises(ValueError, match="probe rows"):
+            unit_rows(vectors, "probe rows")
+
     def test_array_input_costs_one_array(self, rng):
         # Similarities beyond [-1, 1] exercise the clip on both sides.
         cos = rng.uniform(-1.2, 1.2, size=(500, 500))

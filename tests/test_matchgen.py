@@ -15,7 +15,6 @@ from crosspose import (
     render_scene,
     unproject,
 )
-from crosspose.geometry import nearest_neighbors
 from crosspose.matchgen import MIN_MATCHES
 
 # ---------------------------------------------------------------------------
@@ -224,34 +223,3 @@ class TestGtPair:
         )
         assert pair.anchor.dtype == np.int64
         assert pair.query.dtype == np.int64
-
-
-class TestNearestNeighbors:
-    @staticmethod
-    def _oracle(ref, points):
-        d = points[:, None, :] - ref[None, :, :]
-        dist = np.sqrt(np.sum(d * d, axis=-1))
-        return dist.min(axis=1), dist.argmin(axis=1)  # argmin: lowest tied index
-
-    def test_exact_ties_take_lowest_index(self):
-        # Every query inside the grid sits at the same distance from the
-        # corners of its cell. In a cloud holding each point twice, every
-        # query ties at distance zero with its own copy.
-        grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1)
-        ref = grid.reshape(-1, 3)
-        cylinder = make_model("cylinder", n_points=600, size=0.03, cyclic_order=4).points
-        doubled = np.concatenate([cylinder, cylinder])
-        for ref, points in ((ref, ref + 0.5), (doubled, doubled)):
-            dist, idx = nearest_neighbors(ref, points)
-            exp_dist, exp_idx = self._oracle(ref, points)
-            np.testing.assert_array_equal(idx, exp_idx)
-            np.testing.assert_array_equal(dist, exp_dist)
-        assert np.array_equal(idx, np.tile(np.arange(len(cylinder)), 2))
-
-    def test_single_reference_point(self, rng):
-        ref = rng.normal(size=(1, 3))
-        points = rng.normal(size=(5, 3))
-        dist, idx = nearest_neighbors(ref, points)
-        exp_dist, exp_idx = self._oracle(ref, points)
-        np.testing.assert_array_equal(idx, exp_idx)
-        np.testing.assert_array_equal(dist, exp_dist)

@@ -330,6 +330,49 @@ class TestAddError:
         exp = _adds_oracle(model, pose_true, pose_est)
         assert got == pytest.approx(exp, rel=1e-12)
 
+    @staticmethod
+    def _adds_brute_force(model, pose_true, pose_est):
+        """The mean nearest distance, from every pair of the points
+        ``add_error`` places, each distance ``sqrt((dx*dx + dy*dy) + dz*dz)``."""
+        est, ref = pose_est.apply(model.points), pose_true.apply(model.points)
+        d = est[:, None, :] - ref[None, :, :]
+        return float(np.mean(np.sqrt(np.sum(d * d, axis=-1)).min(axis=1)))
+
+    def test_adds_on_exact_ties_equals_brute_force_exactly(self, rng):
+        # Every point of a grid shifted by half a step sits at the same
+        # distance from the corners of its cell. In a cloud holding each
+        # point twice, every point ties with its own copy.
+        axis = np.arange(6.0) - 2.5
+        grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), -1).reshape(-1, 3)
+        cube = ObjectModel.from_points(grid, cyclic_symmetries(4))
+        cylinder = make_model("cylinder", n_points=600, size=0.03, cyclic_order=4)
+        doubled = ObjectModel.from_points(
+            np.concatenate([cylinder.points, cylinder.points]), cylinder.symmetries
+        )
+        half_step = Pose(np.eye(3), np.full(3, 0.5))
+        pose = random_se3(rng, translation_scale=0.01)
+        for model, pose_true, pose_est in (
+            (cube, Pose.identity(), half_step),
+            (doubled, pose, pose),
+            (doubled, pose, random_se3(rng, translation_scale=0.01)),
+        ):
+            got = add_error(model, pose_true, pose_est)
+            assert got == self._adds_brute_force(model, pose_true, pose_est)
+        assert add_error(doubled, pose, pose) == 0.0
+        # Every shifted grid point is half a cell diagonal from its nearest.
+        shifted = add_error(cube, Pose.identity(), half_step)
+        assert shifted == pytest.approx(math.sqrt(0.75), rel=1e-12)
+
+    def test_adds_of_a_one_point_model(self, rng):
+        # Five copies of one point on the symmetry axis: a single reference point.
+        model = ObjectModel.from_points(np.tile([0.0, 0.0, 0.02], (5, 1)), cyclic_symmetries(2))
+        pose_true, pose_est = random_se3(rng), random_se3(rng)
+        got = add_error(model, pose_true, pose_est)
+        assert got == self._adds_brute_force(model, pose_true, pose_est)
+        assert got == pytest.approx(
+            np.linalg.norm(pose_est.apply(model.points[:1]) - pose_true.apply(model.points[:1]))
+        )
+
     def test_adds_on_rotated_sphere_is_near_zero(self, rng):
         model = make_model("sphere", n_points=2000, size=0.05, cyclic_order=2, seed=4)
         pose = Pose(np.eye(3), np.zeros(3))

@@ -550,6 +550,15 @@ class TestMakeDescriptorField:
         with pytest.raises(ValueError):
             make_descriptor_field(scene_a, scene_q, outlier_fraction=1.5)
 
+    def test_noise_is_bounded_below_overflow(self, cam96):
+        # Noise near 1e154 squares to inf in the norms; 1e100 stays finite.
+        scene_a, scene_q, _ = _pair_scene(cam96)
+        for field in make_descriptor_field(scene_a, scene_q, dim=8, noise=1e100):
+            assert np.allclose(np.linalg.norm(field, axis=-1), 1.0)
+        for noise in (1e101, 1e160, 1e300):
+            with pytest.raises(ValueError, match="noise"):
+                make_descriptor_field(scene_a, scene_q, dim=8, noise=noise)
+
 
 # ---------------------------------------------------------------------------
 # make_correspondences
