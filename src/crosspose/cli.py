@@ -86,14 +86,15 @@ def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
     return the exit code: 1 when any pair failed, else 0.
 
     The manifest loads before the report's directory is made, so a
-    configuration error leaves no directory behind. A report that would
-    replace the manifest, or the ``<pair_id>.json`` of a pair in the
-    directory ``inputs`` the stage reads, is a ConfigError. With
-    ``pair_files`` the stage writes ``<pair_id>.json`` beside the report
-    (a pair whose file would be the report is a ConfigError), and each
-    pair's file is deleted before its work runs, so a failed or rejected
-    pair leaves none; temp files a killed writer left for those files or
-    the report are deleted first. An exception raised by ``work`` fails
+    configuration error leaves no directory behind. With ``pair_files``
+    the stage writes ``<pair_id>.json`` beside the report (a pair whose
+    file would be the report is a ConfigError). A report or pair file
+    that would replace a file the stage reads is a ConfigError: the
+    manifest, a file it names (the model and its sidecar included), or
+    the ``<pair_id>.json`` of a pair in the directory ``inputs``. A
+    pair's own file is deleted before its work runs, so a failed or
+    rejected pair leaves none; temp files a killed writer left for those
+    files or the report are deleted first. An exception raised by ``work`` fails
     only its pair, printed to stderr as ``ClassName: message``.
     ``summarize(results, errors)`` gets the ``(pair_id, value)`` rows and
     the ``pair_id -> message`` map, both sorted by pair id, and returns
@@ -103,20 +104,28 @@ def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
     ids = {p.pair_id for p in pairs}
     if pair_files and report.stem in ids:
         raise ConfigError(f"pair id {report.stem!r} names the stage report {report.name}")
-    read = [Path(pairs_file)]
-    if inputs is not None:
-        read += [inputs / f"{pid}.json" for pid in ids if f"{pid}.json" == report.name]
-    # Writing the report replaces the directory entry it names (a symlink
-    # there, not its target); a read follows every symlink.
-    target = report.parent.resolve() / report.name
-    for path in read:
-        if target in (path.parent.resolve() / path.name, path.resolve()):
-            raise ConfigError(f"the report {report} would replace {path}, which the stage reads")
     out_dir = report.parent
+    written = {report.name, *(f"{pid}.json" for pid in ids if pair_files)}
+    read = [Path(pairs_file)]
+    for p in pairs:
+        read += [p.model, io.model_sidecar(p.model), p.pred_mask_query,
+                 *vars(p.anchor).values(), *vars(p.query).values()]
+    if inputs is not None:
+        read += [inputs / f"{pid}.json" for pid in sorted(ids)]
+    # Writing a file replaces the directory entry it names (a symlink
+    # there, not its target); a read follows every symlink. Only a path of
+    # a written file's name or a symlink can lead to such an entry.
+    real_out = out_dir.resolve()
+    for path in dict.fromkeys(read):
+        if path is None or (path.name not in written and not path.is_symlink()):
+            continue
+        for hit in (path.parent.resolve() / path.name, path.resolve()):
+            if hit.parent == real_out and hit.name in written:
+                raise ConfigError(
+                    f"writing {out_dir / hit.name} would replace {path}, which the stage reads"
+                )
     _make_dir(out_dir)
-    io.remove_temp_files(
-        out_dir, {report.name, *(f"{p.pair_id}.json" for p in pairs if pair_files)}
-    )
+    io.remove_temp_files(out_dir, written)
 
     def guarded(entry: PairEntry):
         try:
@@ -267,7 +276,7 @@ def cmd_synth(args) -> int:
             model, pose_a, pose_q, camera, background=_BACKGROUND_DEPTH
         )
         feat_seed = int(rng.integers(2**63))
-        feat_a, feat_q = make_descriptor_field(
+        features = make_descriptor_field(
             scene_a,
             scene_q,
             dim=_FEATURE_DIM,
@@ -278,13 +287,16 @@ def cmd_synth(args) -> int:
 
         rel = f"pairs/{pair_id}"
         entry = {"id": pair_id, "model": "models/model.xyz"}
-        views = (("anchor", scene_a, pose_a, feat_a), ("query", scene_q, pose_q, feat_q))
-        for side, scene, pose, feat in views:
-            values = {"depth": scene.depth, "mask": scene.mask, "pose": pose, "features": feat}
+        for side, scene, pose in (("anchor", scene_a, pose_a), ("query", scene_q, pose_q)):
+            # The anchor's grid is written and dropped before the query's is
+            # built (a zip would keep it in its reused result tuple).
+            values = {"depth": scene.depth, "mask": scene.mask, "pose": pose,
+                      "features": next(features)}
             entry[side] = {"camera": "camera.json"}
             for kind, ext, write in _VIEW_FILES:
                 write(pair_dir / f"{kind}_{side}.{ext}", values[kind])
                 entry[side][kind] = f"{rel}/{kind}_{side}.{ext}"
+            del values
         io.write_pose(pair_dir / "rel_pose.json", oracle.relative)
         io.write_matches(pair_dir / "gt_matches.json", oracle)
         entries.append(entry)
@@ -354,6 +366,7 @@ def cmd_register(args) -> int:
             downsample_mask(io.read_mask(a.mask), grid_a),
             downsample_mask(io.read_mask(q.mask), grid_q),
         )
+        del feat_a, feat_q  # the grids are not needed past matching
         lifted = lift_matches(
             matches,
             io.read_depth(a.depth),
@@ -458,6 +471,7 @@ def cmd_losses(args) -> int:
         # The grids stay float32; FeatureSet widens the sampled cells only.
         set_a = FeatureSet(feat_a[va, ua], anchor_px.astype(np.float64))
         set_q = FeatureSet(feat_q[vq, uq], query_px.astype(np.float64))
+        del feat_a, feat_q  # the sets hold copies of the sampled cells
 
         pos = positive_loss(set_a, set_q)
         neg = hardest_negative_loss(set_a, set_q)

@@ -41,6 +41,8 @@ from .geometry import CameraIntrinsics, ObjectModel, Pose
 from .matchgen import GtPair
 
 FEATURE_MAGIC = b"ORYT"
+# Image rows of a feature grid converted to float32 at a time when written.
+_FEATURE_ROWS = 16
 # Largest depth a 16-bit PGM holds, in millimeters (65.535 m).
 DEPTH_MAX_MM = 65535
 # Distinct XYZ texts whose parsed points one process keeps (see read_model);
@@ -307,10 +309,17 @@ def write_features(path, features) -> None:
     if arr.ndim != 3:
         raise ValueError("feature grid must be (H, W, D)")
     h, w, d = arr.shape
+    # The float32 payload is converted and written _FEATURE_ROWS image rows
+    # at a time, through one buffer, so no copy of the grid exists.
+    buf = np.empty((min(_FEATURE_ROWS, h), w, d), dtype="<f4")
     with _replacing(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", h, w, d))
-        fh.write(np.ascontiguousarray(arr, dtype="<f4").tobytes())
+        for top in range(0, h, _FEATURE_ROWS):
+            rows = arr[top : top + _FEATURE_ROWS]
+            block = buf[: len(rows)]
+            block[...] = rows
+            fh.write(block)
 
 
 def read_features(path) -> np.ndarray:
@@ -337,6 +346,12 @@ def read_features(path) -> np.ndarray:
 # --------------------------------------------------------------- models --
 
 
+def model_sidecar(path) -> Path:
+    """The JSON sidecar that holds the diameter and symmetries of the model
+    whose XYZ file is ``path``."""
+    return Path(path).with_suffix(".json")
+
+
 def write_model(path, model: ObjectModel) -> None:
     """Write XYZ text plus the metadata sidecar next to it."""
     path = Path(path)
@@ -344,7 +359,7 @@ def write_model(path, model: ObjectModel) -> None:
     with _replacing(path) as fh:
         fh.write(("\n".join(lines) + "\n").encode())
     write_json(
-        path.with_suffix(".json"),
+        model_sidecar(path),
         {
             "diameter": model.diameter_m,
             "symmetries": [pose_to_dict(s) for s in model.symmetries],
@@ -377,7 +392,7 @@ def read_model(path) -> ObjectModel:
     with _XYZ_MEMO_LOCK:
         points = _parse_xyz(data)
     diameter_m, symmetries = _values(
-        read_json(path.with_suffix(".json")), "model sidecar", ("diameter", "symmetries")
+        read_json(model_sidecar(path)), "model sidecar", ("diameter", "symmetries")
     )
     return ObjectModel(
         points=points,

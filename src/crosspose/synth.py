@@ -23,6 +23,7 @@ symmetry maps the cloud onto itself to float precision.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,6 +45,8 @@ _STREAM_BACKGROUND_A = 1
 _STREAM_BACKGROUND_Q = 2
 _STREAM_NOISE = 3
 _STREAM_OUTLIERS = 4
+# Image rows of noise drawn at a time into one reused buffer.
+_NOISE_ROWS = 8
 
 # Declared symmetries turn about the model's z axis.
 _SYMMETRY_AXIS = (0.0, 0.0, 1.0)
@@ -283,7 +286,7 @@ def make_descriptor_field(
     noise: float = 0.0,
     outlier_fraction: float = 0.0,
     seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> Iterator[np.ndarray]:
     """Unit-descriptor grids keyed by model point identity.
 
     Both grids live at image resolution, so the cell-to-pixel map is the
@@ -293,46 +296,57 @@ def make_descriptor_field(
     points agree exactly. ``noise`` perturbs every cell before
     re-normalization; ``outlier_fraction`` replaces that share of
     query-side object cells with fresh random unit vectors.
+
+    The parameters are checked at the call. The two (H, W, dim) float64
+    grids then come lazily, anchor first: the query's grid is built only
+    when the anchor's is taken, so a caller that drops each grid before
+    taking the next holds one grid at a time. The noise is drawn into
+    one buffer of ``_NOISE_ROWS`` image rows, and each block of rows is
+    perturbed and renormalized in place; the numbers are those of one
+    full draw per grid.
     """
     check_descriptor_params(dim, noise, outlier_fraction)
+    return _descriptor_fields(scene_a, scene_q, dim, noise, outlier_fraction, seed)
+
+
+def _descriptor_fields(scene_a, scene_q, dim, noise, outlier_fraction, seed):
     n = len(scene_a.model.points)
-    desc = unit_rows(
-        np.random.default_rng([seed, _STREAM_POINT_DESC]).normal(size=(n, dim)),
-        "point descriptors",
-    )
+    desc = np.random.default_rng([seed, _STREAM_POINT_DESC]).normal(size=(n, dim))
+    desc /= row_norms(desc, "point descriptors")[:, None]
+    # One noise stream runs through both grids, anchor first.
+    noise_rng = np.random.default_rng([seed, _STREAM_NOISE])
+    yield _view_field(scene_a, desc, [seed, _STREAM_BACKGROUND_A], noise, noise_rng)
 
-    fields = []
-    for scene, stream in (
-        (scene_a, _STREAM_BACKGROUND_A),
-        (scene_q, _STREAM_BACKGROUND_Q),
-    ):
-        h, w = scene.depth.shape
-        field = np.random.default_rng([seed, stream]).normal(size=(h, w, dim))
-        field /= row_norms(field, "background descriptors")[..., None]
-        field[scene.mask] = desc[scene.point_index[scene.mask]]
-        fields.append(field)
-    field_a, field_q = fields
-
-    if noise > 0:
-        # In place, one draw alive at a time: noise * z + field, rounded
-        # as the out-of-place sum rounds it.
-        rng = np.random.default_rng([seed, _STREAM_NOISE])
-        for field in fields:
-            z = rng.normal(size=field.shape)
-            z *= noise
-            field += z
-            del z
-            field /= row_norms(field, "noisy descriptors")[..., None]
-
+    field_q = _view_field(scene_q, desc, [seed, _STREAM_BACKGROUND_Q], noise, noise_rng)
     if outlier_fraction > 0:
         rng = np.random.default_rng([seed, _STREAM_OUTLIERS])
         rows, cols = np.nonzero(scene_q.mask)
         n_out = int(round(outlier_fraction * len(rows)))
         chosen = rng.permutation(len(rows))[:n_out]
         field_q[rows[chosen], cols[chosen]] = unit_rows(
-            rng.normal(size=(n_out, field_q.shape[2])), "outlier descriptors"
+            rng.normal(size=(n_out, dim)), "outlier descriptors"
         )
-    return field_a, field_q
+    yield field_q
+
+
+def _view_field(scene, desc, background_seed, noise, noise_rng) -> np.ndarray:
+    """One view's unit-descriptor grid, perturbed by ``noise`` times the
+    next draws of ``noise_rng``."""
+    h, w = scene.depth.shape
+    field = np.random.default_rng(background_seed).normal(size=(h, w, desc.shape[1]))
+    field /= row_norms(field, "background descriptors")[..., None]
+    field[scene.mask] = desc[scene.point_index[scene.mask]]
+    if noise > 0:
+        # noise * z + field, rounded as the out-of-place sum rounds it.
+        buf = np.empty((min(_NOISE_ROWS, h), *field.shape[1:]))
+        for top in range(0, h, _NOISE_ROWS):
+            block = field[top : top + _NOISE_ROWS]
+            z = buf[: len(block)]
+            noise_rng.standard_normal(out=z)
+            z *= noise
+            block += z
+            block /= row_norms(block, "noisy descriptors")[..., None]
+    return field
 
 
 def make_correspondences(

@@ -1030,6 +1030,59 @@ class TestConfigLayer:
         assert out.read_bytes() == before
         assert capsys.readouterr().err.endswith(", which the stage reads\n")
 
+    @pytest.mark.parametrize("stage, flag", [("eval", "--predictions"), ("losses", "--matches")])
+    @pytest.mark.parametrize("named", [
+        "camera.json",
+        "models/model.xyz",
+        "models/model.json",
+        "pairs/pair_0000/depth_query.pgm",
+        "pairs/pair_0001/mask_anchor.pgm",
+        "pairs/pair_0000/pose_anchor.json",
+        "pairs/pair_0001/features_query.feat",
+        "pred_mask.pgm",
+    ])
+    def test_report_replacing_a_file_the_manifest_names_exits_2(
+        self, stage, flag, named, dataset_small, small_matches, tmp_path, capsys
+    ):
+        # A rerun would read the report in place of the camera, model,
+        # view or predicted mask file it replaced.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        shutil.copy(data / "pairs" / "pair_0000" / "mask_query.pgm", data / "pred_mask.pgm")
+        manifest = io.read_json(data / "pairs.json")
+        manifest["pairs"][0]["pred_mask_query"] = "pred_mask.pgm"
+        io.write_json(data / "pairs.json", manifest)
+        inputs = tmp_path / "inputs"
+        if stage == "eval":
+            _write_gt_predictions(data, inputs)
+        else:
+            shutil.copytree(small_matches, inputs)
+        out = data / named
+        before = out.read_bytes()
+        argv = [stage, "--pairs", str(data / "pairs.json"), flag, str(inputs), "--out", str(out)]
+        assert main(argv) == 2
+        assert out.read_bytes() == before
+        assert capsys.readouterr().err.endswith(", which the stage reads\n")
+
+    @pytest.mark.parametrize("stage", ["gen-matches", "register"])
+    @pytest.mark.parametrize("pair_id", ["camera", "pairs"])
+    def test_pair_file_replacing_a_file_it_reads_exits_2(
+        self, stage, pair_id, dataset_small, tmp_path, capsys
+    ):
+        # The stage deletes and rewrites <out-dir>/<pair_id>.json, here the
+        # camera file or the manifest.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        manifest = io.read_json(data / "pairs.json")
+        manifest["pairs"][0]["id"] = pair_id
+        io.write_json(data / "pairs.json", manifest)
+        named = data / f"{pair_id}.json"
+        before = named.read_bytes()
+        assert main([stage, "--pairs", str(data / "pairs.json"), "--out-dir", str(data)]) == 2
+        assert named.read_bytes() == before
+        assert not (data / "summary.json").exists()
+        assert capsys.readouterr().err.endswith(", which the stage reads\n")
+
     @pytest.mark.parametrize(
         "command, argv",
         [

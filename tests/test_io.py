@@ -413,6 +413,21 @@ class TestFeatureFile:
         assert back.tobytes() == grid.astype("<f4").tobytes()
         back[0, 0, 0] = 0.0  # the caller owns the array
 
+    @pytest.mark.parametrize("height", [1, 15, 16, 17, 96])
+    @pytest.mark.parametrize("layout", ["float64", "float32", "non-contiguous"])
+    def test_blocked_payload_equals_one_conversion(self, rng, tmp_path, height, layout):
+        # Rows go out in blocks; the bytes are those of one float32 copy.
+        grid = rng.normal(size=(height, 7, 5))
+        if layout == "float32":
+            grid = grid.astype(np.float32)
+        elif layout == "non-contiguous":
+            grid = rng.normal(size=(5, height, 7)).transpose(1, 2, 0)[:, ::-1]
+            assert not grid.flags.c_contiguous
+        path = tmp_path / "features.oryt"
+        write_features(path, grid)
+        want = np.ascontiguousarray(grid, dtype="<f4").tobytes()
+        assert path.read_bytes() == b"ORYT" + struct.pack("<III", *grid.shape) + want
+
     def test_header_layout(self, rng, tmp_path):
         grid = rng.normal(size=(3, 4, 2)).astype(np.float32)
         path = tmp_path / "features.oryt"

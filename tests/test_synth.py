@@ -1,6 +1,7 @@
 """Tests for synthetic models, renders, pairs, and descriptor fields."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from crosspose import (
     rotation_about_axis,
     unproject,
 )
-from crosspose.io import read_depth, write_depth
+from crosspose.io import read_depth, write_depth, write_features
 from crosspose.matcher import MAX_MATCHES
 from crosspose.synth import (
     _STREAM_BACKGROUND_A,
@@ -453,9 +454,11 @@ def _descriptor_field_oracle(scene_a, scene_q, dim, noise, outlier_fraction, see
         field = unit(np.random.default_rng([seed, stream]).normal(size=shape))
         field[scene.mask] = desc[scene.point_index[scene.mask]]
         fields.append(field)
-    rng = np.random.default_rng([seed, _STREAM_NOISE])
-    field_a = unit(fields[0] + noise * rng.normal(size=fields[0].shape))
-    field_q = unit(fields[1] + noise * rng.normal(size=fields[1].shape))
+    field_a, field_q = fields
+    if noise > 0:  # noise 0 leaves the fields as built, not renormalized
+        rng = np.random.default_rng([seed, _STREAM_NOISE])
+        field_a = unit(field_a + noise * rng.normal(size=field_a.shape))
+        field_q = unit(field_q + noise * rng.normal(size=field_q.shape))
     rng = np.random.default_rng([seed, _STREAM_OUTLIERS])
     rows, cols = np.nonzero(scene_q.mask)
     chosen = rng.permutation(len(rows))[: int(round(outlier_fraction * len(rows)))]
@@ -464,13 +467,30 @@ def _descriptor_field_oracle(scene_a, scene_q, dim, noise, outlier_fraction, see
 
 
 class TestMakeDescriptorField:
-    @pytest.mark.parametrize("seed", [0, 9])
-    def test_in_place_fields_equal_the_out_of_place_formula(self, cam96, seed):
-        scene_a, scene_q, _ = _pair_scene(cam96)
-        got = make_descriptor_field(
-            scene_a, scene_q, dim=12, noise=0.3, outlier_fraction=0.4, seed=seed
+    @pytest.mark.parametrize(
+        "height, width, noise, outlier_fraction, seed",
+        [
+            pytest.param(96, 96, 0.3, 0.4, 0, id="0"),
+            pytest.param(96, 96, 0.3, 0.4, 9, id="9"),
+            # 37 rows end in a partial block of noise rows.
+            pytest.param(37, 29, 0.3, 0.4, 3, id="37x29"),
+            pytest.param(96, 96, 0.0, 0.4, 5, id="noiseless"),
+            pytest.param(96, 96, 0.3, 1.0, 7, id="all-outliers"),
+        ],
+    )
+    def test_in_place_fields_equal_the_out_of_place_formula(
+        self, height, width, noise, outlier_fraction, seed
+    ):
+        cam = CameraIntrinsics(
+            fx=500.0, fy=500.0, cx=(width - 1) / 2, cy=(height - 1) / 2,
+            width=width, height=height,
         )
-        want = _descriptor_field_oracle(scene_a, scene_q, 12, 0.3, 0.4, seed)
+        scene_a, scene_q, _ = _pair_scene(cam)
+        assert scene_q.mask.any()
+        got = tuple(make_descriptor_field(
+            scene_a, scene_q, dim=12, noise=noise, outlier_fraction=outlier_fraction, seed=seed
+        ))
+        want = _descriptor_field_oracle(scene_a, scene_q, 12, noise, outlier_fraction, seed)
         assert np.array_equal(got[0], want[0])
         assert np.array_equal(got[1], want[1])
 
@@ -535,8 +555,8 @@ class TestMakeDescriptorField:
 
     def test_deterministic_under_seed(self, cam96):
         scene_a, scene_q, _ = _pair_scene(cam96)
-        first = make_descriptor_field(scene_a, scene_q, dim=8, noise=0.05, seed=9)
-        second = make_descriptor_field(scene_a, scene_q, dim=8, noise=0.05, seed=9)
+        first = tuple(make_descriptor_field(scene_a, scene_q, dim=8, noise=0.05, seed=9))
+        second = tuple(make_descriptor_field(scene_a, scene_q, dim=8, noise=0.05, seed=9))
         assert np.array_equal(first[0], second[0])
         assert np.array_equal(first[1], second[1])
 
@@ -558,6 +578,34 @@ class TestMakeDescriptorField:
         for noise in (1e101, 1e160, 1e300):
             with pytest.raises(ValueError, match="noise"):
                 make_descriptor_field(scene_a, scene_q, dim=8, noise=noise)
+
+    def test_one_grid_alive_at_a_time(self, tmp_path):
+        # A caller that writes and drops each grid before taking the next
+        # holds one grid, the descriptor table and small buffers; two grids
+        # and a full noise draw would be three grids.
+        size, dim = 192, 32
+        cam = CameraIntrinsics(
+            fx=500.0, fy=500.0, cx=(size - 1) / 2, cy=(size - 1) / 2, width=size, height=size
+        )
+        model = make_model("blob", n_points=6000, size=0.03, seed=4)
+        pose = Pose(np.eye(3), [0.0, 0.0, 0.55])
+        scene_a, scene_q, _ = make_pair(model, pose, pose, cam, background=0.8)
+        grid_bytes = size * size * dim * 8
+        table_bytes = len(model.points) * dim * 8
+        tracemalloc.start()
+        try:
+            fields = make_descriptor_field(
+                scene_a, scene_q, dim=dim, noise=0.2, outlier_fraction=0.5, seed=3
+            )
+            # Not through zip or enumerate: their reused result tuple keeps
+            # the previous grid alive while the next is built.
+            for field in fields:
+                write_features(tmp_path / "view.feat", field)
+                del field
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * grid_bytes + table_bytes
 
 
 # ---------------------------------------------------------------------------
