@@ -91,7 +91,9 @@ def _run_stage(pairs_file, workers: int, work, summarize, report: Path, *,
     file would be the report is a ConfigError). A report or pair file
     that would replace a file the stage reads is a ConfigError: the
     manifest, a file it names (the model and its sidecar included), or
-    the ``<pair_id>.json`` of a pair in the directory ``inputs``. A
+    the ``<pair_id>.json`` of a pair in the directory ``inputs``. This
+    check is the one place that resolves a path: the manifest's paths
+    arrive as written, so it sees every symlink the manifest names. A
     pair's own file is deleted before its work runs, so a failed or
     rejected pair leaves none; temp files a killed writer left for those
     files or the report are deleted first. An exception raised by ``work`` fails

@@ -10,17 +10,18 @@ stages are deterministic without one, and accept it and ignore it.
 
 A dataset is described by a pairs manifest: JSON with a ``pairs`` list,
 each entry naming a model and the per-view depth/mask/camera/pose
-(optionally feature) files. Paths are resolved relative to the manifest
-file. A listed file need not exist when the manifest loads: a stage
-that reads a missing one fails only that pair. Unknown keys in an entry
-or a view are rejected, so a misspelt optional key fails loudly instead
-of being ignored. A pair id names the pair's output files, so it must
-be a plain file name.
+(optionally feature) files. Each path is joined to the manifest's
+directory as written, an absolute one kept as it is; its symlinks and
+``..`` are left for the file system to follow, so a stage sees the
+symlinks the manifest names. A listed file need not exist when the
+manifest loads: a stage that reads a missing one fails only that pair.
+Unknown keys in an entry or a view are rejected, so a misspelt optional
+key fails loudly instead of being ignored. A pair id names the pair's
+output files, so it must be a plain file name.
 """
 
 from __future__ import annotations
 
-import os
 import zlib
 from dataclasses import MISSING, dataclass, fields
 from pathlib import Path
@@ -80,42 +81,25 @@ def _check_keys(data: dict, allowed: set, what: str) -> None:
         raise ConfigError(f"{what} has unknown keys: {sorted(unknown)}")
 
 
-def _resolver(base: Path):
-    """``(base / value).resolve()`` of a relative path ``value``, which
-    resolves each distinct parent directory once and then only a final
-    component that is a symlink."""
-    dirs = {}
-
-    def resolve(value: str) -> Path:
-        head, name = os.path.split(os.path.join(base, value))
-        if name in ("", ".", "..") or "\0" in value:  # Path.resolve() rejects NUL
-            return (base / value).resolve()
-        parent = dirs.get(head)
-        if parent is None:
-            parent = dirs[head] = str(Path(head).resolve())
-        path = os.path.join(parent, name)
-        return Path(path).resolve() if os.path.islink(path) else Path(path)
-
-    return resolve
-
-
-def _resolve(resolve, value, required: bool, what: str) -> Path | None:
+def _join(base: Path, value, required: bool, what: str) -> Path | None:
     if value is None:
         if required:
             raise ConfigError(f"manifest entry is missing {what}")
         return None
     if not isinstance(value, str):
         raise ConfigError(f"{what} must be a path string, got {value!r}")
-    return resolve(value) if not Path(value).is_absolute() else Path(value)
+    if "\0" in value:
+        raise ConfigError(f"{what} must not hold a NUL byte, got {value!r}")
+    return base / value
 
 
-def _load_view(resolve, data: dict, pair_id: str, side: str) -> ViewPaths:
+def _load_view(base: Path, data: dict, pair_id: str, side: str) -> ViewPaths:
     if not isinstance(data, dict):
         raise ConfigError(f"pair {pair_id}: {side} view must be an object")
     _check_keys(data, _VIEW_KEYS, f"pair {pair_id}: {side} view")
     return ViewPaths(**{
-        f.name: _resolve(
-            resolve, data.get(f.name), f.default is MISSING, f"{pair_id}/{side} {f.name}"
+        f.name: _join(
+            base, data.get(f.name), f.default is MISSING, f"{pair_id}/{side} {f.name}"
         )
         for f in fields(ViewPaths)
     })
@@ -138,7 +122,7 @@ def load_pairs(manifest_path) -> list[PairEntry]:
     if not isinstance(entries, list) or len(entries) == 0:
         raise ConfigError("pairs manifest must contain a non-empty 'pairs' list")
 
-    resolve = _resolver(manifest_path.parent)
+    base = manifest_path.parent
     pairs = []
     for i, entry in enumerate(entries):
         if not isinstance(entry, dict):
@@ -152,11 +136,11 @@ def load_pairs(manifest_path) -> list[PairEntry]:
         pairs.append(
             PairEntry(
                 pair_id=pair_id,
-                model=_resolve(resolve, entry.get("model"), True, f"{pair_id} model"),
-                anchor=_load_view(resolve, entry.get("anchor"), pair_id, "anchor"),
-                query=_load_view(resolve, entry.get("query"), pair_id, "query"),
-                pred_mask_query=_resolve(
-                    resolve, entry.get("pred_mask_query"), False, f"{pair_id} pred query mask"
+                model=_join(base, entry.get("model"), True, f"{pair_id} model"),
+                anchor=_load_view(base, entry.get("anchor"), pair_id, "anchor"),
+                query=_load_view(base, entry.get("query"), pair_id, "query"),
+                pred_mask_query=_join(
+                    base, entry.get("pred_mask_query"), False, f"{pair_id} pred query mask"
                 ),
             )
         )

@@ -9,7 +9,6 @@ import signal
 import subprocess
 import sys
 import time
-from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +27,7 @@ from crosspose import (
 )
 from crosspose.cli import _workers, build_parser, main
 from crosspose.config import derive_seed, load_pairs
-from crosspose import config, geometry, io
+from crosspose import geometry, io
 
 # ---------------------------------------------------------------------------
 # Helpers and fixtures
@@ -1231,6 +1230,19 @@ class TestConfigLayer:
         manifest.write_text(json.dumps({"pairs": [dict(entry, id="../escaped")]}))
         assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
         assert not out.exists()
+        # A NUL byte cannot name a file: the batch stops before any pair runs.
+        entry = {"id": "x", "model": "pairs.json", "anchor": view, "query": view}
+        for bad, what in (
+            ({"model": "models/mo\u0000del.xyz"}, "x model"),
+            ({"anchor": dict(view, depth="d\u0000.pgm")}, "x/anchor depth"),
+        ):
+            manifest.write_text(json.dumps({"pairs": [dict(entry, **bad)]}))
+            with pytest.raises(ConfigError, match=f"^{what} must not hold a NUL byte"):
+                load_pairs(manifest)
+            argv = ["eval", "--pairs", str(manifest), "--predictions", str(tmp_path),
+                    "--out", str(out / "report.json")]
+            assert main(argv) == 2
+            assert not out.exists()
 
     @pytest.mark.parametrize("where", ["entry", "view"])
     def test_load_pairs_rejects_unknown_keys(self, where, dataset_small, tmp_path):
@@ -1252,7 +1264,8 @@ class TestConfigLayer:
 
 
 class TestManifestPaths:
-    """Manifest paths equal ``Path.resolve()``, at one resolve per directory."""
+    """Manifest paths are joined to the manifest's directory as written,
+    so no stage replaces a symlink the manifest names."""
 
     VALUES = (
         "real/file.pgm", "real/./file.pgm", "./real//file.pgm", "real/sub/../file.pgm",
@@ -1271,17 +1284,11 @@ class TestManifestPaths:
         (root / "link").symlink_to(root / "real", target_is_directory=True)
         return root
 
-    def test_equal_to_path_resolve(self, root, monkeypatch):
-        monkeypatch.chdir(root.parent)
-        for base in (root, Path("root"), Path("root/link"), root / "link" / "sub", Path(".")):
-            resolve = config._resolver(base)
-            for value in self.VALUES:
-                assert str(resolve(value)) == str((base / value).resolve()), (base, value)
-
     def test_load_pairs_keeps_every_path(self, root, monkeypatch):
         monkeypatch.chdir(root.parent)
+        absolute = root / "link" / "file.pgm"
         view = {"depth": "real/file.pgm", "mask": "link/link.pgm", "camera": "link/../c.json",
-                "pose": str(root / "link" / "file.pgm")}  # an absolute path stays as written
+                "pose": str(absolute)}
         entries = [
             {"id": f"p{i}", "model": value, "anchor": view, "query": dict(view, depth=value),
              "pred_mask_query": "real/sub/../file.pgm"}
@@ -1291,34 +1298,46 @@ class TestManifestPaths:
         manifest.write_text(json.dumps({"pairs": entries}))
         for path in (manifest, Path("root/link/pairs.json")):
             base = path.parent
-
-            def expected(value):
-                return Path(value) if Path(value).is_absolute() else (base / value).resolve()
-
             for entry, got in zip(entries, load_pairs(path)):
-                assert got.model == expected(entry["model"])
-                assert got.pred_mask_query == expected(entry["pred_mask_query"])
+                assert got.model == base / entry["model"]
+                assert got.pred_mask_query == base / entry["pred_mask_query"]
+                assert got.anchor.pose == absolute  # an absolute path stays as written
                 for side in ("anchor", "query"):
                     for key, value in entry[side].items():
-                        assert getattr(getattr(got, side), key) == expected(value)
+                        assert getattr(getattr(got, side), key) == base / value
 
-    def test_each_directory_is_resolved_once(self, dataset, monkeypatch):
-        resolved = []
-        resolve = Path.resolve
-
-        def counting(self, *args, **kwargs):
-            resolved.append(self)
-            return resolve(self, *args, **kwargs)
-
-        monkeypatch.setattr(Path, "resolve", counting)
-        entries = load_pairs(dataset / "pairs.json")
-        paths = [e.model for e in entries] + [
-            getattr(getattr(e, side), f.name)
-            for e in entries for side in ("anchor", "query") for f in fields(config.ViewPaths)
-        ]
-        # No listed file is a symlink: one resolve per distinct directory.
-        assert len(paths) == 3 * 11
-        assert len(resolved) == len(set(resolved)) == len({p.parent for p in paths}) == 5
+    @pytest.mark.parametrize("stage", ["eval", "losses", "gen-matches", "register"])
+    @pytest.mark.parametrize("named", ["link.json", "alias/camera.json"])
+    def test_symlink_the_manifest_names_is_never_replaced(
+        self, stage, named, dataset_small, small_matches, tmp_path, capsys
+    ):
+        # The report or pair file takes the name of the camera file every
+        # view reads. Writing link.json would replace the symlink, not
+        # camera.json; through the directory alias -> . the path is the
+        # written file's own.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        (data / "link.json").symlink_to("camera.json")
+        (data / "alias").symlink_to(".", target_is_directory=True)
+        written = data / Path(named).name
+        manifest = io.read_json(data / "pairs.json")
+        for entry in manifest["pairs"]:
+            entry["anchor"]["camera"] = entry["query"]["camera"] = named
+        if stage in ("gen-matches", "register"):
+            manifest["pairs"][0]["id"] = written.stem
+            argv = ["--out-dir", str(data)]
+        elif stage == "eval":
+            _write_gt_predictions(data, tmp_path / "inputs")
+            argv = ["--predictions", str(tmp_path / "inputs"), "--out", str(written)]
+        else:
+            argv = ["--matches", str(small_matches), "--out", str(written)]
+        io.write_json(data / "pairs.json", manifest)
+        before = written.read_bytes()
+        assert main([stage, "--pairs", str(data / "pairs.json"), *argv]) == 2
+        assert written.is_symlink() == (named == "link.json")
+        assert written.read_bytes() == before
+        assert not (data / "summary.json").exists()
+        assert capsys.readouterr().err.endswith(", which the stage reads\n")
 
 
 # ---------------------------------------------------------------------------
