@@ -49,7 +49,7 @@ import numpy as np
 from . import io
 from .config import PairEntry, derive_seed, load_pairs, pair_seed
 from .errors import ConfigError, CrossposeError
-from .geometry import CameraIntrinsics, Pose, compose
+from .geometry import CameraIntrinsics, Pose, as_mask, compose
 from .losses import (
     FeatureSet,
     dice_loss,
@@ -360,23 +360,21 @@ def cmd_register(args) -> int:
 
     def work(entry: PairEntry):
         a, q = entry.anchor, entry.query
+        cam_a, cam_q = io.read_intrinsics(a.camera), io.read_intrinsics(q.camera)
         feat_a, feat_q = _read_features(a), _read_features(q)
         grid_a, grid_q = feat_a.shape[:2], feat_q.shape[:2]
+        # Each mask must be its camera's size before it is resampled.
+        mask_a = as_mask(io.read_mask(a.mask), (cam_a.height, cam_a.width))
+        mask_q = as_mask(io.read_mask(q.mask), (cam_q.height, cam_q.width))
         matches = match_features(
             feat_a,
             feat_q,
-            downsample_mask(io.read_mask(a.mask), grid_a),
-            downsample_mask(io.read_mask(q.mask), grid_q),
+            downsample_mask(mask_a, grid_a),
+            downsample_mask(mask_q, grid_q),
         )
         del feat_a, feat_q  # the grids are not needed past matching
         lifted = lift_matches(
-            matches,
-            io.read_depth(a.depth),
-            io.read_depth(q.depth),
-            io.read_intrinsics(a.camera),
-            io.read_intrinsics(q.camera),
-            grid_a,
-            grid_q,
+            matches, io.read_depth(a.depth), io.read_depth(q.depth), cam_a, cam_q, grid_a, grid_q
         )
         result = register_spatial_consistency(lifted, seed=pair_seed(reg_seed, entry.pair_id))
         io.write_json(
@@ -462,17 +460,16 @@ def cmd_losses(args) -> int:
         feat_a, feat_q = _read_features(a), _read_features(q)
         cam_a, cam_q = io.read_intrinsics(a.camera), io.read_intrinsics(q.camera)
         gt = io.read_matches(match_path)
+        # Every match pixel must lie in its image, the thinned-out ones too.
+        ua, va = pixels_to_cells(gt.anchor, feat_a.shape[:2], cam_a)
+        uq, vq = pixels_to_cells(gt.query, feat_q.shape[:2], cam_q)
+        idx = slice(None)
         if len(gt) > args.max_samples:
             # Deterministic thinning: evenly spaced over the scan order.
             idx = np.linspace(0, len(gt) - 1, args.max_samples).astype(np.int64)
-            anchor_px, query_px = gt.anchor[idx], gt.query[idx]
-        else:
-            anchor_px, query_px = gt.anchor, gt.query
-        ua, va = pixels_to_cells(anchor_px, feat_a.shape[:2], cam_a)
-        uq, vq = pixels_to_cells(query_px, feat_q.shape[:2], cam_q)
         # The grids stay float32; FeatureSet widens the sampled cells only.
-        set_a = FeatureSet(feat_a[va, ua], anchor_px.astype(np.float64))
-        set_q = FeatureSet(feat_q[vq, uq], query_px.astype(np.float64))
+        set_a = FeatureSet(feat_a[va[idx], ua[idx]], gt.anchor[idx].astype(np.float64))
+        set_q = FeatureSet(feat_q[vq[idx], uq[idx]], gt.query[idx].astype(np.float64))
         del feat_a, feat_q  # the sets hold copies of the sampled cells
 
         pos = positive_loss(set_a, set_q)

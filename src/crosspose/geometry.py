@@ -274,18 +274,33 @@ def project(points, intrinsics: CameraIntrinsics) -> Projection:
     return Projection(uv=uv, in_front=in_front, in_image=in_image)
 
 
-def _pair_sq(block: np.ndarray, others: np.ndarray) -> np.ndarray:
-    """Squared distances of every ``block`` point to every ``others`` point."""
-    diff = block[:, None, :] - others[None, :, :]
-    return np.sum(diff * diff, axis=-1)
+def sum_sq(components) -> np.ndarray:
+    """Squared lengths of a batch of vectors, from its component arrays.
 
-
-def _far_corner_sq(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Squared distance of each point to the farthest corner of a box.
-
-    No point of the box ``[lo, hi]`` is farther from ``points[i]``.
+    Each component is squared in place and added into the first, which is
+    returned: ``(dx*dx + dy*dy) + dz*dz``, the order of ``np.linalg.norm``,
+    so the root equals that norm bit for bit. Each component is consumed
+    before the next is drawn, so a generator may yield all after the
+    first into one reused buffer.
     """
-    return np.sum(np.maximum((points - lo) ** 2, (points - hi) ** 2), axis=-1)
+    parts = iter(components)
+    acc = next(parts)
+    acc *= acc
+    for part in parts:
+        part *= part
+        acc += part
+    return acc
+
+
+def _pair_sq(block: np.ndarray, others: np.ndarray) -> np.ndarray:
+    """Squared distances of each ``block`` point to each ``others`` point, in ``(3, n)`` rows."""
+    return sum_sq(block[:, :, None] - others[:, None, :])
+
+
+def _far_box_sq(lo_a, hi_a, lo_b, hi_b) -> np.ndarray:
+    """Squared distance of the farthest points of boxes ``[lo_a, hi_a]`` and
+    ``[lo_b, hi_b]`` in ``(3, ...)`` rows; a point is a box with ``lo == hi``."""
+    return sum_sq(np.maximum(np.abs(hi_a - lo_b), np.abs(hi_b - lo_a)))
 
 
 def _cell_grid(points: np.ndarray, edge: float):
@@ -347,60 +362,61 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
 
     Returns the same float as scoring all pairs with ``_pair_sq``:
 
-    1. Farthest-point sweeps from the first point score real pairs and
-       give a lower bound ``best``.
-    2. The occupied cells of a uniform grid (``_diameter_cells``, about
+    1. The occupied cells of a uniform grid (``_diameter_cells``, about
        ``_DIAMETER_CELL_POINTS`` points per cell) split the cloud into
-       spatially coherent blocks with bounding boxes.
+       spatially coherent blocks with bounding boxes. The points, in
+       cell order, are held as ``(3, n)`` coordinate rows.
+    2. Farthest-point sweeps from the first of them score real pairs and
+       give a lower bound ``best``.
     3. For each cell, only the cell itself and the cells after it whose
-       box can reach ``best`` (farthest box-to-box corners) are searched.
-       Their points are kept if their farthest-corner distance to the
-       cell's box can reach ``best``, and the cell's points if theirs to
-       the kept points' box can. Bounds and ``best`` carry a 1e-12
-       relative margin on either side, far above the rounding of either
-       formula, so every pair that can score the maximum survives.
+       box can reach ``best`` (``_far_box_sq``) are searched. Their
+       points are kept if their bound to the cell's box can reach
+       ``best``, and the cell's points if theirs to the kept points' box
+       can. Bounds and ``best`` carry a 1e-12 relative margin on either
+       side, far above the rounding of either formula, so every pair
+       that can score the maximum survives.
     4. Surviving pairs are scored with ``_pair_sq``, at most 2M pair
        entries at a time, so memory stays bounded on any cloud.
 
     The result is the largest ``_pair_sq`` over the surviving pairs, so
     any partition of the cloud gives the same float.
     """
-    n = len(points)
+    perm, _, starts, _ = _diameter_cells(points)
+    order = np.take(points.T, perm, axis=1)  # (3, n) rows: sums run along rows
+    ends = np.append(starts[1:], len(points))
     best, far = 0.0, 0
     for _ in range(_DIAMETER_SWEEPS):
-        sq = _pair_sq(points[far : far + 1], points)[0]
+        sq = _pair_sq(order[:, far : far + 1], order)[0]
         far = int(np.argmax(sq))
         best = max(best, float(sq[far]))
 
-    perm, _, starts, _ = _diameter_cells(points)
-    order = points[perm]
-    ends = np.append(starts[1:], n)
-    lo = np.minimum.reduceat(order, starts, axis=0)
-    hi = np.maximum.reduceat(order, starts, axis=0)
+    lo = np.minimum.reduceat(order, starts, axis=1)
+    hi = np.maximum.reduceat(order, starts, axis=1)
     cell_of = np.repeat(np.arange(len(starts)), ends - starts)
 
     def reaches(bound):
         return bound * (1.0 + _DIAMETER_MARGIN) >= best * (1.0 - _DIAMETER_MARGIN)
 
     for a in range(len(starts)):
-        span = np.maximum(np.abs(hi[a] - lo[a:]), np.abs(hi[a:] - lo[a]))
+        lo_a, hi_a = lo[:, a, None], hi[:, a, None]
         cells = np.zeros(len(starts), dtype=bool)
-        cells[a:] = reaches(np.sum(span * span, axis=-1))
+        cells[a:] = reaches(_far_box_sq(lo_a, hi_a, lo[:, a:], hi[:, a:]))
         if not cells.any():
             continue
-        cand = order[cells[cell_of]]
-        cand = cand[reaches(_far_corner_sq(cand, lo[a], hi[a]))]
-        if len(cand) == 0:
+        cand = order[:, cells[cell_of]]
+        cand = cand[:, reaches(_far_box_sq(lo_a, hi_a, cand, cand))]
+        if cand.shape[1] == 0:
             continue
-        block = order[starts[a] : ends[a]]
-        if np.array_equal(lo[a], hi[a]):
-            block = block[:1]  # a cell of copies of one point
-        block = block[reaches(_far_corner_sq(block, cand.min(axis=0), cand.max(axis=0)))]
-        if len(block) == 0:
+        block = order[:, starts[a] : ends[a]]
+        if np.array_equal(lo_a, hi_a):
+            block = block[:, :1]  # a cell of copies of one point
+        box = cand.min(axis=1, keepdims=True), cand.max(axis=1, keepdims=True)
+        block = block[:, reaches(_far_box_sq(block, block, *box))]
+        if block.shape[1] == 0:
             continue
-        step = max(1, _DIAMETER_PAIR_ENTRIES // len(block))
-        for start in range(0, len(cand), step):
-            best = max(best, float(_pair_sq(block, cand[start : start + step]).max()))
+        step = max(1, _DIAMETER_PAIR_ENTRIES // block.shape[1])
+        for start in range(0, cand.shape[1], step):
+            best = max(best, float(_pair_sq(block, cand[:, start : start + step]).max()))
     return best
 
 
@@ -435,8 +451,8 @@ def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.nd
     within ``radius``.
 
     A query with no reference point at distance ``<= radius`` gets ``inf``
-    and index -1. Each distance is ``sqrt((dx*dx + dy*dy) + dz*dz)``, and
-    among exact ties the lowest reference index wins.
+    and index -1. Each distance is the root of :func:`sum_sq`, and among
+    exact ties the lowest reference index wins.
 
     The reference points are sorted into cells of edge a little over
     ``radius`` (``_cell_grid``), so every point within the radius of a
@@ -457,7 +473,7 @@ def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.nd
     order, keys, starts, (origin, edge, shape) = _cell_grid(
         ref, radius * (1.0 + _RADIUS_MARGIN)
     )
-    rx, ry, rz = np.take(ref.T, order, axis=1)
+    rcols = np.take(ref.T, order, axis=1)
     # Occupied cells with three sentinels past the last, and their bounds.
     cell_keys = np.concatenate([keys[starts], np.full(3, np.iinfo(np.int64).max)])
     bounds = np.concatenate([starts, [len(ref)]])
@@ -475,7 +491,7 @@ def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.nd
     qkey = (ci * ny + cj) * nz + ck
     qorder = np.argsort(qkey)
     qkey = qkey[qorder]
-    qx, qy, qz = np.take(qs.T, qorder, axis=1)
+    qcols = np.take(qs.T, qorder, axis=1)
     # The lowest key of each of the 9 runs of 3 cells around a cell.
     columns = np.array([(di * ny + dj) * nz - 1 for di in (-1, 0, 1) for dj in (-1, 0, 1)])
     # Per query in key order: the nearest distance so far and its index.
@@ -510,18 +526,9 @@ def nearest_within(reference, queries, radius: float) -> tuple[np.ndarray, np.nd
             pos = np.repeat(shift[ra:rb], taken)
             pos += np.arange(e0, e1)
             owner = np.repeat(run_query[ra:rb], taken)
-            dd = rx[pos]
-            dd -= qx[owner]
-            dd *= dd
-            dy = ry[pos]
-            dy -= qy[owner]
-            dy *= dy
-            dd += dy
-            dy = rz[pos]
-            dy -= qz[owner]
-            dy *= dy
-            dd += dy
-            np.sqrt(dd, out=dd)  # sqrt((dx*dx + dy*dy) + dz*dz)
+            diff = np.take(rcols, pos, axis=1)
+            diff -= np.take(qcols, owner, axis=1)
+            dd = np.sqrt(sum_sq(diff))
             near = np.flatnonzero(dd <= radius)
             owner, dd, cand = owner[near], dd[near], order[pos[near]]
             before = best[owner]

@@ -170,8 +170,8 @@ def _values(payload, kind: str, keys) -> list:
 # ----------------------------------------------------------------- PGM --
 
 
-def _read_pgm_header(data: bytes) -> tuple[int, int, int, int]:
-    """Parse a P5 header; returns (width, height, maxval, data offset)."""
+def _read_pgm_header(data: bytes) -> tuple[list[bytes], int]:
+    """Split a P5 header into its width, height and maxval tokens and the data offset."""
     if not data.startswith(b"P5"):
         raise ValueError("not a binary PGM (P5) file")
     values = []
@@ -188,15 +188,21 @@ def _read_pgm_header(data: bytes) -> tuple[int, int, int, int]:
             end = pos
             while end < len(data) and not data[end : end + 1].isspace():
                 end += 1
-            values.append(int(data[pos:end]))
+            values.append(data[pos:end])
             pos = end
-    return values[0], values[1], values[2], pos + 1  # one whitespace after maxval
+    return values, pos + 1  # one whitespace after maxval
 
 
 def _read_pgm(path, maxval: int, dtype, kind: str) -> np.ndarray:
-    """The (H, W) samples of a P5 file whose header must declare ``maxval``."""
+    """The (H, W) samples of a P5 file whose header must declare ``maxval``
+    and a width and height of at least 1, all in ASCII decimal digits."""
     data = Path(path).read_bytes()
-    w, h, got, offset = _read_pgm_header(data)
+    values, offset = _read_pgm_header(data)
+    if not all(v.isdigit() for v in values) or min(int(values[0]), int(values[1])) < 1:
+        shown = b" ".join(values).decode("latin-1")
+        raise ValueError(f"{kind} PGM header must hold decimal values, width and height at "
+                         f"least 1, got {shown!r}")
+    w, h, got = map(int, values)
     if got != maxval:
         raise ValueError(f"{kind} PGM must have maxval {maxval}, got {got}")
     expected = offset + h * w * np.dtype(dtype).itemsize

@@ -8,8 +8,9 @@ Matched features from the two views form index-aligned sets. The
 positive term penalizes matched pairs whose cosine distance exceeds a
 margin. The hardest-negative term works per side: for each sampled
 feature, candidate negatives are features of the same view at least
-``EXCLUSION_RADIUS`` pixels away, and the term penalizes the closest
-such candidate for sitting inside the ``NEGATIVE_MARGIN``. Both sides
+``EXCLUSION_RADIUS`` pixels away (the root of :func:`geometry.sum_sq`
+over ``(du, dv)``), and the term penalizes the closest such candidate
+for sitting inside the ``NEGATIVE_MARGIN``. Both sides
 are averaged with weight 1/(2C) over the C matches. The search holds
 one C x C float64 array, the Gram product of the features (2 MB at
 C = 500, 32 MB at 2000). Most rows are settled from the Gram row alone,
@@ -32,6 +33,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DimensionMismatch, EmptyMatchSet
+from .geometry import sum_sq
 from .matcher import cosine_distance, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -104,15 +106,6 @@ def positive_loss(anchor: FeatureSet, query: FeatureSet) -> float:
     return float(np.mean(np.maximum(dist - POSITIVE_MARGIN, 0.0)))
 
 
-def _separation(du: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """Pixel separation as np.linalg.norm computes it for 2-vectors:
-    ``sqrt(du*du + dv*dv)``, formed in place in ``du``."""
-    du *= du
-    dv *= dv
-    du += dv
-    return np.sqrt(du, out=du)
-
-
 def _row_argmax(gram: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """``np.argmax(gram[rows], axis=1)``, gathering ``_BLOCK`` rows at a time."""
     if len(rows) == len(gram):
@@ -133,7 +126,7 @@ def _blocked_search(gram, u, v, rows, indices, best) -> None:
         block = rows[start : start + _BLOCK]
         own = np.arange(len(block))
         dist = cosine_distance(gram[block])
-        sep = _separation(u[block, None] - u, v[block, None] - v)
+        sep = np.sqrt(sum_sq((u[block, None] - u, v[block, None] - v)))
         dist[sep < EXCLUSION_RADIUS] = np.inf
         dist[own, block] = np.inf
         indices[block] = np.argmin(dist, axis=1)
@@ -182,7 +175,7 @@ def hardest_negative_indices(fset: FeatureSet) -> tuple[np.ndarray, np.ndarray]:
         dropped.append((rows, top, peak))
         runner = _row_argmax(gram, rows)
         dist = cosine_distance(peak)
-        candidate = _separation(u[rows] - u[top], v[rows] - v[top]) >= EXCLUSION_RADIUS
+        candidate = np.sqrt(sum_sq((u[rows] - u[top], v[rows] - v[top]))) >= EXCLUSION_RADIUS
         settled = candidate & (cosine_distance(gram[rows, runner]) > dist)
         indices[rows[settled]] = top[settled]
         best[rows[settled]] = dist[settled]

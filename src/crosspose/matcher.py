@@ -111,7 +111,8 @@ def row_norms(vectors: np.ndarray, what: str) -> np.ndarray:
     norms = np.empty(len(rows), dtype=rows.dtype)
     for start in range(0, len(rows), _CHUNK):
         block = rows[start : start + _CHUNK]
-        np.add.reduce(block * block, axis=-1, out=norms[start : start + _CHUNK])
+        with np.errstate(over="ignore"):  # an infinite norm is rejected below
+            np.add.reduce(block * block, axis=-1, out=norms[start : start + _CHUNK])
     np.sqrt(norms, out=norms)
     if np.any(norms < ZERO_NORM_TOL):
         raise ZeroVector(f"{what} contain (near-)zero feature vectors")
@@ -259,12 +260,17 @@ def pixels_to_cells(pixels: np.ndarray, grid_shape, intrinsics: CameraIntrinsics
     """Map image pixels to the grid cells that contain them.
 
     Returns the ``(u, v)`` cell columns and rows as two integer arrays,
-    ready to index a ``(H, W, D)`` feature grid as ``grid[v, u]``.
+    ready to index a ``(H, W, D)`` feature grid as ``grid[v, u]``. Raises
+    ValueError naming the first pixel outside ``[0, width) x [0, height)``.
     """
     gh, gw = grid_shape
-    u = np.clip(pixels[:, 0] * gw // intrinsics.width, 0, gw - 1)
-    v = np.clip(pixels[:, 1] * gh // intrinsics.height, 0, gh - 1)
-    return u.astype(np.int64), v.astype(np.int64)
+    w, h = intrinsics.width, intrinsics.height
+    u, v = pixels.T
+    outside = np.flatnonzero((u < 0) | (u >= w) | (v < 0) | (v >= h))
+    if len(outside):
+        pu, pv = pixels[outside[0]]
+        raise ValueError(f"pixel ({pu}, {pv}) lies outside the image [0, {w}) x [0, {h})")
+    return (u * gw // w).astype(np.int64), (v * gh // h).astype(np.int64)
 
 
 def lift_matches(

@@ -7,7 +7,8 @@ carries the anchor cloud into the query frame with the relative pose
 nearest query point. Pairs farther apart than ``NN_RADIUS`` (2 mm) are
 discarded; surviving pairs are reported through the source pixels
 recorded at back-projection, so a consumer can re-unproject them and
-reproduce the acceptance distances exactly.
+reproduce the acceptance distances exactly: each is the root of
+:func:`geometry.sum_sq`, as ``np.linalg.norm`` gives it.
 
 Matching is one-directional (anchor to query), so several anchor pixels
 may legitimately share one query pixel on oblique surfaces. A pair is

@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, NoConsensus, TooFewMatches
-from .geometry import Pose, as_rows
+from .geometry import Pose, as_rows, sum_sq
 from .matcher import Correspondences
 
 # Point sets whose second singular value (after centering) falls below
@@ -137,21 +137,16 @@ def kabsch(src, dst) -> Pose:
 
 
 def _distances(p: np.ndarray, start: int, stop: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Distances from points ``p[start:stop]`` to the points ``p[start:]``.
-
-    Summed as ``(dx*dx + dy*dy) + dz*dz`` before the root, the order in
-    which ``np.linalg.norm(..., axis=-1)`` sums, so every entry equals
-    that norm bit for bit. Written into ``out``; ``tmp`` is a work buffer of
-    the same shape.
+    """Distances from points ``p[start:stop]`` to the points ``p[start:]``,
+    the roots of :func:`geometry.sum_sq`. Written into ``out``; ``tmp`` is a
+    work buffer of the same shape that takes the y and z differences.
     """
     block, rest = p[start:stop], p[start:]
-    np.subtract(block[:, 0, None], rest[:, 0], out=out)
-    out *= out
-    for k in (1, 2):
-        np.subtract(block[:, k, None], rest[:, k], out=tmp)
-        tmp *= tmp
-        out += tmp
-    return np.sqrt(out, out=out)
+    sq = sum_sq(
+        np.subtract(block[:, k, None], rest[:, k], out=buf)
+        for k, buf in enumerate((out, tmp, tmp))
+    )
+    return np.sqrt(sq, out=sq)
 
 
 def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
@@ -243,23 +238,17 @@ def _residuals(rot: np.ndarray, t: np.ndarray, src: np.ndarray, dst: np.ndarray)
 
     Row ``h`` depends only on hypothesis ``h``, whatever the batch. The
     rotation sums ``(x-term + z-term) + y-term``, then ``+ t`` and
-    ``- d``; the squares sum in x, y, z order before the root. On x86-64
-    with AVX-512 this is the float order of ``np.einsum("hij,nj->hni")``
-    followed by ``np.linalg.norm``, the engine's earlier form, so pose
-    files kept their bytes; spelling it out here fixes the order in this
-    source instead of in numpy's einsum internals.
+    ``- d``; the squares sum by :func:`geometry.sum_sq`. On x86-64 with
+    AVX-512 this is the float order of the engine's earlier form,
+    ``np.einsum("hij,nj->hni")`` and ``np.linalg.norm``, now fixed here
+    instead of in numpy's einsum internals.
     """
     x, y, z = src.T
-    acc = None
-    for i in range(3):
-        e = rot[:, i, 0, None] * x
-        e += rot[:, i, 2, None] * z
-        e += rot[:, i, 1, None] * y
-        e += t[:, i, None]
-        e -= dst[:, i]
-        e *= e
-        acc = e if acc is None else acc + e
-    return np.sqrt(acc, out=acc)
+    return np.sqrt(sum_sq(
+        rot[:, i, 0, None] * x + rot[:, i, 2, None] * z + rot[:, i, 1, None] * y
+        + t[:, i, None] - dst[:, i]
+        for i in range(3)
+    ))
 
 
 def _squared_residuals(rot: np.ndarray, t: np.ndarray, src_h: np.ndarray, dst_t: np.ndarray) -> np.ndarray:

@@ -520,6 +520,24 @@ class TestRegister:
         assert summary["errors"]["pair_0000"].startswith("ValueError: ")
         assert (out / "pair_0001.json").exists()
 
+    def test_mask_of_another_size_than_its_camera_fails_its_pair(
+        self, dataset_small, tmp_path
+    ):
+        # register resamples the mask to the feature grid, so only the
+        # camera can tell that it is too small; gen-matches fails alike.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        mask = data / "pairs" / "pair_0000" / "mask_anchor.pgm"
+        io.write_mask(mask, io.read_mask(mask)[:32, :32])
+        for stage in ("gen-matches", "register"):
+            out = tmp_path / stage
+            assert main([stage, "--pairs", str(data / "pairs.json"), "--out-dir", str(out)]) == 1
+            errors = io.read_json(out / "summary.json")["errors"]
+            assert errors == {
+                "pair_0000": "ValueError: mask shape (32, 32) does not match expected (64, 64)"
+            }
+            assert not (out / "pair_0000.json").exists()
+
     def test_rerun_deletes_pose_of_pair_that_now_fails(self, dataset_small, tmp_path):
         data = tmp_path / "data"
         shutil.copytree(dataset_small, data)
@@ -921,6 +939,37 @@ class TestLosses:
             "ValueError: anchor pixels must have shape (M, 2)"
         )
 
+    @pytest.mark.parametrize(
+        "side, row, pixel, max_samples",
+        [
+            ("anchor", 0, [500, -7], 500),
+            ("query", 1, [-3, 9999], 500),
+            ("query", 1, [64, 0], 500),
+            # A pixel that thinning would skip fails the pair too.
+            ("anchor", 1, [0, 64], 1),
+        ],
+    )
+    def test_match_pixel_outside_the_image_fails_its_pair(
+        self, dataset_small, small_matches, tmp_path, side, row, pixel, max_samples
+    ):
+        matches = tmp_path / "matches"
+        shutil.copytree(small_matches, matches)
+        payload = io.read_json(matches / "pair_0001.json")
+        payload[side][row] = pixel
+        io.write_json(matches / "pair_0001.json", payload)
+        report_path = tmp_path / "losses.json"
+        assert main([
+            "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--matches", str(matches), "--out", str(report_path),
+            "--max-samples", str(max_samples),
+        ]) == 1
+        report = io.read_json(report_path)
+        assert set(report["pairs"]) == {"pair_0000"}
+        assert report["errors"]["pair_0001"] == (
+            f"ValueError: pixel ({pixel[0]}, {pixel[1]}) lies outside the image "
+            "[0, 64) x [0, 64)"
+        )
+
     def test_unused_view_files_are_not_read(self, dataset_small, small_matches, tmp_path):
         # The losses use features, cameras and the query mask; a pair
         # whose depth maps and pose files are empty scores the same.
@@ -1242,6 +1291,17 @@ class TestConfigLayer:
             argv = ["eval", "--pairs", str(manifest), "--predictions", str(tmp_path),
                     "--out", str(out / "report.json")]
             assert main(argv) == 2
+            assert not out.exists()
+        # Text that is not JSON, a view that is not an object, a repeated id.
+        for text, message in (
+            ("{not json", "pairs manifest is not valid JSON"),
+            (json.dumps({"pairs": [dict(entry, anchor=5)]}), "pair x: anchor view must be an object"),
+            (json.dumps({"pairs": [entry, entry]}), "pair ids must be unique"),
+        ):
+            manifest.write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                load_pairs(manifest)
+            assert main(["gen-matches", "--pairs", str(manifest), "--out-dir", str(out)]) == 2
             assert not out.exists()
 
     @pytest.mark.parametrize("where", ["entry", "view"])

@@ -286,8 +286,33 @@ class TestUnproject:
 
 
 # ---------------------------------------------------------------------------
-# Diameter and object models
+# Distances, diameter and object models
 # ---------------------------------------------------------------------------
+
+
+class TestSumSq:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_root_equals_linalg_norm_bit_for_bit(self, rng, dim):
+        # Rows of one magnitude and rows whose components differ in
+        # magnitude, from 1e-150 to 1e150: the squares stay finite, and
+        # summing them in any other order moves some roots by an ulp.
+        n = 20_000
+        v = np.concatenate([
+            rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-150, 150, size=(n, 1)),
+            rng.normal(size=(n, dim)) * 10.0 ** rng.uniform(-150, 150, size=(n, dim)),
+        ])
+        expected = np.linalg.norm(v, axis=-1)
+        np.testing.assert_array_equal(np.sqrt(geometry.sum_sq(v.T.copy())), expected)
+
+        def one_buffer():
+            # Every component after the first is yielded in one reused buffer.
+            yield v[:, 0].copy()
+            buffer = np.empty(len(v))
+            for component in v.T[1:]:
+                buffer[:] = component
+                yield buffer
+
+        np.testing.assert_array_equal(np.sqrt(geometry.sum_sq(one_buffer())), expected)
 
 
 class TestDiameter:

@@ -1,6 +1,7 @@
 """Tests for the on-disk formats: depth, masks, poses, features, models."""
 
 import json
+import re
 import struct
 import threading
 import time
@@ -214,6 +215,23 @@ class TestMask:
         path = tmp_path / "mask.pgm"
         path.write_bytes(b"P5\n3 1\n255\n\xff\xff")
         with pytest.raises(ValueError, match="mask PGM of 3x1 needs 14 bytes, got 13"):
+            read_mask(path)
+
+    @pytest.mark.parametrize(
+        "header, shown",
+        [
+            # A negative count reads the whole payload through np.frombuffer.
+            (b"P5\n-1 5\n255\n", "-1 5 255"),
+            (b"P5\n0 5\n255\n", "0 5 255"),
+            (b"P5\n5 0\n255\n", "5 0 255"),
+            (b"P5\n+2 5\n255\n", "+2 5 255"),
+            (b"P5\n2 5\n0xff\n", "2 5 0xff"),
+        ],
+    )
+    def test_header_needs_positive_decimal_dimensions(self, tmp_path, header, shown):
+        path = tmp_path / "mask.pgm"
+        path.write_bytes(header + b"\xff" * 10)
+        with pytest.raises(ValueError, match=f"^mask PGM header .* got '{re.escape(shown)}'$"):
             read_mask(path)
 
 

@@ -69,8 +69,9 @@ def _compatibility_dense(src, dst, tolerance):
     return compatible.sum(axis=1).astype(np.float64)
 
 
-def _register_dense(src, dst, iterations, weights, seed):
-    """The engine unchunked: one key draw, one stable sort, all residuals.
+def _seed_dense(src, dst, iterations, weights, seed):
+    """The engine's winning hypothesis, unchunked: one key draw, one stable
+    sort, all residuals. Returns its pose, its inliers and its residuals.
 
     The residual uses the engine's expression rather than an einsum, so
     the comparison does not rest on how a CPU's einsum orders its sums.
@@ -101,8 +102,12 @@ def _register_dense(src, dst, iterations, weights, seed):
     best = int(np.lexsort((mean_res, -counts))[0])
     if counts[best] < 3:
         raise NoConsensus(f"best hypothesis explains only {max(counts[best], 0)} matches")
-    seed_pose = Pose(rot[best], t[best])
-    seed_inliers = np.nonzero(inlier[best])[0]
+    return Pose(rot[best], t[best]), np.nonzero(inlier[best])[0], res[best]
+
+
+def _register_dense(src, dst, iterations, weights, seed):
+    """The engine unchunked: :func:`_seed_dense`, then the refit."""
+    seed_pose, seed_inliers, seed_res = _seed_dense(src, dst, iterations, weights, seed)
     try:
         pose = kabsch(src[seed_inliers], dst[seed_inliers])
     except DegenerateConfiguration:
@@ -110,7 +115,7 @@ def _register_dense(src, dst, iterations, weights, seed):
     final_res = np.linalg.norm(pose.apply(src) - dst, axis=1)
     final_inliers = np.nonzero(final_res <= INLIER_THRESHOLD)[0]
     if len(final_inliers) < 3:
-        pose, final_res, final_inliers = seed_pose, res[best], seed_inliers
+        pose, final_res, final_inliers = seed_pose, seed_res, seed_inliers
     return pose, final_inliers, float(final_res[final_inliers].mean())
 
 
@@ -532,6 +537,58 @@ class TestRegisterRansac:
             except NoConsensus:
                 pass
         assert sc_wins > rs_wins
+
+
+class TestRefitFallbacks:
+    """Where the refit on the seed inliers cannot stand, the result is the
+    seed hypothesis: its pose and its inliers."""
+
+    @pytest.fixture
+    def case(self):
+        """Matches, their weights, and the seed hypothesis of 200 draws at seed 5."""
+        matches, _ = make_correspondences(
+            n_matches=150, outlier_fraction=0.6, noise=0.002, seed=5, extent=0.15
+        )
+        src, dst = matches.anchor_points, matches.query_points
+        weights = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+        return src, dst, weights, _seed_dense(src, dst, 200, weights, 5)
+
+    def _register_with_refit(self, case, monkeypatch, refit):
+        """``_register`` with ``refit`` in place of the Kabsch refit, which
+        must be called once, on the seed inliers."""
+        src, dst, weights, (pose, inliers, _) = case
+        fits = []
+
+        def spy(s, d):
+            fits.append((s, d))
+            return refit(s, d)
+
+        monkeypatch.setattr(registration, "kabsch", spy)
+        got = _register(src, dst, 200, weights, 5)
+        assert len(fits) == 1
+        np.testing.assert_array_equal(fits[0][0], src[inliers])
+        np.testing.assert_array_equal(fits[0][1], dst[inliers])
+        np.testing.assert_array_equal(got.pose.rotation, pose.rotation)
+        np.testing.assert_array_equal(got.pose.translation, pose.translation)
+        np.testing.assert_array_equal(got.inliers, inliers)
+        return got
+
+    def test_degenerate_refit_keeps_the_seed_pose(self, case, monkeypatch):
+        def degenerate(s, d):
+            raise DegenerateConfiguration("forced")
+
+        got = self._register_with_refit(case, monkeypatch, degenerate)
+        # The seed pose passes the final check, whose residuals give the mean.
+        src, dst, _, (pose, inliers, _) = case
+        res = np.linalg.norm(pose.apply(src) - dst, axis=1)
+        assert got.mean_residual == float(res[inliers].mean())
+
+    def test_refit_keeping_under_three_inliers_keeps_the_seed(self, case, monkeypatch):
+        far = Pose(np.eye(3), [10.0, 0.0, 0.0])
+        got = self._register_with_refit(case, monkeypatch, lambda s, d: far)
+        # The seed's own exact residuals give the mean.
+        _, _, _, (_, inliers, res) = case
+        assert got.mean_residual == float(res[inliers].mean())
 
 
 # ---------------------------------------------------------------------------
