@@ -255,19 +255,21 @@ class Projection:
 
 
 def project(points, intrinsics: CameraIntrinsics) -> Projection:
-    """Project camera-frame points to pixel coordinates."""
+    """Project camera-frame points to pixel coordinates.
+
+    Every point is divided once; the rows at or behind the camera
+    (``z <= 0``) are then marked NaN.
+    """
     pts = _as_points(points)
     z = pts[:, 2]
     in_front = z > 0
-    uv = np.full((len(pts), 2), np.nan)
-    zf = z[in_front]
-    u = intrinsics.fx * pts[in_front, 0] / zf + intrinsics.cx
-    v = intrinsics.fy * pts[in_front, 1] / zf + intrinsics.cy
-    uv[in_front, 0] = u
-    uv[in_front, 1] = v
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = intrinsics.fx * pts[:, 0] / z + intrinsics.cx
+        v = intrinsics.fy * pts[:, 1] / z + intrinsics.cy
+    uv = np.stack((u, v), axis=1)
+    uv[~in_front] = np.nan
     # Rounds-to-inside test under the pixel-center convention.
-    in_image = in_front.copy()
-    in_image[in_front] = (
+    in_image = in_front & (
         (u >= -0.5) & (u < intrinsics.width - 0.5)
         & (v >= -0.5) & (v < intrinsics.height - 0.5)
     )
@@ -341,16 +343,26 @@ def _diameter_cells(points: np.ndarray):
     """``_cell_grid`` of the coarsest edge ``extent / 2**level`` that puts at
     most ``_DIAMETER_CELL_POINTS`` points in an occupied cell on average, or
     of the finest edge when copies of points crowd every grid."""
-    extent = float(np.max(points.max(axis=0) - points.min(axis=0)))
+    cols = points.T.copy()  # a C-order copy: reductions run fastest along rows
+    cols -= cols.min(axis=1)[:, None]
+    extent = float(np.max(cols.max(axis=1)))
     if extent == 0.0:
         return _cell_grid(points, 1.0)
     need = len(points) / _DIAMETER_CELL_POINTS
-    coarse, fine = 0, _GRID_CELLS.bit_length() - 1
+    finest = _GRID_CELLS.bit_length() - 1
+    coarse, fine = 0, finest
+    # Edges differ by powers of two, which divide exactly, so a level's cell
+    # coordinates are the finest ones shifted right by the levels between.
+    cols /= extent / 2**finest
+    cells = np.floor(cols, out=cols).astype(np.int64)
     # The cells of one level split those of the level before, so the count
     # of occupied cells only grows with the level: bisect on it.
     while coarse < fine:
         level = (coarse + fine) // 2
-        if len(_cell_grid(points, extent / 2**level)[2]) >= need:
+        i, j, k = cells >> (finest - level)
+        bits = level + 1  # coordinates reach 2**level
+        keys = np.sort((i << 2 * bits | j << bits) | k)
+        if np.count_nonzero(np.diff(keys)) + 1 >= need:
             fine = level
         else:
             coarse = level + 1

@@ -181,7 +181,8 @@ def _read_pgm_header(data: bytes) -> tuple[list[bytes], int]:
             raise ValueError("truncated PGM header")
         ch = data[pos : pos + 1]
         if ch == b"#":
-            pos = data.index(b"\n", pos) + 1
+            end = data.find(b"\n", pos)
+            pos = len(data) if end < 0 else end + 1  # a comment may end the file
         elif ch.isspace():
             pos += 1
         else:

@@ -94,10 +94,8 @@ def mspd_error(
         excluded += int(np.count_nonzero(~valid))
         if not np.any(valid):
             continue
-        err = float(
-            np.linalg.norm(proj_est.uv[valid] - proj_ref.uv[valid], axis=1).max()
-        )
-        best = min(best, err)
+        dist = np.linalg.norm(proj_est.uv - proj_ref.uv, axis=1)
+        best = min(best, float(dist.max(where=valid, initial=-math.inf)))
     if not math.isfinite(best):
         raise BehindCamera("every model point is behind the camera")
     if excluded:

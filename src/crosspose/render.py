@@ -1,10 +1,11 @@
 """Z-buffered point-splat rendering of model point clouds.
 
 Each camera-frame point is splatted onto the pixel whose center is
-nearest to its projection; the smallest depth wins a contested pixel,
-with exact-depth ties resolved by lowest point index so renders are
-deterministic. The result is a depth map (0 where no point lands) plus
-the winning point index per pixel (-1 where none).
+nearest to its projection. A contested pixel keeps the smallest depth,
+then the lowest point index among the points at exactly that depth, so
+renders are deterministic; two scatter-minimum passes find them, one per
+key. The result is a depth map (0 where no point lands) plus the winning
+point index per pixel (-1 where none).
 
 Splat rendering approximates a surface render; its fidelity grows with
 point density, so consumers that compare rendered depth maps should
@@ -24,27 +25,22 @@ def splat_depth(
     """Render camera-frame points. Returns ``(depth, point_index)``."""
     pts = _as_points(points_cam)
     h, w = intrinsics.height, intrinsics.width
-    depth = np.zeros((h, w))
-    index = np.full((h, w), -1, dtype=np.int64)
-
     proj = project(pts, intrinsics)
     visible = np.nonzero(proj.in_image)[0]
     uv = np.rint(proj.uv[visible]).astype(np.int64)
     z = pts[visible, 2]
     lin = uv[:, 1] * w + uv[:, 0]
 
-    # One stable sort resolves both the z-buffer and index tie-breaking:
-    # within a pixel the smallest depth comes first, then lowest index.
-    order = np.lexsort((visible, z, lin))
-    lin_sorted = lin[order]
-    first = np.ones(len(order), dtype=bool)
-    first[1:] = lin_sorted[1:] != lin_sorted[:-1]
-    winners = order[first]
-
-    rows, cols = lin[winners] // w, lin[winners] % w
-    depth[rows, cols] = z[winners]
-    index[rows, cols] = visible[winners]
-    return depth, index
+    # Minima are exact and independent of scatter order.
+    depth = np.full(h * w, np.inf)
+    np.minimum.at(depth, lin, z)
+    at_min = z == depth[lin]
+    index = np.full(h * w, len(pts), dtype=np.int64)
+    np.minimum.at(index, lin[at_min], visible[at_min])
+    empty = index == len(pts)
+    depth[empty] = 0.0
+    index[empty] = -1
+    return depth.reshape(h, w), index.reshape(h, w)
 
 
 def visibility(rendered: np.ndarray, scene: np.ndarray, tolerance: float) -> np.ndarray:

@@ -66,6 +66,10 @@ def _pinhole_oracle(point, k):
     return (k.fx * x / z + k.cx, k.fy * y / z + k.cy)
 
 
+# A 32-pixel camera for contested renders and rows around the camera plane.
+_CAM32 = CameraIntrinsics(fx=40.0, fy=40.0, cx=15.5, cy=15.5, width=32, height=32)
+
+
 # Unit cube centered at (0, 0, 2), fx = fy = 100, cx = cy = 32.
 # Front face (z = 1.5): 32 -/+ 100*0.5/1.5 = 32 -/+ 100/3 -> -4/3 and 196/3.
 # Back face  (z = 2.5): 32 -/+ 100*0.5/2.5 = 32 -/+ 20   -> 12 and 52.
@@ -207,6 +211,26 @@ class TestProject:
         assert not out.in_image[0]
         np.testing.assert_allclose(out.uv[0], [1032.0, 32.0])
 
+    @pytest.mark.filterwarnings("error")
+    def test_rows_around_the_camera_plane(self, rng):
+        # z > 0, z == 0 (with x == 0 too, for 0/0), z == -0.0 and z < 0.
+        pts = rng.uniform(-1.0, 1.0, size=(400, 3))
+        pts[::5, 2] = 0.0
+        pts[::15, :2] = 0.0
+        pts[1::9, 2] = -0.0
+        out = project(pts, _CAM32)
+        front = pts[:, 2] > 0
+        assert front.any() and (~front).any()
+        np.testing.assert_array_equal(out.in_front, front)
+        assert np.isnan(out.uv[~front]).all()
+        for row, point in zip(out.uv[front], pts[front]):
+            assert tuple(row) == _pinhole_oracle(point, _CAM32)
+        u, v = out.uv[front].T
+        in_image = np.zeros(len(pts), dtype=bool)
+        in_image[front] = (u >= -0.5) & (u < 31.5) & (v >= -0.5) & (v < 31.5)
+        assert in_image.any()
+        np.testing.assert_array_equal(out.in_image, in_image)
+
 
 # Inputs with nothing to draw on ``cam64``: no points, all at or behind the
 # camera, all in front but beside the image.
@@ -235,6 +259,64 @@ class TestNothingVisible:
         assert depth.dtype == np.float64 and index.dtype == np.int64
         np.testing.assert_array_equal(depth, np.zeros((64, 64)))
         np.testing.assert_array_equal(index, np.full((64, 64), -1))
+
+
+def _splat_depth_lexsort(points, k):
+    """The z-buffer as one stable three-key sort: within a pixel the smallest
+    depth comes first, then the lowest index."""
+    proj = project(points, k)
+    visible = np.nonzero(proj.in_image)[0]
+    uv = np.rint(proj.uv[visible]).astype(np.int64)
+    z = points[visible, 2]
+    lin = uv[:, 1] * k.width + uv[:, 0]
+    order = np.lexsort((visible, z, lin))
+    lin_sorted = lin[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = lin_sorted[1:] != lin_sorted[:-1]
+    winners = order[first]
+    depth = np.zeros((k.height, k.width))
+    index = np.full((k.height, k.width), -1, dtype=np.int64)
+    depth.ravel()[lin[winners]] = z[winners]
+    index.ravel()[lin[winners]] = visible[winners]
+    return depth, index
+
+
+def _contested_cloud(seed):
+    """2000-6000 points on ``_CAM32``: a crowded 6x6 patch, exact depth ties,
+    copies of points at other indices, points at or behind the camera and
+    points beside the image."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2000, 6001))
+    pix = rng.integers(-4, 36, size=(n, 2)) + rng.uniform(-0.3, 0.3, size=(n, 2))
+    pix[: n // 3] = rng.integers(12, 18, size=(n // 3, 2))  # many points per pixel
+    z = rng.integers(1, 5, size=n) * 0.25  # few depths: many exact ties
+    pts = np.column_stack(((pix - 15.5) * z[:, None] / 40.0, z))
+    copies = rng.integers(0, n, size=n // 10)
+    pts = np.vstack([pts, pts[copies]])[rng.permutation(n + len(copies))]
+    pts[rng.random(len(pts)) < 0.05, 2] *= -1.0
+    pts[rng.random(len(pts)) < 0.02, 2] = 0.0
+    return pts
+
+
+class TestSplatDepthTies:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_equals_the_lexsort_z_buffer(self, seed):
+        pts = _contested_cloud(seed)
+        proj = project(pts, _CAM32)
+        assert (pts[:, 2] <= 0).any() and (proj.in_front & ~proj.in_image).any()
+        assert len(np.unique(pts, axis=0)) < len(pts)
+        visible = np.flatnonzero(proj.in_image)
+        lin = (np.rint(proj.uv[visible]) @ [1, _CAM32.width]).astype(np.int64)
+        assert np.bincount(lin).max() >= 20
+
+        depth, index = splat_depth(pts, _CAM32)
+        want_depth, want_index = _splat_depth_lexsort(pts, _CAM32)
+        assert depth.dtype == np.float64 and index.dtype == np.int64
+        assert depth.tobytes() == want_depth.tobytes()
+        assert index.tobytes() == want_index.tobytes()
+        # Some pixel's winner shares its depth with another point there.
+        tied = (pts[visible, 2] == depth.ravel()[lin]) & (visible != index.ravel()[lin])
+        assert tied.any()
 
 
 class TestUnproject:
@@ -548,6 +630,35 @@ class TestDiameterCells:
             starts = geometry._diameter_cells(pts)[2]
             assert len(pts) / len(starts) <= geometry._DIAMETER_CELL_POINTS
             assert len(pts) / len(starts) > geometry._DIAMETER_CELL_POINTS / 8
+
+    @pytest.mark.parametrize(
+        "cloud",
+        [
+            lambda rng: make_model("blob", n_points=6000, size=0.05, seed=7).points,
+            lambda rng: make_model(
+                "cylinder", n_points=3000, size=0.03, cyclic_order=4, seed=3
+            ).points,
+            lambda rng: np.repeat(rng.normal(size=(5, 3)), 400, axis=0),
+        ],
+        ids=["blob", "cylinder", "repeated"],
+    )
+    def test_level_equals_a_bisection_over_cell_grids(self, cloud, rng):
+        pts = cloud(rng)
+        extent = float(np.max(pts.max(axis=0) - pts.min(axis=0)))
+        need = len(pts) / geometry._DIAMETER_CELL_POINTS
+        coarse, fine = 0, geometry._GRID_CELLS.bit_length() - 1
+        while coarse < fine:
+            level = (coarse + fine) // 2
+            if len(geometry._cell_grid(pts, extent / 2**level)[2]) >= need:
+                fine = level
+            else:
+                coarse = level + 1
+        order, keys, starts, (origin, edge, shape) = geometry._diameter_cells(pts)
+        assert edge == extent / 2**coarse
+        want = geometry._cell_grid(pts, extent / 2**coarse)
+        got = (order, keys, starts, origin, shape)
+        for part, exp in zip(got, (*want[:3], want[3][0], want[3][2])):
+            np.testing.assert_array_equal(part, exp)
 
     def test_large_collinear_cloud_stays_fast(self):
         # 1e5 points on a line: the cells cut it into about 1600 blocks, and

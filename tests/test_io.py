@@ -235,6 +235,14 @@ class TestMask:
             read_mask(path)
 
 
+@pytest.mark.parametrize("reader", [read_mask, read_depth])
+def test_header_ending_inside_a_comment_is_truncated(reader, tmp_path):
+    path = tmp_path / "image.pgm"
+    path.write_bytes(b"P5\n4 4\n# no newline")
+    with pytest.raises(ValueError, match="^truncated PGM header$"):
+        reader(path)
+
+
 # ---------------------------------------------------------------------------
 # Poses and intrinsics
 # ---------------------------------------------------------------------------

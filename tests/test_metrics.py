@@ -27,6 +27,7 @@ from crosspose import (
     mspd_error,
     mssd_error,
     pair_report,
+    project,
     recall_average,
     rotation_about_axis,
     vsd_error_set,
@@ -280,6 +281,22 @@ class TestMspdError:
         with pytest.warns(UserWarning, match="behind-camera"):
             err = mspd_error(model, straddle, straddle, cam64)
         assert err == 0.0
+
+    def test_straddling_model_equals_the_gathered_maximum(self, cam64, rng):
+        model = make_model("cylinder", n_points=300, size=0.5, cyclic_order=4, seed=9)
+        pose_true = Pose(random_se3(rng).rotation, np.array([0.0, 0.0, 0.1]))
+        pose_est = Pose(random_se3(rng).rotation, np.array([0.02, 0.0, 0.12]))
+        proj_est = project(pose_est.apply(model.points), cam64)
+        want, excluded = math.inf, False
+        for sym in model.symmetries:
+            proj_ref = project(pose_true.apply(sym.apply(model.points)), cam64)
+            valid = proj_est.in_front & proj_ref.in_front
+            excluded |= not valid.all()
+            gap = np.linalg.norm(proj_est.uv[valid] - proj_ref.uv[valid], axis=1).max()
+            want = min(want, float(gap))
+        assert excluded
+        with pytest.warns(UserWarning, match="behind-camera"):
+            assert mspd_error(model, pose_true, pose_est, cam64) == want
 
 
 # ---------------------------------------------------------------------------
