@@ -110,7 +110,9 @@ class Pose:
 
     def apply(self, points) -> np.ndarray:
         """Transform a stack of points ``(N, 3)``."""
-        return _as_points(points) @ self.rotation.T + self.translation
+        # A C-order copy of the transpose: the product through the view
+        # takes about three times as long, with the same bits.
+        return _as_points(points) @ self.rotation.T.copy() + self.translation
 
 
 def compose(a: Pose, b: Pose) -> Pose:
@@ -326,6 +328,12 @@ def _cell_grid(points: np.ndarray, edge: float):
     cols -= origin[:, None]
     cols /= edge
     cells = np.floor(cols, out=cols).astype(np.int64)
+    return _sorted_cells(cells, origin, edge)
+
+
+def _sorted_cells(cells: np.ndarray, origin: np.ndarray, edge: float):
+    """The return of ``_cell_grid`` from the points' ``(3, n)`` integer cell
+    coordinates, all ``>= 0``, at edge ``edge`` from ``origin``."""
     shape = cells.max(axis=1) + 7
     i, j, k = cells
     keys = i + 3
@@ -344,7 +352,8 @@ def _diameter_cells(points: np.ndarray):
     most ``_DIAMETER_CELL_POINTS`` points in an occupied cell on average, or
     of the finest edge when copies of points crowd every grid."""
     cols = points.T.copy()  # a C-order copy: reductions run fastest along rows
-    cols -= cols.min(axis=1)[:, None]
+    origin = cols.min(axis=1)
+    cols -= origin[:, None]
     extent = float(np.max(cols.max(axis=1)))
     if extent == 0.0:
         return _cell_grid(points, 1.0)
@@ -366,7 +375,8 @@ def _diameter_cells(points: np.ndarray):
             fine = level
         else:
             coarse = level + 1
-    return _cell_grid(points, extent / 2**coarse)
+    cells >>= finest - coarse
+    return _sorted_cells(cells, origin, extent / 2**coarse)
 
 
 def _max_pairwise_sq(points: np.ndarray) -> float:

@@ -34,6 +34,9 @@ the misalignment tolerance tau at 0.05 to 0.5 of the diameter;
 0.5 of the diameter; ``MSPD_MULTIPLIERS``, 5r to 50r pixels with
 r = width / ``MSPD_BASE_WIDTH``; and ``OCCLUSION_TOLERANCE``, delta =
 15 mm. ADD(-S) counts at ``ADD_FRACTION``, one tenth of the diameter.
+It poses the model once per pose and once per symmetry, and hands those
+read-only clouds to the four errors through their keyword-only ``posed``
+argument; called without it, each error poses the model the same way.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -62,13 +66,39 @@ ADD_FRACTION = 0.1
 SCORES = ("ar", "vsd", "mssd", "mspd", "add", "miou")
 
 
-def mssd_error(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> float:
+class _Posed(NamedTuple):
+    """The model points of one pair under its two poses, all read-only."""
+
+    est: np.ndarray  # pose_est
+    refs: tuple  # pose_true after each declared symmetry, in order
+    true: np.ndarray  # pose_true
+
+
+def _pose_model(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> _Posed:
+    """Pose the model once per pose and once per symmetry."""
+
+    def frozen(points: np.ndarray) -> np.ndarray:
+        points.flags.writeable = False
+        return points
+
+    return _Posed(
+        est=frozen(pose_est.apply(model.points)),
+        refs=tuple(
+            frozen(pose_true.apply(sym.apply(model.points))) for sym in model.symmetries
+        ),
+        true=frozen(pose_true.apply(model.points)),
+    )
+
+
+def mssd_error(
+    model: ObjectModel, pose_true: Pose, pose_est: Pose, *, posed: _Posed | None = None
+) -> float:
     """Worst 3D displacement over corresponding points, min over symmetries."""
-    est = pose_est.apply(model.points)
+    if posed is None:
+        posed = _pose_model(model, pose_true, pose_est)
     best = math.inf
-    for sym in model.symmetries:
-        ref = pose_true.apply(sym.apply(model.points))
-        err = float(np.linalg.norm(est - ref, axis=1).max())
+    for ref in posed.refs:
+        err = float(np.linalg.norm(posed.est - ref, axis=1).max())
         best = min(best, err)
     return best
 
@@ -78,24 +108,30 @@ def mspd_error(
     pose_true: Pose,
     pose_est: Pose,
     intrinsics: CameraIntrinsics,
+    *,
+    posed: _Posed | None = None,
 ) -> float:
     """Worst projected displacement in pixels, min over symmetries.
 
-    Points behind the camera under either pose are excluded (with a
-    warning); if every point of every symmetry is excluded the metric is
-    undefined and BehindCamera is raised.
+    Points behind the camera under either pose are excluded; a warning
+    counts those left out of the symmetry whose error is returned. If
+    every point of every symmetry is excluded the metric is undefined and
+    BehindCamera is raised.
     """
-    proj_est = project(pose_est.apply(model.points), intrinsics)
+    if posed is None:
+        posed = _pose_model(model, pose_true, pose_est)
+    proj_est = project(posed.est, intrinsics)
     best = math.inf
     excluded = 0
-    for sym in model.symmetries:
-        proj_ref = project(pose_true.apply(sym.apply(model.points)), intrinsics)
+    for ref in posed.refs:
+        proj_ref = project(ref, intrinsics)
         valid = proj_est.in_front & proj_ref.in_front
-        excluded += int(np.count_nonzero(~valid))
         if not np.any(valid):
             continue
         dist = np.linalg.norm(proj_est.uv - proj_ref.uv, axis=1)
-        best = min(best, float(dist.max(where=valid, initial=-math.inf)))
+        err = float(dist.max(where=valid, initial=-math.inf))
+        if err < best:
+            best, excluded = err, len(valid) - int(np.count_nonzero(valid))
     if not math.isfinite(best):
         raise BehindCamera("every model point is behind the camera")
     if excluded:
@@ -106,19 +142,21 @@ def mspd_error(
     return best
 
 
-def add_error(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> float:
+def add_error(
+    model: ObjectModel, pose_true: Pose, pose_est: Pose, *, posed: _Posed | None = None
+) -> float:
     """Mean displacement (ADD), or mean closest-point distance (ADD-S).
 
     ADD-S scores exactly the models that declare a non-identity symmetry.
     It alone needs a nearest point at any distance, so scipy loads only here.
     """
-    est = pose_est.apply(model.points)
-    ref = pose_true.apply(model.points)
+    if posed is None:
+        posed = _pose_model(model, pose_true, pose_est)
     if model.is_symmetric:
         from scipy.spatial import cKDTree
 
-        return float(np.mean(cKDTree(ref).query(est)[0]))
-    return float(np.mean(np.linalg.norm(est - ref, axis=1)))
+        return float(np.mean(cKDTree(posed.true).query(posed.est)[0]))
+    return float(np.mean(np.linalg.norm(posed.est - posed.true, axis=1)))
 
 
 @dataclass(frozen=True)
@@ -128,9 +166,11 @@ class AddResult:
     success: bool
 
 
-def add_result(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> AddResult:
+def add_result(
+    model: ObjectModel, pose_true: Pose, pose_est: Pose, *, posed: _Posed | None = None
+) -> AddResult:
     """ADD(-S) error plus the strict diameter-fraction success test."""
-    err = add_error(model, pose_true, pose_est)
+    err = add_error(model, pose_true, pose_est, posed=posed)
     threshold = ADD_FRACTION * model.diameter_m
     return AddResult(error=err, threshold=threshold, success=err < threshold)
 
@@ -142,6 +182,8 @@ def vsd_error_set(
     scene_depth,
     intrinsics: CameraIntrinsics,
     misalignment_tolerances,
+    *,
+    posed: _Posed | None = None,
 ) -> np.ndarray:
     """Visible-surface error at several misalignment tolerances.
 
@@ -149,12 +191,14 @@ def vsd_error_set(
     cheap. Raises EmptyRender when neither pose is visible at all.
     """
     tols = np.asarray(misalignment_tolerances, dtype=np.float64).reshape(-1)
-    if len(tols) == 0 or np.any(tols <= 0):
+    if len(tols) == 0 or not np.all(tols > 0):
         raise ValueError("misalignment tolerances must be non-empty and positive")
     scene = as_depth(scene_depth, intrinsics)
+    if posed is None:
+        posed = _pose_model(model, pose_true, pose_est)
 
-    d_true, _ = splat_depth(pose_true.apply(model.points), intrinsics)
-    d_est, _ = splat_depth(pose_est.apply(model.points), intrinsics)
+    d_true, _ = splat_depth(posed.true, intrinsics)
+    d_est, _ = splat_depth(posed.est, intrinsics)
 
     visib_true = visibility(d_true, scene, OCCLUSION_TOLERANCE)
     visib_est = visibility(d_est, scene, OCCLUSION_TOLERANCE)
@@ -251,14 +295,16 @@ def pair_report(
 
     Scores follow the fixed BOP 2020 protocol of the module constants.
     Mask quality is 1.0 when no predicted mask is supplied, else its
-    :func:`miou` against ``gt_mask``.
+    :func:`miou` against ``gt_mask``. The model is posed once per pose and
+    once per symmetry, and the four errors share those read-only clouds.
     """
     d = model.diameter_m
+    posed = _pose_model(model, pose_true, pose_est)
 
-    e_mssd = mssd_error(model, pose_true, pose_est)
+    e_mssd = mssd_error(model, pose_true, pose_est, posed=posed)
     mssd_score = recall_average([e_mssd], [f * d for f in MSSD_FRACTIONS])
 
-    e_mspd = mspd_error(model, pose_true, pose_est, intrinsics)
+    e_mspd = mspd_error(model, pose_true, pose_est, intrinsics, posed=posed)
     px_unit = intrinsics.width / MSPD_BASE_WIDTH
     mspd_score = recall_average([e_mspd], [m * px_unit for m in MSPD_MULTIPLIERS])
 
@@ -269,12 +315,13 @@ def pair_report(
         scene_depth,
         intrinsics,
         [f * d for f in VSD_TOLERANCE_FRACTIONS],
+        posed=posed,
     )
     vsd_score = math.fsum(
         recall_average([e], VSD_THRESHOLDS) for e in e_vsd
     ) / len(e_vsd)
 
-    add = add_result(model, pose_true, pose_est)
+    add = add_result(model, pose_true, pose_est, posed=posed)
 
     mask_score = 1.0 if pred_mask is None else miou(pred_mask, gt_mask)
 

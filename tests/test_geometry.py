@@ -153,6 +153,14 @@ class TestPose:
         pts = rng.normal(size=(100, 3))
         np.testing.assert_allclose(p.inverse().apply(p.apply(pts)), pts, atol=1e-9)
 
+    @pytest.mark.parametrize("kind", ["sphere", "box", "cylinder", "blob"])
+    def test_apply_equals_the_product_through_the_transpose_bitwise(self, kind, rng):
+        pts = make_model(kind, n_points=3000, seed=5).points
+        for _ in range(50):
+            p = random_se3(rng)
+            want = pts @ p.rotation.T + p.translation
+            assert p.apply(pts).tobytes() == want.tobytes()
+
     def test_rejects_non_orthonormal_rotation(self):
         bad = np.eye(3)
         bad[0, 0] = 1.1
@@ -658,6 +666,20 @@ class TestDiameterCells:
         want = geometry._cell_grid(pts, extent / 2**coarse)
         got = (order, keys, starts, origin, shape)
         for part, exp in zip(got, (*want[:3], want[3][0], want[3][2])):
+            np.testing.assert_array_equal(part, exp)
+
+    @pytest.mark.parametrize(
+        "name", ["sphere", "box", "cylinder", "blob", *sorted(_KERNEL_CLOUDS)]
+    )
+    def test_grid_equals_the_cell_grid_at_its_edge(self, name, rng):
+        if name in _KERNEL_CLOUDS:
+            pts = np.asarray(_KERNEL_CLOUDS[name](rng), dtype=np.float64)
+        else:
+            pts = make_model(name, n_points=1500, seed=3).points
+        order, keys, starts, (origin, edge, shape) = geometry._diameter_cells(pts)
+        want = geometry._cell_grid(pts, edge)
+        got = (order, keys, starts, origin, edge, shape)
+        for part, exp in zip(got, (*want[:3], *want[3])):
             np.testing.assert_array_equal(part, exp)
 
     def test_large_collinear_cloud_stays_fast(self):

@@ -282,6 +282,17 @@ class TestMspdError:
             err = mspd_error(model, straddle, straddle, cam64)
         assert err == 0.0
 
+    def test_warning_counts_the_exclusions_of_the_returned_symmetry(self, cam96):
+        # 152 points lie behind the camera under the estimate, and so are
+        # left out under each of the four symmetries, not 4 * 152 times.
+        model = make_model("cylinder", n_points=400, size=0.03, cyclic_order=4, seed=1)
+        pose_true = Pose(np.eye(3), np.array([0.0, 0.0, 0.5]))
+        pose_est = Pose(np.eye(3), np.array([0.0, 0.0, 0.005]))
+        assert np.count_nonzero(pose_est.apply(model.points)[:, 2] <= 0) == 152
+        with pytest.warns(UserWarning, match=r"excluded 152 behind-camera") as caught:
+            mspd_error(model, pose_true, pose_est, cam96)
+        assert len(caught) == 1
+
     def test_straddling_model_equals_the_gathered_maximum(self, cam64, rng):
         model = make_model("cylinder", n_points=300, size=0.5, cyclic_order=4, seed=9)
         pose_true = Pose(random_se3(rng).rotation, np.array([0.0, 0.0, 0.1]))
@@ -504,6 +515,15 @@ class TestVsdError:
                 np.zeros((64, 64)), _PLATE_CAM, [],
             )
 
+    @pytest.mark.parametrize("tols", [[math.nan], [0.01, math.nan]])
+    def test_rejects_nan_tolerances(self, tols):
+        model = _plate_model(8, 8, _PLATE_CAM)
+        with pytest.raises(ValueError, match="non-empty and positive"):
+            vsd_error_set(
+                model, Pose.identity(), Pose.identity(),
+                np.zeros((64, 64)), _PLATE_CAM, tols,
+            )
+
 
 # ---------------------------------------------------------------------------
 # Recall averaging
@@ -664,6 +684,61 @@ class TestPairReport:
         rep = pair_report(model, pose, pose, scene.depth, cam96)
         assert len(rep.vsd_errors) == len(VSD_TOLERANCE_FRACTIONS)
         assert all(e == 0.0 for e in rep.vsd_errors)
+
+
+def _symmetric_scene(cam):
+    from crosspose import render_scene
+
+    model = make_model("cylinder", n_points=3000, size=0.03, cyclic_order=4, seed=3)
+    pose = Pose(
+        rotation_about_axis(np.array([1.0, 0.2, 0.0]), 0.7),
+        np.array([0.002, 0.001, 0.5]),
+    )
+    return model, pose, render_scene(model, pose, cam, background_depth=0.8)
+
+
+class TestPairReportPosesOnce:
+    """pair_report poses the model once per pose and once per symmetry, and
+    its errors are those of the four public functions called one by one."""
+
+    @pytest.fixture(params=["blob", "cylinder"])
+    def scene(self, request, scene_setup, cam96):
+        if request.param == "blob":
+            return scene_setup
+        return _symmetric_scene(cam96)
+
+    @staticmethod
+    def _estimate(pose):
+        return Pose(
+            rotation_about_axis(np.array([0.2, 1.0, 0.3]), 0.05) @ pose.rotation,
+            pose.translation + np.array([0.001, -0.002, 0.003]),
+        )
+
+    def test_calls_apply_twice_per_symmetry_plus_two(self, scene, cam96, monkeypatch):
+        model, pose, depth_scene = scene
+        calls = []
+        apply = Pose.apply
+
+        def counted(self, points):
+            calls.append(self)
+            return apply(self, points)
+
+        monkeypatch.setattr(Pose, "apply", counted)
+        pair_report(model, pose, self._estimate(pose), depth_scene.depth, cam96)
+        assert len(calls) == 2 * len(model.symmetries) + 2
+
+    def test_errors_equal_the_public_functions_bitwise(self, scene, cam96):
+        model, pose, depth_scene = scene
+        est = self._estimate(pose)
+        rep = pair_report(model, pose, est, depth_scene.depth, cam96)
+        tols = [f * model.diameter_m for f in VSD_TOLERANCE_FRACTIONS]
+        assert rep.mssd_error_m == mssd_error(model, pose, est)
+        assert rep.mspd_error_px == mspd_error(model, pose, est, cam96)
+        assert rep.add_error_m == add_error(model, pose, est)
+        assert rep.add_error_m == add_result(model, pose, est).error
+        vsd = vsd_error_set(model, pose, est, depth_scene.depth, cam96, tols)
+        assert rep.vsd_errors == tuple(float(e) for e in vsd)
+        assert rep.mssd_error_m > 0.0 and rep.add_error_m > 0.0
 
 
 class TestAggregateReports:
