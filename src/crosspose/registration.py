@@ -10,25 +10,28 @@ Two estimators share one hypothesize-and-verify engine:
   the ablation baseline; under contaminated matches its success rate
   trails the scored variant at the same iteration budget.
 
-Each seed triplet yields a closed-form Kabsch pose; the hypothesis with
-the most inliers wins (ties broken by lower mean inlier residual, then
-lower hypothesis index), and the winner is refit on its inliers. The
-inlier threshold and the compatibility tolerance are the module
-constants ``INLIER_THRESHOLD`` and ``COMPATIBILITY_TOLERANCE``; only the
-number of hypotheses, ``RegistrationParams.iterations``, is an argument.
+Each seed triplet yields a closed-form Kabsch pose without an SVD: the
+two centred triangles are planar, so the fit aligns their planes and
+solves a 2 x 2 Procrustes problem (see :func:`_triplet_poses`). The
+hypothesis with the most inliers wins (ties broken by lower mean inlier
+residual, then lower hypothesis index), and the winner is refit on its
+inliers by :func:`kabsch`, which keeps its SVD. The inlier threshold
+and the compatibility tolerance are the module constants
+``INLIER_THRESHOLD`` and ``COMPATIBILITY_TOLERANCE``; only the number of
+hypotheses, ``RegistrationParams.iterations``, is an argument.
 
 Classify, then verify: every decision is the one the exact residuals of
 :func:`_residuals` give, but most entries never need them. One matrix
-product gives every squared residual to within a bound that scales with
-the largest coordinate of the call (see :func:`_bands`). An entry at
-least a margin ``delta`` (100 times that bound, far below the squared
-threshold) inside or outside the threshold is classified from the
-product alone; a row with an entry inside the band is recomputed
-exactly. Among the rows that tie on the most inliers, only those whose
-fast mean residual lies within ``sqrt(delta)`` (plus the summation
-error) of the smallest, or of the running best, get exact residuals and
-the exact mean, so the winner, its mean and its residual row are those
-of the exact engine.
+product, ``[R | t | -I] @ [s; 1; d]``, gives every squared residual to
+within a bound that scales with the largest coordinate of the call (see
+:func:`_bands`). An entry at least a margin ``delta`` (100 times that
+bound, far below the squared threshold) inside or outside the threshold
+is classified from the product alone; a row with an entry inside the
+band is recomputed exactly. Among the rows that tie on the most
+inliers, only those whose fast mean residual lies within ``sqrt(delta)``
+(plus the summation error) of the smallest, or of the running best, get
+exact residuals and the exact mean, so the winner, its mean and its
+residual row are those of the exact engine.
 
 Determinism: hypotheses are scored in fixed chunks of ``_CHUNK`` rows,
 in order, from one generator seeded once. Row ``h`` of the Gumbel key
@@ -206,26 +209,83 @@ def _top3(keys: np.ndarray) -> np.ndarray:
     return top
 
 
+def _dot(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Sums of products over the first axis, of length 3, added as
+    ``(u0 v0 + u1 v1) + u2 v2``."""
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
+
+
+def _cross(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Cross products of ``(3, ...)`` vectors, in the float order of ``np.cross``."""
+    return u[[1, 2, 0]] * v[[2, 0, 1]] - u[[2, 0, 1]] * v[[1, 2, 0]]
+
+
 def _triplet_poses(s3: np.ndarray, d3: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Batched 3-point Kabsch. Returns (R, t, valid)."""
-    cs = s3.mean(axis=1, keepdims=True)
-    cd = d3.mean(axis=1, keepdims=True)
-    s0 = s3 - cs
-    d0 = d3 - cd
+    """The Kabsch pose of every seed triplet, in closed form. Returns
+    ``(R, t, valid)``.
 
-    # Degenerate (collinear) triplets have a vanishing triangle area.
-    area_s = np.linalg.norm(np.cross(s0[:, 1] - s0[:, 0], s0[:, 2] - s0[:, 0]), axis=1)
-    area_d = np.linalg.norm(np.cross(d0[:, 1] - d0[:, 0], d0[:, 2] - d0[:, 0]), axis=1)
-    valid = (area_s > 1e-12) & (area_d > 1e-12)
+    Two centred triangles are planar, so their cross-covariance has rank
+    2 and needs no SVD (Kabsch 1976; Umeyama 1991). Each triangle gets
+    an orthonormal frame: ``a1`` along its first edge, ``a2`` in its
+    plane on the side of its third point, and the normal ``n = a1 x
+    a2``; ``b1``, ``b2`` and ``n_d`` for the destination. With ``x`` and
+    ``y`` the in-plane coordinates of the points, ``M = sum x y^T`` is
+    2 x 2. The in-plane rotation reaches ``|(m00 + m11, m01 - m10)|``
+    and the in-plane reflection ``|(m00 - m11, m01 + m10)|``. The larger
+    wins, and ``n`` goes to ``n_d`` after a rotation and to ``-n_d``
+    after a reflection, so ``R`` is always proper: the maximizer that
+    the SVD with its determinant guard returns. Then ``t = c_d - R
+    c_s``. Both triangles run counterclockwise in their own frames, so
+    ``det M > 0`` and the rotation wins; the reflection is reached only
+    where rounding flips the sign of a sliver's ``det M``.
 
-    cov = np.einsum("hij,hik->hjk", s0, d0)
-    u, _, vt = np.linalg.svd(cov)
-    v = vt.transpose(0, 2, 1)
-    det = np.linalg.det(np.einsum("hij,hkj->hik", v, u))
-    flip = np.ones_like(v)
-    flip[:, :, 2] = det[:, None]
-    rot = np.einsum("hij,hkj->hik", v * flip, u)
-    t = cd[:, 0, :] - np.einsum("hij,hj->hi", rot, cs[:, 0, :])
+    Every step is elementwise on component arrays, source and
+    destination side by side, with no einsum and no BLAS, so each row's
+    bits are fixed by its own triplet, whatever the batch. A row is
+    valid where both triangle areas exceed 1e-12; the centroids, edge
+    cross products and areas equal, bit for bit, ``mean(axis=1)``,
+    ``np.cross`` and ``np.linalg.norm``. An invalid row (collinear or
+    coincident points) gets the identity pose.
+    """
+    h = len(s3)
+    # Coordinate, point, triangle; the sources are the first h triangles.
+    p = np.concatenate((s3, d3)).transpose(2, 1, 0)
+    centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3
+    p0 = p - centroid[:, None]
+    e1 = p0[:, 1] - p0[:, 0]
+    normal = _cross(e1, p0[:, 2] - p0[:, 0])
+    area = np.sqrt(_dot(normal, normal))
+    valid = (area[:h] > 1e-12) & (area[h:] > 1e-12)
+
+    with np.errstate(invalid="ignore", divide="ignore"):
+        # Axis, coordinate, triangle. a2 and n are cross products of unit
+        # vectors, so the frame stays orthonormal on a sliver, whose edge
+        # cross product has lost most of its direction to rounding.
+        a1 = e1 / np.sqrt(_dot(e1, e1))
+        a2 = _cross(normal, a1)
+        a2 /= np.sqrt(_dot(a2, a2))
+        frame = np.stack((a1, a2, _cross(a1, a2)))
+        # Point, in-plane axis, triangle.
+        x = _dot(p0[:, :, None], frame[:2].transpose(1, 0, 2)[:, None])
+        (m00, m01), (m10, m11) = _dot(x[:, :, None, :h], x[:, None, :, h:])
+        rc, rs = m00 + m11, m01 - m10
+        fc, fs = m00 - m11, m01 + m10
+        rot_sq, ref_sq = rc * rc + rs * rs, fc * fc + fs * fs
+        turn = rot_sq >= ref_sq
+        norm = np.sqrt(np.where(turn, rot_sq, ref_sq))
+        c = np.where(turn, rc, fc) / norm
+        s = np.where(turn, rs, fs) / norm
+        sign = np.where(turn, 1.0, -1.0)
+        # The images of a1, a2 and n; R is the sum of image (x) axis,
+        # built transposed: rot_t[j, i] = R_ij.
+        b1, b2, n_d = frame[:, :, h:]
+        image = np.stack((c * b1 + s * b2, sign * (c * b2 - s * b1), sign * n_d))
+        rot_t = _dot(frame[:, :, None, :h], image[:, None])
+    t = centroid[:, h:] - _dot(rot_t, centroid[:, None, :h])
+    rot = np.ascontiguousarray(rot_t.transpose(2, 1, 0))
+    t = np.ascontiguousarray(t.T)
+    rot[~valid] = np.eye(3)
+    t[~valid] = 0.0
     return rot, t, valid
 
 
@@ -251,23 +311,24 @@ def _residuals(rot: np.ndarray, t: np.ndarray, src: np.ndarray, dst: np.ndarray)
     ))
 
 
-def _squared_residuals(rot: np.ndarray, t: np.ndarray, src_h: np.ndarray, dst_t: np.ndarray) -> np.ndarray:
+def _squared_residuals(rot: np.ndarray, t: np.ndarray, points: np.ndarray) -> np.ndarray:
     """``|R_h s_i + t_h - d_i|**2`` from one matrix product, to within :func:`_bands`.
 
-    ``src_h`` is the ``(4, n)`` homogeneous source ``[s; 1]`` and
-    ``dst_t`` the ``(3, n)`` destination, so ``[R | t] @ src_h`` stacks
-    every hypothesis' three rows into one product. Its float order is
-    the BLAS library's, so the values are close to, not equal to, the
-    squares of :func:`_residuals`.
+    ``points`` is the ``(7, n)`` stack ``[s; 1; d]`` of the homogeneous
+    source over the destination, so ``[R | t | -I] @ points`` gives every
+    hypothesis' three residual rows, ``d`` already subtracted, in one
+    product. Each coordinate is still a five-term dot product: the two
+    other destination terms are multiplied by exact zeros. One einsum
+    sums the squares. Both float orders are the libraries', so the values
+    are close to, not equal to, the squares of :func:`_residuals`.
     """
     size = len(rot)
-    rt = np.concatenate((rot, t[:, :, None]), axis=2).reshape(3 * size, 4)
-    e = (rt @ src_h).reshape(size, 3, -1)
-    e -= dst_t
-    e *= e
-    sq = e[:, 0] + e[:, 1]
-    sq += e[:, 2]
-    return sq
+    rtd = np.zeros((size, 3, 7))
+    rtd[:, :, :3] = rot
+    rtd[:, :, 3] = t
+    rtd[:, :, 4:] = -np.eye(3)
+    e = (rtd.reshape(3 * size, 7) @ points).reshape(size, 3, -1)
+    return np.einsum("hin,hin->hn", e, e)
 
 
 def _bands(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, float]:
@@ -281,19 +342,20 @@ def _bands(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, float]:
     and ``u = 2**-53``. Each coordinate of ``R s + t - d`` sums five
     terms of total magnitude at most ``7M`` (``|R_ij| <= 1``, ``|t_i| <=
     (1 + sqrt 3) M`` for a pose fit to three of the points). Either route
-    is a five-term dot product, within ``gamma_5 * 7M`` of the true value
-    whatever its order or fused multiply-adds (``gamma_5 = 5u / (1 -
-    5u)``), so the routes differ by at most ``eps = 80 u M`` per
-    coordinate. Where either squared sum is at most ``T**2`` (``T =
-    INLIER_THRESHOLD``), every coordinate is at most about ``T`` and the
-    two squared sums differ by at most ``B = 4 eps T + 3 eps**2 + 8 u
-    T**2``. The band is ``delta = 100 B``: ``lo = T**2 - delta``, ``hi =
-    T**2 + delta``. For an inlier the two residuals differ by at most
-    ``sqrt(B) + 2uT``, below ``sqrt(delta)``, and the two ways of summing
-    ``n`` of them, then dividing, add at most ``4 n u T``, so ``eta =
-    sqrt(delta) + 4 n u T``. At ``M = 1000`` m, ``delta`` is about 4e-11
-    against ``T**2 = 1e-4``. A non-finite coordinate makes every row
-    verify exactly.
+    is a five-term dot product (the product of :func:`_squared_residuals`
+    carries ``-d`` and two more destination terms times exact zeros),
+    within ``gamma_5 * 7M`` of the true value whatever its order or fused
+    multiply-adds (``gamma_5 = 5u / (1 - 5u)``), so the routes differ by
+    at most ``eps = 80 u M`` per coordinate. Where either squared sum is
+    at most ``T**2`` (``T = INLIER_THRESHOLD``), every coordinate is at
+    most about ``T`` and the two squared sums differ by at most ``B = 4
+    eps T + 3 eps**2 + 8 u T**2``. The band is ``delta = 100 B``: ``lo =
+    T**2 - delta``, ``hi = T**2 + delta``. For an inlier the two
+    residuals differ by at most ``sqrt(B) + 2uT``, below ``sqrt(delta)``,
+    and the two ways of summing ``n`` of them, then dividing, add at most
+    ``4 n u T``, so ``eta = sqrt(delta) + 4 n u T``. At ``M = 1000`` m,
+    ``delta`` is about 4e-11 against ``T**2 = 1e-4``. A non-finite
+    coordinate makes every row verify exactly.
     """
     t2 = INLIER_THRESHOLD * INLIER_THRESHOLD
     eps = 80 * _U * max(np.abs(src).max(), np.abs(dst).max())
@@ -339,8 +401,7 @@ def _register(
         logw[positive] = np.log(weights[positive])
 
     lo, hi, eta = _bands(src, dst)
-    src_h = np.vstack((src.T, np.ones(n)))
-    dst_t = np.ascontiguousarray(dst.T)
+    points = np.vstack((src.T, np.ones(n), dst.T))
 
     # The running best, ranked by most inliers, then lower mean residual,
     # then lower hypothesis index. Invalid triplets count -1 inliers, so
@@ -357,7 +418,7 @@ def _register(
         triplets = _top3(keys)
         rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
 
-        sq = _squared_residuals(rot, t, src_h, dst_t)
+        sq = _squared_residuals(rot, t, points)
         inlier = sq <= lo
         counts = inlier.sum(axis=1)
         unsure = np.nonzero((sq <= hi).sum(axis=1) != counts)[0]

@@ -1,6 +1,7 @@
 """Tests for rigid fitting and robust two-stage registration."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -280,6 +281,118 @@ class TestTopThree:
         np.testing.assert_array_equal(_top3(keys), self._stable(keys))
 
 
+def _noisy_triangles(rng, h, offset):
+    """``h`` well-shaped source triangles about 5 cm across near ``offset``,
+    and their images under random poses with 1 mm of noise."""
+    corners = 0.05 * np.array([[1.0, 0.0, 0.0], [-0.5, 0.8, 0.0], [-0.5, -0.9, 0.1]])
+    s3 = np.empty((h, 3, 3))
+    d3 = np.empty((h, 3, 3))
+    for k in range(h):
+        s3[k] = random_se3(rng, 0.1).apply(corners) + rng.normal(scale=0.005, size=(3, 3))
+        d3[k] = random_se3(rng, 0.1).apply(s3[k]) + rng.normal(scale=0.001, size=(3, 3))
+    return s3 + offset, d3 + offset
+
+
+def _unit_normals(p3):
+    normal = np.cross(p3[:, 1] - p3[:, 0], p3[:, 2] - p3[:, 0])
+    return normal / np.linalg.norm(normal, axis=1, keepdims=True)
+
+
+def _assert_proper(rot):
+    np.testing.assert_allclose(np.linalg.det(rot), 1.0, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(rot.transpose(0, 2, 1) @ rot, np.broadcast_to(np.eye(3), rot.shape),
+                               rtol=0, atol=1e-12)
+
+
+class TestTripletPoses:
+    """The closed-form triplet fit against the SVD of :func:`kabsch`."""
+
+    @pytest.mark.parametrize("offset", [0.0, 60.0])
+    def test_agrees_with_kabsch(self, rng, offset):
+        s3, d3 = _noisy_triangles(rng, 200, offset)
+        rot, t, valid = _triplet_poses(s3, d3)
+        assert valid.all()
+        for k in range(len(s3)):
+            pose = kabsch(s3[k], d3[k])
+            np.testing.assert_allclose(rot[k], pose.rotation, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[k], pose.translation, rtol=0, atol=1e-12)
+
+    def test_mirrored_destination_is_turned_over(self, rng):
+        # A proper rotation that turns a triangle over reaches its mirror
+        # image. The destination's normal turns with the mirror, so in the
+        # two frames the fit is an in-plane rotation and n goes to +n_d.
+        s3, d3 = _noisy_triangles(rng, 200, 0.0)
+        d3 *= [1.0, 1.0, -1.0]
+        rot, t, valid = _triplet_poses(s3, d3)
+        assert valid.all()
+        _assert_proper(rot)
+        for k in range(len(s3)):
+            pose = kabsch(s3[k], d3[k])
+            np.testing.assert_allclose(rot[k], pose.rotation, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(t[k], pose.translation, rtol=0, atol=1e-12)
+        mapped = np.einsum("hij,hj->hi", rot, _unit_normals(s3))
+        np.testing.assert_allclose(mapped, _unit_normals(d3), rtol=0, atol=1e-12)
+
+    def test_reflection_branch_returns_a_proper_rotation(self, rng):
+        # Slivers 1 m long and 1e-11 to 1e-9 m high are valid, but rounding
+        # can flip the sign of det M; those rows take the in-plane
+        # reflection and send n to -n_d.
+        h = 4000
+        along = rng.normal(size=(h, 1, 3))
+        along /= np.linalg.norm(along, axis=2, keepdims=True)
+        across = rng.normal(size=(h, 1, 3))
+        across -= (across * along).sum(axis=2, keepdims=True) * along
+        across /= np.linalg.norm(across, axis=2, keepdims=True)
+        height = 10.0 ** rng.uniform(-11, -9, size=(h, 3, 1)) * rng.normal(size=(h, 3, 1))
+        s3 = rng.uniform(-0.5, 0.5, size=(h, 3, 1)) * along + height * across
+        d3 = s3 + rng.normal(size=(h, 1, 3)) + rng.normal(scale=1e-11, size=(h, 3, 3))
+        rot, t, valid = _triplet_poses(s3, d3)
+        turned = np.einsum("hij,hj,hi->h", rot, _unit_normals(s3), _unit_normals(d3))
+        flipped = valid & (turned < 0)
+        assert valid.sum() > h // 2 and flipped.sum() > 10
+        _assert_proper(rot)
+
+    def test_validity_is_the_area_test(self, rng):
+        # Collinear, coincident and near-collinear triplets, beside general
+        # ones. The areas are the centred mean, np.cross and np.linalg.norm
+        # expression that the SVD fit used.
+        def areas(p3):
+            p0 = p3 - p3.mean(axis=1, keepdims=True)
+            return np.linalg.norm(np.cross(p0[:, 1] - p0[:, 0], p0[:, 2] - p0[:, 0]), axis=1)
+
+        base = rng.normal(size=(400, 3, 3))
+        along = rng.normal(size=(400, 3, 1)) * rng.normal(size=(400, 1, 3))
+        line = rng.normal(size=(400, 1, 3)) + along
+        height = 10.0 ** rng.uniform(-14, -10, size=(400, 1, 1))
+        near = line + rng.normal(size=(400, 3, 3)) * height
+        same = np.repeat(rng.normal(size=(400, 1, 3)), 3, axis=1)
+        assert (areas(near) > 1e-12).any() and (areas(near) <= 1e-12).any()
+        for s3, d3 in ((base, line), (line, base), (near, base), (base, near),
+                       (same, base), (base, same), (near, near), (base, base)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rot, t, valid = _triplet_poses(s3, d3)
+            np.testing.assert_array_equal(valid, (areas(s3) > 1e-12) & (areas(d3) > 1e-12))
+            identity = np.broadcast_to(np.eye(3), rot[~valid].shape)
+            np.testing.assert_array_equal(rot[~valid], identity)
+            np.testing.assert_array_equal(t[~valid], 0.0)
+            assert np.isfinite(rot).all() and np.isfinite(t).all()
+
+    def test_rows_do_not_depend_on_the_batch(self, rng):
+        s3, d3 = _noisy_triangles(rng, 1000, 60.0)
+        s3[::7] = s3[::7, :1]  # coincident: invalid rows in every chunk
+        d3[3::11] *= [1.0, 1.0, -1.0]
+        whole = _triplet_poses(s3, d3)
+        for start in range(0, 1000, 128):
+            chunk = _triplet_poses(s3[start:start + 128], d3[start:start + 128])
+            for got, want in zip(chunk, whole):
+                np.testing.assert_array_equal(got, want[start:start + 128])
+        for k in (0, 7, 127, 128, 500, 999):
+            alone = _triplet_poses(s3[k:k + 1], d3[k:k + 1])
+            for got, want in zip(alone, whole):
+                np.testing.assert_array_equal(got, want[k:k + 1])
+
+
 # ---------------------------------------------------------------------------
 # Robust registration
 # ---------------------------------------------------------------------------
@@ -424,9 +537,9 @@ class TestClassifyThenVerify:
         seen = {"band": 0, "rows": []}
         fast, exact = registration._squared_residuals, registration._residuals
 
-        def squared(rot, t, src_h, dst_t):
-            sq = fast(rot, t, src_h, dst_t)
-            lo, hi, _ = _bands(src_h[:3].T, dst_t.T)
+        def squared(rot, t, points):
+            sq = fast(rot, t, points)
+            lo, hi, _ = _bands(points[:3].T, points[4:].T)
             seen["band"] += int(((sq > lo) & (sq <= hi)).sum())
             return sq
 
@@ -491,6 +604,26 @@ class TestClassifyThenVerify:
                 self._check(src, dst, 300, weights, seed)
         assert max(spy["rows"]) > 1
 
+    @pytest.mark.parametrize("offset", [0.0, 60.0, 1000.0])
+    def test_fused_product_stays_inside_the_bound(self, rng, offset):
+        # Hypotheses within 1e-9 rad and 1 um of the true pose, and
+        # matches up to the threshold away from it: every entry lies where
+        # the bound B = delta / 100 of _bands holds.
+        true = random_se3(rng, translation_scale=0.5)
+        src = rng.normal(scale=0.05, size=(400, 3)) + offset
+        away = rng.normal(size=(400, 3))
+        away /= np.linalg.norm(away, axis=1, keepdims=True)
+        away *= rng.uniform(0.0, INLIER_THRESHOLD, size=(400, 1))
+        dst = true.apply(src) + away
+        turn = Rotation.from_rotvec(rng.normal(scale=1e-9, size=(128, 3))).as_matrix()
+        rot = turn @ true.rotation
+        t = true.translation + rng.normal(scale=1e-6, size=(128, 3))
+        fused = registration._squared_residuals(rot, t, np.vstack((src.T, np.ones(400), dst.T)))
+        exact = registration._residuals(rot, t, src, dst) ** 2
+        assert exact.max() <= INLIER_THRESHOLD**2
+        lo, hi, _ = _bands(src, dst)
+        assert np.abs(fused - exact).max() <= (hi - lo) / 200
+
     def test_non_finite_coordinates_verify_every_row(self):
         src = np.zeros((4, 3))
         src[0, 0] = np.nan
@@ -537,6 +670,22 @@ class TestRegisterRansac:
             except NoConsensus:
                 pass
         assert sc_wins > rs_wins
+
+
+class TestDegenerateMatches:
+    @pytest.mark.parametrize("estimator", [register_spatial_consistency, register_ransac])
+    @pytest.mark.parametrize("kind", ["collinear", "coincident"])
+    def test_raise_no_consensus_without_warnings(self, rng, estimator, kind):
+        # Every seed triplet is degenerate, so no hypothesis is valid.
+        if kind == "collinear":
+            src = np.outer(np.arange(40) / 8, [1.0, 2.0, -0.5]) + [0.25, 0.0, 1.0]
+        else:
+            src = np.repeat([[0.25, 0.0, 1.0]], 40, axis=0)
+        matches = Correspondences(src, random_se3(rng).apply(src))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NoConsensus):
+                estimator(matches, seed=3)
 
 
 class TestRefitFallbacks:
