@@ -163,14 +163,16 @@ class _View(NamedTuple):
     pose: Pose
 
 
+def _read_mask(view, camera: CameraIntrinsics) -> np.ndarray:
+    """Read one view's mask; a ValueError unless it is its camera's size."""
+    return as_mask(io.read_mask(view.mask), (camera.height, camera.width))
+
+
 def _load_view(view) -> _View:
     """Read one view's depth map, mask, camera and pose."""
-    return _View(
-        io.read_depth(view.depth),
-        io.read_mask(view.mask),
-        io.read_intrinsics(view.camera),
-        io.read_pose(view.pose),
-    )
+    camera = io.read_intrinsics(view.camera)
+    return _View(io.read_depth(view.depth), _read_mask(view, camera), camera,
+                 io.read_pose(view.pose))
 
 
 def _read_features(view) -> np.ndarray:
@@ -364,8 +366,7 @@ def cmd_register(args) -> int:
         feat_a, feat_q = _read_features(a), _read_features(q)
         grid_a, grid_q = feat_a.shape[:2], feat_q.shape[:2]
         # Each mask must be its camera's size before it is resampled.
-        mask_a = as_mask(io.read_mask(a.mask), (cam_a.height, cam_a.width))
-        mask_q = as_mask(io.read_mask(q.mask), (cam_q.height, cam_q.width))
+        mask_a, mask_q = _read_mask(a, cam_a), _read_mask(q, cam_q)
         matches = match_features(
             feat_a,
             feat_q,
@@ -475,7 +476,7 @@ def cmd_losses(args) -> int:
         pos = positive_loss(set_a, set_q)
         neg = hardest_negative_loss(set_a, set_q)
         feat = feature_loss(pos, neg)
-        mask_q = io.read_mask(q.mask)
+        mask_q = _read_mask(q, cam_q)
         pred_mask = _pred_mask(entry, mask_q)
         mask_term = dice_loss(pred_mask.astype(np.float64), mask_q)
         return {

@@ -13,13 +13,15 @@
 * Models: whitespace-separated XYZ text plus a JSON sidecar (same stem,
   ``.json``) holding the diameter and symmetry transforms.
 
-Every JSON file is written by :func:`write_json`, which sorts keys,
-indents by one space and ends with a newline, so identical data always
-produces identical bytes. Every writer replaces its target atomically
-(:func:`_replacing`). A JSON reader raises ValueError, naming the file
-kind and the key, on a file that is not an object or lacks a key it
-needs, and a pose reader on an ``R`` or ``t`` that does not hold 9 or 3
-finite numbers.
+Every JSON file holds ``json.dumps(payload, sort_keys=True,
+separators=(",", ": "), indent=1)`` and a newline, so identical data
+always produces identical bytes. :func:`write_json` writes any payload
+of lists, dicts, strings and numbers; :func:`write_matches` lays out its
+own pixel arrays, in the same bytes as the lists of their ``tolist()``.
+Every writer replaces its target atomically (:func:`_replacing`). A
+JSON reader raises ValueError, naming the file kind and the key, on a
+file that is not an object or lacks a key it needs, and a pose reader
+on an ``R`` or ``t`` that does not hold 9 or 3 finite numbers.
 """
 
 from __future__ import annotations
@@ -89,64 +91,16 @@ def _replacing(path):
 # ---------------------------------------------------------------- JSON --
 
 
-def _dumps(payload, stubs: list | None) -> str:
-    """``json.dumps`` in the file layout, with ndarrays taken as nested lists.
-
-    When ``stubs`` is a list, each 2-D integer array is appended to it and
-    encoded as the string ``"\\u0000ndarray <n>\\u0000"``, its 1-based
-    position in ``stubs``; every other array is encoded as its ``tolist()``.
-    """
-
-    def default(obj):
-        if not isinstance(obj, np.ndarray):
-            raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-        if stubs is None or obj.ndim != 2 or obj.dtype.kind not in "iu":
-            return obj.tolist()
-        stubs.append(obj)
-        return f"\0ndarray {len(stubs)}\0"
-
-    return json.dumps(
-        payload, sort_keys=True, separators=(",", ": "), indent=1, default=default
-    )
+def _dumps(payload) -> str:
+    """``payload`` in the layout of every JSON file, before its newline."""
+    return json.dumps(payload, sort_keys=True, separators=(",", ": "), indent=1)
 
 
-def _int_rows(arr: np.ndarray, indent: int) -> str:
-    """A 2-D integer array as ``json.dumps(arr.tolist(), indent=1)`` lays it
-    out inside a value whose line starts with ``indent`` spaces."""
-    rows, cols = arr.shape
-    if rows == 0:
-        return "[]"
-    outer, inner = "\n" + " " * (indent + 1), "\n" + " " * (indent + 2)
-    row = "[" + inner + ("," + inner).join(["%d"] * cols) + outer + "]" if cols else "[]"
-    body = ("," + outer).join([row] * rows) % tuple(arr.ravel().tolist())
-    return "[" + outer + body + "\n" + " " * indent + "]"
-
-
-def write_json(path, payload: dict) -> None:
-    """Write ``payload`` as JSON with sorted keys, ``indent=1`` and a
-    trailing newline, replacing ``path`` atomically.
-
-    The bytes are exactly ``json.dumps(payload, sort_keys=True,
-    separators=(",", ": "), indent=1) + "\\n"`` with every ndarray in the
-    payload replaced by its ``tolist()``. A payload without arrays is one
-    plain ``json.dumps`` call. A 2-D integer array at any depth, such as
-    the ``anchor`` and ``query`` pixels of a match file, is laid out with
-    one ``%``-template for all its rows instead of the pure-Python
-    encoder's walk over its lists; any other array goes through
-    ``tolist()``.
-    """
-    stubs = []
-    text = _dumps(payload, stubs)
-    for n, arr in enumerate(stubs, 1):
-        stub = f'"\\u0000ndarray {n}\\u0000"'
-        if text.count(stub) != 1:  # a string of the payload reads like a stub
-            text = _dumps(payload, None)
-            break
-        at = text.index(stub)
-        line = text[text.rfind("\n", 0, at) + 1 : at]
-        text = text.replace(stub, _int_rows(arr, len(line) - len(line.lstrip(" "))))
+def write_json(path, payload) -> None:
+    """Write ``_dumps(payload)`` plus a trailing newline, replacing ``path``
+    atomically."""
     with _replacing(path) as fh:
-        fh.write((text + "\n").encode())
+        fh.write((_dumps(payload) + "\n").encode())
 
 
 def read_json(path) -> dict:
@@ -411,16 +365,35 @@ def read_model(path) -> ObjectModel:
 # -------------------------------------------------------------- matches --
 
 
+def _int_rows(arr: np.ndarray) -> str:
+    """An (M, 2) integer array as :func:`_dumps` lays out its ``tolist()``
+    as the value of a top-level key."""
+    if len(arr) == 0:
+        return "[]"
+    row = "[\n   %d,\n   %d\n  ]"
+    body = ",\n  ".join([row] * len(arr)) % tuple(arr.ravel().tolist())
+    return "[\n  " + body + "\n ]"
+
+
 def write_matches(path, pair: GtPair) -> None:
-    write_json(
-        path,
-        {
-            "anchor": pair.anchor,
-            "query": pair.query,
-            "relative_pose": pose_to_dict(pair.relative),
-            "count": len(pair),
-        },
-    )
+    """Write a match file in the :func:`write_json` layout.
+
+    The ``anchor`` and ``query`` pixels are laid out with one
+    ``%``-template for all their rows instead of the pure-Python encoder's
+    walk over their lists: the rest of the payload is dumped with ``null``
+    in their place, and every other value is a number, so the text holds
+    exactly those two ``null``s, in key order.
+    """
+    text = _dumps({
+        "anchor": None,
+        "query": None,
+        "relative_pose": pose_to_dict(pair.relative),
+        "count": len(pair),
+    })
+    head, between, tail = text.split("null")
+    text = head + _int_rows(pair.anchor) + between + _int_rows(pair.query) + tail
+    with _replacing(path) as fh:
+        fh.write((text + "\n").encode())
 
 
 def read_matches(path) -> GtPair:

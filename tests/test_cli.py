@@ -698,6 +698,28 @@ class TestEval:
         ]) == 2
         assert not (tmp_path / "new").exists()
 
+    def test_query_mask_of_another_size_than_its_camera_fails_its_pair(
+        self, dataset_small, tmp_path
+    ):
+        # eval scores against the ground-truth mask as it is read, so only
+        # the camera can tell that it is mis-sized.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        mask = data / "pairs" / "pair_0001" / "mask_query.pgm"
+        io.write_mask(mask, io.read_mask(mask)[:32, :32])
+        preds = tmp_path / "preds"
+        _write_gt_predictions(data, preds)
+        report_path = tmp_path / "report.json"
+        assert main([
+            "eval", "--pairs", str(data / "pairs.json"),
+            "--predictions", str(preds), "--out", str(report_path),
+        ]) == 1
+        report = io.read_json(report_path)
+        assert set(report["pairs"]) == {"pair_0000"}
+        assert report["errors"] == {
+            "pair_0001": "ValueError: mask shape (32, 32) does not match expected (64, 64)"
+        }
+
     def test_out_that_is_a_directory_exits_2(self, dataset_small, tmp_path):
         preds = tmp_path / "preds"
         _write_gt_predictions(dataset_small, preds)
@@ -969,6 +991,26 @@ class TestLosses:
             f"ValueError: pixel ({pixel[0]}, {pixel[1]}) lies outside the image "
             "[0, 64) x [0, 64)"
         )
+
+    def test_query_mask_of_another_size_than_its_camera_fails_its_pair(
+        self, dataset_small, small_matches, tmp_path
+    ):
+        # The mask term compares the mask with itself when the pair names
+        # no predicted mask, so only the camera can tell that it is wrong.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        mask = data / "pairs" / "pair_0001" / "mask_query.pgm"
+        io.write_mask(mask, io.read_mask(mask)[:32, :32])
+        report_path = tmp_path / "losses.json"
+        assert main([
+            "losses", "--pairs", str(data / "pairs.json"),
+            "--matches", str(small_matches), "--out", str(report_path),
+        ]) == 1
+        report = io.read_json(report_path)
+        assert set(report["pairs"]) == {"pair_0000"}
+        assert report["errors"] == {
+            "pair_0001": "ValueError: mask shape (32, 32) does not match expected (64, 64)"
+        }
 
     def test_unused_view_files_are_not_read(self, dataset_small, small_matches, tmp_path):
         # The losses use features, cameras and the query mask; a pair

@@ -12,7 +12,7 @@ import pytest
 
 from crosspose import io
 from crosspose import (
-    MetricReport, Pose, cyclic_symmetries, make_model, make_pair, render_scene,
+    GtPair, MetricReport, Pose, cyclic_symmetries, make_model, make_pair, render_scene,
 )
 from crosspose.io import (
     pose_to_dict,
@@ -34,6 +34,13 @@ from crosspose.io import (
     write_model,
     write_pose,
 )
+
+
+def _stdlib_bytes(value) -> bytes:
+    """The bytes of a JSON file holding ``value``, by the standard library."""
+    text = json.dumps(value, sort_keys=True, separators=(",", ": "), indent=1)
+    return (text + "\n").encode()
+
 
 # ---------------------------------------------------------------------------
 # Atomic writes
@@ -62,6 +69,9 @@ _WRITERS = {
     "depth": lambda path: write_depth(path, np.full((4, 5), 0.5)),
     "mask": lambda path: write_mask(path, np.ones((4, 5), dtype=bool)),
     "features": lambda path: write_features(path, np.ones((2, 3, 4))),
+    "matches": lambda path: write_matches(
+        path, GtPair([[1, 2]], [[3, 4]], Pose.identity())
+    ),
     "model": lambda path: write_model(path, make_model("cylinder", n_points=50, size=0.05)),
 }
 
@@ -310,7 +320,7 @@ class TestPoseFile:
         assert np.array_equal(pose.rotation, np.eye(3))
         assert pose.translation.tolist() == [0.0, 0.0, 2.0]
 
-    def test_bytes_deterministic_sorted_with_newline(self, cam96, tmp_path):
+    def test_bytes_deterministic_sorted_with_newline(self, tmp_path):
         payload = {"b": 2, "a": [1.5, 2.5], "c": {"z": 1, "y": 0}}
         first = tmp_path / "one.json"
         second = tmp_path / "two.json"
@@ -322,63 +332,23 @@ class TestPoseFile:
         assert text.index('"a"') < text.index('"b"') < text.index('"c"')
         assert read_json(first) == payload
 
-        # Every payload's bytes equal the stdlib layout of its arrays as lists.
-        def as_lists(value):
-            if isinstance(value, np.ndarray):
-                return value.tolist()
-            if isinstance(value, dict):
-                return {k: as_lists(v) for k, v in value.items()}
-            if isinstance(value, (list, tuple)):
-                return [as_lists(v) for v in value]
-            return value
-
-        def reference(value):
-            text = json.dumps(as_lists(value), sort_keys=True, separators=(",", ": "), indent=1)
-            return (text + "\n").encode()
-
-        grid = np.arange(15).reshape(5, 3) * 37 - 200
-        arrays = [
-            grid[:rows, :cols].astype(dtype)
-            for dtype in (np.int64, np.int32, np.uint8)
-            for rows, cols in ((0, 2), (1, 2), (5, 3))
-        ]
-        stub = "\0ndarray 1\0"  # how an integer array is held while encoding
+        # Every payload's bytes equal the stdlib layout.
         corpus = [
-            {"arrays": arrays, "first": arrays[0], "last": arrays[-1]},
-            {"outer": {"inner": {"pixels": arrays[5]}, "after": arrays[4]}},
-            {"grid": grid, "column": grid[:, :1], "strided": grid[::2, ::-2], "wide": grid.T},
-            {"flags": np.array([[True, False], [False, True]]), "mask": np.zeros(3, bool)},
-            {"floats": np.array([[0.1, -2.5], [1e-300, 3.0]]), "flat": np.arange(4.0)},
             {"empty_dict": {}, "empty_list": [], "tuple": (1, (2.5, "x")), "nested": [[]]},
             {"text": "caf\u00e9 \u2603 \U0001f600", "escapes": 'q"\\/\b\f\n\r\t\x00\x1f'},
             {"nan": float("nan"), "inf": float("inf"), "-inf": -np.inf, "zero": -0.0},
-            {"edge": np.array([[np.nan, np.inf, -np.inf]])},
-            {stub: 1, "pixels": grid, "same": stub},
-            {"pixels": grid, "text": f"a{stub}b"},
         ]
-        model = make_model("blob", n_points=2000, size=0.02, seed=4)
-        _, _, oracle = make_pair(
-            model, Pose(np.eye(3), [0.0, 0.0, 0.6]), Pose(np.eye(3), [0.002, 0.0, 0.6]), cam96
-        )
         path = tmp_path / "layout.json"
         for value in corpus:
             write_json(path, value)
-            assert path.read_bytes() == reference(value)
-        write_matches(path, oracle)
-        assert len(oracle) > 100
-        assert path.read_bytes() == reference({
-            "anchor": [[int(u), int(v)] for u, v in oracle.anchor],
-            "query": [[int(u), int(v)] for u, v in oracle.query],
-            "relative_pose": pose_to_dict(oracle.relative),
-            "count": len(oracle),
-        })
+            assert path.read_bytes() == _stdlib_bytes(value)
         report = MetricReport(
             vsd=0.5, mssd=1.0, mspd=0.1, add=1.0, miou=0.75, mssd_error_m=1e-4,
             mspd_error_px=float("inf"), add_error_m=2.5e-5, vsd_errors=(0.0, 0.3),
         )
         eval_payload = {"pairs": {"pair_0000": report.to_dict()}, "errors": {"p": "é"}}
         write_json(path, eval_payload)
-        assert path.read_bytes() == reference(eval_payload)
+        assert path.read_bytes() == _stdlib_bytes(eval_payload)
 
     def test_write_replaces_target_atomically(self, tmp_path, monkeypatch):
         path = tmp_path / "pose.json"
@@ -729,9 +699,30 @@ class TestMatchFile:
         assert payload["count"] == len(oracle.anchor)
         assert list(payload) == sorted(payload)
 
-    def test_empty_pair_roundtrips(self, tmp_path):
-        from crosspose import GtPair
+    def test_bytes_are_the_stdlib_layout_of_the_pixel_lists(self, cam96, tmp_path):
+        model = make_model("blob", n_points=2000, size=0.02, seed=4)
+        _, _, oracle = make_pair(
+            model, Pose(np.eye(3), [0.0, 0.0, 0.6]), Pose(np.eye(3), [0.002, 0.0, 0.6]), cam96
+        )
+        assert len(oracle) > 100
+        grid = np.arange(20).reshape(5, 4) * 37 - 200
+        pairs = [
+            GtPair(np.zeros((0, 2), np.int64), np.zeros((0, 2), np.int64), Pose.identity()),
+            GtPair(grid[:1, :2], grid[1:2, 2:], oracle.relative),
+            GtPair(grid[::2, ::-2], grid[1::2, 1:3].tolist() + [[0, 0]], Pose.identity()),
+            oracle,
+        ]
+        path = tmp_path / "matches.json"
+        for pair in pairs:
+            write_matches(path, pair)
+            assert path.read_bytes() == _stdlib_bytes({
+                "anchor": pair.anchor.tolist(),
+                "query": pair.query.tolist(),
+                "relative_pose": pose_to_dict(pair.relative),
+                "count": len(pair),
+            })
 
+    def test_empty_pair_roundtrips(self, tmp_path):
         empty = GtPair(
             anchor=np.zeros((0, 2), dtype=np.int64),
             query=np.zeros((0, 2), dtype=np.int64),
