@@ -34,9 +34,10 @@ the misalignment tolerance tau at 0.05 to 0.5 of the diameter;
 0.5 of the diameter; ``MSPD_MULTIPLIERS``, 5r to 50r pixels with
 r = width / ``MSPD_BASE_WIDTH``; and ``OCCLUSION_TOLERANCE``, delta =
 15 mm. ADD(-S) counts at ``ADD_FRACTION``, one tenth of the diameter.
-It poses the model once per pose and once per symmetry, and hands those
-read-only clouds to the four errors through their keyword-only ``posed``
-argument; called without it, each error poses the model the same way.
+It poses the model once per pose and once per symmetry other than the
+identity, and hands those read-only clouds to the four errors through
+their keyword-only ``posed`` argument; called without it, each error
+poses the model the same way.
 """
 
 from __future__ import annotations
@@ -75,18 +76,29 @@ class _Posed(NamedTuple):
 
 
 def _pose_model(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> _Posed:
-    """Pose the model once per pose and once per symmetry."""
+    """Pose the model once per pose and once per symmetry other than the
+    identity.
+
+    A symmetry that is exactly the identity (``rotation`` equal to
+    ``eye(3)``, ``translation`` all zero) moves no point: a product with
+    exact ones and zeros changes at most the sign of a zero coordinate,
+    which no error sees. Its cloud is ``true`` itself.
+    """
 
     def frozen(points: np.ndarray) -> np.ndarray:
         points.flags.writeable = False
         return points
 
+    true = frozen(pose_true.apply(model.points))
     return _Posed(
         est=frozen(pose_est.apply(model.points)),
         refs=tuple(
-            frozen(pose_true.apply(sym.apply(model.points))) for sym in model.symmetries
+            true
+            if np.array_equal(sym.rotation, np.eye(3)) and not sym.translation.any()
+            else frozen(pose_true.apply(sym.apply(model.points)))
+            for sym in model.symmetries
         ),
-        true=frozen(pose_true.apply(model.points)),
+        true=true,
     )
 
 
@@ -296,7 +308,8 @@ def pair_report(
     Scores follow the fixed BOP 2020 protocol of the module constants.
     Mask quality is 1.0 when no predicted mask is supplied, else its
     :func:`miou` against ``gt_mask``. The model is posed once per pose and
-    once per symmetry, and the four errors share those read-only clouds.
+    once per symmetry other than the identity, and the four errors share
+    those read-only clouds.
     """
     d = model.diameter_m
     posed = _pose_model(model, pose_true, pose_est)

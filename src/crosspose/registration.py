@@ -33,13 +33,20 @@ inliers, only those whose fast mean residual lies within ``sqrt(delta)``
 exact residuals and the exact mean, so the winner, its mean and its
 residual row are those of the exact engine.
 
-Determinism: hypotheses are scored in fixed chunks of ``_CHUNK`` rows,
-in order, from one generator seeded once. Row ``h`` of the Gumbel key
-matrix is hypothesis ``h``'s private stream (Gumbel top-k, equivalent
-to sequential weighted sampling without replacement), and drawing the
-rows chunk by chunk gives the same numbers as one full draw, so the
-result depends only on the seed, never on scheduling. Memory stays
-bounded: no array grows with ``iterations * n`` or with ``n**2``.
+Determinism and memory: a call runs in three phases. It draws every
+hypothesis' seed triplet in fixed chunks of ``_CHUNK`` rows, in order,
+from one generator seeded once; it fits all the triplets in one
+:func:`_triplet_poses` call; and it scores the poses in the same
+chunks, in order. Row ``h`` of the Gumbel key matrix is hypothesis
+``h``'s private stream (Gumbel top-k, equivalent to sequential weighted
+sampling without replacement), drawing the rows chunk by chunk gives
+the same numbers as one full draw, and the fit is elementwise, so each
+pose is that of its own triplet whatever the batch. The result depends
+only on the seed, never on scheduling. Memory grows with the match
+count ``n`` and with the budget ``iterations``, never with their
+product or with ``n**2``: the keys and residuals of one chunk are
+``(_CHUNK, n)``, and the fit of all the triplets holds about 1.3 KB
+per hypothesis while it runs.
 """
 
 from __future__ import annotations
@@ -56,8 +63,8 @@ from .matcher import Correspondences
 # this are collinear or coincident; a rigid fit is not unique.
 _DEGENERACY_TOL = 1e-9
 
-# Hypotheses scored per chunk, and rows of the compatibility matrix per
-# block. Neither changes a result; they cap the working set.
+# Hypotheses drawn and scored per chunk, and rows of the compatibility
+# matrix per block. Neither changes a result; they cap the working set.
 _CHUNK = 128
 _BLOCK = 128
 
@@ -75,13 +82,18 @@ COMPATIBILITY_TOLERANCE = 0.01
 class RegistrationParams:
     """The hypothesis budget shared by both estimators.
 
-    ``iterations`` seed triplets are drawn and scored; it must be at
-    least 1. The thresholds are module constants.
+    ``iterations`` seed triplets are drawn and scored; it must be an
+    integer (not a bool) of at least 1. The thresholds are module constants.
     """
 
     iterations: int = 1000
 
     def __post_init__(self):
+        # A bool is an int, and 2.5 or 1000.0 would fail deep in the engine.
+        if isinstance(self.iterations, bool) or not isinstance(
+            self.iterations, (int, np.integer)
+        ):
+            raise ValueError(f"iterations must be an integer, got {self.iterations!r}")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 
@@ -372,14 +384,17 @@ def _register(
     weights: np.ndarray,
     seed: int,
 ) -> RegistrationResult:
-    """Hypothesize and verify in chunks of ``_CHUNK`` hypotheses.
+    """Hypothesize, then verify in chunks of ``_CHUNK`` hypotheses.
 
     Each triplet is drawn by weighted sampling without replacement via
     Gumbel top-k: per row, keys = log(w) + Gumbel noise, and the three
     largest keys select the triplet. Uniform sampling is the
     zero-log-weight special case: all weights 1. Weights with fewer than
     three positive entries cannot fill a triplet, so they sample
-    uniformly too. Only the running best hypothesis outlives its chunk.
+    uniformly too. The keys are drawn a chunk at a time and only the
+    triplets are kept; one :func:`_triplet_poses` call fits them all.
+    The scoring then walks the poses chunk by chunk, and only the
+    running best hypothesis outlives its chunk.
 
     Per chunk, inliers are counted from :func:`_squared_residuals`
     against the bands of :func:`_bands`; a row with an entry between
@@ -403,21 +418,27 @@ def _register(
     lo, hi, eta = _bands(src, dst)
     points = np.vstack((src.T, np.ones(n), dst.T))
 
+    # Every hypothesis' triplet, drawn chunk by chunk: only the (_CHUNK, n)
+    # keys of one chunk are alive at a time.
+    triplets = np.empty((iterations, 3), dtype=np.intp)
+    for start in range(0, iterations, _CHUNK):
+        # -log(-log(u)) in place; negation is exact, so the bits match.
+        keys = rng.random((min(_CHUNK, iterations - start), n))
+        np.negative(np.log(keys, out=keys), out=keys)
+        np.negative(np.log(keys, out=keys), out=keys)
+        if logw is not None:
+            keys += logw
+        triplets[start : start + _CHUNK] = _top3(keys)
+    # One fit for them all: each row's bits are fixed by its own triplet.
+    rots, ts, valids = _triplet_poses(src[triplets], dst[triplets])
+
     # The running best, ranked by most inliers, then lower mean residual,
     # then lower hypothesis index. Invalid triplets count -1 inliers, so
     # the -2 of the start loses to any hypothesis.
     best_count, best_mean = -2, np.inf
     for start in range(0, iterations, _CHUNK):
-        size = min(_CHUNK, iterations - start)
-        # -log(-log(u)) in place; negation is exact, so the bits match.
-        keys = rng.random((size, n))
-        np.negative(np.log(keys, out=keys), out=keys)
-        np.negative(np.log(keys, out=keys), out=keys)
-        if logw is not None:
-            keys += logw
-        triplets = _top3(keys)
-        rot, t, valid = _triplet_poses(src[triplets], dst[triplets])
-
+        chunk = slice(start, start + _CHUNK)
+        rot, t, valid = rots[chunk], ts[chunk], valids[chunk]
         sq = _squared_residuals(rot, t, points)
         inlier = sq <= lo
         counts = inlier.sum(axis=1)

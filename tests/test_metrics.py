@@ -32,6 +32,7 @@ from crosspose import (
     rotation_about_axis,
     vsd_error_set,
 )
+from crosspose import metrics
 from crosspose.metrics import VSD_TOLERANCE_FRACTIONS
 from conftest import random_se3
 
@@ -698,8 +699,9 @@ def _symmetric_scene(cam):
 
 
 class TestPairReportPosesOnce:
-    """pair_report poses the model once per pose and once per symmetry, and
-    its errors are those of the four public functions called one by one."""
+    """pair_report poses the model once per pose and once per symmetry
+    other than the identity, and its errors are those of the four public
+    functions called one by one."""
 
     @pytest.fixture(params=["blob", "cylinder"])
     def scene(self, request, scene_setup, cam96):
@@ -714,7 +716,9 @@ class TestPairReportPosesOnce:
             pose.translation + np.array([0.001, -0.002, 0.003]),
         )
 
-    def test_calls_apply_twice_per_symmetry_plus_two(self, scene, cam96, monkeypatch):
+    def test_calls_apply_twice_per_symmetry(self, scene, cam96, monkeypatch):
+        # The estimate and the reference once each, and each symmetry other
+        # than the identity twice: the identity's cloud is the reference.
         model, pose, depth_scene = scene
         calls = []
         apply = Pose.apply
@@ -725,7 +729,7 @@ class TestPairReportPosesOnce:
 
         monkeypatch.setattr(Pose, "apply", counted)
         pair_report(model, pose, self._estimate(pose), depth_scene.depth, cam96)
-        assert len(calls) == 2 * len(model.symmetries) + 2
+        assert len(calls) == 2 * len(model.symmetries)
 
     def test_errors_equal_the_public_functions_bitwise(self, scene, cam96):
         model, pose, depth_scene = scene
@@ -739,6 +743,87 @@ class TestPairReportPosesOnce:
         vsd = vsd_error_set(model, pose, est, depth_scene.depth, cam96, tols)
         assert rep.vsd_errors == tuple(float(e) for e in vsd)
         assert rep.mssd_error_m > 0.0 and rep.add_error_m > 0.0
+
+
+def _pose_every_symmetry(model, pose_true, pose_est):
+    """The posing that applies every symmetry, the identity included."""
+
+    def frozen(points):
+        points.flags.writeable = False
+        return points
+
+    return metrics._Posed(
+        est=frozen(pose_est.apply(model.points)),
+        refs=tuple(
+            frozen(pose_true.apply(sym.apply(model.points))) for sym in model.symmetries
+        ),
+        true=frozen(pose_true.apply(model.points)),
+    )
+
+
+def _signed_zero_model():
+    points = make_model("blob", n_points=800, size=0.01, seed=5).points.copy()
+    points[0] = -0.0
+    points[1:40, 0] = -0.0
+    points[40:80, 2] = -0.0
+    return ObjectModel.from_points(points)
+
+
+class TestIdentitySymmetryReusesTheReference:
+    """A symmetry that is exactly the identity takes the reference cloud;
+    every other symmetry is posed, and the report does not change."""
+
+    _POSE = Pose(
+        rotation_about_axis(np.array([1.0, 0.2, 0.0]), 0.7),
+        np.array([0.0, 0.001, 0.5]),
+    )
+
+    @pytest.mark.parametrize(
+        "model",
+        [
+            make_model("sphere", n_points=1500, size=0.02, seed=1),
+            make_model("box", n_points=1500, size=0.03, cyclic_order=4, seed=2),
+            make_model("cylinder", n_points=1500, size=0.03, cyclic_order=6, seed=3),
+            make_model("blob", n_points=1500, size=0.01, cyclic_order=2, seed=4),
+            _signed_zero_model(),
+        ],
+        ids=["sphere", "box", "cylinder", "blob", "signed-zero"],
+    )
+    def test_report_is_bit_equal_to_posing_every_symmetry(self, model, cam96, monkeypatch):
+        from crosspose import render_scene
+
+        pose = self._POSE
+        est = TestPairReportPosesOnce._estimate(pose)
+        depth = render_scene(model, pose, cam96, background_depth=0.8).depth
+        posed = metrics._pose_model(model, pose, est)
+        every = _pose_every_symmetry(model, pose, est)
+        for got, want in zip((posed.est, *posed.refs, posed.true),
+                             (every.est, *every.refs, every.true)):
+            np.testing.assert_array_equal(got, want)
+        assert posed.refs[0] is posed.true
+        assert all(ref is not posed.true for ref in posed.refs[1:])
+        rep = pair_report(model, pose, est, depth, cam96)
+        monkeypatch.setattr(metrics, "_pose_model", _pose_every_symmetry)
+        assert repr(rep) == repr(pair_report(model, pose, est, depth, cam96))
+
+    @pytest.mark.parametrize(
+        "near",
+        [
+            Pose(np.eye(3), np.array([0.0, 0.0, 1e-12])),
+            Pose(rotation_about_axis(np.array([0.0, 0.0, 1.0]), 1e-12), np.zeros(3)),
+        ],
+        ids=["translated", "turned"],
+    )
+    def test_symmetry_near_the_identity_keeps_its_own_cloud(self, near):
+        model = ObjectModel.from_points(
+            make_model("blob", n_points=500, size=0.01, seed=6).points, (near,)
+        )
+        pose = self._POSE
+        posed = metrics._pose_model(model, pose, pose)
+        assert posed.refs[0] is not posed.true
+        np.testing.assert_array_equal(
+            posed.refs[0], pose.apply(near.apply(model.points))
+        )
 
 
 class TestAggregateReports:

@@ -502,15 +502,40 @@ class TestChunkedEngine:
                 np.testing.assert_array_equal(got.inliers, expected[1])
                 assert got.mean_residual == expected[2]
 
-    def test_memory_does_not_grow_with_n_squared(self):
+    @pytest.mark.parametrize("iterations", [1, 129, 1000])
+    def test_fits_every_triplet_in_one_call(self, monkeypatch, iterations):
+        matches, _ = make_correspondences(
+            n_matches=150, outlier_fraction=0.5, noise=0.002, seed=3, extent=0.15
+        )
+        rows = []
+        fit = registration._triplet_poses
+
+        def spy(s3, d3):
+            rows.append(len(s3))
+            return fit(s3, d3)
+
+        monkeypatch.setattr(registration, "_triplet_poses", spy)
+        src, dst = matches.anchor_points, matches.query_points
+        try:
+            _register(src, dst, iterations, np.ones(len(src)), 5)
+        except NoConsensus:
+            pass
+        assert rows == [iterations]
+
+    @pytest.mark.parametrize("iterations", [1000, 8000])
+    def test_memory_does_not_grow_with_n_squared(self, iterations):
         # Dense (N, N, 3) and (iterations, N, 3) arrays peaked near 288 MB
-        # here; the chunked engine holds a few (128, N) blocks at a time.
+        # here, and an (iterations, N) array takes 128 MB at 8000
+        # hypotheses; the engine holds a few (128, N) blocks at a time, and
+        # the triplets and their poses grow with the budget alone.
         matches, _ = make_correspondences(
             n_matches=2000, outlier_fraction=0.5, noise=0.002, seed=4, extent=0.15
         )
         tracemalloc.start()
         try:
-            result = register_spatial_consistency(matches, seed=4)
+            result = register_spatial_consistency(
+                matches, RegistrationParams(iterations), seed=4
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -628,6 +653,22 @@ class TestClassifyThenVerify:
         src = np.zeros((4, 3))
         src[0, 0] = np.nan
         assert _bands(src, src) == (-np.inf, np.inf, np.inf)
+
+
+class TestRegistrationParams:
+    @pytest.mark.parametrize("iterations", [1, 1000, np.int64(129), np.int32(5)])
+    def test_integers_are_accepted(self, iterations):
+        assert RegistrationParams(iterations).iterations == iterations
+
+    @pytest.mark.parametrize("iterations", [2.5, 1000.0, np.float64(4.0), True, False, "10", None])
+    def test_non_integral_or_bool_budget_is_rejected(self, iterations):
+        with pytest.raises(ValueError, match="iterations"):
+            RegistrationParams(iterations)
+
+    @pytest.mark.parametrize("iterations", [0, -3, np.int64(0)])
+    def test_budget_below_one_is_rejected(self, iterations):
+        with pytest.raises(ValueError, match="iterations must be at least 1"):
+            RegistrationParams(iterations)
 
 
 class TestRegisterRansac:
