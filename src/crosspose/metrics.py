@@ -37,7 +37,9 @@ r = width / ``MSPD_BASE_WIDTH``; and ``OCCLUSION_TOLERANCE``, delta =
 It poses the model once per pose and once per symmetry other than the
 identity, and hands those read-only clouds to the four errors through
 their keyword-only ``posed`` argument; called without it, each error
-poses the model the same way.
+poses the model the same way. It also projects each of those clouds
+once and carries the projections in the same ``posed`` object, for MSPD
+and on to :func:`render.splat_depth` for both VSD renders.
 """
 
 from __future__ import annotations
@@ -50,7 +52,9 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import BehindCamera, DimensionMismatch, EmptyRender
-from .geometry import CameraIntrinsics, ObjectModel, Pose, as_depth, as_mask, project
+from .geometry import (
+    CameraIntrinsics, ObjectModel, Pose, Projection, as_depth, as_mask, project,
+)
 from .render import splat_depth, visibility
 
 # 0.05, 0.10, ..., 0.50: the standard threshold sweep.
@@ -67,12 +71,22 @@ ADD_FRACTION = 0.1
 SCORES = ("ar", "vsd", "mssd", "mspd", "add", "miou")
 
 
+class _Projected(NamedTuple):
+    """The projections of the clouds of a :class:`_Posed`, field for field."""
+
+    est: Projection
+    refs: tuple
+    true: Projection
+
+
 class _Posed(NamedTuple):
-    """The model points of one pair under its two poses, all read-only."""
+    """The model points of one pair under its two poses, all read-only,
+    and their projections by the pair's camera when the caller holds them."""
 
     est: np.ndarray  # pose_est
     refs: tuple  # pose_true after each declared symmetry, in order
     true: np.ndarray  # pose_true
+    proj: _Projected | None = None
 
 
 def _pose_model(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> _Posed:
@@ -97,6 +111,19 @@ def _pose_model(model: ObjectModel, pose_true: Pose, pose_est: Pose) -> _Posed:
             if np.array_equal(sym.rotation, np.eye(3)) and not sym.translation.any()
             else frozen(pose_true.apply(sym.apply(model.points)))
             for sym in model.symmetries
+        ),
+        true=true,
+    )
+
+
+def _project_posed(posed: _Posed, intrinsics: CameraIntrinsics) -> _Projected:
+    """Project each distinct cloud of ``posed`` once: a reference that is
+    ``true`` itself takes the projection of ``true``."""
+    true = project(posed.true, intrinsics)
+    return _Projected(
+        est=project(posed.est, intrinsics),
+        refs=tuple(
+            true if ref is posed.true else project(ref, intrinsics) for ref in posed.refs
         ),
         true=true,
     )
@@ -132,11 +159,13 @@ def mspd_error(
     """
     if posed is None:
         posed = _pose_model(model, pose_true, pose_est)
-    proj_est = project(posed.est, intrinsics)
+    projected = posed.proj
+    if projected is None:
+        projected = _project_posed(posed, intrinsics)
+    proj_est = projected.est
     best = math.inf
     excluded = 0
-    for ref in posed.refs:
-        proj_ref = project(ref, intrinsics)
+    for proj_ref in projected.refs:
         valid = proj_est.in_front & proj_ref.in_front
         if not np.any(valid):
             continue
@@ -209,8 +238,11 @@ def vsd_error_set(
     if posed is None:
         posed = _pose_model(model, pose_true, pose_est)
 
-    d_true, _ = splat_depth(posed.true, intrinsics)
-    d_est, _ = splat_depth(posed.est, intrinsics)
+    proj_true = proj_est = None
+    if posed.proj is not None:
+        proj_true, proj_est = posed.proj.true, posed.proj.est
+    d_true, _ = splat_depth(posed.true, intrinsics, projection=proj_true)
+    d_est, _ = splat_depth(posed.est, intrinsics, projection=proj_est)
 
     visib_true = visibility(d_true, scene, OCCLUSION_TOLERANCE)
     visib_est = visibility(d_est, scene, OCCLUSION_TOLERANCE)
@@ -309,10 +341,11 @@ def pair_report(
     Mask quality is 1.0 when no predicted mask is supplied, else its
     :func:`miou` against ``gt_mask``. The model is posed once per pose and
     once per symmetry other than the identity, and the four errors share
-    those read-only clouds.
+    those read-only clouds; MSPD and VSD share one projection of each.
     """
     d = model.diameter_m
     posed = _pose_model(model, pose_true, pose_est)
+    posed = posed._replace(proj=_project_posed(posed, intrinsics))
 
     e_mssd = mssd_error(model, pose_true, pose_est, posed=posed)
     mssd_score = recall_average([e_mssd], [f * d for f in MSSD_FRACTIONS])

@@ -33,6 +33,17 @@ inliers, only those whose fast mean residual lies within ``sqrt(delta)``
 exact residuals and the exact mean, so the winner, its mean and its
 residual row are those of the exact engine.
 
+Compatibility is classified and verified the same way. Each view is
+centred on its centroid, and one matrix product per view and block of
+``_BLOCK`` rows gives the squared distances as ``|a|**2 + |b|**2 - 2
+a.b``; their roots are within a bound that scales with the largest
+centred coordinate (see :func:`_length_band`) of the exact lengths of
+:func:`_distances`. A length change more than that band from the
+tolerance is decided from the roots; an entry inside it is recounted by
+the exact expression, whose bits equal the exact block's, so every score
+is the exact one. A non-finite coordinate sends the whole call down the
+exact route.
+
 Determinism and memory: a call runs in three phases. It draws every
 hypothesis' seed triplet in fixed chunks of ``_CHUNK`` rows, in order,
 from one generator seeded once; it fits all the triplets in one
@@ -68,8 +79,10 @@ _DEGENERACY_TOL = 1e-9
 _CHUNK = 128
 _BLOCK = 128
 
-# Unit roundoff of float64.
+# Unit roundoff of float64, and the smallest subnormal: the most an
+# underflowing operation loses.
 _U = np.finfo(np.float64).eps / 2
+_ETA = np.finfo(np.float64).smallest_subnormal
 
 # Meters. A correspondence within INLIER_THRESHOLD of a hypothesis is its
 # inlier; a pairwise distance that changes by at most
@@ -164,6 +177,80 @@ def _distances(p: np.ndarray, start: int, stop: int, out: np.ndarray, tmp: np.nd
     return np.sqrt(sq, out=sq)
 
 
+def _lengths(p: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Distances from points ``p[i]`` to points ``p[j]``, by the float
+    steps of :func:`_distances`, so each equals its entry there bit for bit."""
+    return np.sqrt(sum_sq(p[i, k] - p[j, k] for k in range(3)))
+
+
+def _gram_factors(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Factors ``(a, b)`` of the squared distances of the points ``c``.
+
+    Row ``i`` of the ``(n, 5)`` array ``a`` is ``[c_i, |c_i|**2, 1]`` and
+    column ``j`` of the ``(5, n)`` array ``b`` is ``[-2 c_j, 1,
+    |c_j|**2]``, so ``(a @ b)[i, j] = |c_i|**2 + |c_j|**2 - 2 c_i . c_j``.
+    The scaling by -2 is exact.
+    """
+    sq = (c * c).sum(axis=1)
+    ones = np.ones(len(c))
+    return np.column_stack((c, sq, ones)), np.vstack((-2.0 * c.T, ones, sq))
+
+
+def _gram_distances(
+    a: np.ndarray, b: np.ndarray, start: int, stop: int, out: np.ndarray
+) -> np.ndarray:
+    """Distances from points ``start:stop`` to the points ``start:``, from
+    one product of the factors of :func:`_gram_factors`, to within
+    :func:`_length_band` of :func:`_distances`. A square that rounding
+    takes below zero, as it may for near-coincident points, is replaced by
+    its magnitude before the root (``abs`` runs faster than a clamp at 0
+    and keeps the same bound). Written into ``out``.
+    """
+    sq = np.matmul(a[start:stop], b[:, start:], out=out)
+    np.abs(sq, out=sq)
+    return np.sqrt(sq, out=sq)
+
+
+def _length_band(*centred: np.ndarray) -> float:
+    """How far :func:`_gram_distances` may move a length change from
+    :func:`_distances`; ``inf`` when the bound is not finite.
+
+    Let ``M`` be the largest coordinate magnitude of the centred views,
+    ``u = 2**-53`` and ``eta = 2**-1074``, the most an underflowing
+    operation can lose. Centring rounds each coordinate once, so two
+    centred points differ by at most ``2uM`` per coordinate from the
+    difference of the input points: ``4uM`` in length. The product of
+    :func:`_gram_factors` sums five terms of total magnitude at most
+    ``12 M**2`` (two squared norms of at most ``3 M**2`` and ``-2 a.b``
+    of at most ``6 M**2``), within ``gamma_5 * 12 M**2`` whatever its
+    order or fused multiply-adds, and each squared norm it carries is
+    within ``gamma_3 * 3 M**2``: the square is within ``E = 96 u M**2 +
+    16 eta`` of the true one. A negative square, replaced by its
+    magnitude, and the true one both lie in ``[0, E]``. A root moves by
+    at most ``sqrt(E)`` when its argument moves by ``E``, and rounding
+    the root adds ``4uM``: the Gram length is within ``sqrt(E) + 8uM`` of
+    the true length of the input points. The expression of
+    :func:`_distances` rounds each of its six steps on non-negative
+    terms, so its length lies within ``16uM + 2 sqrt(eta)`` of the same
+    true length. Per view the two routes differ by at most ``R = sqrt(E)
+    + 2 sqrt(eta) + 24uM``, and the change ``|ds - dd|``, whose
+    subtraction rounds values of at most ``4M``, by at most ``B = 2R +
+    8uM``. The band is ``4B``, a safety factor of 4. At ``M = 0.15`` m it
+    is about 1.2e-7 m against a tolerance of 1e-2 m.
+
+    A non-finite coordinate, or coordinates large enough that ``12 M**2``
+    overflows, give ``inf``; the caller then scores by :func:`_distances`
+    alone.
+    """
+    # np.max, unlike the built-in max, keeps a NaN of any view.
+    m = np.max([np.abs(c).max() for c in centred])
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = 12 * m * m
+        root = np.sqrt(8 * _U * terms + 16 * _ETA) + 2 * np.sqrt(_ETA) + 24 * _U * m
+        band = 4 * (2 * root + 8 * _U * m)
+    return float(band) if np.isfinite(terms) and np.isfinite(band) else np.inf
+
+
 def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     """Count, per match, how many other matches preserve pairwise length.
 
@@ -174,6 +261,19 @@ def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     meets only the columns from its own first row on, and adds to both
     its row and its column counts. Memory grows with ``n``, not with
     ``n**2``.
+
+    Every decision is that of the exact lengths of :func:`_distances`,
+    but few entries need them. Each view is centred on its centroid, and
+    one matrix product per view and block gives every squared distance
+    as ``|a|**2 + |b|**2 - 2 a.b`` (:func:`_gram_distances`). A length
+    change more than the band of :func:`_length_band` inside or outside
+    ``tolerance`` is decided from those roots; an entry within the band
+    is recounted from :func:`_lengths`, whose bits equal the entry of
+    :func:`_distances`. A call whose band is not finite (a NaN or
+    infinite coordinate in either view) scores every block by
+    :func:`_distances`: a NaN centroid makes every length of its view
+    NaN, so a recount would gather every entry of every block by index,
+    several times the memory and time of the exact block it equals.
     """
     s = as_rows(src, 3, np.float64, "src")
     d = as_rows(dst, 3, np.float64, "dst")
@@ -181,18 +281,42 @@ def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
         raise ValueError("source/destination counts differ")
     n = len(s)
     scores = np.zeros(n)
-    buffers = np.empty((3, min(_BLOCK, n), n))
+    if n == 0:
+        return scores
+    with np.errstate(over="ignore", invalid="ignore"):
+        # A non-finite centroid gives a non-finite band: the exact route.
+        centred = s - s.mean(axis=0), d - d.mean(axis=0)
+    band = _length_band(*centred)
+    gram = np.isfinite(band)
+    if gram:
+        factors = [_gram_factors(c) for c in centred]
+        lo, hi = tolerance - band, tolerance + band
+    else:
+        lo = hi = tolerance
+    buffers = np.empty((2 if gram else 3, min(_BLOCK, n), n))
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        ds, dd, tmp = buffers[:, : stop - start, : n - start]
-        _distances(s, start, stop, ds, tmp)
-        _distances(d, start, stop, dd, tmp)
+        ds, dd, *tmp = buffers[:, : stop - start, : n - start]
+        if gram:
+            for (a, b), out in zip(factors, (ds, dd)):
+                _gram_distances(a, b, start, stop, out)
+        else:
+            _distances(s, start, stop, ds, *tmp)
+            _distances(d, start, stop, dd, *tmp)
         ds -= dd
-        compatible = np.abs(ds, out=ds) <= tolerance
+        change = np.abs(ds, out=ds)
+        compatible = change <= lo
+        unsure = change <= hi
+        if np.count_nonzero(unsure) > np.count_nonzero(compatible):
+            unsure ^= compatible
+            rows, cols = np.nonzero(unsure)
+            i, j = rows + start, cols + start
+            compatible[rows, cols] = np.abs(_lengths(s, i, j) - _lengths(d, i, j)) <= tolerance
         own = np.arange(stop - start)
         compatible[own, own] = False
-        scores[start:stop] += compatible.sum(axis=1)
-        scores[stop:] += compatible[:, stop - start :].sum(axis=0)
+        # Row counts stay below n; int32 sums them faster than the default.
+        scores[start:stop] += compatible.sum(axis=1, dtype=np.int32)
+        scores[stop:] += compatible[:, stop - start :].sum(axis=0, dtype=np.int32)
     return scores
 
 

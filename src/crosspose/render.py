@@ -16,16 +16,24 @@ from __future__ import annotations
 
 import numpy as np
 
-from .geometry import CameraIntrinsics, _as_points, project
+from .geometry import CameraIntrinsics, Projection, _as_points, project
 
 
 def splat_depth(
-    points_cam, intrinsics: CameraIntrinsics
+    points_cam, intrinsics: CameraIntrinsics, *, projection: Projection | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Render camera-frame points. Returns ``(depth, point_index)``."""
+    """Render camera-frame points. Returns ``(depth, point_index)``.
+
+    ``projection``, when given, is ``project(points_cam, intrinsics)``
+    that the caller already holds; the points are then not projected again.
+    """
     pts = _as_points(points_cam)
     h, w = intrinsics.height, intrinsics.width
-    proj = project(pts, intrinsics)
+    proj = project(pts, intrinsics) if projection is None else projection
+    if len(proj.in_image) != len(pts):
+        raise ValueError(
+            f"projection of {len(proj.in_image)} points given for {len(pts)} points"
+        )
     visible = np.nonzero(proj.in_image)[0]
     uv = np.rint(proj.uv[visible]).astype(np.int64)
     z = pts[visible, 2]

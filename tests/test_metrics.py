@@ -731,6 +731,31 @@ class TestPairReportPosesOnce:
         pair_report(model, pose, self._estimate(pose), depth_scene.depth, cam96)
         assert len(calls) == 2 * len(model.symmetries)
 
+    def test_projects_each_cloud_once(self, scene, cam96, monkeypatch):
+        # The estimate once and each symmetry's cloud once, the identity's
+        # being the reference: MSPD and both VSD splats share them.
+        from crosspose import geometry, render
+
+        model, pose, depth_scene = scene
+        calls = []
+
+        def counted(points, intrinsics):
+            calls.append(len(points))
+            return geometry.project(points, intrinsics)
+
+        monkeypatch.setattr(metrics, "project", counted)
+        monkeypatch.setattr(render, "project", counted)
+        pair_report(model, pose, self._estimate(pose), depth_scene.depth, cam96)
+        assert len(calls) == len(model.symmetries) + 1
+
+    def test_splat_of_a_mismatched_projection_is_rejected(self, scene, cam96):
+        from crosspose import render
+
+        model, pose, _ = scene
+        points = pose.apply(model.points)
+        with pytest.raises(ValueError, match="projection of"):
+            render.splat_depth(points, cam96, projection=project(points[1:], cam96))
+
     def test_errors_equal_the_public_functions_bitwise(self, scene, cam96):
         model, pose, depth_scene = scene
         est = self._estimate(pose)

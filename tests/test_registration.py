@@ -22,7 +22,8 @@ from crosspose import (
 )
 from crosspose import registration
 from crosspose.registration import (
-    COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _bands, _register, _top3, _triplet_poses,
+    _BLOCK, COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _bands, _distances, _gram_distances,
+    _gram_factors, _length_band, _register, _top3, _triplet_poses,
 )
 from conftest import random_se3
 
@@ -235,6 +236,134 @@ class TestCompatibilityScores:
         for tolerance in (0.005, 0.01, 1.0):
             got = compatibility_scores(src, dst, tolerance)
             np.testing.assert_array_equal(got, _compatibility_dense(src, dst, tolerance))
+
+
+class TestGramThenRecount:
+    """Compatibility from one Gram product per view, with the entries
+    inside the rounding band recounted, against the exact dense matrix."""
+
+    @pytest.fixture
+    def spy(self, monkeypatch):
+        """Lengths recounted exactly (two per entry, one per view), and the
+        calls of either block route."""
+        seen = {"recounted": 0, "gram": 0, "exact": 0}
+        lengths, gram, exact = (
+            registration._lengths, registration._gram_distances, registration._distances
+        )
+
+        def recount(p, i, j):
+            seen["recounted"] += len(i)
+            return lengths(p, i, j)
+
+        def count(name, route):
+            def wrapper(*args):
+                seen[name] += 1
+                return route(*args)
+            return wrapper
+
+        monkeypatch.setattr(registration, "_lengths", recount)
+        monkeypatch.setattr(registration, "_gram_distances", count("gram", gram))
+        monkeypatch.setattr(registration, "_distances", count("exact", exact))
+        return seen
+
+    @pytest.mark.parametrize("offset", [0.0, 60.0, 1000.0])
+    def test_changes_within_ulps_of_tolerance(self, rng, spy, offset):
+        # Every other point of the destination is moved along its ray from
+        # point 0 so that its distance to point 0 grows by the tolerance
+        # plus -40 to 40 ulps of the coordinates: half of row 0 sits inside
+        # the band, on both sides of the tolerance. At 60 and 1000 m the
+        # ulps widen with the coordinates; the band does not, since it
+        # depends on the centred coordinates only.
+        n, tol = 300, COMPATIBILITY_TOLERANCE
+        src = rng.normal(scale=0.05, size=(n, 3)) + offset
+        dst = src.copy()
+        ray = src[2::2] - src[0]
+        length = np.linalg.norm(ray, axis=1, keepdims=True)
+        ulps = rng.integers(-40, 41, size=(len(ray), 1)) * np.spacing(offset + 0.25)
+        dst[2::2] = src[0] + ray / length * (length + tol + ulps)
+        want = _compatibility_dense(src, dst, tol)
+        np.testing.assert_array_equal(compatibility_scores(src, dst, tol), want)
+        change = np.abs(_distances_dense(src)[0] - _distances_dense(dst)[0])[2::2]
+        assert (change <= tol).any() and (change > tol).any()
+        assert spy["recounted"] >= 2 * len(ray)
+        assert spy["gram"] > 0 and spy["exact"] == 0
+
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("offset", [0.0, 60.0])
+    def test_gram_roots_stay_inside_the_band(self, rng, scale, offset):
+        # Random clouds with near-coincident pairs, where a root magnifies
+        # the rounding of its square most. Per view the routes differ by
+        # at most R, and a length change by at most 2R + 8uM = band / 4.
+        n = 200
+        views = []
+        for _ in range(2):
+            p = rng.normal(scale=scale, size=(n, 3))
+            p[1::10] = p[::10] + rng.normal(scale=1e-9 * scale, size=(n // 10, 3))
+            views.append(p + offset * scale)
+        centred = [p - p.mean(axis=0) for p in views]
+        band = _length_band(*centred)
+        fast, exact = [], []
+        for p, c in zip(views, centred):
+            out, tmp = np.empty((2, n, n))
+            fast.append(_gram_distances(*_gram_factors(c), 0, n, out))
+            exact.append(_distances(p, 0, n, np.empty((n, n)), tmp))
+            assert np.abs(fast[-1] - exact[-1]).max() <= band / 8
+        err = np.abs(np.abs(fast[0] - fast[1]) - np.abs(exact[0] - exact[1]))
+        assert 0 < err.max() <= band / 4
+
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, COMPATIBILITY_TOLERANCE])
+    def test_coincident_points_score_as_dense(self, rng, tolerance):
+        # Repeated points: exact lengths of zero whose fast squares round
+        # below zero, taken by magnitude before the root with no
+        # RuntimeWarning. At a tolerance of 0 every repeated pair lies
+        # inside the band.
+        src = rng.normal(scale=0.05, size=(260, 3))
+        src[1::3] = src[::3][: len(src[1::3])]
+        dst = random_se3(rng).apply(src)
+        dst[1::3] = dst[::3][: len(dst[1::3])]
+        a, b = _gram_factors(src - src.mean(axis=0))
+        assert ((a @ b)[np.arange(1, 260, 3), np.arange(0, 259, 3)] < 0).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = compatibility_scores(src, dst, tolerance)
+        np.testing.assert_array_equal(got, _compatibility_dense(src, dst, tolerance))
+
+    @pytest.mark.parametrize("views", ["src", "dst", "both"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
+    def test_non_finite_band_takes_the_exact_route(self, rng, spy, bad, views):
+        # A NaN or infinite coordinate, or one whose squares overflow, in
+        # either view scores every block by the exact route, NaN
+        # comparisons included.
+        src = rng.normal(scale=0.05, size=(150, 3))
+        dst = random_se3(rng).apply(src)
+        if views != "dst":
+            src[7, 1] = bad
+        if views != "src":
+            dst[40, 2] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            assert _length_band(src - src.mean(axis=0), dst - dst.mean(axis=0)) == np.inf
+            want = _compatibility_dense(src, dst, COMPATIBILITY_TOLERANCE)
+            got = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+        np.testing.assert_array_equal(got, want)
+        # Two blocks of rows, each measured in both views.
+        assert spy["gram"] == 0 and spy["exact"] == 2 * 2
+
+    @pytest.mark.parametrize("n", [2000, 4000])
+    def test_memory_stays_within_blocks(self, n):
+        # An (n, n) float64 matrix takes 32 and 128 MB here; the scores
+        # hold two (_BLOCK, n) distance blocks and their masks.
+        matches, _ = make_correspondences(
+            n_matches=n, outlier_fraction=0.5, noise=0.002, seed=4, extent=0.15
+        )
+        src, dst = matches.anchor_points, matches.query_points
+        tracemalloc.start()
+        try:
+            compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * _BLOCK * n * 8
 
 
 class TestTopThree:
