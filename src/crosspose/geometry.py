@@ -26,6 +26,13 @@ import numpy as np
 # A rotation must be orthonormal with det +1 to within this bound.
 ORTHONORMALITY_TOL = 1e-9
 
+# Meters: the largest coordinate magnitude as_coordinates accepts. It sits
+# far above any scene a camera sees (a 16-bit depth map ends at 65.535 m)
+# and far below overflow: the squared lengths registration forms from
+# centred coordinates, at most 12 * (2e9)**2 = 4.8e19, stay finite when
+# summed over any number of matches, so its rounding bounds hold.
+COORDINATE_BOUND = 1e9
+
 # _cell_grid: a cell edge is at least the bounding box's largest side over
 # this many cells, so every cell coordinate and key fits in int64.
 _GRID_CELLS = 2**20
@@ -185,6 +192,15 @@ def as_rows(values, width: int, dtype, name: str) -> np.ndarray:
         arr = arr.reshape(0, width)
     if arr.ndim != 2 or arr.shape[1] != width:
         raise ValueError(f"{name} must have shape (M, {width}), got {arr.shape}")
+    return arr
+
+
+def as_coordinates(values, name: str) -> np.ndarray:
+    """Validate ``(M, 3)`` float coordinates in meters by :func:`as_rows`,
+    each finite and of magnitude at most ``COORDINATE_BOUND``."""
+    arr = as_rows(values, 3, np.float64, name)
+    if not np.all(np.abs(arr) <= COORDINATE_BOUND):  # NaN fails the comparison
+        raise ValueError(f"{name} must be finite and within {COORDINATE_BOUND:g} m")
     return arr
 
 

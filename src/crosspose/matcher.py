@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EmptyMask, ZeroVector
-from .geometry import CameraIntrinsics, as_depth, as_mask, as_rows, back_project
+from .geometry import CameraIntrinsics, as_coordinates, as_depth, as_mask, as_rows, back_project
 
 # Cosine distance is undefined below this norm.
 ZERO_NORM_TOL = 1e-12
@@ -75,15 +75,17 @@ class Correspondences:
 
     Row i of ``anchor_points`` (anchor camera frame) and row i of
     ``query_points`` (query camera frame) are one correspondence; both
-    are (M, 3) arrays.
+    are (M, 3) arrays of finite coordinates within ``COORDINATE_BOUND``
+    (1e9 m), so registration never meets a NaN, an infinity or an
+    overflowing square.
     """
 
     anchor_points: np.ndarray
     query_points: np.ndarray
 
     def __post_init__(self):
-        pa = as_rows(self.anchor_points, 3, np.float64, "anchor points")
-        pq = as_rows(self.query_points, 3, np.float64, "query points")
+        pa = as_coordinates(self.anchor_points, "anchor points")
+        pq = as_coordinates(self.query_points, "query points")
         if len(pa) != len(pq):
             raise ValueError("anchor/query point counts differ")
         object.__setattr__(self, "anchor_points", pa)

@@ -38,11 +38,14 @@ centred on its centroid, and one matrix product per view and block of
 ``_BLOCK`` rows gives the squared distances as ``|a|**2 + |b|**2 - 2
 a.b``; their roots are within a bound that scales with the largest
 centred coordinate (see :func:`_length_band`) of the exact lengths of
-:func:`_distances`. A length change more than that band from the
-tolerance is decided from the roots; an entry inside it is recounted by
-the exact expression, whose bits equal the exact block's, so every score
-is the exact one. A non-finite coordinate sends the whole call down the
-exact route.
+:func:`_lengths`. A length change more than that band from the tolerance
+is decided from the roots; an entry inside it is recounted by
+:func:`_lengths`, so every score is the exact one.
+
+Both bands assume finite coordinates of magnitude at most
+``geometry.COORDINATE_BOUND`` (1e9 m), where no square overflows.
+:class:`Correspondences` and :func:`compatibility_scores` reject any
+other input with a ValueError that names the view.
 
 Determinism and memory: a call runs in three phases. It draws every
 hypothesis' seed triplet in fixed chunks of ``_CHUNK`` rows, in order,
@@ -67,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, NoConsensus, TooFewMatches
-from .geometry import Pose, as_rows, sum_sq
+from .geometry import Pose, as_coordinates, as_rows, sum_sq
 from .matcher import Correspondences
 
 # Point sets whose second singular value (after centering) falls below
@@ -164,22 +167,9 @@ def kabsch(src, dst) -> Pose:
     return Pose(rot, cd - rot @ cs)
 
 
-def _distances(p: np.ndarray, start: int, stop: int, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
-    """Distances from points ``p[start:stop]`` to the points ``p[start:]``,
-    the roots of :func:`geometry.sum_sq`. Written into ``out``; ``tmp`` is a
-    work buffer of the same shape that takes the y and z differences.
-    """
-    block, rest = p[start:stop], p[start:]
-    sq = sum_sq(
-        np.subtract(block[:, k, None], rest[:, k], out=buf)
-        for k, buf in enumerate((out, tmp, tmp))
-    )
-    return np.sqrt(sq, out=sq)
-
-
 def _lengths(p: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """Distances from points ``p[i]`` to points ``p[j]``, by the float
-    steps of :func:`_distances`, so each equals its entry there bit for bit."""
+    """The exact distances from points ``p[i]`` to points ``p[j]``: the
+    roots of :func:`geometry.sum_sq` of the coordinate differences."""
     return np.sqrt(sum_sq(p[i, k] - p[j, k] for k in range(3)))
 
 
@@ -201,7 +191,7 @@ def _gram_distances(
 ) -> np.ndarray:
     """Distances from points ``start:stop`` to the points ``start:``, from
     one product of the factors of :func:`_gram_factors`, to within
-    :func:`_length_band` of :func:`_distances`. A square that rounding
+    :func:`_length_band` of :func:`_lengths`. A square that rounding
     takes below zero, as it may for near-coincident points, is replaced by
     its magnitude before the root (``abs`` runs faster than a clamp at 0
     and keeps the same bound). Written into ``out``.
@@ -213,7 +203,7 @@ def _gram_distances(
 
 def _length_band(*centred: np.ndarray) -> float:
     """How far :func:`_gram_distances` may move a length change from
-    :func:`_distances`; ``inf`` when the bound is not finite.
+    :func:`_lengths`.
 
     Let ``M`` be the largest coordinate magnitude of the centred views,
     ``u = 2**-53`` and ``eta = 2**-1074``, the most an underflowing
@@ -230,25 +220,19 @@ def _length_band(*centred: np.ndarray) -> float:
     at most ``sqrt(E)`` when its argument moves by ``E``, and rounding
     the root adds ``4uM``: the Gram length is within ``sqrt(E) + 8uM`` of
     the true length of the input points. The expression of
-    :func:`_distances` rounds each of its six steps on non-negative
+    :func:`_lengths` rounds each of its six steps on non-negative
     terms, so its length lies within ``16uM + 2 sqrt(eta)`` of the same
     true length. Per view the two routes differ by at most ``R = sqrt(E)
     + 2 sqrt(eta) + 24uM``, and the change ``|ds - dd|``, whose
     subtraction rounds values of at most ``4M``, by at most ``B = 2R +
     8uM``. The band is ``4B``, a safety factor of 4. At ``M = 0.15`` m it
     is about 1.2e-7 m against a tolerance of 1e-2 m.
-
-    A non-finite coordinate, or coordinates large enough that ``12 M**2``
-    overflows, give ``inf``; the caller then scores by :func:`_distances`
-    alone.
     """
-    # np.max, unlike the built-in max, keeps a NaN of any view.
     m = np.max([np.abs(c).max() for c in centred])
-    with np.errstate(over="ignore", invalid="ignore"):
-        terms = 12 * m * m
-        root = np.sqrt(8 * _U * terms + 16 * _ETA) + 2 * np.sqrt(_ETA) + 24 * _U * m
-        band = 4 * (2 * root + 8 * _U * m)
-    return float(band) if np.isfinite(terms) and np.isfinite(band) else np.inf
+    terms = 12 * m * m
+    root = np.sqrt(8 * _U * terms + 16 * _ETA) + 2 * np.sqrt(_ETA) + 24 * _U * m
+    band = 4 * (2 * root + 8 * _U * m)
+    return float(band)
 
 
 def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
@@ -262,47 +246,35 @@ def compatibility_scores(src, dst, tolerance: float) -> np.ndarray:
     its row and its column counts. Memory grows with ``n``, not with
     ``n**2``.
 
-    Every decision is that of the exact lengths of :func:`_distances`,
-    but few entries need them. Each view is centred on its centroid, and
+    Every decision is that of the exact lengths of :func:`_lengths`, but
+    few entries need them. Each view is centred on its centroid, and
     one matrix product per view and block gives every squared distance
     as ``|a|**2 + |b|**2 - 2 a.b`` (:func:`_gram_distances`). A length
     change more than the band of :func:`_length_band` inside or outside
     ``tolerance`` is decided from those roots; an entry within the band
-    is recounted from :func:`_lengths`, whose bits equal the entry of
-    :func:`_distances`. A call whose band is not finite (a NaN or
-    infinite coordinate in either view) scores every block by
-    :func:`_distances`: a NaN centroid makes every length of its view
-    NaN, so a recount would gather every entry of every block by index,
-    several times the memory and time of the exact block it equals.
+    is recounted from :func:`_lengths`.
+
+    ``src`` and ``dst`` are ``(M, 3)`` arrays; a coordinate that is not
+    finite or exceeds ``geometry.COORDINATE_BOUND`` raises ValueError.
     """
-    s = as_rows(src, 3, np.float64, "src")
-    d = as_rows(dst, 3, np.float64, "dst")
+    s = as_coordinates(src, "src")
+    d = as_coordinates(dst, "dst")
     if len(s) != len(d):
         raise ValueError("source/destination counts differ")
     n = len(s)
     scores = np.zeros(n)
     if n == 0:
         return scores
-    with np.errstate(over="ignore", invalid="ignore"):
-        # A non-finite centroid gives a non-finite band: the exact route.
-        centred = s - s.mean(axis=0), d - d.mean(axis=0)
+    centred = s - s.mean(axis=0), d - d.mean(axis=0)
     band = _length_band(*centred)
-    gram = np.isfinite(band)
-    if gram:
-        factors = [_gram_factors(c) for c in centred]
-        lo, hi = tolerance - band, tolerance + band
-    else:
-        lo = hi = tolerance
-    buffers = np.empty((2 if gram else 3, min(_BLOCK, n), n))
+    factors = [_gram_factors(c) for c in centred]
+    lo, hi = tolerance - band, tolerance + band
+    buffers = np.empty((2, min(_BLOCK, n), n))
     for start in range(0, n, _BLOCK):
         stop = min(start + _BLOCK, n)
-        ds, dd, *tmp = buffers[:, : stop - start, : n - start]
-        if gram:
-            for (a, b), out in zip(factors, (ds, dd)):
-                _gram_distances(a, b, start, stop, out)
-        else:
-            _distances(s, start, stop, ds, *tmp)
-            _distances(d, start, stop, dd, *tmp)
+        ds, dd = buffers[:, : stop - start, : n - start]
+        for (a, b), out in zip(factors, (ds, dd)):
+            _gram_distances(a, b, start, stop, out)
         ds -= dd
         change = np.abs(ds, out=ds)
         compatible = change <= lo
@@ -490,14 +462,11 @@ def _bands(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, float]:
     residuals differ by at most ``sqrt(B) + 2uT``, below ``sqrt(delta)``,
     and the two ways of summing ``n`` of them, then dividing, add at most
     ``4 n u T``, so ``eta = sqrt(delta) + 4 n u T``. At ``M = 1000`` m,
-    ``delta`` is about 4e-11 against ``T**2 = 1e-4``. A non-finite
-    coordinate makes every row verify exactly.
+    ``delta`` is about 4e-11 against ``T**2 = 1e-4``.
     """
     t2 = INLIER_THRESHOLD * INLIER_THRESHOLD
     eps = 80 * _U * max(np.abs(src).max(), np.abs(dst).max())
     delta = 100 * (4 * eps * INLIER_THRESHOLD + 3 * eps * eps + 8 * _U * t2)
-    if not np.isfinite(delta):
-        return -np.inf, np.inf, np.inf
     return t2 - delta, t2 + delta, np.sqrt(delta) + 4 * len(src) * _U * INLIER_THRESHOLD
 
 
@@ -578,12 +547,11 @@ def _register(
         # Rows that reach the most inliers, and the bound their exact
         # means must meet to beat the running best or each other.
         rows = np.nonzero(counts == top)[0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            fast = np.where(
-                top > 0,
-                (np.sqrt(sq[rows]) * inlier[rows]).sum(axis=1) / max(top, 1),
-                np.inf,
-            )
+        fast = np.where(
+            top > 0,
+            (np.sqrt(sq[rows]) * inlier[rows]).sum(axis=1) / max(top, 1),
+            np.inf,
+        )
         bound = fast.min() + 2 * eta
         if top == best_count:
             bound = min(bound, best_mean + eta)
@@ -594,10 +562,9 @@ def _register(
         res = _residuals(rot[rows], t[rows], src, dst)
         inl = res <= INLIER_THRESHOLD
         cnt = counts[rows]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            mean_res = np.where(
-                cnt > 0, (res * inl).sum(axis=1) / np.maximum(cnt, 1), np.inf
-            )
+        mean_res = np.where(
+            cnt > 0, (res * inl).sum(axis=1) / np.maximum(cnt, 1), np.inf
+        )
         # Row 0 is the best so far; it wins its ties as the earlier index.
         k = int(np.lexsort((np.r_[best_mean, mean_res], -np.r_[best_count, cnt]))[0])
         if k > 0:

@@ -19,6 +19,7 @@ from crosspose import (
     make_pair,
     Pose,
 )
+from crosspose.geometry import COORDINATE_BOUND
 from crosspose.matcher import (
     _CHUNK,
     MAX_DISTANCE,
@@ -383,6 +384,33 @@ def test_records_reject_wrong_shapes_instead_of_reshaping():
     with pytest.raises(ValueError, match="must align"):
         MatchSet(anchor_cells=np.zeros((2, 2)), query_cells=np.zeros((2, 2)),
                  distances=np.zeros((2, 1)))
+
+
+@pytest.mark.parametrize("views", ["anchor", "query", "both"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e160])
+def test_correspondences_reject_non_finite_or_overflowing_points(bad, views):
+    # The error names the first view that holds the value.
+    anchor, query = np.zeros((5, 3)), np.ones((5, 3))
+    if views != "query":
+        anchor[2, 1] = bad
+    if views != "anchor":
+        query[4, 0] = bad
+    name = "query" if views == "query" else "anchor"
+    with pytest.raises(ValueError, match=rf"^{name} points must be finite and within 1e\+09 m"):
+        Correspondences(anchor, query)
+
+
+def test_correspondences_accept_points_at_the_bound():
+    edge = np.array([[COORDINATE_BOUND, 0.0, -COORDINATE_BOUND], [1.0, 2.0, 3.0]])
+    matches = Correspondences(edge, edge[::-1])
+    np.testing.assert_array_equal(matches.anchor_points, edge)
+    assert len(Correspondences([], [])) == 0
+    above = edge.copy()
+    above[0, 2] = np.nextafter(-COORDINATE_BOUND, -np.inf)
+    with pytest.raises(ValueError, match="^anchor points must be finite"):
+        Correspondences(above, edge)
+    with pytest.raises(ValueError, match="^query points must be finite"):
+        Correspondences(edge, above)
 
 
 class TestLiftMatches:

@@ -21,9 +21,10 @@ from crosspose import (
     register_spatial_consistency,
 )
 from crosspose import registration
+from crosspose.geometry import COORDINATE_BOUND
 from crosspose.registration import (
-    _BLOCK, COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _bands, _distances, _gram_distances,
-    _gram_factors, _length_band, _register, _top3, _triplet_poses,
+    _BLOCK, COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _bands, _gram_distances, _gram_factors,
+    _length_band, _register, _top3, _triplet_poses,
 )
 from conftest import random_se3
 
@@ -245,25 +246,20 @@ class TestGramThenRecount:
     @pytest.fixture
     def spy(self, monkeypatch):
         """Lengths recounted exactly (two per entry, one per view), and the
-        calls of either block route."""
-        seen = {"recounted": 0, "gram": 0, "exact": 0}
-        lengths, gram, exact = (
-            registration._lengths, registration._gram_distances, registration._distances
-        )
+        calls of the Gram block route."""
+        seen = {"recounted": 0, "gram": 0}
+        lengths, gram = registration._lengths, registration._gram_distances
 
         def recount(p, i, j):
             seen["recounted"] += len(i)
             return lengths(p, i, j)
 
-        def count(name, route):
-            def wrapper(*args):
-                seen[name] += 1
-                return route(*args)
-            return wrapper
+        def blocks(*args):
+            seen["gram"] += 1
+            return gram(*args)
 
         monkeypatch.setattr(registration, "_lengths", recount)
-        monkeypatch.setattr(registration, "_gram_distances", count("gram", gram))
-        monkeypatch.setattr(registration, "_distances", count("exact", exact))
+        monkeypatch.setattr(registration, "_gram_distances", blocks)
         return seen
 
     @pytest.mark.parametrize("offset", [0.0, 60.0, 1000.0])
@@ -286,7 +282,7 @@ class TestGramThenRecount:
         change = np.abs(_distances_dense(src)[0] - _distances_dense(dst)[0])[2::2]
         assert (change <= tol).any() and (change > tol).any()
         assert spy["recounted"] >= 2 * len(ray)
-        assert spy["gram"] > 0 and spy["exact"] == 0
+        assert spy["gram"] > 0
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3])
     @pytest.mark.parametrize("offset", [0.0, 60.0])
@@ -304,9 +300,8 @@ class TestGramThenRecount:
         band = _length_band(*centred)
         fast, exact = [], []
         for p, c in zip(views, centred):
-            out, tmp = np.empty((2, n, n))
-            fast.append(_gram_distances(*_gram_factors(c), 0, n, out))
-            exact.append(_distances(p, 0, n, np.empty((n, n)), tmp))
+            fast.append(_gram_distances(*_gram_factors(c), 0, n, np.empty((n, n))))
+            exact.append(_distances_dense(p))
             assert np.abs(fast[-1] - exact[-1]).max() <= band / 8
         err = np.abs(np.abs(fast[0] - fast[1]) - np.abs(exact[0] - exact[1]))
         assert 0 < err.max() <= band / 4
@@ -330,24 +325,37 @@ class TestGramThenRecount:
 
     @pytest.mark.parametrize("views", ["src", "dst", "both"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e160])
-    def test_non_finite_band_takes_the_exact_route(self, rng, spy, bad, views):
+    def test_non_finite_or_overflowing_coordinates_are_rejected(self, rng, spy, bad, views):
         # A NaN or infinite coordinate, or one whose squares overflow, in
-        # either view scores every block by the exact route, NaN
-        # comparisons included.
+        # either view is refused before any length is measured, naming the
+        # first view that holds it.
         src = rng.normal(scale=0.05, size=(150, 3))
         dst = random_se3(rng).apply(src)
         if views != "dst":
             src[7, 1] = bad
         if views != "src":
             dst[40, 2] = bad
+        name = "dst" if views == "dst" else "src"
+        with pytest.raises(ValueError, match=rf"^{name} must be finite and within 1e\+09 m"):
+            compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+        assert spy["gram"] == 0 and spy["recounted"] == 0
+
+    @pytest.mark.parametrize("views", ["src", "dst"])
+    def test_coordinates_at_the_bound_are_accepted(self, rng, views):
+        # At the bound every length change lies inside the band, so every
+        # entry is recounted exactly; one ulp above it is refused.
+        src = rng.normal(scale=0.05, size=(40, 3))
+        dst = random_se3(rng).apply(src)
+        bad = {"src": src, "dst": dst}[views]
+        bad[3, 0] = -COORDINATE_BOUND
+        want = _compatibility_dense(src, dst, COMPATIBILITY_TOLERANCE)
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            assert _length_band(src - src.mean(axis=0), dst - dst.mean(axis=0)) == np.inf
-            want = _compatibility_dense(src, dst, COMPATIBILITY_TOLERANCE)
+            warnings.simplefilter("error")
             got = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
         np.testing.assert_array_equal(got, want)
-        # Two blocks of rows, each measured in both views.
-        assert spy["gram"] == 0 and spy["exact"] == 2 * 2
+        bad[3, 0] = np.nextafter(-COORDINATE_BOUND, -np.inf)
+        with pytest.raises(ValueError, match=rf"^{views} must be finite"):
+            compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
 
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_memory_stays_within_blocks(self, n):
@@ -778,10 +786,17 @@ class TestClassifyThenVerify:
         lo, hi, _ = _bands(src, dst)
         assert np.abs(fused - exact).max() <= (hi - lo) / 200
 
-    def test_non_finite_coordinates_verify_every_row(self):
-        src = np.zeros((4, 3))
+    def test_nan_match_reaches_neither_estimator(self, rng, monkeypatch):
+        # Correspondences refuses a NaN coordinate at construction, so the
+        # engine never classifies a row against it.
+        calls = []
+        monkeypatch.setattr(registration, "_register", lambda *args: calls.append(args))
+        src = rng.normal(scale=0.05, size=(20, 3))
         src[0, 0] = np.nan
-        assert _bands(src, src) == (-np.inf, np.inf, np.inf)
+        for estimator in (register_spatial_consistency, register_ransac):
+            with pytest.raises(ValueError, match="^anchor points must be finite"):
+                estimator(Correspondences(src, src))
+        assert calls == []
 
 
 class TestRegistrationParams:
