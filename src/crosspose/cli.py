@@ -27,10 +27,12 @@ module constants ``_FOCAL``, ``_FEATURE_DIM``, ``_BACKGROUND_DEPTH`` and
 
 Every run of ``gen-matches`` and ``register`` follows one fixed protocol,
 the module constants ``matchgen.NN_RADIUS``, ``matchgen.MIN_MATCHES``,
-``matcher.MAX_DISTANCE``, ``matcher.MAX_MATCHES``,
-``registration.INLIER_THRESHOLD`` and
-``registration.COMPATIBILITY_TOLERANCE`` at 1000 hypotheses
-(``RegistrationParams()``); neither takes a setting beyond its paths,
+``matcher.MAX_DISTANCE``, ``matcher.MAX_MATCHES`` and
+``registration.INLIER_THRESHOLD`` (one 1 cm threshold on an inlier's
+residual and on a compatible pair's change in length, which the
+estimators pass to the engine), at 1000 hypotheses
+(``RegistrationParams()``, whose ``iterations`` is the one value a
+library caller sets); neither takes a setting beyond its paths,
 ``--workers`` and ``--seed``.
 """
 

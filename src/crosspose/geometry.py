@@ -150,8 +150,8 @@ class CameraIntrinsics:
     height: int
 
     def __post_init__(self):
-        if not (self.fx > 0 and self.fy > 0):
-            raise ValueError("focal lengths must be positive")
+        if not (0 < self.fx < np.inf and 0 < self.fy < np.inf):
+            raise ValueError("focal lengths must be finite and positive")
         if not (self.width > 0 and self.height > 0):
             raise ValueError("image dimensions must be positive")
         if not (0 <= self.cx < self.width and 0 <= self.cy < self.height):

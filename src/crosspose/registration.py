@@ -15,10 +15,10 @@ two centred triangles are planar, so the fit aligns their planes and
 solves a 2 x 2 Procrustes problem (see :func:`_triplet_poses`). The
 hypothesis with the most inliers wins (ties broken by lower mean inlier
 residual, then lower hypothesis index), and the winner is refit on its
-inliers by :func:`kabsch`, which keeps its SVD. The inlier threshold
-and the compatibility tolerance are the module constants
-``INLIER_THRESHOLD`` and ``COMPATIBILITY_TOLERANCE``; only the number of
-hypotheses, ``RegistrationParams.iterations``, is an argument.
+inliers by :func:`kabsch`, which keeps its SVD. One threshold,
+``INLIER_THRESHOLD``, bounds an inlier's residual and a compatible
+pair's change in length; the estimators pass it to the engine, and
+``RegistrationParams.iterations`` is the one value a caller sets.
 
 Classify, then verify: every decision is the one the exact residuals of
 :func:`_residuals` give, but most entries never need them. One matrix
@@ -87,11 +87,9 @@ _BLOCK = 128
 _U = np.finfo(np.float64).eps / 2
 _ETA = np.finfo(np.float64).smallest_subnormal
 
-# Meters. A correspondence within INLIER_THRESHOLD of a hypothesis is its
-# inlier; a pairwise distance that changes by at most
-# COMPATIBILITY_TOLERANCE between the views counts as consistent.
+# Meters: an inlier's largest residual, and the largest change in length
+# between the views of a consistent pair of matches.
 INLIER_THRESHOLD = 0.01
-COMPATIBILITY_TOLERANCE = 0.01
 
 
 @dataclass(frozen=True)
@@ -99,7 +97,7 @@ class RegistrationParams:
     """The hypothesis budget shared by both estimators.
 
     ``iterations`` seed triplets are drawn and scored; it must be an
-    integer (not a bool) of at least 1. The thresholds are module constants.
+    integer (not a bool) of at least 1. The threshold is a module constant.
     """
 
     iterations: int = 1000
@@ -439,7 +437,7 @@ def _squared_residuals(rot: np.ndarray, t: np.ndarray, points: np.ndarray) -> np
     return np.einsum("hin,hin->hn", e, e)
 
 
-def _bands(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, float]:
+def _bands(src: np.ndarray, dst: np.ndarray, threshold: float) -> tuple[float, float, float]:
     """Bounds that turn :func:`_squared_residuals` into exact decisions.
 
     Returns ``(lo, hi, eta)``: a squared residual at most ``lo`` is an
@@ -455,19 +453,19 @@ def _bands(src: np.ndarray, dst: np.ndarray) -> tuple[float, float, float]:
     within ``gamma_5 * 7M`` of the true value whatever its order or fused
     multiply-adds (``gamma_5 = 5u / (1 - 5u)``), so the routes differ by
     at most ``eps = 80 u M`` per coordinate. Where either squared sum is
-    at most ``T**2`` (``T = INLIER_THRESHOLD``), every coordinate is at
+    at most ``T**2`` (``T = threshold``), every coordinate is at
     most about ``T`` and the two squared sums differ by at most ``B = 4
     eps T + 3 eps**2 + 8 u T**2``. The band is ``delta = 100 B``: ``lo =
     T**2 - delta``, ``hi = T**2 + delta``. For an inlier the two
     residuals differ by at most ``sqrt(B) + 2uT``, below ``sqrt(delta)``,
     and the two ways of summing ``n`` of them, then dividing, add at most
     ``4 n u T``, so ``eta = sqrt(delta) + 4 n u T``. At ``M = 1000`` m,
-    ``delta`` is about 4e-11 against ``T**2 = 1e-4``.
+    ``delta`` is about 4e-11 against ``T**2 = 1e-4`` at ``T = 0.01`` m.
     """
-    t2 = INLIER_THRESHOLD * INLIER_THRESHOLD
+    t2 = threshold * threshold
     eps = 80 * _U * max(np.abs(src).max(), np.abs(dst).max())
-    delta = 100 * (4 * eps * INLIER_THRESHOLD + 3 * eps * eps + 8 * _U * t2)
-    return t2 - delta, t2 + delta, np.sqrt(delta) + 4 * len(src) * _U * INLIER_THRESHOLD
+    delta = 100 * (4 * eps * threshold + 3 * eps * eps + 8 * _U * t2)
+    return t2 - delta, t2 + delta, np.sqrt(delta) + 4 * len(src) * _U * threshold
 
 
 def _register(
@@ -476,6 +474,7 @@ def _register(
     iterations: int,
     weights: np.ndarray,
     seed: int,
+    threshold: float,
 ) -> RegistrationResult:
     """Hypothesize, then verify in chunks of ``_CHUNK`` hypotheses.
 
@@ -489,13 +488,13 @@ def _register(
     The scoring then walks the poses chunk by chunk, and only the
     running best hypothesis outlives its chunk.
 
-    Per chunk, inliers are counted from :func:`_squared_residuals`
-    against the bands of :func:`_bands`; a row with an entry between
-    them is recounted from :func:`_residuals`. The rows that reach the
-    most inliers and whose fast mean residual is within ``eta`` of the
-    running best, or within ``2 eta`` of the smallest, are the only
-    ones that can win: they alone get exact residuals and the exact
-    mean, summed as ``(res * inlier).sum(axis=1)``.
+    Per chunk, inliers (matches within ``threshold``) are counted from
+    :func:`_squared_residuals` against the bands of :func:`_bands`; a row
+    with an entry between them is recounted from :func:`_residuals`.
+    The rows that reach the most inliers and whose fast mean residual is
+    within ``eta`` of the running best, or within ``2 eta`` of the
+    smallest, are the only ones that can win: they alone get exact
+    residuals and the exact mean, summed as ``(res * inlier).sum(axis=1)``.
     """
     n = len(src)
     if n < 3:
@@ -508,7 +507,7 @@ def _register(
         logw = np.full(n, -np.inf)
         logw[positive] = np.log(weights[positive])
 
-    lo, hi, eta = _bands(src, dst)
+    lo, hi, eta = _bands(src, dst, threshold)
     points = np.vstack((src.T, np.ones(n), dst.T))
 
     # Every hypothesis' triplet, drawn chunk by chunk: only the (_CHUNK, n)
@@ -537,7 +536,7 @@ def _register(
         counts = inlier.sum(axis=1)
         unsure = np.nonzero((sq <= hi).sum(axis=1) != counts)[0]
         if len(unsure):
-            inlier[unsure] = _residuals(rot[unsure], t[unsure], src, dst) <= INLIER_THRESHOLD
+            inlier[unsure] = _residuals(rot[unsure], t[unsure], src, dst) <= threshold
             counts[unsure] = inlier[unsure].sum(axis=1)
         counts[~valid] = -1
 
@@ -560,7 +559,7 @@ def _register(
             continue
 
         res = _residuals(rot[rows], t[rows], src, dst)
-        inl = res <= INLIER_THRESHOLD
+        inl = res <= threshold
         cnt = counts[rows]
         mean_res = np.where(
             cnt > 0, (res * inl).sum(axis=1) / np.maximum(cnt, 1), np.inf
@@ -585,7 +584,7 @@ def _register(
         pose = seed_pose
 
     final_res = np.linalg.norm(pose.apply(src) - dst, axis=1)
-    final_inliers = np.nonzero(final_res <= INLIER_THRESHOLD)[0]
+    final_inliers = np.nonzero(final_res <= threshold)[0]
     if len(final_inliers) < 3:
         # Refit drifted off the consensus; keep the seed hypothesis.
         pose = seed_pose
@@ -606,8 +605,8 @@ def register_spatial_consistency(
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with consistency-weighted seeds."""
     src, dst = matches.anchor_points, matches.query_points
-    scores = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
-    return _register(src, dst, params.iterations, scores, seed)
+    scores = compatibility_scores(src, dst, INLIER_THRESHOLD)
+    return _register(src, dst, params.iterations, scores, seed, INLIER_THRESHOLD)
 
 
 def register_ransac(
@@ -618,4 +617,4 @@ def register_ransac(
 ) -> RegistrationResult:
     """Estimate the anchor-to-query pose with uniform seed sampling."""
     src, dst = matches.anchor_points, matches.query_points
-    return _register(src, dst, params.iterations, np.ones(len(src)), seed)
+    return _register(src, dst, params.iterations, np.ones(len(src)), seed, INLIER_THRESHOLD)

@@ -326,6 +326,7 @@ class TestGenMatches:
             ({**camera, "width": 64.5}, "camera 'width' must be an integer, got 64.5"),
             (no_height, "camera file has no 'height'"),
             ([64, 64], "camera file must hold a JSON object, got list"),
+            ({**camera, "fx": float("inf")}, "focal lengths must be finite and positive"),
         ):
             io.write_json(data / "camera_bad.json", bad)
             out = tmp_path / "out"
@@ -334,6 +335,7 @@ class TestGenMatches:
             summary = io.read_json(out / "summary.json")
             assert summary["accepted"] == ["pair_0000"]
             assert summary["errors"] == {"pair_0001": f"ValueError: {message}"}
+            assert (out / "pair_0000.json").exists() and not (out / "pair_0001.json").exists()
 
     def test_pose_without_t_fails_its_pair_naming_the_key(self, dataset_small, tmp_path):
         data = tmp_path / "data"

@@ -187,6 +187,15 @@ class TestCameraIntrinsics:
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=0.0, fy=1.0, cx=0.0, cy=0.0, width=8, height=8)
 
+    @pytest.mark.parametrize("name", ["fx", "fy"])
+    def test_rejects_infinite_focal(self, name):
+        # An infinite focal length would back-project every pixel onto an
+        # axis plane. A tiny finite one stays legal.
+        focal = {"fx": 1.0, "fy": 1.0, name: np.inf}
+        with pytest.raises(ValueError, match="^focal lengths must be finite and positive$"):
+            CameraIntrinsics(**focal, cx=0.0, cy=0.0, width=8, height=8)
+        CameraIntrinsics(**{**focal, name: 1e-300}, cx=0.0, cy=0.0, width=8, height=8)
+
     def test_rejects_principal_point_outside_image(self):
         with pytest.raises(ValueError):
             CameraIntrinsics(fx=1.0, fy=1.0, cx=8.0, cy=0.0, width=8, height=8)

@@ -393,6 +393,15 @@ class TestPoseFile:
         with pytest.raises(ValueError, match=f"camera '{name}' must be {noun}"):
             read_intrinsics(path)
 
+    def test_intrinsics_with_infinite_focal_rejected(self, cam96, tmp_path):
+        # JSON's Infinity reads as a float, so the camera itself rejects it.
+        path = tmp_path / "cam.json"
+        write_intrinsics(path, cam96)
+        write_json(path, {**read_json(path), "fy": float("inf")})
+        assert "Infinity" in path.read_text()
+        with pytest.raises(ValueError, match="^focal lengths must be finite and positive$"):
+            read_intrinsics(path)
+
 
 # ---------------------------------------------------------------------------
 # Feature grids

@@ -23,7 +23,7 @@ from crosspose import (
 from crosspose import registration
 from crosspose.geometry import COORDINATE_BOUND
 from crosspose.registration import (
-    _BLOCK, COMPATIBILITY_TOLERANCE, INLIER_THRESHOLD, _bands, _gram_distances, _gram_factors,
+    _BLOCK, INLIER_THRESHOLD, _bands, _gram_distances, _gram_factors,
     _length_band, _register, _top3, _triplet_poses,
 )
 from conftest import random_se3
@@ -72,9 +72,10 @@ def _compatibility_dense(src, dst, tolerance):
     return compatible.sum(axis=1).astype(np.float64)
 
 
-def _seed_dense(src, dst, iterations, weights, seed):
-    """The engine's winning hypothesis, unchunked: one key draw, one stable
-    sort, all residuals. Returns its pose, its inliers and its residuals.
+def _seed_dense(src, dst, iterations, weights, seed, threshold):
+    """The engine's winning hypothesis at ``threshold``, unchunked: one key
+    draw, one stable sort, all residuals. Returns its pose, its inliers
+    and its residuals.
 
     The residual uses the engine's expression rather than an einsum, so
     the comparison does not rest on how a CPU's einsum orders its sums.
@@ -95,7 +96,7 @@ def _seed_dense(src, dst, iterations, weights, seed):
         e = (e + t[:, i, None]) - dst[:, i]
         sq.append(e * e)
     res = np.sqrt((sq[0] + sq[1]) + sq[2])
-    inlier = res <= INLIER_THRESHOLD
+    inlier = res <= threshold
     counts = inlier.sum(axis=1)
     counts[~valid] = -1
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -108,15 +109,15 @@ def _seed_dense(src, dst, iterations, weights, seed):
     return Pose(rot[best], t[best]), np.nonzero(inlier[best])[0], res[best]
 
 
-def _register_dense(src, dst, iterations, weights, seed):
+def _register_dense(src, dst, iterations, weights, seed, threshold):
     """The engine unchunked: :func:`_seed_dense`, then the refit."""
-    seed_pose, seed_inliers, seed_res = _seed_dense(src, dst, iterations, weights, seed)
+    seed_pose, seed_inliers, seed_res = _seed_dense(src, dst, iterations, weights, seed, threshold)
     try:
         pose = kabsch(src[seed_inliers], dst[seed_inliers])
     except DegenerateConfiguration:
         pose = seed_pose
     final_res = np.linalg.norm(pose.apply(src) - dst, axis=1)
-    final_inliers = np.nonzero(final_res <= INLIER_THRESHOLD)[0]
+    final_inliers = np.nonzero(final_res <= threshold)[0]
     if len(final_inliers) < 3:
         pose, final_res, final_inliers = seed_pose, seed_res, seed_inliers
     return pose, final_inliers, float(final_res[final_inliers].mean())
@@ -270,7 +271,7 @@ class TestGramThenRecount:
         # the band, on both sides of the tolerance. At 60 and 1000 m the
         # ulps widen with the coordinates; the band does not, since it
         # depends on the centred coordinates only.
-        n, tol = 300, COMPATIBILITY_TOLERANCE
+        n, tol = 300, INLIER_THRESHOLD
         src = rng.normal(scale=0.05, size=(n, 3)) + offset
         dst = src.copy()
         ray = src[2::2] - src[0]
@@ -306,7 +307,7 @@ class TestGramThenRecount:
         err = np.abs(np.abs(fast[0] - fast[1]) - np.abs(exact[0] - exact[1]))
         assert 0 < err.max() <= band / 4
 
-    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, COMPATIBILITY_TOLERANCE])
+    @pytest.mark.parametrize("tolerance", [0.0, 1e-12, INLIER_THRESHOLD])
     def test_coincident_points_score_as_dense(self, rng, tolerance):
         # Repeated points: exact lengths of zero whose fast squares round
         # below zero, taken by magnitude before the root with no
@@ -337,7 +338,7 @@ class TestGramThenRecount:
             dst[40, 2] = bad
         name = "dst" if views == "dst" else "src"
         with pytest.raises(ValueError, match=rf"^{name} must be finite and within 1e\+09 m"):
-            compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+            compatibility_scores(src, dst, INLIER_THRESHOLD)
         assert spy["gram"] == 0 and spy["recounted"] == 0
 
     @pytest.mark.parametrize("views", ["src", "dst"])
@@ -348,14 +349,14 @@ class TestGramThenRecount:
         dst = random_se3(rng).apply(src)
         bad = {"src": src, "dst": dst}[views]
         bad[3, 0] = -COORDINATE_BOUND
-        want = _compatibility_dense(src, dst, COMPATIBILITY_TOLERANCE)
+        want = _compatibility_dense(src, dst, INLIER_THRESHOLD)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+            got = compatibility_scores(src, dst, INLIER_THRESHOLD)
         np.testing.assert_array_equal(got, want)
         bad[3, 0] = np.nextafter(-COORDINATE_BOUND, -np.inf)
         with pytest.raises(ValueError, match=rf"^{views} must be finite"):
-            compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+            compatibility_scores(src, dst, INLIER_THRESHOLD)
 
     @pytest.mark.parametrize("n", [2000, 4000])
     def test_memory_stays_within_blocks(self, n):
@@ -367,7 +368,7 @@ class TestGramThenRecount:
         src, dst = matches.anchor_points, matches.query_points
         tracemalloc.start()
         try:
-            compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+            compatibility_scores(src, dst, INLIER_THRESHOLD)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -616,8 +617,9 @@ class TestRegisterSpatialConsistency:
 
 
 class TestChunkedEngine:
+    @pytest.mark.parametrize("threshold", [0.005, INLIER_THRESHOLD])
     @pytest.mark.parametrize("iterations", [1, 127, 128, 129, 1000])
-    def test_equals_dense_reference(self, iterations):
+    def test_equals_dense_reference(self, iterations, threshold):
         matches, _ = make_correspondences(
             n_matches=150, outlier_fraction=0.6, noise=0.002, seed=iterations, extent=0.15
         )
@@ -625,15 +627,15 @@ class TestChunkedEngine:
         n = len(src)
         few = np.zeros(n)
         few[[4, 40]] = 1.0  # fewer than three positive weights: uniform
-        for weights in (compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE), np.ones(n), few):
+        for weights in (compatibility_scores(src, dst, threshold), np.ones(n), few):
             for seed in (0, 11):
                 try:
-                    expected = _register_dense(src, dst, iterations, weights, seed)
+                    expected = _register_dense(src, dst, iterations, weights, seed, threshold)
                 except NoConsensus:
                     with pytest.raises(NoConsensus):
-                        _register(src, dst, iterations, weights, seed)
+                        _register(src, dst, iterations, weights, seed, threshold)
                     continue
-                got = _register(src, dst, iterations, weights, seed)
+                got = _register(src, dst, iterations, weights, seed, threshold)
                 np.testing.assert_array_equal(got.pose.rotation, expected[0].rotation)
                 np.testing.assert_array_equal(got.pose.translation, expected[0].translation)
                 np.testing.assert_array_equal(got.inliers, expected[1])
@@ -654,7 +656,7 @@ class TestChunkedEngine:
         monkeypatch.setattr(registration, "_triplet_poses", spy)
         src, dst = matches.anchor_points, matches.query_points
         try:
-            _register(src, dst, iterations, np.ones(len(src)), 5)
+            _register(src, dst, iterations, np.ones(len(src)), 5, INLIER_THRESHOLD)
         except NoConsensus:
             pass
         assert rows == [iterations]
@@ -684,24 +686,30 @@ class TestClassifyThenVerify:
     """The fast-classified engine against the exact dense reference, on
     inputs built to reach its verify band and its mean margin."""
 
-    def _check(self, src, dst, iterations, weights, seed):
-        expected = _register_dense(src, dst, iterations, weights, seed)
-        got = _register(src, dst, iterations, weights, seed)
+    def _check(self, src, dst, iterations, weights, seed, threshold):
+        expected = _register_dense(src, dst, iterations, weights, seed, threshold)
+        got = _register(src, dst, iterations, weights, seed, threshold)
         np.testing.assert_array_equal(got.pose.rotation, expected[0].rotation)
         np.testing.assert_array_equal(got.pose.translation, expected[0].translation)
         np.testing.assert_array_equal(got.inliers, expected[1])
         assert got.mean_residual == expected[2]
 
     @pytest.fixture
-    def spy(self, monkeypatch):
-        """Entries that fell inside the verify band, and the row count of
-        every exact-residual call."""
+    def threshold(self):
+        """The engine's threshold; a test that parametrizes ``threshold``
+        overrides it, for itself and for :meth:`spy`."""
+        return INLIER_THRESHOLD
+
+    @pytest.fixture
+    def spy(self, monkeypatch, threshold):
+        """Entries that fell inside the verify band at ``threshold``, and
+        the row count of every exact-residual call."""
         seen = {"band": 0, "rows": []}
         fast, exact = registration._squared_residuals, registration._residuals
 
         def squared(rot, t, points):
             sq = fast(rot, t, points)
-            lo, hi, _ = _bands(points[:3].T, points[4:].T)
+            lo, hi, _ = _bands(points[:3].T, points[4:].T, threshold)
             seen["band"] += int(((sq > lo) & (sq <= hi)).sum())
             return sq
 
@@ -713,10 +721,11 @@ class TestClassifyThenVerify:
         monkeypatch.setattr(registration, "_residuals", residuals)
         return seen
 
+    @pytest.mark.parametrize("threshold", [0.005, INLIER_THRESHOLD])
     @pytest.mark.parametrize("offset", [0.0, 60.0])
-    def test_residuals_within_ulps_of_threshold(self, rng, spy, offset):
+    def test_residuals_within_ulps_of_threshold(self, rng, spy, offset, threshold):
         # Two consensus sets. The first has 25 exact matches and 30 that
-        # sit INLIER_THRESHOLD away in random directions, short of it by
+        # sit the threshold away in random directions, short of it by
         # 8 to 63 ulps of the coordinates; the second has 45 exact matches
         # under another pose. Hypotheses fit to exact matches of the first
         # set put the 30 residuals inside the band, and only if the exact
@@ -727,18 +736,39 @@ class TestClassifyThenVerify:
         away = rng.normal(size=(30, 3))
         away /= np.linalg.norm(away, axis=1, keepdims=True)
         short = rng.integers(8, 64, size=(30, 1)) * np.spacing(offset + 0.25)
-        dst[25:55] += (INLIER_THRESHOLD - short) * away
+        dst[25:55] += (threshold - short) * away
         dst[55:] = random_se3(rng, translation_scale=0.5).apply(src[55:]) + [1.0, 0, 0]
-        for weights in (compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE), np.ones(100)):
+        for weights in (compatibility_scores(src, dst, threshold), np.ones(100)):
             for seed in (0, 5):
-                self._check(src, dst, 1000, weights, seed)
-                assert (_register_dense(src, dst, 1000, weights, seed)[1] < 55).all()
+                self._check(src, dst, 1000, weights, seed, threshold)
+                assert (_register_dense(src, dst, 1000, weights, seed, threshold)[1] < 55).all()
+        assert spy["band"] > 0
+
+    @pytest.mark.parametrize("threshold", [0.005, INLIER_THRESHOLD])
+    def test_recount_rejects_residuals_beyond_the_threshold(self, rng, spy, threshold):
+        # The first pose explains 25 exact matches and 30 that sit a few
+        # ulps short of the threshold, so its rows are recounted from exact
+        # residuals; 10 more sit 1.5 thresholds from it. The second pose
+        # explains 60 exact matches and wins, unless a recount against a
+        # larger threshold takes in the 10 and gives the first pose 65.
+        src = rng.normal(scale=0.05, size=(125, 3))
+        dst = src.copy()
+        away = rng.normal(size=(40, 3))
+        away /= np.linalg.norm(away, axis=1, keepdims=True)
+        away[:30] *= threshold - rng.integers(8, 64, size=(30, 1)) * np.spacing(0.25)
+        away[30:] *= 1.5 * threshold
+        dst[25:65] += away
+        dst[65:] = random_se3(rng, translation_scale=0.5).apply(src[65:]) + [1.0, 0, 0]
+        for weights in (compatibility_scores(src, dst, threshold), np.ones(125)):
+            for seed in (0, 5):
+                self._check(src, dst, 1000, weights, seed, threshold)
+                assert (_register_dense(src, dst, 1000, weights, seed, threshold)[1] >= 65).all()
         assert spy["band"] > 0
 
     def test_band_grows_with_coordinate_magnitude(self, rng):
         src = rng.normal(scale=0.05, size=(20, 3))
-        near = _bands(src, src)
-        far = _bands(src + 60.0, src + 60.0)
+        near = _bands(src, src, INLIER_THRESHOLD)
+        far = _bands(src + 60.0, src + 60.0, INLIER_THRESHOLD)
         assert far[0] < near[0] < INLIER_THRESHOLD**2 < near[1] < far[1]
         assert far[2] > near[2]
         # Both bands stay far inside the threshold.
@@ -750,9 +780,9 @@ class TestClassifyThenVerify:
         )
         src = matches.anchor_points + 60.0
         dst = matches.query_points + 60.0
-        weights = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
+        weights = compatibility_scores(src, dst, INLIER_THRESHOLD)
         for seed in (0, 11):
-            self._check(src, dst, 300, weights, seed)
+            self._check(src, dst, 300, weights, seed, INLIER_THRESHOLD)
 
     def test_hypotheses_tied_on_count_resolve_by_exact_mean(self, rng, spy):
         # Noise-free matches: every valid hypothesis explains all of them,
@@ -761,9 +791,9 @@ class TestClassifyThenVerify:
         true = random_se3(rng)
         src = rng.normal(scale=0.05, size=(60, 3))
         dst = true.apply(src)
-        for weights in (compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE), np.ones(60)):
+        for weights in (compatibility_scores(src, dst, INLIER_THRESHOLD), np.ones(60)):
             for seed in (0, 7):
-                self._check(src, dst, 300, weights, seed)
+                self._check(src, dst, 300, weights, seed, INLIER_THRESHOLD)
         assert max(spy["rows"]) > 1
 
     @pytest.mark.parametrize("offset", [0.0, 60.0, 1000.0])
@@ -783,7 +813,7 @@ class TestClassifyThenVerify:
         fused = registration._squared_residuals(rot, t, np.vstack((src.T, np.ones(400), dst.T)))
         exact = registration._residuals(rot, t, src, dst) ** 2
         assert exact.max() <= INLIER_THRESHOLD**2
-        lo, hi, _ = _bands(src, dst)
+        lo, hi, _ = _bands(src, dst, INLIER_THRESHOLD)
         assert np.abs(fused - exact).max() <= (hi - lo) / 200
 
     def test_nan_match_reaches_neither_estimator(self, rng, monkeypatch):
@@ -884,8 +914,8 @@ class TestRefitFallbacks:
             n_matches=150, outlier_fraction=0.6, noise=0.002, seed=5, extent=0.15
         )
         src, dst = matches.anchor_points, matches.query_points
-        weights = compatibility_scores(src, dst, COMPATIBILITY_TOLERANCE)
-        return src, dst, weights, _seed_dense(src, dst, 200, weights, 5)
+        weights = compatibility_scores(src, dst, INLIER_THRESHOLD)
+        return src, dst, weights, _seed_dense(src, dst, 200, weights, 5, INLIER_THRESHOLD)
 
     def _register_with_refit(self, case, monkeypatch, refit):
         """``_register`` with ``refit`` in place of the Kabsch refit, which
@@ -898,7 +928,7 @@ class TestRefitFallbacks:
             return refit(s, d)
 
         monkeypatch.setattr(registration, "kabsch", spy)
-        got = _register(src, dst, 200, weights, 5)
+        got = _register(src, dst, 200, weights, 5, INLIER_THRESHOLD)
         assert len(fits) == 1
         np.testing.assert_array_equal(fits[0][0], src[inliers])
         np.testing.assert_array_equal(fits[0][1], dst[inliers])
