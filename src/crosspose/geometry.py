@@ -229,15 +229,18 @@ def back_project(u, v, z, intrinsics: CameraIntrinsics) -> np.ndarray:
     """3D points at depths ``z`` on the rays through pixels ``(u, v)``.
 
     Returns an ``(N, 3)`` array; the pinhole model is inverted as
-    ``x = z * (u - cx) / fx`` and ``y = z * (v - cy) / fy``.
+    ``x = z * (u - cx) / fx`` and ``y = z * (v - cy) / fy``. A subnormal
+    focal length can overflow a coordinate to infinity; the caller's
+    coordinate check rejects it.
     """
-    return np.column_stack(
-        [
-            z * (u - intrinsics.cx) / intrinsics.fx,
-            z * (v - intrinsics.cy) / intrinsics.fy,
-            z,
-        ]
-    )
+    with np.errstate(over="ignore"):
+        return np.column_stack(
+            [
+                z * (u - intrinsics.cx) / intrinsics.fx,
+                z * (v - intrinsics.cy) / intrinsics.fy,
+                z,
+            ]
+        )
 
 
 def unproject(

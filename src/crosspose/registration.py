@@ -70,7 +70,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateConfiguration, NoConsensus, TooFewMatches
-from .geometry import Pose, as_coordinates, as_rows, sum_sq
+from .geometry import Pose, as_coordinates, sum_sq
 from .matcher import Correspondences
 
 # Point sets whose second singular value (after centering) falls below
@@ -131,10 +131,12 @@ def kabsch(src, dst) -> Pose:
     the cross-covariance, with the reflection guard on the smallest
     singular direction. Raises DegenerateConfiguration when either set
     is collinear or coincident (within 1e-9), where the rotation is not
-    unique.
+    unique. ``src`` and ``dst`` are ``(M, 3)`` arrays; a coordinate that
+    is not finite or exceeds ``geometry.COORDINATE_BOUND`` raises
+    ValueError.
     """
-    s = as_rows(src, 3, np.float64, "src")
-    d = as_rows(dst, 3, np.float64, "dst")
+    s = as_coordinates(src, "src")
+    d = as_coordinates(dst, "dst")
     if s.shape != d.shape:
         raise ValueError(f"source/destination shapes differ: {s.shape} vs {d.shape}")
     n = len(s)
@@ -480,13 +482,13 @@ def _register(
 
     Each triplet is drawn by weighted sampling without replacement via
     Gumbel top-k: per row, keys = log(w) + Gumbel noise, and the three
-    largest keys select the triplet. Uniform sampling is the
-    zero-log-weight special case: all weights 1. Weights with fewer than
-    three positive entries cannot fill a triplet, so they sample
-    uniformly too. The keys are drawn a chunk at a time and only the
-    triplets are kept; one :func:`_triplet_poses` call fits them all.
-    The scoring then walks the poses chunk by chunk, and only the
-    running best hypothesis outlives its chunk.
+    largest keys select the triplet; a zero weight's key is ``-inf``.
+    Sampling is uniform through zero log-weights: all weights 1 give
+    them, and so do weights with fewer than three positive entries,
+    which cannot fill a triplet. The keys are drawn a chunk at a time
+    and only the triplets are kept; one :func:`_triplet_poses` call fits
+    them all. The scoring then walks the poses chunk by chunk, and only
+    the running best hypothesis outlives its chunk.
 
     Per chunk, inliers (matches within ``threshold``) are counted from
     :func:`_squared_residuals` against the bands of :func:`_bands`; a row
@@ -495,17 +497,19 @@ def _register(
     within ``eta`` of the running best, or within ``2 eta`` of the
     smallest, are the only ones that can win: they alone get exact
     residuals and the exact mean, summed as ``(res * inlier).sum(axis=1)``.
+    Only a larger count, or the same count with a strictly smaller exact
+    mean, replaces the running best, so among equals the lowest
+    hypothesis index wins. A hypothesis with no inlier never wins.
     """
     n = len(src)
     if n < 3:
         raise TooFewMatches(f"registration needs at least 3 matches, got {n}")
 
     rng = np.random.default_rng(seed)
+    logw = 0.0
     positive = weights > 0
-    logw = None
     if np.count_nonzero(positive) >= 3:
-        logw = np.full(n, -np.inf)
-        logw[positive] = np.log(weights[positive])
+        logw = np.log(weights, out=np.full(n, -np.inf), where=positive)
 
     lo, hi, eta = _bands(src, dst, threshold)
     points = np.vstack((src.T, np.ones(n), dst.T))
@@ -518,16 +522,15 @@ def _register(
         keys = rng.random((min(_CHUNK, iterations - start), n))
         np.negative(np.log(keys, out=keys), out=keys)
         np.negative(np.log(keys, out=keys), out=keys)
-        if logw is not None:
-            keys += logw
+        keys += logw
         triplets[start : start + _CHUNK] = _top3(keys)
     # One fit for them all: each row's bits are fixed by its own triplet.
     rots, ts, valids = _triplet_poses(src[triplets], dst[triplets])
 
     # The running best, ranked by most inliers, then lower mean residual,
-    # then lower hypothesis index. Invalid triplets count -1 inliers, so
-    # the -2 of the start loses to any hypothesis.
-    best_count, best_mean = -2, np.inf
+    # then lower hypothesis index. An invalid triplet counts 0 inliers, and
+    # a chunk whose best row explains none cannot win.
+    best_count, best_mean = 0, np.inf
     for start in range(0, iterations, _CHUNK):
         chunk = slice(start, start + _CHUNK)
         rot, t, valid = rots[chunk], ts[chunk], valids[chunk]
@@ -538,43 +541,37 @@ def _register(
         if len(unsure):
             inlier[unsure] = _residuals(rot[unsure], t[unsure], src, dst) <= threshold
             counts[unsure] = inlier[unsure].sum(axis=1)
-        counts[~valid] = -1
+        counts[~valid] = 0
 
         top = counts.max()
-        if top < best_count:
+        if top < max(best_count, 1):
             continue
         # Rows that reach the most inliers, and the bound their exact
         # means must meet to beat the running best or each other.
         rows = np.nonzero(counts == top)[0]
-        fast = np.where(
-            top > 0,
-            (np.sqrt(sq[rows]) * inlier[rows]).sum(axis=1) / max(top, 1),
-            np.inf,
-        )
+        fast = (np.sqrt(sq[rows]) * inlier[rows]).sum(axis=1) / top
         bound = fast.min() + 2 * eta
         if top == best_count:
             bound = min(bound, best_mean + eta)
-        rows = rows[~(fast > bound)]
+        rows = rows[fast <= bound]
         if not len(rows):
             continue
 
         res = _residuals(rot[rows], t[rows], src, dst)
         inl = res <= threshold
-        cnt = counts[rows]
-        mean_res = np.where(
-            cnt > 0, (res * inl).sum(axis=1) / np.maximum(cnt, 1), np.inf
-        )
-        # Row 0 is the best so far; it wins its ties as the earlier index.
-        k = int(np.lexsort((np.r_[best_mean, mean_res], -np.r_[best_count, cnt]))[0])
-        if k > 0:
-            j, h = k - 1, rows[k - 1]
-            best_count, best_mean = cnt[j], mean_res[j]
+        means = (res * inl).sum(axis=1) / top
+        # The first of the smallest means; the running best keeps its ties
+        # as the earlier index.
+        j = int(np.argmin(means))
+        if top > best_count or means[j] < best_mean:
+            h = rows[j]
+            best_count, best_mean = top, means[j]
             seed_pose = Pose(rot[h], t[h])
             best_res, seed_inliers = res[j], np.nonzero(inl[j])[0]
 
     if best_count < 3:
         raise NoConsensus(
-            f"best hypothesis explains only {max(best_count, 0)} matches "
+            f"best hypothesis explains only {best_count} matches "
             f"(need at least 3)"
         )
 

@@ -327,6 +327,9 @@ class TestGenMatches:
             (no_height, "camera file has no 'height'"),
             ([64, 64], "camera file must hold a JSON object, got list"),
             ({**camera, "fx": float("inf")}, "focal lengths must be finite and positive"),
+            # Subnormal focal lengths overflow x to infinity.
+            ({**camera, "fx": 1e-310}, "points contains non-finite values"),
+            ({**camera, "fx": 5e-324}, "points contains non-finite values"),
         ):
             io.write_json(data / "camera_bad.json", bad)
             out = tmp_path / "out"
@@ -539,6 +542,25 @@ class TestRegister:
                 "pair_0000": "ValueError: mask shape (32, 32) does not match expected (64, 64)"
             }
             assert not (out / "pair_0000.json").exists()
+
+    @pytest.mark.parametrize("fx", [1e-310, 5e-324])
+    def test_subnormal_focal_length_fails_only_its_pair(self, fx, dataset_small, tmp_path):
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        camera = io.read_json(data / "camera.json")
+        io.write_json(data / "camera_bad.json", {**camera, "fx": fx})
+        manifest = io.read_json(data / "pairs.json")
+        manifest["pairs"][1]["query"]["camera"] = "camera_bad.json"
+        io.write_json(data / "pairs.json", manifest)
+        out = tmp_path / "poses"
+        rc = main(["register", "--pairs", str(data / "pairs.json"), "--out-dir", str(out)])
+        assert rc == 1
+        summary = io.read_json(out / "summary.json")
+        assert summary["registered"] == ["pair_0000"]
+        assert summary["errors"] == {
+            "pair_0001": "ValueError: query points must be finite and within 1e+09 m"
+        }
+        assert (out / "pair_0000.json").exists() and not (out / "pair_0001.json").exists()
 
     def test_rerun_deletes_pose_of_pair_that_now_fails(self, dataset_small, tmp_path):
         data = tmp_path / "data"

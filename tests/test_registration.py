@@ -165,6 +165,19 @@ class TestKabsch:
         with pytest.raises(ValueError, match=r"src must have shape \(M, 3\), got \(2, 6\)"):
             kabsch(pts, pts)
 
+    @pytest.mark.parametrize("views", ["src", "dst"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_or_overflowing_coordinates_are_rejected(self, rng, bad, views):
+        # Such a coordinate would fail the SVD, warn, or give a far-off
+        # pose; it is refused naming its view, as Correspondences does.
+        src = rng.normal(size=(20, 3))
+        dst = random_se3(rng).apply(src)
+        {"src": src, "dst": dst}[views][5, 1] = bad
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^{views} must be finite and within 1e\+09 m"):
+                kabsch(src, dst)
+
     def test_reflection_never_returned(self, rng):
         # Near-planar clouds push the smallest singular value to zero,
         # where the naive SVD solution can flip to a reflection.
@@ -625,9 +638,14 @@ class TestChunkedEngine:
         )
         src, dst = matches.anchor_points, matches.query_points
         n = len(src)
+        scores = compatibility_scores(src, dst, threshold)
         few = np.zeros(n)
         few[[4, 40]] = 1.0  # fewer than three positive weights: uniform
-        for weights in (compatibility_scores(src, dst, threshold), np.ones(n), few):
+        mixed = scores.copy()
+        mixed[::3] = 0.0  # zero weights among positive ones: keys of -inf
+        three = np.zeros(n)
+        three[[4, 40, 99]] = [2.0, 0.5, 7.0]  # only three finite keys per row
+        for weights in (scores, np.ones(n), few, mixed, three):
             for seed in (0, 11):
                 try:
                     expected = _register_dense(src, dst, iterations, weights, seed, threshold)
@@ -796,6 +814,30 @@ class TestClassifyThenVerify:
                 self._check(src, dst, 300, weights, seed, INLIER_THRESHOLD)
         assert max(spy["rows"]) > 1
 
+    def test_exact_tie_across_chunks_keeps_the_earlier_hypothesis(self, monkeypatch):
+        # Two groups of five matches, one moved by t = 0 and one by t = (1,
+        # 0, 0), off by the same dyadic residuals: both hypotheses count
+        # five inliers with the same exact mean, and they sit in different
+        # chunks. The running best, hypothesis 0, keeps its tie.
+        base = np.array([[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [1, 1, 1]]) / 16
+        off = np.array([0, 1, 2, 3, 4]) / 512
+        src = np.vstack((base, base + 0.5))
+        dst = src + np.column_stack((np.repeat([0.0, 1.0], 5), np.tile(off, 2), np.zeros(10)))
+        iterations = registration._CHUNK + 1
+
+        def two_poses(s3, d3):
+            rot = np.tile(np.eye(3), (iterations, 1, 1))
+            t = np.zeros((iterations, 3))
+            t[-1, 0] = 1.0
+            valid = np.zeros(iterations, dtype=bool)
+            valid[[0, -1]] = True
+            return rot, t, valid
+
+        monkeypatch.setattr(registration, "_triplet_poses", two_poses)
+        got = _register(src, dst, iterations, np.ones(10), 0, INLIER_THRESHOLD)
+        np.testing.assert_array_equal(got.inliers, np.arange(5))
+        assert abs(got.pose.translation[0]) < 0.01
+
     @pytest.mark.parametrize("offset", [0.0, 60.0, 1000.0])
     def test_fused_product_stays_inside_the_bound(self, rng, offset):
         # Hypotheses within 1e-9 rad and 1 um of the true pose, and
@@ -891,7 +933,8 @@ class TestDegenerateMatches:
     @pytest.mark.parametrize("estimator", [register_spatial_consistency, register_ransac])
     @pytest.mark.parametrize("kind", ["collinear", "coincident"])
     def test_raise_no_consensus_without_warnings(self, rng, estimator, kind):
-        # Every seed triplet is degenerate, so no hypothesis is valid.
+        # Every seed triplet is degenerate, so no hypothesis is valid; the
+        # text is what register writes into summary.json for such a pair.
         if kind == "collinear":
             src = np.outer(np.arange(40) / 8, [1.0, 2.0, -0.5]) + [0.25, 0.0, 1.0]
         else:
@@ -899,8 +942,9 @@ class TestDegenerateMatches:
         matches = Correspondences(src, random_se3(rng).apply(src))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(NoConsensus):
+            with pytest.raises(NoConsensus) as caught:
                 estimator(matches, seed=3)
+        assert str(caught.value) == "best hypothesis explains only 0 matches (need at least 3)"
 
 
 class TestRefitFallbacks:
