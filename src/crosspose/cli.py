@@ -165,15 +165,15 @@ class _View(NamedTuple):
     pose: Pose
 
 
-def _read_mask(view, camera: CameraIntrinsics) -> np.ndarray:
-    """Read one view's mask; a ValueError unless it is its camera's size."""
-    return as_mask(io.read_mask(view.mask), (camera.height, camera.width))
+def _read_mask(path, camera: CameraIntrinsics) -> np.ndarray:
+    """Read a mask; a ValueError unless it is its camera's size."""
+    return as_mask(io.read_mask(path), (camera.height, camera.width))
 
 
 def _load_view(view) -> _View:
     """Read one view's depth map, mask, camera and pose."""
     camera = io.read_intrinsics(view.camera)
-    return _View(io.read_depth(view.depth), _read_mask(view, camera), camera,
+    return _View(io.read_depth(view.depth), _read_mask(view.mask, camera), camera,
                  io.read_pose(view.pose))
 
 
@@ -193,10 +193,11 @@ def _flag_path(value, flag: str, is_dir: bool) -> Path:
     return path
 
 
-def _pred_mask(entry: PairEntry, default):
-    """The pair's predicted query mask, or ``default`` when it names none."""
+def _pred_mask(entry: PairEntry, camera: CameraIntrinsics, default):
+    """The pair's predicted query mask, read by :func:`_read_mask` against
+    the query ``camera``, or ``default`` when it names none."""
     path = entry.pred_mask_query
-    return default if path is None else io.read_mask(path)
+    return default if path is None else _read_mask(path, camera)
 
 
 # ---------------------------------------------------------------- synth --
@@ -222,6 +223,7 @@ _PAIR_FILES = {"rel_pose.json", "gt_matches.json"} | {
 
 def cmd_synth(args) -> int:
     # Every setting is checked before the first directory is made.
+    _check_seed(args)
     if args.pairs < 1:
         raise ConfigError("--pairs must be at least 1")
     size = args.image_size
@@ -368,7 +370,7 @@ def cmd_register(args) -> int:
         feat_a, feat_q = _read_features(a), _read_features(q)
         grid_a, grid_q = feat_a.shape[:2], feat_q.shape[:2]
         # Each mask must be its camera's size before it is resampled.
-        mask_a, mask_q = _read_mask(a, cam_a), _read_mask(q, cam_q)
+        mask_a, mask_q = _read_mask(a.mask, cam_a), _read_mask(q.mask, cam_q)
         matches = match_features(
             feat_a,
             feat_q,
@@ -423,7 +425,7 @@ def cmd_eval(args) -> int:
             pose_est=compose(pred_rel, io.read_pose(entry.anchor.pose)),
             scene_depth=q.depth,
             intrinsics=q.camera,
-            pred_mask=_pred_mask(entry, None),
+            pred_mask=_pred_mask(entry, q.camera, None),
             gt_mask=q.mask,
         )
 
@@ -478,8 +480,8 @@ def cmd_losses(args) -> int:
         pos = positive_loss(set_a, set_q)
         neg = hardest_negative_loss(set_a, set_q)
         feat = feature_loss(pos, neg)
-        mask_q = _read_mask(q, cam_q)
-        pred_mask = _pred_mask(entry, mask_q)
+        mask_q = _read_mask(q.mask, cam_q)
+        pred_mask = _pred_mask(entry, cam_q, mask_q)
         mask_term = dice_loss(pred_mask.astype(np.float64), mask_q)
         return {
             "num_samples": int(len(set_a)),
@@ -512,13 +514,18 @@ def cmd_losses(args) -> int:
 # ---------------------------------------------------------------- main --
 
 
+def _check_seed(args) -> None:
+    """A negative ``--seed`` is a ConfigError."""
+    if args.seed < 0:
+        raise ConfigError("seed must be non-negative")
+
+
 def _workers(args) -> int:
     """The run's ``--workers``, checked with ``--seed`` before any file is
     read or directory made."""
     if args.workers < 1:
         raise ConfigError("workers must be at least 1")
-    if args.seed < 0:
-        raise ConfigError("seed must be non-negative")
+    _check_seed(args)
     return args.workers
 
 

@@ -29,10 +29,6 @@ class EmptyMatchSet(CrossposeError):
     """A loss or statistic was requested over zero matches."""
 
 
-class DimensionMismatch(CrossposeError):
-    """Two arrays that must share a shape do not."""
-
-
 class EmptyRender(CrossposeError):
     """No model point projects into the image under either pose."""
 

@@ -477,9 +477,10 @@ def diameter(points) -> float:
     clouds, so a copy, a view or a float32 cloud with the same values
     reuses one search, and a cloud that differs in any bit runs its own.
     Threads share the memo, and callers of a cloud that is being searched
-    wait for its entry.
+    wait for its entry. The points are checked by :func:`as_coordinates`,
+    so no squared distance overflows.
     """
-    pts = _as_points(points)
+    pts = as_coordinates(points, "points")
     if len(pts) < 2:
         raise ValueError("diameter requires at least 2 points")
     with _DIAMETER_MEMO_LOCK:
@@ -613,7 +614,7 @@ class ObjectModel:
         if not has_identity:
             raise ValueError("symmetry list must include the identity")
         actual = diameter(pts)
-        if abs(actual - self.diameter_m) > 1e-9:
+        if not abs(actual - self.diameter_m) <= 1e-9:  # NaN fails the comparison
             raise ValueError(
                 f"declared diameter {self.diameter_m!r} differs from the "
                 f"exact pairwise maximum {actual!r}"

@@ -32,8 +32,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DimensionMismatch, EmptyMatchSet
-from .geometry import sum_sq
+from .errors import EmptyMatchSet
+from .geometry import as_mask, sum_sq
 from .matcher import cosine_distance, unit_rows
 
 logger = logging.getLogger(__name__)
@@ -230,12 +230,9 @@ def dice_loss(pred, gt_mask) -> float:
     evidence), while a perfect non-empty prediction scores ~0.
     """
     p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt_mask)
-    if p.shape != g.shape:
-        raise DimensionMismatch(f"shapes differ: {p.shape} vs {g.shape}")
+    g = as_mask(gt_mask, p.shape).astype(np.float64)
     if not np.all(np.isfinite(p)) or np.any(p < 0) or np.any(p > 1):
         raise ValueError("activations must be finite and lie in [0, 1]")
-    g = g.astype(np.float64)
     overlap = float(np.sum(p * g))
     mass = float(np.sum(p) + np.sum(g))
     return 1.0 - 2.0 * overlap / (mass + DICE_SMOOTH)

@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BehindCamera, DimensionMismatch, EmptyRender
+from .errors import BehindCamera, EmptyRender
 from .geometry import (
     CameraIntrinsics, ObjectModel, Pose, Projection, as_depth, as_mask, project,
 )
@@ -283,12 +283,7 @@ def recall_average(errors, thresholds) -> float:
 def miou(pred_mask, gt_mask) -> float:
     """Intersection over union of two masks; 1.0 when both are empty."""
     p = as_mask(pred_mask)
-    g = np.asarray(gt_mask)
-    if p.shape != g.shape:
-        raise DimensionMismatch(
-            f"mask shapes differ: {p.shape} vs {g.shape}"
-        )
-    g = g.astype(bool)
+    g = as_mask(gt_mask, p.shape)
     union = int(np.count_nonzero(p | g))
     if union == 0:
         return 1.0

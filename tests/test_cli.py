@@ -157,6 +157,8 @@ class TestSynth:
             ("--outlier-fraction", "2"),
             ("--pairs", "0"),
             ("--model-size", "0"),
+            # Its squared distances would overflow the diameter search.
+            ("--model-size", "1e200"),
         ],
     )
     def test_invalid_value_exits_2_and_writes_nothing(self, flag, value, tmp_path, capsys):
@@ -744,6 +746,24 @@ class TestEval:
             "pair_0001": "ValueError: mask shape (32, 32) does not match expected (64, 64)"
         }
 
+    def test_nan_declared_diameter_fails_every_pair(self, dataset_small, tmp_path):
+        # NaN fails every comparison; the sidecar check must still reject it.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        sidecar = data / "models" / "model.json"
+        io.write_json(sidecar, {**io.read_json(sidecar), "diameter": math.nan})
+        preds = tmp_path / "preds"
+        _write_gt_predictions(data, preds)
+        report_path = tmp_path / "report.json"
+        assert main([
+            "eval", "--pairs", str(data / "pairs.json"),
+            "--predictions", str(preds), "--out", str(report_path),
+        ]) == 1
+        errors = io.read_json(report_path)["errors"]
+        assert set(errors) == {"pair_0000", "pair_0001"}
+        for message in errors.values():
+            assert message.startswith("ValueError: declared diameter nan differs")
+
     def test_out_that_is_a_directory_exits_2(self, dataset_small, tmp_path):
         preds = tmp_path / "preds"
         _write_gt_predictions(dataset_small, preds)
@@ -1093,6 +1113,54 @@ class TestLosses:
         assert set(io.read_json(report_path)["pairs"]) == {"pair_0000", "pair_0001"}
 
 
+class TestPredictedMask:
+    """``eval`` and ``losses`` score a pair's ``pred_mask_query``, read and
+    checked against the query camera as a view mask is."""
+
+    def _stages(self, dataset_small, small_matches, tmp_path, pred):
+        """Run eval and losses on a copy of the data whose first pair names
+        ``pred`` as its predicted mask; return both exit codes and reports."""
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        io.write_mask(data / "pred_mask.pgm", pred)
+        manifest = io.read_json(data / "pairs.json")
+        manifest["pairs"][0]["pred_mask_query"] = "pred_mask.pgm"
+        io.write_json(data / "pairs.json", manifest)
+        preds = tmp_path / "preds"
+        _write_gt_predictions(data, preds)
+        pairs = ["--pairs", str(data / "pairs.json")]
+        codes = (
+            main(["eval", *pairs, "--predictions", str(preds), "--out", str(tmp_path / "r.json")]),
+            main(["losses", *pairs, "--matches", str(small_matches),
+                  "--out", str(tmp_path / "l.json")]),
+        )
+        return codes, io.read_json(tmp_path / "r.json"), io.read_json(tmp_path / "l.json")
+
+    def test_half_mask_is_scored_in_eval_and_losses(self, dataset_small, small_matches, tmp_path):
+        gt = io.read_mask(dataset_small / "pairs" / "pair_0000" / "mask_query.pgm")
+        pred = gt.copy()
+        pred[:, 32:] = False
+        codes, report, losses = self._stages(dataset_small, small_matches, tmp_path, pred)
+        assert codes == (0, 0)
+        assert report["pairs"]["pair_0000"]["miou"] == crosspose.miou(pred, gt) < 1.0
+        assert report["pairs"]["pair_0001"]["miou"] == 1.0
+        mask_term = losses["pairs"]["pair_0000"]["mask"]
+        assert mask_term == crosspose.dice_loss(pred.astype(np.float64), gt)
+        assert mask_term > losses["pairs"]["pair_0001"]["mask"]
+
+    def test_mask_of_another_size_than_the_query_camera_fails_its_pair(
+        self, dataset_small, small_matches, tmp_path
+    ):
+        pred = np.ones((10, 10), dtype=bool)
+        codes, report, losses = self._stages(dataset_small, small_matches, tmp_path, pred)
+        assert codes == (1, 1)
+        for payload in (report, losses):
+            assert set(payload["pairs"]) == {"pair_0001"}
+            assert payload["errors"] == {
+                "pair_0000": "ValueError: mask shape (10, 10) does not match expected (64, 64)"
+            }
+
+
 # ---------------------------------------------------------------------------
 # Configuration layer
 # ---------------------------------------------------------------------------
@@ -1219,13 +1287,14 @@ class TestConfigLayer:
         assert not (tmp_path / "out").exists()
 
     def test_negative_seed_exits_2(self, dataset_small, tmp_path, capsys):
-        out = tmp_path / "poses"
-        assert main([
-            "register", "--pairs", str(dataset_small / "pairs.json"),
-            "--out-dir", str(out), "--seed", "-5",
-        ]) == 2
-        assert "seed must be non-negative" in capsys.readouterr().err
-        assert not out.exists()
+        out = tmp_path / "out"
+        for argv in (
+            ["register", "--pairs", str(dataset_small / "pairs.json"), "--out-dir", str(out)],
+            ["synth", "--out", str(out), "--image-size", "32", "--model-points", "200"],
+        ):
+            assert main([*argv, "--seed", "-5"]) == 2
+            assert capsys.readouterr().err == "error: seed must be non-negative\n"
+            assert not out.exists()
 
     def test_invalid_values_rejected(self, dataset_small, tmp_path, capsys):
         out = tmp_path / "out"

@@ -424,6 +424,11 @@ class TestDiameter:
         )
         assert diameter(corners) == pytest.approx(math.sqrt(3.0), abs=1e-12)
 
+    def test_overflowing_cloud_rejected(self):
+        # Squared distances of a 1e200 m cloud overflow to inf.
+        with pytest.raises(ValueError, match="points must be finite and within"):
+            diameter([[0.0, 0.0, 0.0], [1e200, 0.0, 0.0]])
+
     def test_matches_brute_force_on_random_cloud(self, rng):
         pts = rng.normal(size=(500, 3))
         assert diameter(pts) == pytest.approx(_diameter_oracle(pts), abs=1e-12)
@@ -866,10 +871,13 @@ class TestObjectModel:
         assert model.points[0, 0] != 100.0
         assert ObjectModel.from_points(pts).points.flags.writeable is False
 
-    def test_wrong_diameter_rejected(self, rng):
+    @pytest.mark.parametrize("declared", ["wrong", "nan", "inf"])
+    def test_wrong_diameter_rejected(self, declared, rng):
+        # NaN fails every comparison, so a NaN diameter must fail the check too.
         pts = rng.normal(size=(10, 3))
-        with pytest.raises(ValueError):
-            ObjectModel(points=pts, diameter_m=diameter(pts) + 1.0)
+        value = {"wrong": diameter(pts) + 1.0, "nan": math.nan, "inf": math.inf}[declared]
+        with pytest.raises(ValueError, match=f"declared diameter {value!r} differs"):
+            ObjectModel(points=pts, diameter_m=value)
 
     def test_symmetry_list_must_include_identity(self, rng):
         pts = rng.normal(size=(10, 3))

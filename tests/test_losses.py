@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from crosspose import (
-    DimensionMismatch,
     EmptyMatchSet,
     FeatureSet,
     ZeroVector,
@@ -702,7 +701,7 @@ class TestDiceLoss:
         assert 0.0 < value < 1.0
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="does not match expected"):
             dice_loss(np.zeros((4, 4)), np.zeros((4, 5), dtype=bool))
 
     def test_activations_outside_unit_interval_rejected(self):

@@ -13,7 +13,6 @@ import pytest
 from crosspose import (
     BehindCamera,
     CameraIntrinsics,
-    DimensionMismatch,
     EmptyRender,
     MetricReport,
     ObjectModel,
@@ -585,7 +584,7 @@ class TestMiou:
             assert miou(pred, gt) == pytest.approx(_miou_oracle(pred, gt), abs=1e-15)
 
     def test_dimension_mismatch_raises(self):
-        with pytest.raises(DimensionMismatch):
+        with pytest.raises(ValueError, match="does not match expected"):
             miou(np.zeros((8, 8), dtype=bool), np.zeros((8, 9), dtype=bool))
 
 
