@@ -38,12 +38,14 @@ COORDINATE_BOUND = 1e9
 _GRID_CELLS = 2**20
 
 # _max_pairwise_sq: farthest-point sweeps for the lower bound, mean points
-# per occupied cell, relative margin on every bound, and pair entries
-# scored at once.
+# per occupied cell, relative margin on every bound, pair entries scored
+# at once, and the least lower bound (m^2) at which the centroid bound
+# prunes: below it, squares rounded to subnormals could undercut the margin.
 _DIAMETER_SWEEPS = 4
 _DIAMETER_CELL_POINTS = 64
 _DIAMETER_MARGIN = 1e-12
 _DIAMETER_PAIR_ENTRIES = 2_000_000
+_DIAMETER_CENTROID_FLOOR = 1e-200
 # Distinct clouds whose exact diameter one process keeps, each held as its
 # float64 bytes (see diameter); the lock lets one caller search a cloud
 # while the others wait for its entry.
@@ -403,41 +405,49 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
 
     Returns the same float as scoring all pairs with ``_pair_sq``:
 
-    1. The occupied cells of a uniform grid (``_diameter_cells``, about
-       ``_DIAMETER_CELL_POINTS`` points per cell) split the cloud into
-       spatially coherent blocks with bounding boxes. The points, in
-       cell order, are held as ``(3, n)`` coordinate rows.
-    2. Farthest-point sweeps from the first of them score real pairs and
+    1. Farthest-point sweeps from the first point score real pairs and
        give a lower bound ``best``.
-    3. For each cell, only the cell itself and the cells after it whose
+    2. A point ``p`` at distance ``r_p`` from the cloud's mean ``c`` is
+       kept only if ``(r_p + r_max)**2`` can reach ``best``. As
+       ``|p - q| <= |p - c| + |q - c|`` for any float point ``c``, both
+       points of the farthest pair are kept. Below
+       ``_DIAMETER_CENTROID_FLOOR`` every point is kept.
+    3. The occupied cells of a uniform grid (``_diameter_cells``, about
+       ``_DIAMETER_CELL_POINTS`` points per cell) split the kept points
+       into spatially coherent blocks with bounding boxes, held in cell
+       order as ``(3, n)`` coordinate rows.
+    4. For each cell, only the cell itself and the cells after it whose
        box can reach ``best`` (``_far_box_sq``) are searched. Their
        points are kept if their bound to the cell's box can reach
        ``best``, and the cell's points if theirs to the kept points' box
        can. Bounds and ``best`` carry a 1e-12 relative margin on either
-       side, far above the rounding of either formula, so every pair
+       side, far above the rounding of any formula here, so every pair
        that can score the maximum survives.
-    4. Surviving pairs are scored with ``_pair_sq``, at most 2M pair
+    5. Surviving pairs are scored with ``_pair_sq``, at most 2M pair
        entries at a time, so memory stays bounded on any cloud.
 
     The result is the largest ``_pair_sq`` over the surviving pairs, so
     any partition of the cloud gives the same float.
     """
-    perm, _, starts, _ = _diameter_cells(points)
-    order = np.take(points.T, perm, axis=1)  # (3, n) rows: sums run along rows
-    ends = np.append(starts[1:], len(points))
+    rows = points.T.copy()  # (3, n) rows: sums run along rows
     best, far = 0.0, 0
     for _ in range(_DIAMETER_SWEEPS):
-        sq = _pair_sq(order[:, far : far + 1], order)[0]
+        sq = _pair_sq(rows[:, far : far + 1], rows)[0]
         far = int(np.argmax(sq))
         best = max(best, float(sq[far]))
-
-    lo = np.minimum.reduceat(order, starts, axis=1)
-    hi = np.maximum.reduceat(order, starts, axis=1)
-    cell_of = np.repeat(np.arange(len(starts)), ends - starts)
 
     def reaches(bound):
         return bound * (1.0 + _DIAMETER_MARGIN) >= best * (1.0 - _DIAMETER_MARGIN)
 
+    if best >= _DIAMETER_CENTROID_FLOOR:
+        r = np.sqrt(sum_sq(rows - rows.mean(axis=1, keepdims=True)))
+        points = points[reaches((r + r.max()) ** 2)]
+    perm, _, starts, _ = _diameter_cells(points)
+    order = np.take(points.T, perm, axis=1)
+    ends = np.append(starts[1:], len(points))
+    lo = np.minimum.reduceat(order, starts, axis=1)
+    hi = np.maximum.reduceat(order, starts, axis=1)
+    cell_of = np.repeat(np.arange(len(starts)), ends - starts)
     for a in range(len(starts)):
         lo_a, hi_a = lo[:, a, None], hi[:, a, None]
         cells = np.zeros(len(starts), dtype=bool)

@@ -316,9 +316,10 @@ def model_sidecar(path) -> Path:
 def write_model(path, model: ObjectModel) -> None:
     """Write XYZ text plus the metadata sidecar next to it."""
     path = Path(path)
-    lines = [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in model.points]
+    # One format over the flat floats: no list per row for the collector.
+    text = "%r %r %r\n" * len(model.points) % tuple(model.points.ravel().tolist())
     with _replacing(path) as fh:
-        fh.write(("\n".join(lines) + "\n").encode())
+        fh.write(text.encode())
     write_json(
         model_sidecar(path),
         {

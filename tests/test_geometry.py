@@ -26,6 +26,7 @@ from crosspose import (
     unproject,
 )
 from crosspose import geometry
+from crosspose.config import derive_seed
 from crosspose.geometry import _max_pairwise_sq, nearest_within
 from crosspose.render import splat_depth
 from conftest import random_rotation_matrix, random_se3
@@ -470,6 +471,14 @@ def _two_clusters(rng, n):
     return pts
 
 
+def _swept_past(rng):
+    """Farthest-point sweeps from the first point bounce between (-1, 0, 0)
+    and (1, 0, 0), 2 apart, and miss the pair 2.02 apart on the y axis; the
+    small cluster around the mean falls to the centroid bound."""
+    tips = [[-0.9, 0, 0], [-1.0, 0, 0], [1.0, 0, 0], [0, -1.01, 0], [0, 1.01, 0]]
+    return np.vstack([tips, rng.normal(size=(500, 3)) * 0.1])
+
+
 _KERNEL_CLOUDS = {
     "two points": lambda rng: np.array([[0.1, -0.2, 0.3], [0.4, 0.5, -0.6]]),
     "duplicates": lambda rng: np.repeat(rng.normal(size=(7, 3)), 40, axis=0),
@@ -483,6 +492,11 @@ _KERNEL_CLOUDS = {
     ),
     "far from origin": lambda rng: rng.normal(size=(700, 3)) * 1e-3 + 1e3,
     "two dense clusters": lambda rng: _two_clusters(rng, 2000),
+    "1 mm at 1e8 m": lambda rng: rng.normal(size=(700, 3)) * 1e-3 + 1e8,
+    "sweeps miss the farthest pair": _swept_past,
+    # Squared distances near the smallest subnormal: the search skips the
+    # centroid bound, whose rounding the margin no longer covers there.
+    "subnormal squares": lambda rng: _swept_past(rng) * 1e-162,
 }
 
 
@@ -511,6 +525,31 @@ class TestMaxPairwiseSq:
             n = int(rng.integers(2, 400))
             pts = rng.normal(size=(n, 3)) * rng.uniform(1e-3, 1e3)
             assert _max_pairwise_sq(pts) == _max_pairwise_sq_oracle(pts)
+
+    def test_centroid_bound_leaves_few_points_to_the_cells(self, monkeypatch):
+        # The cell search pays a Python loop per occupied cell; on a blob
+        # the centroid bound leaves it a few dozen of 6000 points.
+        model = make_model("blob", n_points=6000, seed=0)
+        sizes = []
+        cells = geometry._diameter_cells
+        monkeypatch.setattr(
+            geometry, "_diameter_cells", lambda p: (sizes.append(len(p)), cells(p))[1]
+        )
+        assert _max_pairwise_sq(model.points) == _max_pairwise_sq_oracle(model.points)
+        assert len(sizes) == 1 and sizes[0] <= 200
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            dict(kind="blob", n_points=6000, size=0.01),
+            dict(kind="blob", n_points=3000, size=0.01),
+            dict(kind="cylinder", n_points=3000, size=0.03, cyclic_order=4),
+        ],
+        ids=["tour", "contaminated", "symmetric-eval"],
+    )
+    def test_equals_all_pairs_on_the_bench_models(self, flags):
+        model = make_model(**flags, seed=derive_seed(7, "synth"))
+        assert _max_pairwise_sq(model.points) == _max_pairwise_sq_oracle(model.points)
 
     def test_memory_stays_bounded_on_two_dense_clusters(self, rng):
         # All-pairs scoring in 2M-entry chunks peaks near 128 MB here; the

@@ -12,7 +12,8 @@ import pytest
 
 from crosspose import io
 from crosspose import (
-    GtPair, MetricReport, Pose, cyclic_symmetries, make_model, make_pair, render_scene,
+    GtPair, MetricReport, ObjectModel, Pose, cyclic_symmetries, make_model, make_pair,
+    render_scene,
 )
 from crosspose.io import (
     pose_to_dict,
@@ -489,6 +490,21 @@ class TestModelFile:
         for ours, theirs in zip(model.symmetries, back.symmetries):
             assert np.array_equal(ours.rotation, theirs.rotation)
             assert np.array_equal(ours.translation, theirs.translation)
+
+    def test_xyz_bytes_match_the_per_row_formula(self, tmp_path):
+        points = np.array(
+            [
+                [-0.0, 0.0, 5e-324],
+                [2.2e-310, -1.5e-320, 1.0 / 3.0],
+                [1e8 + 0.125, -123456789.98765432, 9.87654321e7],
+                [np.nextafter(1e8, 2e8), -2.0 / 3.0, 0.1],
+            ]
+        )
+        path = tmp_path / "model.xyz"
+        write_model(path, ObjectModel.from_points(points))
+        rows = [f"{float(p[0])!r} {float(p[1])!r} {float(p[2])!r}" for p in points]
+        assert path.read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert np.array_equal(read_model(path).points, points)
 
     def test_tampered_diameter_rejected_on_read(self, tmp_path):
         model = make_model("blob", n_points=64, size=0.02)
