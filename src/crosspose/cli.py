@@ -60,7 +60,7 @@ from .losses import (
     positive_loss,
     total_loss,
 )
-from .matcher import downsample_mask, lift_matches, match_features, pixels_to_cells
+from .matcher import lift_matches, match_features, pixels_to_cells
 from .matchgen import MIN_MATCHES, NN_RADIUS, accept_pair, generate_gt_matches
 from .metrics import SCORES, aggregate_reports, pair_report
 from .registration import register_spatial_consistency
@@ -367,20 +367,13 @@ def cmd_register(args) -> int:
     def work(entry: PairEntry):
         a, q = entry.anchor, entry.query
         cam_a, cam_q = io.read_intrinsics(a.camera), io.read_intrinsics(q.camera)
-        feat_a, feat_q = _read_features(a), _read_features(q)
-        grid_a, grid_q = feat_a.shape[:2], feat_q.shape[:2]
-        # Each mask must be its camera's size before it is resampled.
-        mask_a, mask_q = _read_mask(a.mask, cam_a), _read_mask(q.mask, cam_q)
+        # Each mask must be its camera's size; matching resamples it to its
+        # grid. No name holds a grid, so both go once their matches are found.
         matches = match_features(
-            feat_a,
-            feat_q,
-            downsample_mask(mask_a, grid_a),
-            downsample_mask(mask_q, grid_q),
+            _read_features(a), _read_features(q),
+            _read_mask(a.mask, cam_a), _read_mask(q.mask, cam_q),
         )
-        del feat_a, feat_q  # the grids are not needed past matching
-        lifted = lift_matches(
-            matches, io.read_depth(a.depth), io.read_depth(q.depth), cam_a, cam_q, grid_a, grid_q
-        )
+        lifted = lift_matches(matches, io.read_depth(a.depth), io.read_depth(q.depth), cam_a, cam_q)
         result = register_spatial_consistency(lifted, seed=pair_seed(reg_seed, entry.pair_id))
         io.write_json(
             out / f"{entry.pair_id}.json",

@@ -60,9 +60,8 @@ _RADIUS_ENTRIES = 1 << 12
 
 
 def _as_points(points, name: str = "points") -> np.ndarray:
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != 3:
-        raise ValueError(f"{name} must have shape (N, 3), got {pts.shape}")
+    """``(M, 3)`` finite float points by :func:`as_rows`, of any magnitude."""
+    pts = as_rows(points, 3, np.float64, name)
     if not np.all(np.isfinite(pts)):
         raise ValueError(f"{name} contains non-finite values")
     return pts
@@ -610,7 +609,7 @@ class ObjectModel:
     symmetries: tuple[Pose, ...] = field(default_factory=lambda: (Pose.identity(),))
 
     def __post_init__(self):
-        pts = _as_points(self.points, "model points").copy()
+        pts = as_coordinates(self.points, "model points").copy()
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         object.__setattr__(self, "symmetries", tuple(self.symmetries))
@@ -633,9 +632,8 @@ class ObjectModel:
     @classmethod
     def from_points(cls, points, symmetries=None) -> "ObjectModel":
         """Build a model, computing the diameter from the points."""
-        pts = _as_points(points, "model points")
         syms = (Pose.identity(),) if symmetries is None else tuple(symmetries)
-        return cls(points=pts, diameter_m=diameter(pts), symmetries=syms)
+        return cls(points=points, diameter_m=diameter(points), symmetries=syms)
 
     @property
     def is_symmetric(self) -> bool:

@@ -10,8 +10,9 @@
   (integers).
 * Feature grids: raw blob with magic ``ORYT``, three unsigned 32-bit
   little-endian dims H, W, D, then H*W*D float32 values, C order.
-* Models: whitespace-separated XYZ text plus a JSON sidecar (same stem,
-  ``.json``) holding the diameter and symmetry transforms.
+* Models: whitespace-separated XYZ text, each row ending in a newline,
+  plus a JSON sidecar (same stem, ``.json``) holding the diameter and
+  symmetry transforms.
 
 Every JSON file holds ``json.dumps(payload, sort_keys=True,
 separators=(",", ": "), indent=1)`` and a newline, so identical data
@@ -344,13 +345,17 @@ def read_model(path) -> ObjectModel:
     ``_XYZ_MEMO_ENTRIES`` texts, so pairs that share a model file parse it
     once per process, also when worker threads read it at once. Every call
     still reads both files and builds the model, whose diameter check runs
-    on every read.
+    on every read. :func:`write_model` ends every row with a newline, so
+    a non-empty text that does not end in one was cut inside a row: it
+    raises ValueError naming the file.
     """
     path = Path(path)
     try:
         data = path.read_bytes()
     except FileNotFoundError:
         raise FileNotFoundError(f"{path} not found.") from None  # as np.loadtxt says it
+    if data and not data.endswith(b"\n"):
+        raise ValueError(f"{path} is cut inside a row: it does not end in a newline")
     with _XYZ_MEMO_LOCK:
         points = _parse_xyz(data)
     diameter_m, symmetries = _values(

@@ -1,14 +1,15 @@
 """Masked nearest-neighbor matching of dense feature grids.
 
-Features live on an ``(H, W, D)`` grid per view. Matching considers only
-cells selected by a mask at grid resolution, pairs each anchor cell with
-its nearest query cell in cosine distance, drops pairs above
-``MAX_DISTANCE``, and keeps at most ``MAX_MATCHES`` pairs globally (the
-lowest distances win); the result is a :class:`MatchSet` of grid cells.
-Both thresholds are module constants, so every caller matches under one
-protocol. :func:`lift_matches` maps the matched cells to image pixels through the
-center-of-cell convention and back-projects them to 3D with the depth
-maps, dropping cells that land on depth holes; the result is the
+Features live on an ``(H, W, D)`` grid per view, which may be coarser
+than the image. Matching resamples each mask to its view's grid, pairs
+each selected anchor cell with its nearest selected query cell in cosine
+distance, drops pairs above ``MAX_DISTANCE``, and keeps at most
+``MAX_MATCHES`` pairs globally (the lowest distances win); the result is
+a :class:`MatchSet` of grid cells that records both grids. Both
+thresholds are module constants, so every caller matches under one
+protocol. :func:`lift_matches` maps each matched cell to the pixel under
+its center on its own grid and back-projects it with the depth map,
+dropping cells that land on depth holes; the result is the
 :class:`Correspondences` that registration consumes.
 
 The cosine distance used everywhere is ``(1 - cos) / 2``, which maps
@@ -47,13 +48,17 @@ class MatchSet:
     """Index-aligned matches between the feature grids of two views.
 
     ``anchor_cells``/``query_cells`` are (M, 2) integer ``(u, v)``
-    coordinates on the feature grid; ``distances`` is the (M,) array of
-    each pair's cosine distance. Other shapes are rejected, not reshaped.
+    coordinates on the feature grids whose ``(rows, columns)`` are
+    ``anchor_grid``/``query_grid``; ``distances`` is the (M,) array of
+    each pair's cosine distance. Other shapes, and cells off their grid,
+    are rejected, not reshaped or clipped.
     """
 
     anchor_cells: np.ndarray
     query_cells: np.ndarray
     distances: np.ndarray
+    anchor_grid: tuple[int, int]
+    query_grid: tuple[int, int]
 
     def __post_init__(self):
         a = as_rows(self.anchor_cells, 2, np.int64, "anchor cells")
@@ -61,8 +66,12 @@ class MatchSet:
         d = np.asarray(self.distances, dtype=np.float64)
         if d.ndim != 1 or not (len(a) == len(q) == len(d)):
             raise ValueError("anchor cells, query cells, and distances must align")
-        object.__setattr__(self, "anchor_cells", a)
-        object.__setattr__(self, "query_cells", q)
+        for side, cells in (("anchor", a), ("query", q)):
+            rows, cols = grid = tuple(map(int, getattr(self, f"{side}_grid")))
+            if np.any(cells < 0) or np.any(cells >= (cols, rows)):
+                raise ValueError(f"{side} cells must lie on their {grid} grid")
+            object.__setattr__(self, f"{side}_cells", cells)
+            object.__setattr__(self, f"{side}_grid", grid)
         object.__setattr__(self, "distances", d)
 
     def __len__(self) -> int:
@@ -186,8 +195,9 @@ def _unit_cells(grid: np.ndarray, cells: np.ndarray, what: str) -> np.ndarray:
 def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
     """Match masked anchor cells to their nearest masked query cells.
 
-    Masks must already be at feature-grid resolution (see
-    :func:`downsample_mask`). Every kept pair has distance at most
+    Each mask is resampled to its view's grid by :func:`downsample_mask`,
+    so it may be given at image or at grid resolution (where resampling
+    is the identity). Every kept pair has distance at most
     ``MAX_DISTANCE``; if more pairs qualify than ``MAX_MATCHES``, exactly
     the lowest-distance pairs survive, with ties broken by lowest anchor
     cell index. Output is ordered by anchor cell in row-major scan order,
@@ -205,8 +215,8 @@ def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
     fq = _validate_features(feat_q, "query features")
     if fa.shape[2] != fq.shape[2]:
         raise ValueError("feature dimensions differ between views")
-    ma = as_mask(mask_a, fa.shape[:2])
-    mq = as_mask(mask_q, fq.shape[:2])
+    ma = downsample_mask(mask_a, fa.shape[:2])
+    mq = downsample_mask(mask_q, fq.shape[:2])
 
     lin_a = np.nonzero(ma.ravel())[0]
     lin_q = np.nonzero(mq.ravel())[0]
@@ -237,16 +247,15 @@ def match_features(feat_a, feat_q, mask_a, mask_q) -> MatchSet:
 
     # kept_a increases, so the sorted survivors are in anchor-cell order.
     order = np.sort(np.lexsort((kept_a, kept_d))[:MAX_MATCHES])
-    kept_a = kept_a[order]
-    kept_q = kept_q[order]
-    kept_d = kept_d[order]
+    kept_a, kept_q, kept_d = kept_a[order], kept_q[order], kept_d[order]
 
-    wa = fa.shape[1]
-    wq = fq.shape[1]
+    wa, wq = fa.shape[1], fq.shape[1]
     return MatchSet(
         anchor_cells=np.column_stack([kept_a % wa, kept_a // wa]),
         query_cells=np.column_stack([kept_q % wq, kept_q // wq]),
         distances=kept_d,
+        anchor_grid=fa.shape[:2],
+        query_grid=fq.shape[:2],
     )
 
 
@@ -276,28 +285,19 @@ def pixels_to_cells(pixels: np.ndarray, grid_shape, intrinsics: CameraIntrinsics
 
 
 def lift_matches(
-    matches: MatchSet,
-    depth_a,
-    depth_q,
-    cam_a: CameraIntrinsics,
-    cam_q: CameraIntrinsics,
-    grid_shape_a: tuple[int, int] | None = None,
-    grid_shape_q: tuple[int, int] | None = None,
+    matches: MatchSet, depth_a, depth_q, cam_a: CameraIntrinsics, cam_q: CameraIntrinsics
 ) -> Correspondences:
     """Back-project matched cells to 3D through the two depth maps.
 
-    Grid shapes default to the image shape, for matches that already
-    live at image resolution; pass them explicitly for coarser grids.
-    Pairs whose pixel has no valid depth on either side are dropped; the
-    rest keep their order.
+    Each side's cells map to the pixels under their centers on the grid
+    the match set records for that side. Pairs whose pixel has no valid
+    depth on either side are dropped; the rest keep their order.
     """
     da = as_depth(depth_a, cam_a)
     dq = as_depth(depth_q, cam_q)
-    ga = grid_shape_a if grid_shape_a is not None else (cam_a.height, cam_a.width)
-    gq = grid_shape_q if grid_shape_q is not None else (cam_q.height, cam_q.width)
 
-    pix_a = cells_to_pixels(matches.anchor_cells, ga, cam_a)
-    pix_q = cells_to_pixels(matches.query_cells, gq, cam_q)
+    pix_a = cells_to_pixels(matches.anchor_cells, matches.anchor_grid, cam_a)
+    pix_q = cells_to_pixels(matches.query_cells, matches.query_grid, cam_q)
     za = da[pix_a[:, 1], pix_a[:, 0]]
     zq = dq[pix_q[:, 1], pix_q[:, 0]]
     keep = (za > 0) & (zq > 0)

@@ -44,8 +44,9 @@ is decided from the roots; an entry inside it is recounted by
 
 Both bands assume finite coordinates of magnitude at most
 ``geometry.COORDINATE_BOUND`` (1e9 m), where no square overflows.
-:class:`Correspondences` and :func:`compatibility_scores` reject any
-other input with a ValueError that names the view.
+:class:`Correspondences`, :func:`compatibility_scores` and :func:`kabsch`
+reject any other input with a ValueError that names the view, so no
+estimator meets a NaN match (the CLI's checked depth maps never make one).
 
 Determinism and memory: a call runs in three phases. It draws every
 hypothesis' seed triplet in fixed chunks of ``_CHUNK`` rows, in order,

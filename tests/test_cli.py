@@ -21,12 +21,15 @@ from crosspose import (
     Pose,
     compose,
     generate_gt_matches,
+    lift_matches,
     make_model,
+    match_features,
+    register_spatial_consistency,
     render_scene,
     rotation_about_axis,
 )
 from crosspose.cli import _workers, build_parser, main
-from crosspose.config import derive_seed, load_pairs
+from crosspose.config import derive_seed, load_pairs, pair_seed
 from crosspose import geometry, io
 
 # ---------------------------------------------------------------------------
@@ -530,7 +533,7 @@ class TestRegister:
     def test_mask_of_another_size_than_its_camera_fails_its_pair(
         self, dataset_small, tmp_path
     ):
-        # register resamples the mask to the feature grid, so only the
+        # Matching resamples the mask to the feature grid, so only the
         # camera can tell that it is too small; gen-matches fails alike.
         data = tmp_path / "data"
         shutil.copytree(dataset_small, data)
@@ -544,6 +547,32 @@ class TestRegister:
                 "pair_0000": "ValueError: mask shape (32, 32) does not match expected (64, 64)"
             }
             assert not (out / "pair_0000.json").exists()
+
+    def test_coarse_feature_grids_register_as_the_library_does(self, dataset_small, tmp_path):
+        # Every other cell of each stored grid: 32 x 32 grids over 64 x 64
+        # images, with the masks at image resolution.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        for path in (data / "pairs").glob("pair_*/features_*.feat"):
+            io.write_features(path, io.read_features(path)[::2, ::2])
+        out = tmp_path / "poses"
+        assert main(["register", "--pairs", str(data / "pairs.json"),
+                     "--out-dir", str(out), "--seed", "5"]) == 0
+        reg_seed = derive_seed(5, "registration")
+        for entry in load_pairs(data / "pairs.json"):
+            a, q = entry.anchor, entry.query
+            cam_a, cam_q = io.read_intrinsics(a.camera), io.read_intrinsics(q.camera)
+            matches = match_features(io.read_features(a.features), io.read_features(q.features),
+                                     io.read_mask(a.mask), io.read_mask(q.mask))
+            assert matches.anchor_grid == matches.query_grid == (32, 32)
+            lifted = lift_matches(matches, io.read_depth(a.depth), io.read_depth(q.depth),
+                                  cam_a, cam_q)
+            result = register_spatial_consistency(
+                lifted, seed=pair_seed(reg_seed, entry.pair_id))
+            payload = io.read_json(out / f"{entry.pair_id}.json")
+            assert payload["pose"] == io.pose_to_dict(result.pose)
+            assert (payload["num_matches"], payload["num_lifted"]) == (len(matches), len(lifted))
+            assert payload["num_inliers"] == len(result.inliers) >= 3
 
     @pytest.mark.parametrize("fx", [1e-310, 5e-324])
     def test_subnormal_focal_length_fails_only_its_pair(self, fx, dataset_small, tmp_path):
@@ -763,6 +792,34 @@ class TestEval:
         assert set(errors) == {"pair_0000", "pair_0001"}
         for message in errors.values():
             assert message.startswith("ValueError: declared diameter nan differs")
+
+    def test_model_file_cut_inside_a_row_fails_every_pair(self, tmp_path):
+        data = tmp_path / "data"
+        assert main(["synth", "--out", str(data), "--model-kind", "box", "--model-size", "0.05",
+                     "--model-points", "1500", "--pairs", "2", "--seed", "7"]) == 0
+        preds = tmp_path / "preds"
+        assert main(["register", "--pairs", str(data / "pairs.json"),
+                     "--out-dir", str(preds)]) == 0
+        # Cut 4 bytes into the third number of the middle row. The row still
+        # holds three numbers, and the box corners are written first, so the
+        # text parses and the diameter check passes: only the missing final
+        # newline tells the model is cut.
+        xyz = data / "models" / "model.xyz"
+        rows = xyz.read_bytes().splitlines(keepends=True)
+        middle = len(rows) // 2
+        cut = b"".join(rows[:middle]) + rows[middle][: rows[middle].rindex(b" ") + 5]
+        xyz.write_bytes(cut)
+        assert np.loadtxt(cut.decode().splitlines(), ndmin=2).shape == (middle + 1, 3)
+        report_path = tmp_path / "report.json"
+        assert main(["eval", "--pairs", str(data / "pairs.json"),
+                     "--predictions", str(preds), "--out", str(report_path)]) == 1
+        report = io.read_json(report_path)
+        assert report["pairs"] == {}
+        assert set(report["errors"]) == {"pair_0000", "pair_0001"}
+        for message in report["errors"].values():
+            assert message == (
+                f"ValueError: {xyz.resolve()} is cut inside a row: it does not end in a newline"
+            )
 
     def test_out_that_is_a_directory_exits_2(self, dataset_small, tmp_path):
         preds = tmp_path / "preds"

@@ -642,7 +642,9 @@ class TestModelMemo:
         write_model(path, model)
         cases = [
             (None, f"FileNotFoundError: {tmp_path / 'missing.xyz'} not found."),
-            (b"", "ValueError: model points must have shape (N, 3), got (0, 1)"),
+            (b"", "ValueError: model points must have shape (M, 3), got (0, 1)"),
+            (b"1 2 3\n4 5 6", f"ValueError: {tmp_path / 'missing.xyz'} is cut inside a row: "
+                              "it does not end in a newline"),
             (b"1 2 3\n4 x 6\n", "ValueError: could not convert string 'x' to float64 at row 1, column 2."),
             (b"1 2 3\n4 5\n", "ValueError: the number of columns changed from 3 to 2 at row 2; "
                               "use `usecols` to select a subset and avoid this error"),

@@ -18,12 +18,14 @@ from crosspose import (
     make_model,
     make_pair,
     Pose,
+    rotation_about_axis,
 )
-from crosspose.geometry import COORDINATE_BOUND
+from crosspose.geometry import COORDINATE_BOUND, back_project
 from crosspose.matcher import (
     _CHUNK,
     MAX_DISTANCE,
     MAX_MATCHES,
+    cells_to_pixels,
     cosine_distance,
     row_norms,
     unit_rows,
@@ -380,10 +382,28 @@ def test_records_reject_wrong_shapes_instead_of_reshaping():
         Correspondences(np.zeros((6, 2)), np.zeros((4, 3)))
     with pytest.raises(ValueError, match=r"query cells must have shape \(M, 2\)"):
         MatchSet(anchor_cells=np.zeros((2, 2)), query_cells=np.zeros((2, 3)),
-                 distances=np.zeros(2))
+                 distances=np.zeros(2), anchor_grid=(4, 4), query_grid=(4, 4))
     with pytest.raises(ValueError, match="must align"):
         MatchSet(anchor_cells=np.zeros((2, 2)), query_cells=np.zeros((2, 2)),
-                 distances=np.zeros((2, 1)))
+                 distances=np.zeros((2, 1)), anchor_grid=(4, 4), query_grid=(4, 4))
+
+
+@pytest.mark.parametrize("side", ["anchor", "query"])
+@pytest.mark.parametrize("cell", [(-1, 0), (0, -1), (3, 0), (0, 2)])
+def test_match_set_rejects_cells_off_their_grid(side, cell):
+    # A 2-row, 3-column grid holds u in [0, 3) and v in [0, 2).
+    inside = np.array([[2, 1]])
+    cells = {"anchor_cells": inside, "query_cells": inside, side + "_cells": np.array([cell])}
+    with pytest.raises(ValueError, match=rf"^{side} cells must lie on their \(2, 3\) grid"):
+        MatchSet(**cells, distances=np.zeros(1), anchor_grid=(2, 3), query_grid=(2, 3))
+
+
+def test_match_set_keeps_its_grids_as_int_pairs():
+    cells = np.array([[2, 1]])
+    m = MatchSet(anchor_cells=cells, query_cells=cells, distances=np.zeros(1),
+                 anchor_grid=np.array([2, 3]), query_grid=[2, 3])
+    assert m.anchor_grid == m.query_grid == (2, 3)
+    assert all(type(n) is int for n in m.anchor_grid + m.query_grid)
 
 
 @pytest.mark.parametrize("views", ["anchor", "query", "both"])
@@ -418,7 +438,8 @@ class TestLiftMatches:
     def simple_match(self):
         cells = np.array([[1, 1], [2, 3]], dtype=np.int64)
         return MatchSet(
-            anchor_cells=cells, query_cells=cells, distances=np.zeros(2)
+            anchor_cells=cells, query_cells=cells, distances=np.zeros(2),
+            anchor_grid=(8, 8), query_grid=(8, 8),
         )
 
     @pytest.fixture
@@ -458,16 +479,18 @@ class TestLiftMatches:
         # One cell on a 2x2 grid over 8x8 pixels: cell (0,0) center is
         # pixel (2,2), cell (1,1) center is pixel (6,6).
         cells = np.array([[0, 0], [1, 1]], dtype=np.int64)
-        m = MatchSet(anchor_cells=cells, query_cells=cells, distances=np.zeros(2))
+        m = MatchSet(anchor_cells=cells, query_cells=cells, distances=np.zeros(2),
+                     anchor_grid=(2, 2), query_grid=(2, 2))
         depth = np.full((8, 8), 1.0)
-        out = lift_matches(m, depth, depth, cam8, cam8, (2, 2), (2, 2))
+        out = lift_matches(m, depth, depth, cam8, cam8)
         np.testing.assert_allclose(
             out.anchor_points, _pinhole([[2, 2], [6, 6]], 1.0, cam8)
         )
 
     def test_back_projection_formula(self, cam8):
         cells = np.array([[6, 2]], dtype=np.int64)
-        m = MatchSet(anchor_cells=cells, query_cells=cells, distances=np.zeros(1))
+        m = MatchSet(anchor_cells=cells, query_cells=cells, distances=np.zeros(1),
+                     anchor_grid=(8, 8), query_grid=(8, 8))
         depth = np.full((8, 8), 2.0)
         out = lift_matches(m, depth, depth, cam8, cam8)
         # x = z (u - cx) / fx = 2 * (6-4)/10 = 0.4; y = 2 * (2-4)/10 = -0.4
@@ -483,7 +506,7 @@ class TestSyntheticDescriptors:
     def test_lifted_matches_align_under_true_relative_pose(self, cam96):
         model = make_model("blob", n_points=6000, size=0.01, seed=3)
         rng = np.random.default_rng(21)
-        from crosspose import random_rotation, rotation_about_axis
+        from crosspose import random_rotation
 
         rot = random_rotation(rng)
         pose_a = Pose(rot, np.array([0.002, -0.001, 0.55]))
@@ -494,9 +517,42 @@ class TestSyntheticDescriptors:
         )
         feat_a, feat_q = make_descriptor_field(scene_a, scene_q, seed=4)
         matches = match_features(feat_a, feat_q, scene_a.mask, scene_q.mask)
+        assert matches.anchor_grid == matches.query_grid == (96, 96)
         lifted = lift_matches(matches, scene_a.depth, scene_q.depth, cam96, cam96)
         assert len(lifted) >= 0.9 * len(matches)
         rel = pose_q.compose(pose_a.inverse())
         moved = rel.apply(lifted.anchor_points)
         err = np.linalg.norm(moved - lifted.query_points, axis=1)
         assert (err <= 0.002).mean() >= 0.9
+
+    def test_coarse_grids_take_image_masks_and_lift_through_their_own_shape(self, cam96):
+        # Every other cell of a 96 x 96 scene's grids: a 48 x 48 grid over
+        # 96 x 96 pixels, matched with the image-resolution masks.
+        model = make_model("blob", n_points=6000, size=0.01, seed=3)
+        pose_a = Pose(np.eye(3), np.array([0.002, -0.001, 0.55]))
+        pose_q = Pose(rotation_about_axis(np.array([0.3, 0.9, 0.1]), np.radians(20)),
+                      np.array([-0.003, 0.002, 0.57]))
+        scene_a, scene_q, _ = make_pair(model, pose_a, pose_q, cam96, background=0.8)
+        feat_a, feat_q = (f[::2, ::2] for f in make_descriptor_field(scene_a, scene_q, seed=4))
+        matches = match_features(feat_a, feat_q, scene_a.mask, scene_q.mask)
+        assert matches.anchor_grid == matches.query_grid == (48, 48)
+        lifted = lift_matches(matches, scene_a.depth, scene_q.depth, cam96, cam96)
+
+        # Longhand: resample the masks, match, and lift each cell through
+        # the pixel under its center.
+        grid = (48, 48)
+        expected = match_features(feat_a, feat_q, downsample_mask(scene_a.mask, grid),
+                                  downsample_mask(scene_q.mask, grid))
+        np.testing.assert_array_equal(matches.anchor_cells, expected.anchor_cells)
+        np.testing.assert_array_equal(matches.query_cells, expected.query_cells)
+        np.testing.assert_array_equal(matches.distances, expected.distances)
+        sides = []
+        for cells, depth in ((expected.anchor_cells, scene_a.depth),
+                             (expected.query_cells, scene_q.depth)):
+            pix = cells_to_pixels(cells, grid, cam96)
+            sides.append((pix, depth[pix[:, 1], pix[:, 0]]))
+        keep = (sides[0][1] > 0) & (sides[1][1] > 0)
+        for points, (pix, z) in zip((lifted.anchor_points, lifted.query_points), sides):
+            np.testing.assert_array_equal(
+                points, back_project(pix[keep, 0], pix[keep, 1], z[keep], cam96))
+        assert len(lifted) >= 0.9 * len(matches) > 0
