@@ -37,10 +37,11 @@ COORDINATE_BOUND = 1e9
 # this many cells, so every cell coordinate and key fits in int64.
 _GRID_CELLS = 2**20
 
-# _max_pairwise_sq: farthest-point sweeps for the lower bound, mean points
-# per occupied cell, relative margin on every bound, pair entries scored
-# at once, and the least lower bound (m^2) at which the centroid bound
-# prunes: below it, squares rounded to subnormals could undercut the margin.
+# _max_pairwise_sq: farthest-point sweeps for the lower bound, the most
+# mean points per occupied cell of the _cell_grid that _diameter_cells
+# bisects for, relative margin on every bound, pair entries scored at once,
+# and the least lower bound (m^2) at which the centroid bound prunes: below
+# it, squares rounded to subnormals could undercut the margin.
 _DIAMETER_SWEEPS = 4
 _DIAMETER_CELL_POINTS = 64
 _DIAMETER_MARGIN = 1e-12
@@ -177,7 +178,8 @@ def as_depth(depth, intrinsics: CameraIntrinsics) -> np.ndarray:
 
 
 def as_mask(mask, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Validate a binary mask and return it as a boolean array."""
+    """Validate a binary mask and return it as a boolean array: the one check
+    of a mask's size, which ``miou``, ``dice_loss`` and the CLI's mask reads use."""
     arr = np.asarray(mask)
     if arr.ndim != 2:
         raise ValueError(f"mask must be 2D, got shape {arr.shape}")
@@ -303,7 +305,9 @@ def sum_sq(components) -> np.ndarray:
 
     Each component is squared in place and added into the first, which is
     returned: ``(dx*dx + dy*dy) + dz*dz``, the order of ``np.linalg.norm``,
-    so the root equals that norm bit for bit. Each component is consumed
+    so the root equals that norm bit for bit. It fixes that order for
+    :func:`nearest_within`, :func:`diameter`, registration's distances and
+    residuals and ``losses``' pixel separations. Each component is consumed
     before the next is drawn, so a generator may yield all after the
     first into one reused buffer.
     """
@@ -348,12 +352,6 @@ def _cell_grid(points: np.ndarray, edge: float):
     cols -= origin[:, None]
     cols /= edge
     cells = np.floor(cols, out=cols).astype(np.int64)
-    return _sorted_cells(cells, origin, edge)
-
-
-def _sorted_cells(cells: np.ndarray, origin: np.ndarray, edge: float):
-    """The return of ``_cell_grid`` from the points' ``(3, n)`` integer cell
-    coordinates, all ``>= 0``, at edge ``edge`` from ``origin``."""
     shape = cells.max(axis=1) + 7
     i, j, k = cells
     keys = i + 3
@@ -371,32 +369,20 @@ def _diameter_cells(points: np.ndarray):
     """``_cell_grid`` of the coarsest edge ``extent / 2**level`` that puts at
     most ``_DIAMETER_CELL_POINTS`` points in an occupied cell on average, or
     of the finest edge when copies of points crowd every grid."""
-    cols = points.T.copy()  # a C-order copy: reductions run fastest along rows
-    origin = cols.min(axis=1)
-    cols -= origin[:, None]
-    extent = float(np.max(cols.max(axis=1)))
+    extent = float(np.max(points.max(axis=0) - points.min(axis=0)))
     if extent == 0.0:
         return _cell_grid(points, 1.0)
     need = len(points) / _DIAMETER_CELL_POINTS
-    finest = _GRID_CELLS.bit_length() - 1
-    coarse, fine = 0, finest
-    # Edges differ by powers of two, which divide exactly, so a level's cell
-    # coordinates are the finest ones shifted right by the levels between.
-    cols /= extent / 2**finest
-    cells = np.floor(cols, out=cols).astype(np.int64)
     # The cells of one level split those of the level before, so the count
     # of occupied cells only grows with the level: bisect on it.
+    coarse, fine = 0, _GRID_CELLS.bit_length() - 1
     while coarse < fine:
         level = (coarse + fine) // 2
-        i, j, k = cells >> (finest - level)
-        bits = level + 1  # coordinates reach 2**level
-        keys = np.sort((i << 2 * bits | j << bits) | k)
-        if np.count_nonzero(np.diff(keys)) + 1 >= need:
+        if len(_cell_grid(points, extent / 2**level)[2]) >= need:
             fine = level
         else:
             coarse = level + 1
-    cells >>= finest - coarse
-    return _sorted_cells(cells, origin, extent / 2**coarse)
+    return _cell_grid(points, extent / 2**coarse)
 
 
 def _max_pairwise_sq(points: np.ndarray) -> float:
@@ -411,10 +397,10 @@ def _max_pairwise_sq(points: np.ndarray) -> float:
        ``|p - q| <= |p - c| + |q - c|`` for any float point ``c``, both
        points of the farthest pair are kept. Below
        ``_DIAMETER_CENTROID_FLOOR`` every point is kept.
-    3. The occupied cells of a uniform grid (``_diameter_cells``, about
-       ``_DIAMETER_CELL_POINTS`` points per cell) split the kept points
-       into spatially coherent blocks with bounding boxes, held in cell
-       order as ``(3, n)`` coordinate rows.
+    3. ``_diameter_cells`` bisects ``_cell_grid`` edges ``extent / 2**level``
+       for the coarsest grid with at most ``_DIAMETER_CELL_POINTS`` points
+       per occupied cell on average; its cells split the kept points into
+       blocks with bounding boxes, held in cell order as ``(3, n)`` rows.
     4. For each cell, only the cell itself and the cells after it whose
        box can reach ``best`` (``_far_box_sq``) are searched. Their
        points are kept if their bound to the cell's box can reach

@@ -22,7 +22,8 @@ own pixel arrays, in the same bytes as the lists of their ``tolist()``.
 Every writer replaces its target atomically (:func:`_replacing`). A
 JSON reader raises ValueError, naming the file kind and the key, on a
 file that is not an object or lacks a key it needs, and a pose reader
-on an ``R`` or ``t`` that does not hold 9 or 3 finite numbers.
+on an ``R`` or ``t`` that does not hold 9 or 3 finite numbers; a bool or
+a string is never a number, nor a fraction a match pixel.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import struct
 import threading
 from dataclasses import asdict, fields
 from io import BytesIO, TextIOWrapper
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -218,14 +220,11 @@ def pose_to_dict(pose: Pose) -> dict:
 def _finite(value, count: int, key: str) -> np.ndarray:
     """Pose entry ``key`` as ``count`` floats; ValueError naming it otherwise.
 
-    As for the camera file, a bool is never a number.
+    ``json`` reads a number as an ``int`` or ``float``, never a bool or a string.
     """
-    try:
-        arr = np.asarray(value)
-    except ValueError:  # ragged nesting
-        arr = None
-    if arr is None or arr.dtype.kind not in "iuf" or arr.shape != (count,) \
-            or not np.isfinite(arr).all() or any(isinstance(v, bool) for v in value):
+    numbers = type(value) is list and {*map(type, value)} <= {int, float}
+    arr = np.asarray(value) if numbers else np.empty(0)  # an int past int64 is an object
+    if arr.dtype.kind not in "iuf" or arr.shape != (count,) or not np.isfinite(arr).all():
         raise ValueError(f"pose {key!r} must hold {count} finite numbers, got {value!r:.80}")
     return arr.astype(np.float64)
 
@@ -255,9 +254,9 @@ def read_intrinsics(path) -> CameraIntrinsics:
     raw = _values(read_json(path), "camera file", [f.name for f in found])
     values = {}
     for f, value in zip(found, raw):
-        # By the field's annotation; a bool is never a number.
+        # By the field's annotation; as for a pose, a bool is never a number.
         types, noun = ((int,), "an integer") if f.type == "int" else ((int, float), "a number")
-        if isinstance(value, bool) or not isinstance(value, types):
+        if type(value) not in types:
             raise ValueError(f"camera {f.name!r} must be {noun}, got {value!r}")
         values[f.name] = value if f.type == "int" else float(value)
     return CameraIntrinsics(**values)
@@ -361,6 +360,8 @@ def read_model(path) -> ObjectModel:
     diameter_m, symmetries = _values(
         read_json(model_sidecar(path)), "model sidecar", ("diameter", "symmetries")
     )
+    if type(diameter_m) not in (int, float):  # as for a pose
+        raise ValueError(f"model sidecar 'diameter' must be a number, got {diameter_m!r:.80}")
     return ObjectModel(
         points=points,
         diameter_m=float(diameter_m),
@@ -402,8 +403,20 @@ def write_matches(path, pair: GtPair) -> None:
         fh.write((text + "\n").encode())
 
 
+def _pixel_rows(value, key: str):
+    """Match entry ``key`` if it holds rows of ints, as for a pose; rows of two
+    as an ``(M, 2)`` int64 array by C loops, cheaper than ``np.asarray``'s."""
+    if not (type(value) is list and {*map(type, value)} <= {list}
+            and {*map(type, chain.from_iterable(value))} <= {int}):
+        raise ValueError(f"match file {key!r} must hold rows of integers, got {value!r:.80}")
+    if {*map(len, value)} == {2}:
+        value = np.fromiter(chain.from_iterable(value), np.int64, 2 * len(value)).reshape(-1, 2)
+    return value
+
+
 def read_matches(path) -> GtPair:
     anchor, query, relative = _values(
         read_json(path), "match file", ("anchor", "query", "relative_pose")
     )
-    return GtPair(anchor=anchor, query=query, relative=pose_from_dict(relative))
+    pixels = _pixel_rows(anchor, "anchor"), _pixel_rows(query, "query")
+    return GtPair(*pixels, relative=pose_from_dict(relative))

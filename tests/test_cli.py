@@ -137,6 +137,18 @@ class TestSynth:
         assert main(argv + ["--out", str(second)]) == 0
         assert _tree_digest(first) == _tree_digest(second)
 
+    def test_toolkit_error_that_escapes_a_stage_exits_1(self, tmp_path, monkeypatch, capsys):
+        def no_render(*args, **kwargs):
+            raise crosspose.EmptyRender("no model point projects into the image")
+
+        monkeypatch.setattr("crosspose.cli.make_pair", no_render)
+        argv = ["synth", "--out", str(tmp_path / "data"), "--pairs", "1",
+                "--image-size", "64", "--model-points", "1500"]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: EmptyRender: no model point projects into the image\n"
+        )
+
     def test_different_seeds_give_different_poses(self, tmp_path):
         argv = ["synth", "--pairs", "1",
                 "--image-size", "64", "--model-points", "1500"]
@@ -793,6 +805,30 @@ class TestEval:
         for message in errors.values():
             assert message.startswith("ValueError: declared diameter nan differs")
 
+    @pytest.mark.parametrize("as_json", [repr, lambda value: True], ids=["string", "bool"])
+    def test_diameter_that_is_not_a_number_fails_every_pair(
+        self, dataset_small, tmp_path, as_json
+    ):
+        # float() would read the string, and True as 1.0.
+        data = tmp_path / "data"
+        shutil.copytree(dataset_small, data)
+        sidecar = data / "models" / "model.json"
+        meta = io.read_json(sidecar)
+        value = as_json(meta["diameter"])
+        io.write_json(sidecar, {**meta, "diameter": value})
+        preds = tmp_path / "preds"
+        _write_gt_predictions(data, preds)
+        report_path = tmp_path / "report.json"
+        assert main([
+            "eval", "--pairs", str(data / "pairs.json"),
+            "--predictions", str(preds), "--out", str(report_path),
+        ]) == 1
+        errors = io.read_json(report_path)["errors"]
+        assert errors == dict.fromkeys(
+            ["pair_0000", "pair_0001"],
+            f"ValueError: model sidecar 'diameter' must be a number, got {value!r}",
+        )
+
     def test_model_file_cut_inside_a_row_fails_every_pair(self, tmp_path):
         data = tmp_path / "data"
         assert main(["synth", "--out", str(data), "--model-kind", "box", "--model-size", "0.05",
@@ -1060,6 +1096,30 @@ class TestLosses:
         assert set(report["pairs"]) == {"pair_0000"}
         assert report["errors"]["pair_0001"].startswith(
             "ValueError: anchor pixels must have shape (M, 2)"
+        )
+
+    @pytest.mark.parametrize(
+        "side, value", [("anchor", 1.7), ("query", True), ("anchor", "3")],
+        ids=["fraction", "bool", "string"],
+    )
+    def test_match_pixel_that_is_not_an_integer_fails_its_pair(
+        self, dataset_small, small_matches, tmp_path, side, value
+    ):
+        # Each reads as a pixel inside the image once converted to int64.
+        matches = tmp_path / "matches"
+        shutil.copytree(small_matches, matches)
+        payload = io.read_json(matches / "pair_0001.json")
+        payload[side][0][0] = value
+        io.write_json(matches / "pair_0001.json", payload)
+        report_path = tmp_path / "losses.json"
+        assert main([
+            "losses", "--pairs", str(dataset_small / "pairs.json"),
+            "--matches", str(matches), "--out", str(report_path),
+        ]) == 1
+        report = io.read_json(report_path)
+        assert set(report["pairs"]) == {"pair_0000"}
+        assert report["errors"]["pair_0001"].startswith(
+            f"ValueError: match file {side!r} must hold rows of integers, got [["
         )
 
     @pytest.mark.parametrize(

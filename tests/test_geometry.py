@@ -385,6 +385,23 @@ class TestUnproject:
             unproject(np.zeros((32, 32)), cam64)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda cam: Pose(np.eye(2), np.zeros(3)), r"rotation must be \(3, 3\), got \(2, 2\)"),
+        (lambda cam: Pose(np.eye(3), np.zeros(2)), r"translation must be \(3,\), got \(2,\)"),
+        (lambda cam: geometry.as_depth(np.zeros(64), cam), r"depth must be 2D, got shape \(64,\)"),
+        (lambda cam: geometry.as_mask(np.zeros((2, 2, 2))), r"mask must be 2D, got shape \(2, 2, 2\)"),
+        (lambda cam: geometry.PointCloud(np.zeros((3, 3)), np.zeros((2, 2))),
+         r"pixels shape \(2, 2\) does not match points \(3, 2\)"),
+    ],
+    ids=["rotation", "translation", "depth", "mask", "pixels"],
+)
+def test_arrays_of_the_wrong_shape_raise(build, message, cam64):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build(cam64)
+
+
 # ---------------------------------------------------------------------------
 # Distances, diameter and object models
 # ---------------------------------------------------------------------------

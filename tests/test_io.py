@@ -517,6 +517,15 @@ class TestModelFile:
         with pytest.raises(ValueError):
             read_model(path)
 
+    @pytest.mark.parametrize("value", ["0.05", True, None, [0.05]])
+    def test_diameter_that_is_not_a_number_named(self, tmp_path, value):
+        path = tmp_path / "model.xyz"
+        write_model(path, make_model("blob", n_points=64, size=0.02))
+        sidecar = tmp_path / "model.json"
+        sidecar.write_text(json.dumps({**json.loads(sidecar.read_text()), "diameter": value}))
+        with pytest.raises(ValueError, match="^model sidecar 'diameter' must be a number, got "):
+            read_model(path)
+
     @pytest.mark.parametrize("key", ["diameter", "symmetries"])
     def test_sidecar_without_a_key_names_it(self, tmp_path, key):
         path = tmp_path / "model.xyz"
@@ -675,6 +684,17 @@ class TestMatchFile:
             "relative_pose": pose_to_dict(Pose.identity()), "count": 2,
         })
         with pytest.raises(ValueError, match=r"anchor pixels must have shape \(M, 2\)"):
+            read_matches(path)
+
+    @pytest.mark.parametrize(
+        "anchor", [[[1.7, 2]], [[1, True]], [[1, "2"]], [1, 2], {"0": [1, 2]}, None],
+        ids=["fraction", "bool", "string", "flat", "object", "null"],
+    )
+    def test_pixels_that_are_not_rows_of_integers_named(self, tmp_path, anchor):
+        path = tmp_path / "matches.json"
+        write_json(path, {"anchor": anchor, "query": [[3, 4]],
+                          "relative_pose": pose_to_dict(Pose.identity()), "count": 1})
+        with pytest.raises(ValueError, match="^match file 'anchor' must hold rows of integers, got "):
             read_matches(path)
 
     def test_list_payload_rejected(self, tmp_path):

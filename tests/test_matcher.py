@@ -364,6 +364,28 @@ class TestMatchFeatures:
         np.testing.assert_array_equal(out.query_cells[0], [1, 0])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Correspondences(np.zeros((3, 3)), np.zeros((2, 3))),
+         "anchor/query point counts differ"),
+        (lambda: match_features(np.zeros((4, 4)), np.ones((4, 4, 2)),
+                                np.ones((4, 4), bool), np.ones((4, 4), bool)),
+         r"anchor features must have shape \(H, W, D\), got \(4, 4\)"),
+        (lambda: match_features(np.ones((4, 4, 2)), np.full((4, 4, 2), np.nan),
+                                np.ones((4, 4), bool), np.ones((4, 4), bool)),
+         "query features contains non-finite values"),
+        (lambda: match_features(np.ones((4, 4, 2)), np.ones((4, 4, 3)),
+                                np.ones((4, 4), bool), np.ones((4, 4), bool)),
+         "feature dimensions differ between views"),
+    ],
+    ids=["counts", "grid-2d", "grid-nan", "dimensions"],
+)
+def test_malformed_inputs_raise(build, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        build()
+
+
 # ---------------------------------------------------------------------------
 # lift_matches
 # ---------------------------------------------------------------------------

@@ -206,6 +206,19 @@ class TestKabsch:
             assert best <= _residual(probe, src, dst) + 1e-12
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (kabsch, r"source/destination shapes differ: \(4, 3\) vs \(5, 3\)"),
+        (lambda src, dst: compatibility_scores(src, dst, 0.01), "source/destination counts differ"),
+    ],
+    ids=["kabsch", "compatibility_scores"],
+)
+def test_point_sets_of_different_counts_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(np.zeros((4, 3)), np.zeros((5, 3)))
+
+
 # ---------------------------------------------------------------------------
 # Compatibility scoring
 # ---------------------------------------------------------------------------
