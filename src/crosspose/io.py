@@ -34,6 +34,7 @@ import json
 import os
 import re
 import struct
+import sys
 import threading
 from dataclasses import asdict, fields
 from io import BytesIO, TextIOWrapper
@@ -229,6 +230,14 @@ def _finite(value, count: int, key: str) -> np.ndarray:
     return arr.astype(np.float64)
 
 
+def _number(value, what: str) -> float:
+    """A JSON number as a float, as for a pose; ValueError naming ``what`` for
+    a bool, a string or an int past the float range."""
+    if type(value) is float or type(value) is int and abs(value) <= sys.float_info.max:
+        return float(value)
+    raise ValueError(f"{what} must be a number, got {value!r:.80}")
+
+
 def pose_from_dict(payload: dict) -> Pose:
     rot, t = _values(payload, "pose", ("R", "t"))
     return Pose(_finite(rot, 9, "R").reshape(3, 3), _finite(t, 3, "t"))
@@ -255,10 +264,9 @@ def read_intrinsics(path) -> CameraIntrinsics:
     values = {}
     for f, value in zip(found, raw):
         # By the field's annotation; as for a pose, a bool is never a number.
-        types, noun = ((int,), "an integer") if f.type == "int" else ((int, float), "a number")
-        if type(value) not in types:
-            raise ValueError(f"camera {f.name!r} must be {noun}, got {value!r}")
-        values[f.name] = value if f.type == "int" else float(value)
+        if f.type == "int" and type(value) is not int:
+            raise ValueError(f"camera {f.name!r} must be an integer, got {value!r}")
+        values[f.name] = value if f.type == "int" else _number(value, f"camera {f.name!r}")
     return CameraIntrinsics(**values)
 
 
@@ -360,11 +368,9 @@ def read_model(path) -> ObjectModel:
     diameter_m, symmetries = _values(
         read_json(model_sidecar(path)), "model sidecar", ("diameter", "symmetries")
     )
-    if type(diameter_m) not in (int, float):  # as for a pose
-        raise ValueError(f"model sidecar 'diameter' must be a number, got {diameter_m!r:.80}")
     return ObjectModel(
         points=points,
-        diameter_m=float(diameter_m),
+        diameter_m=_number(diameter_m, "model sidecar 'diameter'"),
         symmetries=tuple(pose_from_dict(s) for s in symmetries),
     )
 
@@ -403,15 +409,14 @@ def write_matches(path, pair: GtPair) -> None:
         fh.write((text + "\n").encode())
 
 
-def _pixel_rows(value, key: str):
-    """Match entry ``key`` if it holds rows of ints, as for a pose; rows of two
-    as an ``(M, 2)`` int64 array by C loops, cheaper than ``np.asarray``'s."""
-    if not (type(value) is list and {*map(type, value)} <= {list}
-            and {*map(type, chain.from_iterable(value))} <= {int}):
-        raise ValueError(f"match file {key!r} must hold rows of integers, got {value!r:.80}")
-    if {*map(len, value)} == {2}:
-        value = np.fromiter(chain.from_iterable(value), np.int64, 2 * len(value)).reshape(-1, 2)
-    return value
+def _pixel_rows(value, key: str) -> np.ndarray:
+    """Match entry ``key`` as an int64 array if it holds rows of ints that fit
+    in 64 bits, as for a pose; ``GtPair`` checks that the rows hold two."""
+    with contextlib.suppress(OverflowError):  # an int past int64
+        if (type(value) is list and {*map(type, value)} <= {list}
+                and {*map(type, chain.from_iterable(value))} <= {int}):
+            return np.asarray(value, np.int64)
+    raise ValueError(f"match file {key!r} must hold rows of integers, got {value!r:.80}")
 
 
 def read_matches(path) -> GtPair:

@@ -385,7 +385,7 @@ class TestPoseFile:
     @pytest.mark.parametrize(
         "name, value, noun",
         [("width", 96.7, "an integer"), ("height", True, "an integer"),
-         ("fx", "500", "a number"), ("cx", True, "a number")],
+         ("fx", "500", "a number"), ("cx", True, "a number"), ("fy", 10**400, "a number")],
     )
     def test_intrinsics_of_wrong_type_rejected(self, cam96, tmp_path, name, value, noun):
         path = tmp_path / "cam.json"
@@ -517,7 +517,10 @@ class TestModelFile:
         with pytest.raises(ValueError):
             read_model(path)
 
-    @pytest.mark.parametrize("value", ["0.05", True, None, [0.05]])
+    @pytest.mark.parametrize(
+        "value", ["0.05", True, None, [0.05], 10**400],
+        ids=["string", "bool", "null", "list", "past float"],
+    )
     def test_diameter_that_is_not_a_number_named(self, tmp_path, value):
         path = tmp_path / "model.xyz"
         write_model(path, make_model("blob", n_points=64, size=0.02))
@@ -687,8 +690,8 @@ class TestMatchFile:
             read_matches(path)
 
     @pytest.mark.parametrize(
-        "anchor", [[[1.7, 2]], [[1, True]], [[1, "2"]], [1, 2], {"0": [1, 2]}, None],
-        ids=["fraction", "bool", "string", "flat", "object", "null"],
+        "anchor", [[[1.7, 2]], [[1, True]], [[1, "2"]], [1, 2], {"0": [1, 2]}, None, [[2**70, 1]]],
+        ids=["fraction", "bool", "string", "flat", "object", "null", "past int64"],
     )
     def test_pixels_that_are_not_rows_of_integers_named(self, tmp_path, anchor):
         path = tmp_path / "matches.json"
